@@ -47,7 +47,7 @@ from .lab import (
 )
 from .littlewood import build_bank
 from .mild import BlowUpError, SolveParams, solve
-from .spectral import ParameterError, SpectralField, lp_norm, shared_grid
+from .spectral import ParameterError, SpectralField, lp_norms, shared_grid
 from .uniqueness import (
     contraction_ladder,
     contraction_norm_spec,
@@ -258,17 +258,10 @@ def _cmd_solve(config: RunConfig) -> int:
     except BlowUpError as exc:
         sys.stderr.write(f"run blew up: {exc}\n")
         return 2
-    rows = []
-    for t, f in zip(solution.series.times, solution.series.fields):
-        rows.append(
-            (
-                float(t),
-                lp_norm(f, 2),
-                lp_norm(f, 4),
-                lp_norm(f, math.inf),
-                f.mean(),
-            )
-        )
+    rows = [
+        (float(t), *lp_norms(f, (2, 4, math.inf)), f.mean())
+        for t, f in zip(solution.series.times, solution.series.fields)
+    ]
     columns = (
         ("time", "box time"),
         ("l2", "amplitude"),
@@ -368,13 +361,15 @@ def _cmd_verify_lemma(config: RunConfig) -> int:
         rows = _lemma_rows(report, trials, len(probe) * len(taus), levels)
         fits = report.params["c_fit"]
         floor = report.params["c_floor"]
+        ceiling = report.params["c_ceiling"]
         passed = report.sup_constant <= 1.0 + 1e-12 and all(
-            floor < c < 1.0 for c in fits.values()
+            floor < c < ceiling for c in fits.values()
         )
         lines = [
             ("alpha", alpha),
             ("sup_constant", report.sup_constant),
             ("c_floor", floor),
+            ("c_ceiling", ceiling),
             ("c_fit_min", min(fits.values())),
             ("c_fit_max", max(fits.values())),
         ]

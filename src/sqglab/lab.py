@@ -247,7 +247,8 @@ def verify_semigroup_decay(
     admissible mode on the annulus; a least-squares fit through the origin
     of log-decay vs t recovers the per-level exponent c_fit, reported in
     params.  For p = 2 the measured decay can never be slower than the
-    c = (3/8)^alpha envelope.
+    c = (3/8)^alpha envelope nor faster than c = (4/3)^alpha, the fastest
+    mode on the annulus; both edges are reported as c_floor and c_ceiling.
     """
     if not 0.0 < alpha <= 2.0:
         raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
@@ -255,6 +256,7 @@ def verify_semigroup_decay(
     if any(j < 1 or j > bank.j_max for j in levels):
         raise ParameterError(f"levels must lie in [1, {bank.j_max}]")
     c_floor = (3.0 / 8.0) ** alpha
+    c_ceiling = (4.0 / 3.0) ** alpha
 
     def worker(rng, index):
         f = random_besov_field(bank, rng)
@@ -294,6 +296,7 @@ def verify_semigroup_decay(
         "p": p,
         "taus": tuple(taus),
         "c_floor": c_floor,
+        "c_ceiling": c_ceiling,
         "c_fit": {j: float(np.min(v)) for j, v in sorted(c_fits.items())},
         "n": bank.grid.n,
     }

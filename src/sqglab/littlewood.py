@@ -275,13 +275,17 @@ def chemin_lerner_norm(
     return float(per_block[0] + lq_sum(weights * per_block[1:], idx.q))
 
 
+def besov_per_time(series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex) -> np.ndarray:
+    """B^s_{p,q} norm of each sample, from one block-norm matrix."""
+    mat = series_block_norms(series, bank, idx.p)
+    weights = 2.0 ** (idx.s * np.arange(1, bank.j_max + 1))
+    return np.array(
+        [mat[0, c] + lq_sum(weights * mat[1:, c], idx.q) for c in range(mat.shape[1])]
+    )
+
+
 def besov_time_norm(
     series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex, r: float
 ) -> float:
     """Time-outside mixed norm L^r(0, T; B^s_{p,q}) on the sample times."""
-    mat = series_block_norms(series, bank, idx.p)
-    weights = 2.0 ** (idx.s * np.arange(1, bank.j_max + 1))
-    per_time = np.array(
-        [mat[0, c] + lq_sum(weights * mat[1:, c], idx.q) for c in range(mat.shape[1])]
-    )
-    return time_lr(per_time, series.times, r)
+    return time_lr(besov_per_time(series, bank, idx), series.times, r)

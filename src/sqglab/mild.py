@@ -23,6 +23,7 @@ harness measures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,10 @@ class SolveParams:
     save_stride: int = 1
 
     def __post_init__(self):
+        for name in ("alpha", "t_final", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha <= 2.0:
             raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not self.dt > 0.0:
@@ -99,6 +104,10 @@ class SolveParams:
         if self.save_stride < 1:
             raise ParameterError(f"save_stride must be >= 1, got {self.save_stride}")
         steps = self.t_final / self.dt
+        if not math.isfinite(steps):
+            raise ParameterError(
+                f"step count t_final/dt = {self.t_final}/{self.dt} overflows"
+            )
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ParameterError(
                 f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
@@ -154,33 +163,19 @@ class _EtdTableau:
         self.phi2_dt = dt * _phi2(z)
 
 
-_TABLEAUX: dict[tuple, _EtdTableau] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
-    key = (grid.n, grid.box_length, alpha, dt)
-    if key not in _TABLEAUX:
-        if len(_TABLEAUX) > 16:
-            _TABLEAUX.clear()
-        _TABLEAUX[key] = _EtdTableau(grid, alpha, dt)
-    return _TABLEAUX[key]
+    return _EtdTableau(grid, alpha, dt)
 
 
-_RIESZ_SYMBOLS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _riesz_symbols(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
-    key = (grid.n, grid.box_length)
-    if key not in _RIESZ_SYMBOLS:
-        if len(_RIESZ_SYMBOLS) > 16:
-            _RIESZ_SYMBOLS.clear()
-        kabs = grid.kabs
-        safe = np.where(kabs > 0.0, kabs, 1.0)
-        _RIESZ_SYMBOLS[key] = (
-            np.where(kabs > 0.0, 1j * (-grid.k2) / safe, 0.0),
-            np.where(kabs > 0.0, 1j * grid.k1 / safe, 0.0),
-        )
-    return _RIESZ_SYMBOLS[key]
+    kabs = grid.kabs
+    safe = np.where(kabs > 0.0, kabs, 1.0)
+    return (
+        np.where(kabs > 0.0, 1j * (-grid.k2) / safe, 0.0),
+        np.where(kabs > 0.0, 1j * grid.k1 / safe, 0.0),
+    )
 
 
 def _advection_coef(
@@ -259,15 +254,20 @@ class MildSolution:
     """A marched mild solution plus per-sample diagnostics.
 
     diagnostics maps "times", "l2", "linf", "mean" to aligned arrays over
-    the saved samples.  Instances are not mutated after construction.
+    the saved samples; it is computed on first access, since it costs one
+    inverse transform per saved field.  Instances are not mutated after
+    construction.
     """
 
-    def __init__(self, params: SolveParams, series: TimeSeriesField, diagnostics: dict,
+    def __init__(self, params: SolveParams, series: TimeSeriesField,
                  picard_distances: list | None = None):
         self.params = params
         self.series = series
-        self.diagnostics = diagnostics
         self.picard_distances = picard_distances
+
+    @functools.cached_property
+    def diagnostics(self) -> dict:
+        return _diagnose(self.series)
 
     def final(self) -> SpectralField:
         return self.series[len(self.series) - 1]
@@ -308,7 +308,7 @@ def solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
             times.append((step + 1) * params.dt)
             saved.append(SpectralField(grid, coef.copy(), real=theta0.real))
     series = TimeSeriesField(np.array(times), saved)
-    return MildSolution(params, series, _diagnose(series))
+    return MildSolution(params, series)
 
 
 def linear_solution_series(theta0: SpectralField, params: SolveParams) -> TimeSeriesField:
@@ -393,7 +393,7 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
         current = nxt
         if growth_run >= 3:
             raise NonContractionError(distances)
-    return MildSolution(params, current, _diagnose(current), picard_distances=distances)
+    return MildSolution(params, current, picard_distances=distances)
 
 
 # ---------------------------------------------------------------------------

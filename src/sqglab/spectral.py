@@ -285,13 +285,26 @@ def lp_norm(field: SpectralField, p: float) -> float:
     On a periodic uniform grid the trapezoid rule collapses to the plain
     Riemann sum (L/n)^2 * sum |f|^p.  p = math.inf returns the grid max.
     """
-    if p != math.inf and not p >= 1.0:
-        raise ParameterError(f"exponent p must satisfy p >= 1 (or math.inf), got {p}")
+    return lp_norms(field, (p,))[0]
+
+
+def lp_norms(field: SpectralField, ps) -> list[float]:
+    """L^p norms of one field for each exponent in ps, from one inverse transform.
+
+    Each entry equals lp_norm(field, p) bit for bit.
+    """
+    for p in ps:
+        if p != math.inf and not p >= 1.0:
+            raise ParameterError(f"exponent p must satisfy p >= 1 (or math.inf), got {p}")
     w = np.abs(field.physical())
-    if p == math.inf:
-        return float(w.max())
-    if p == 1.0:
-        return float(w.sum() * field.grid.cell_area)
-    if p == 2.0:
-        return float(math.sqrt(np.square(w).sum() * field.grid.cell_area))
-    return float((np.power(w, p).sum() * field.grid.cell_area) ** (1.0 / p))
+    out = []
+    for p in ps:
+        if p == math.inf:
+            out.append(float(w.max()))
+        elif p == 1.0:
+            out.append(float(w.sum() * field.grid.cell_area))
+        elif p == 2.0:
+            out.append(float(math.sqrt(np.square(w).sum() * field.grid.cell_area)))
+        else:
+            out.append(float((np.power(w, p).sum() * field.grid.cell_area) ** (1.0 / p)))
+    return out

@@ -24,9 +24,10 @@ from .littlewood import (
     DyadicBank,
     TimeSeriesField,
     besov_norm,
-    besov_time_norm,
+    besov_per_time,
     block_norms,
     psi_block,
+    time_lr,
 )
 from .mild import (
     MildSolution,
@@ -181,14 +182,31 @@ def instant_norm(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> f
     return value
 
 
+def _prefix_norms(
+    series: TimeSeriesField, bank: DyadicBank, spec: ContractionNorm, cuts
+) -> list[float]:
+    """Mixed-time contraction norm of each prefix series[:cut].
+
+    Every per-sample quantity is computed once over the whole series and
+    each prefix aggregates its slice, which reproduces the norm of the
+    sliced series bit for bit.
+    """
+    per_time = besov_per_time(series, bank, spec.index)
+    riesz = [riesz_low_max(f, bank) for f in series.fields] if spec.riesz_low else None
+    out = []
+    for cut in cuts:
+        value = time_lr(per_time[:cut], series.times[:cut], spec.time_exponent)
+        if riesz is not None:
+            value += max(riesz[:cut])
+        out.append(value)
+    return out
+
+
 def difference_norm(
     series: TimeSeriesField, bank: DyadicBank, spec: ContractionNorm
 ) -> float:
     """Mixed-time contraction norm of a difference series."""
-    value = besov_time_norm(series, bank, spec.index, spec.time_exponent)
-    if spec.riesz_low:
-        value += max(riesz_low_max(f, bank) for f in series.fields)
-    return value
+    return _prefix_norms(series, bank, spec, [len(series)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +235,33 @@ def _as_series(x) -> TimeSeriesField:
     raise ParameterError("expected a time series or a solved run")
 
 
+def _prefix_contractions(
+    s1: TimeSeriesField,
+    s2: TimeSeriesField,
+    params: SolveParams,
+    bank: DyadicBank,
+    spec: ContractionNorm,
+    cuts,
+) -> list[ContractionResult]:
+    """Contraction result on each prefix [:cut] of one trial pair.
+
+    params covers the whole pair; the Duhamel integral of a prefix is the
+    prefix of the Duhamel integral, so one sweep per series serves every
+    cut.  The sweeps are skipped when every denominator is degenerate.
+    """
+    denominators = _prefix_norms(s1 - s2, bank, spec, cuts)
+    numerators = [0.0] * len(cuts)
+    if not all(d < 1e-14 for d in denominators):
+        image = duhamel_series(s1, params) - duhamel_series(s2, params)
+        numerators = _prefix_norms(image, bank, spec, cuts)
+    return [
+        ContractionResult(0.0, 0.0, d, True)
+        if d < 1e-14
+        else ContractionResult(num / d, num, d, False)
+        for num, d in zip(numerators, denominators)
+    ]
+
+
 def contraction_factor(
     theta1,
     theta2,
@@ -233,13 +278,7 @@ def contraction_factor(
     """
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
     s1, s2 = _as_series(theta1), _as_series(theta2)
-    w = s1 - s2
-    denominator = difference_norm(w, bank, spec)
-    if denominator < 1e-14:
-        return ContractionResult(0.0, 0.0, denominator, True)
-    image = duhamel_series(s1, params) - duhamel_series(s2, params)
-    numerator = difference_norm(image, bank, spec)
-    return ContractionResult(numerator / denominator, numerator, denominator, False)
+    return _prefix_contractions(s1, s2, params, bank, spec, [len(s1)])[0]
 
 
 def contraction_ladder(
@@ -253,27 +292,24 @@ def contraction_ladder(
 
     The trial pair is the marched solution against the bare linear
     evolution of the same data; their difference is the accumulated
-    nonlinear correction, which exercises the map away from zero.
+    nonlinear correction, which exercises the map away from zero.  The
+    whole ladder costs one solve, one Duhamel sweep per trial series and
+    one norm matrix per difference series: each shorter horizon reads a
+    prefix of the longest one, with the same bits as a separate
+    contraction_factor call on the sliced pair.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0.0:
         raise ParameterError("horizons must be positive")
+    spec = contraction_norm_spec(params.alpha) if spec is None else spec
+    steps = [replace(params, t_final=t).n_steps() for t in horizons]
     top = replace(params, t_final=horizons[-1])
     full = solve(theta0, top)
     linear = linear_solution_series(theta0, top)
-    out = []
-    for t in horizons:
-        sliced = replace(params, t_final=t)
-        out.append(
-            contraction_factor(
-                full.series.slice_until(t),
-                linear.slice_until(t),
-                sliced,
-                bank,
-                spec,
-            )
-        )
-    return out
+    cuts = [len(full.series.slice_until(t)) for t in horizons]
+    if any(cut != n + 1 for cut, n in zip(cuts, steps)):
+        raise ParameterError("source series does not cover every step of the horizon")
+    return _prefix_contractions(full.series, linear, top, bank, spec, cuts)
 
 
 # ---------------------------------------------------------------------------

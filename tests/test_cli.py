@@ -101,6 +101,13 @@ class TestExitCodes:
             == 1
         )
 
+    @pytest.mark.parametrize(
+        "horizon", [("--T", "inf"), ("--T", "1e308", "--dt", "1e-308")]
+    )
+    def test_unrepresentable_horizon_exits_one(self, tmp_path, capsys, horizon):
+        assert run_cli("solve", *horizon, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("parameter error: ")
+
     def test_unresolvable_divergence_exits_two(self, tmp_path):
         # just past the divergence threshold the growth per term is too
         # slow to certify at this truncation, and the command says so
@@ -231,6 +238,20 @@ class TestVerifyLemmaCommand:
             if line.startswith("slope ")
         )
         assert abs(slope - 2.906770718212571e-1) < 1e-9
+
+    def test_semigroup_decay_passes_every_seed(self, tmp_path):
+        # on the default quarter box level 2 holds only the shell |k| = 2^j,
+        # so the fitted exponent is 1 up to its last bit; the annulus edges
+        # (3/8)^alpha and (4/3)^alpha bound it with room on both sides
+        for seed in range(1, 13):
+            out = tmp_path / str(seed)
+            code = run_cli(
+                "verify-lemma", "semigroup-decay", "--seed", str(seed), "--out", str(out)
+            )
+            assert code == 0, seed
+            summary = (out / "semigroup-decay-summary.txt").read_text(encoding="utf-8")
+            assert "c_ceiling = " in summary
+            assert summary.endswith("status = pass\n")
 
     def test_riesz_commutator_full_box_default(self, tmp_path):
         code = run_cli(

@@ -1,0 +1,144 @@
+"""Bit-for-bit guards for the shared work of the march path.
+
+The contraction ladder measures every horizon from one Duhamel sweep per
+trial series and one norm matrix per difference series; solutions compute
+their diagnostics on first access; the solve table takes all its L^p norms
+from one transform.  Each of these must reproduce, with exact ==, the
+per-call definitions it replaces.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import random_field, smooth_profile
+from sqglab.littlewood import besov_time_norm, build_bank
+from sqglab.mild import (
+    SolveParams,
+    _diagnose,
+    duhamel_series,
+    linear_solution_series,
+    picard_solve,
+    solve,
+)
+from sqglab.spectral import (
+    ParameterError,
+    SpectralField,
+    lp_norm,
+    lp_norms,
+    shared_grid,
+)
+from sqglab.uniqueness import (
+    contraction_factor,
+    contraction_ladder,
+    contraction_norm_spec,
+    riesz_low_max,
+)
+
+HORIZONS = (0.0125, 0.025, 0.05)
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    return shared_grid(64)
+
+
+@pytest.fixture(scope="module")
+def bank64(grid64):
+    return build_bank(grid64)
+
+
+def sliced_norm(series, bank, spec):
+    """The contraction norm of one series, computed from scratch."""
+    value = besov_time_norm(series, bank, spec.index, spec.time_exponent)
+    if spec.riesz_low:
+        value += max(riesz_low_max(f, bank) for f in series.fields)
+    return value
+
+
+def sliced_factor(s1, s2, params, bank, spec):
+    """(factor, numerator, denominator, degenerate) on one pre-sliced pair."""
+    denominator = sliced_norm(s1 - s2, bank, spec)
+    if denominator < 1e-14:
+        return 0.0, 0.0, denominator, True
+    image = duhamel_series(s1, params) - duhamel_series(s2, params)
+    numerator = sliced_norm(image, bank, spec)
+    return numerator / denominator, numerator, denominator, False
+
+
+def as_tuple(res):
+    return res.factor, res.numerator, res.denominator, res.degenerate
+
+
+class TestLadderMatchesPerHorizon:
+    # alpha = 2 is the endpoint case, p = 4 with time exponent 2; alpha = 1.25
+    # adds the sup-in-time Riesz low-pass term
+    @pytest.mark.parametrize("alpha", [2.0, 1.25])
+    def test_bitwise_against_sliced_calls(self, grid64, bank64, alpha):
+        spec = contraction_norm_spec(alpha)
+        assert spec.riesz_low == (alpha < 1.5)
+        if alpha == 2.0:
+            assert (spec.index.p, spec.time_exponent) == (4.0, 2.0)
+        params = SolveParams(alpha=alpha, n=64, t_final=HORIZONS[-1], dt=0.0025)
+        theta0 = smooth_profile(grid64)
+        ladder = contraction_ladder(theta0, params, bank64, HORIZONS, spec=spec)
+
+        full = solve(theta0, params).series
+        linear = linear_solution_series(theta0, params)
+        for t, res in zip(HORIZONS, ladder):
+            sliced = replace(params, t_final=t)
+            s1, s2 = full.slice_until(t), linear.slice_until(t)
+            assert len(s1) == sliced.n_steps() + 1
+            assert not res.degenerate
+            assert as_tuple(res) == sliced_factor(s1, s2, sliced, bank64, spec)
+            per_call = contraction_factor(s1, s2, sliced, bank64, spec)
+            assert as_tuple(res) == as_tuple(per_call)
+
+    def test_zero_data_degenerate_at_every_horizon(self, grid64, bank64):
+        params = SolveParams(alpha=2.0, n=64, t_final=HORIZONS[-1], dt=0.0025)
+        zero = SpectralField(grid64, np.zeros((64, 64), dtype=np.complex128))
+        ladder = contraction_ladder(zero, params, bank64, HORIZONS)
+        assert [as_tuple(r) for r in ladder] == [(0.0, 0.0, 0.0, True)] * 3
+
+    def test_off_step_horizon_rejected(self, grid64, bank64):
+        params = SolveParams(alpha=2.0, n=64, t_final=HORIZONS[-1], dt=0.0025)
+        with pytest.raises(ParameterError):
+            contraction_ladder(smooth_profile(grid64), params, bank64, [0.0126, 0.05])
+
+
+class TestLazyDiagnostics:
+    @pytest.mark.parametrize("march", [solve, picard_solve])
+    def test_first_access_matches_eager(self, grid64, march):
+        theta0 = smooth_profile(grid64)
+        sol = march(theta0, SolveParams(alpha=1.5, n=64, t_final=0.02, dt=0.0025))
+        assert "diagnostics" not in vars(sol)
+        eager = _diagnose(sol.series)
+        lazy = sol.diagnostics
+        assert lazy.keys() == eager.keys()
+        for key in eager:
+            assert np.array_equal(lazy[key], eager[key])
+        assert sol.diagnostics is lazy
+
+
+class TestLpNorms:
+    def test_one_transform_matches_each_norm(self, grid64):
+        ps = (1, 2.0, 4, math.inf)
+        for seed in range(4):
+            f = random_field(grid64, np.random.default_rng(seed), band_limited=False)
+            assert lp_norms(f, ps) == [lp_norm(f, p) for p in ps]
+            # the quadrature formulas themselves, written out
+            w = np.abs(np.fft.ifft2(f.coef).real)
+            area = grid64.cell_area
+            assert lp_norms(f, ps) == [
+                float(w.sum() * area),
+                float(math.sqrt(np.square(w).sum() * area)),
+                float((np.power(w, 4).sum() * area) ** (1.0 / 4)),
+                float(w.max()),
+            ]
+
+    def test_invalid_exponent_rejected(self, grid64):
+        f = random_field(grid64, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            lp_norms(f, (2.0, 0.5))

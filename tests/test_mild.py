@@ -63,6 +63,22 @@ class TestSolveParams:
         with pytest.raises(ParameterError):
             SolveParams(**{**good, "save_stride": 0})
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"t_final": math.inf},
+            {"t_final": math.nan},
+            {"dt": math.inf, "t_final": math.inf},
+            {"dt": math.nan},
+            {"alpha": math.nan},
+            {"t_final": 1e308, "dt": 1e-308},
+        ],
+    )
+    def test_non_finite_values_rejected(self, override):
+        good = dict(alpha=1.5, n=64, t_final=0.1, dt=0.01)
+        with pytest.raises(ParameterError):
+            SolveParams(**{**good, **override})
+
     def test_stability_bound(self):
         # dt * k_max^alpha <= 40 caps the quadrature error on stiff modes
         with pytest.raises(ParameterError):
