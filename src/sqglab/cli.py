@@ -70,8 +70,8 @@ LEMMA_IDS = (
 COUNTEREXAMPLE_IDS = ("a1", "a3")
 UNIQUENESS_CASES = ("endpoint", "alpha1", "mid", "super")
 
-_INT_KEYS = {"n", "depth", "trials", "seed", "threads"}
-_FLOAT_KEYS = {"alpha", "box", "T", "dt", "s", "p", "q", "eps", "s_prime", "delta"}
+_INT_KEYS = {"n", "trials", "seed", "threads"}
+_FLOAT_KEYS = {"alpha", "box", "T", "dt", "s", "p", "q", "eps", "s_prime"}
 _STR_KEYS = {"out", "data"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
@@ -91,13 +91,11 @@ class RunConfig:
     box: float | None = None
     T: float | None = None
     dt: float | None = None
-    depth: int | None = None
     s: float | None = None
     p: float | None = None
     q: float | None = None
     eps: float | None = None
     s_prime: float | None = None
-    delta: float | None = None
     trials: int | None = None
     seed: int | None = None
     out: str = "."
@@ -118,8 +116,6 @@ class RunConfig:
                 raise ParameterError(f"{name} must be positive, got {v}")
         if self.trials is not None and self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
-        if self.depth is not None and self.depth < 1:
-            raise ParameterError(f"depth must be at least 1, got {self.depth}")
         if self.threads < 1:
             raise ParameterError(f"threads must be at least 1, got {self.threads}")
         if self.data not in ("smooth", "zero", "random"):
@@ -240,7 +236,6 @@ def _cmd_solve(config: RunConfig) -> int:
     box = 2.0 * math.pi if config.box is None else config.box
     t_final = 0.2 if config.T is None else config.T
     dt = 0.0025 if config.dt is None else config.dt
-    depth = 4 if config.depth is None else config.depth
     grid = shared_grid(n, box)
     if config.data == "zero":
         theta0 = SpectralField(grid, np.zeros((n, n), dtype=np.complex128))
@@ -250,9 +245,7 @@ def _cmd_solve(config: RunConfig) -> int:
         theta0 = random_besov_field(bank, np.random.default_rng(seed)) * 0.05
     else:
         theta0 = _smooth_data(grid)
-    params = SolveParams(
-        alpha=alpha, n=n, t_final=t_final, dt=dt, box_length=box, picard_depth=depth
-    )
+    params = SolveParams(alpha=alpha, n=n, t_final=t_final, dt=dt, box_length=box)
     try:
         solution = solve(theta0, params)
     except BlowUpError as exc:
@@ -697,7 +690,6 @@ def _add_common_flags(parser: _Parser) -> None:
     parser.add_argument("--box", type=float)
     parser.add_argument("--T", type=float)
     parser.add_argument("--dt", type=float)
-    parser.add_argument("--depth", type=int)
     parser.add_argument("--s", type=float)
     parser.add_argument("--p", type=float)
     parser.add_argument("--q", type=float)

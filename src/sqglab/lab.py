@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood import (
+    ENERGY_FLOOR,
     BesovIndex,
     DyadicBank,
     besov_norm,
     block,
     block_norms,
+    packet_profile,
     psi_block,
     s_partial,
 )
@@ -40,8 +42,6 @@ from .spectral import (
     riesz_perp_velocity,
     semigroup_apply,
 )
-
-ENERGY_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,13 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     grid = bank.grid
     noise = rng.standard_normal((grid.n, grid.n))
     white = dealias(SpectralField.from_physical(grid, noise))
+    norms = block_norms(white, bank, 2)
     coef = np.zeros_like(white.coef)
-    low = psi_block(white, bank)
-    norm = lp_norm(low, 2)
-    if norm > ENERGY_FLOOR:
-        coef += low.coef / norm
+    if norms[0] > ENERGY_FLOOR:
+        coef += psi_block(white, bank).coef / norms[0]
     for j in bank.levels():
-        piece = block(white, bank, j)
-        norm = lp_norm(piece, 2)
-        if norm > ENERGY_FLOOR:
-            coef += piece.coef * (2.0 ** (-s * j) / norm)
+        if norms[j] > ENERGY_FLOOR:
+            coef += block(white, bank, j).coef * (2.0 ** (-s * j) / norms[j])
     out = SpectralField(grid, coef, real=True)
     out.coef[0, 0] = 0.0
     return out
@@ -758,24 +755,10 @@ def duhamel_test_datum(
     dealiasing cutoff and gets chopped, which bends the small-horizon
     tail of the fit.
     """
-    grid = bank.grid
     top = bank.j_max - 1 if top is None else int(top)
     if not 1 <= top <= bank.j_max:
         raise ParameterError(f"top level {top} outside 1..{bank.j_max}")
-    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    placed = 0
-    for j in range(1, top + 1):
-        kern = SpectralField(grid, bank.phi_hat[j - 1].astype(np.complex128), real=True)
-        size = lp_norm(kern, p)
-        if size < ENERGY_FLOOR:
-            # coarse frequency spacing can leave a low annulus without
-            # lattice points; an empty level carries no packet
-            continue
-        coef += kern.coef * (2.0 ** (-s * j) / size)
-        placed += 1
-    if placed == 0:
-        raise ParameterError("every level up to the top is empty on this grid")
-    return SpectralField(grid, coef, real=True)
+    return packet_profile(bank, p, lambda j: 2.0 ** (-s * j) if j <= top else 0.0)
 
 
 def steady_duhamel_norm(theta: SpectralField, alpha: float, horizon: float, p: float):

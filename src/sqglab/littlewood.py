@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid2, ParameterError, SpectralField, lp_norm
+from .spectral import Grid2, ParameterError, SpectralField, lp_norm, mode_energy
 
 _PLATEAU = 3.0 / 4.0
 _EDGE = 4.0 / 3.0
+
+# norms below this count as empty: a block, a kernel or a sample with no
+# energy is skipped rather than divided by
+ENERGY_FLOOR = 1e-14
 
 
 def smooth_step(u):
@@ -183,12 +187,66 @@ def lq_sum(values, q: float) -> float:
 
 
 def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
-    """L^p norms of (psi * f, phi_1 * f, ..., phi_J * f), length J + 1."""
+    """L^p norms of (psi * f, phi_1 * f, ..., phi_J * f), length J + 1.
+
+    At p = 2 no block is formed: the symbols are radial, so each block
+    norm is the Parseval sum of the symbol squared against the per-mode
+    energy of f, taken once for all levels.
+    """
+    if p == 2.0:
+        _check_bank_field(f, bank)
+        e = mode_energy(f)
+        scale = f.grid.cell_area / f.grid.n**2
+        return np.array(
+            [
+                math.sqrt(scale * np.einsum("ij,ij,ij->", sym, sym, e))
+                for sym in (bank.psi_hat, *bank.phi_hat)
+            ]
+        )
     out = np.empty(bank.j_max + 1)
     out[0] = lp_norm(psi_block(f, bank), p)
     for j in bank.levels():
         out[j] = lp_norm(block(f, bank, j), p)
     return out
+
+
+def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
+    """Sum of origin-centered annulus kernels with prescribed L^p sizes.
+
+    amplitudes is either a callable on the level or a sequence covering
+    levels 1..j_max; each kernel is normalized to unit L^p first, so the
+    block norms realize the requested law up to adjacent-filter overlap.
+    A level with zero amplitude carries no packet, and neither does a
+    level whose annulus holds no lattice point (coarse frequency spacing
+    can leave a low annulus empty).  A parameter error is raised when some
+    amplitude is nonzero but every such level is empty.
+    """
+    grid = bank.grid
+    if callable(amplitudes):
+        amps = [float(amplitudes(j)) for j in bank.levels()]
+    else:
+        amps = [float(a) for a in amplitudes]
+        if len(amps) != bank.j_max:
+            raise ParameterError(
+                f"need {bank.j_max} level amplitudes, got {len(amps)}"
+            )
+    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    placed = 0
+    for j, amp in zip(bank.levels(), amps):
+        if amp == 0.0:
+            continue
+        kern = SpectralField(grid, bank.phi_hat[j - 1].astype(np.complex128), real=True)
+        size = lp_norm(kern, p)
+        if size < ENERGY_FLOOR:
+            continue
+        coef += kern.coef * (amp / size)
+        placed += 1
+    if placed == 0 and any(amps):
+        raise ParameterError(
+            f"every level with a nonzero amplitude is empty on grid n={grid.n}, "
+            f"box_length={grid.box_length:g}"
+        )
+    return SpectralField(grid, coef, real=True)
 
 
 def besov_norm(f: SpectralField, bank: DyadicBank, idx: BesovIndex) -> float:

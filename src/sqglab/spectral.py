@@ -5,7 +5,9 @@ numpy ``fft2`` layout: integer frequency indices run over [-n/2, n/2) per
 axis and the physical wavenumber of index m is k = (2*pi/L) * m.  Every
 operator in this module is a diagonal multiplier on those coefficients;
 pointwise products of fields are formed in physical space by the callers
-that need them, normally followed by :func:`dealias`.
+that need them, normally followed by :func:`dealias`.  L^2 norms are
+Parseval sums over the coefficients and take no transform; every other
+L^p norm reads the inverse transform.
 
 Conventions kept throughout the package:
 
@@ -97,6 +99,11 @@ def shared_grid(n: int, box_length: float = 2.0 * math.pi) -> Grid2:
     return Grid2(n, box_length)
 
 
+def _mirror(coef: np.ndarray) -> np.ndarray:
+    """The coefficient array at negated frequencies, c(-k), as a new array."""
+    return np.roll(coef[::-1, ::-1], 1, axis=(0, 1))
+
+
 class SpectralField:
     """Scalar field on a :class:`Grid2`, stored by its fft2 coefficients."""
 
@@ -141,7 +148,7 @@ class SpectralField:
     def conjugate_symmetry_defect(self) -> float:
         """Relative departure from c(-k) = conj(c(k))."""
         c = self.coef
-        mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
+        mirrored = _mirror(c)
         scale = np.abs(c).max()
         if scale == 0.0:
             return 0.0
@@ -279,32 +286,59 @@ def dealias(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coef * field.grid.dealias_keep, real=field.real)
 
 
+def mode_energy(field: SpectralField) -> np.ndarray:
+    """Per-mode energy |h(k)|^2 of the coefficients physical() inverts.
+
+    A real field keeps only the real part of its inverse transform, which
+    is the transform of the Hermitian part h(k) = (c(k) + conj(c(-k)))/2;
+    a complex field has h = c.  By Parseval the L^2 norm of any diagonal
+    multiplier m applied to the field is sqrt(cell_area/n^2 * sum m^2 e)
+    whenever m(k) = m(-k), as for every radial symbol.
+    """
+    c = field.coef
+    if field.real:
+        h = _mirror(c)
+        np.conjugate(h, out=h)
+        h += c
+        h *= 0.5
+    else:
+        h = c
+    e = np.square(h.real)
+    e += np.square(h.imag)
+    return e
+
+
 def lp_norm(field: SpectralField, p: float) -> float:
     """L^p norm over the box via the uniform-grid quadrature.
 
     On a periodic uniform grid the trapezoid rule collapses to the plain
-    Riemann sum (L/n)^2 * sum |f|^p.  p = math.inf returns the grid max.
+    Riemann sum (L/n)^2 * sum |f|^p.  p = math.inf returns the grid max;
+    p = 2 is the same sum taken by Parseval over the coefficients.
     """
     return lp_norms(field, (p,))[0]
 
 
 def lp_norms(field: SpectralField, ps) -> list[float]:
-    """L^p norms of one field for each exponent in ps, from one inverse transform.
+    """L^p norms of one field for each exponent in ps.
 
-    Each entry equals lp_norm(field, p) bit for bit.
+    p = 2 is a Parseval sum over the coefficients (see mode_energy); the
+    other exponents share one inverse transform, taken only when some
+    exponent differs from 2.  Each entry equals lp_norm(field, p) bit for
+    bit.
     """
     for p in ps:
         if p != math.inf and not p >= 1.0:
             raise ParameterError(f"exponent p must satisfy p >= 1 (or math.inf), got {p}")
-    w = np.abs(field.physical())
+    grid = field.grid
+    w = np.abs(field.physical()) if any(p != 2.0 for p in ps) else None
     out = []
     for p in ps:
-        if p == math.inf:
+        if p == 2.0:
+            out.append(math.sqrt(grid.cell_area / grid.n**2 * mode_energy(field).sum()))
+        elif p == math.inf:
             out.append(float(w.max()))
         elif p == 1.0:
-            out.append(float(w.sum() * field.grid.cell_area))
-        elif p == 2.0:
-            out.append(float(math.sqrt(np.square(w).sum() * field.grid.cell_area)))
+            out.append(float(w.sum() * grid.cell_area))
         else:
-            out.append(float((np.power(w, p).sum() * field.grid.cell_area) ** (1.0 / p)))
+            out.append(float((np.power(w, p).sum() * grid.cell_area) ** (1.0 / p)))
     return out

@@ -26,6 +26,7 @@ from .littlewood import (
     besov_norm,
     besov_per_time,
     block_norms,
+    packet_profile,
     psi_block,
     time_lr,
 )
@@ -482,31 +483,6 @@ class ContinuityReport:
     tail: float
     tail_per_level: dict[int, float]
     converged: bool
-
-
-def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
-    """Sum of origin-centered annulus kernels with prescribed L^p sizes.
-
-    amplitudes is either a callable on the level or a sequence covering
-    levels 1..j_max; each kernel is normalized to unit L^p first, so the
-    block norms realize the requested law up to adjacent-filter overlap.
-    """
-    grid = bank.grid
-    if callable(amplitudes):
-        amps = [float(amplitudes(j)) for j in bank.levels()]
-    else:
-        amps = [float(a) for a in amplitudes]
-        if len(amps) != bank.j_max:
-            raise ParameterError(
-                f"need {bank.j_max} level amplitudes, got {len(amps)}"
-            )
-    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for j, amp in zip(bank.levels(), amps):
-        if amp == 0.0:
-            continue
-        kern = SpectralField(grid, bank.phi_hat[j - 1].astype(np.complex128), real=True)
-        coef += kern.coef * (amp / lp_norm(kern, p))
-    return SpectralField(grid, coef, real=True)
 
 
 def continuity_criterion_test(

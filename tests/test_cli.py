@@ -7,6 +7,7 @@ whole CSV files byte for byte.
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from sqglab.cli import (
     main,
 )
 from sqglab.spectral import ParameterError
+
+
+# committed outputs of the benchmark's march workload; read, never written
+MARCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run_cli(*argv):
@@ -107,6 +112,20 @@ class TestExitCodes:
     def test_unrepresentable_horizon_exits_one(self, tmp_path, capsys, horizon):
         assert run_cli("solve", *horizon, "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err.startswith("parameter error: ")
+
+    def test_depth_flag_removed(self, tmp_path, capsys):
+        # the ETD2 march has no Picard depth to set
+        assert run_cli("solve", "--depth", "3", "--out", str(tmp_path)) == 1
+        assert "unrecognized arguments: --depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["delta = 0.1", "depth = 3"])
+    def test_dead_config_keys_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ")
+        assert "unknown key" in err
 
     def test_unresolvable_divergence_exits_two(self, tmp_path):
         # just past the divergence threshold the growth per term is too
@@ -335,6 +354,19 @@ class TestUniquenessCommand:
         assert summary.endswith("status = pass\n")
 
 
+class TestMarchOutputsFrozen:
+    # the benchmark's march workload compares these outputs against its
+    # references; any last-digit drift there fails the whole workload
+    @pytest.mark.parametrize("case", ["endpoint", "alpha1"])
+    def test_bytes_match_benchmark_reference(self, tmp_path, case):
+        argv = ("uniqueness", case, "--T", "0.04", "--n", "128", "--threads", "1")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        slug = f"uniqueness-{case}"
+        for suffix in (".csv", "-summary.txt"):
+            got = read_bytes(tmp_path / f"{slug}{suffix}")
+            assert got == read_bytes(MARCH_REFERENCE / f"march.{slug}{suffix}"), suffix
+
+
 class TestContinuityCommand:
     def test_dichotomy_table(self, tmp_path):
         code = run_cli("continuity", "--out", str(tmp_path))
@@ -347,3 +379,8 @@ class TestContinuityCommand:
         assert body[:, 2].min() >= 0.5 * body[0, 2]
         summary = (tmp_path / "continuity-summary.txt").read_text(encoding="utf-8")
         assert summary.endswith("status = pass\n")
+
+    def test_empty_annulus_exits_cleanly(self, tmp_path):
+        # level 1 of the quarter box holds no lattice point
+        argv = ("continuity", "--n", "128", "--box", "1.5707963267948966")
+        assert run_cli(*argv, "--out", str(tmp_path)) in (0, 1, 2)

@@ -22,6 +22,7 @@ from sqglab.littlewood import (
     lowpass_profile,
     lq_sum,
     max_feasible_level,
+    packet_profile,
     psi_block,
     s_partial,
     series_block_norms,
@@ -387,3 +388,26 @@ class TestTimeNorms:
         for c, f in enumerate(series.fields):
             col = block_norms(f, bank, 2.0)
             assert np.abs(mat[:, c] - col).max() < 1e-15 * max(col.max(), 1.0)
+
+
+class TestPacketProfile:
+    # the quarter box has lattice spacing 4, so the level-1 annulus
+    # (3/4 <= |k| <= 8/3) holds no lattice point
+    @pytest.fixture(scope="class")
+    def quarter_bank(self):
+        return build_bank(Grid2(128, box_length=np.pi / 2))
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+    def test_empty_level_skipped(self, quarter_bank, p):
+        f = packet_profile(quarter_bank, p, lambda j: 1.0)
+        g = packet_profile(quarter_bank, p, lambda j: 0.0 if j == 1 else 1.0)
+        assert np.array_equal(f.coef, g.coef)
+        assert block_norms(f, quarter_bank, p)[1] == 0.0
+
+    def test_only_empty_levels_rejected(self, quarter_bank):
+        with pytest.raises(ParameterError):
+            packet_profile(quarter_bank, 2.0, lambda j: 1.0 if j == 1 else 0.0)
+
+    def test_zero_amplitudes_give_zero_field(self, quarter_bank):
+        f = packet_profile(quarter_bank, 2.0, [0.0] * quarter_bank.j_max)
+        assert not f.coef.any()

@@ -3,8 +3,8 @@
 The contraction ladder measures every horizon from one Duhamel sweep per
 trial series and one norm matrix per difference series; solutions compute
 their diagnostics on first access; the solve table takes all its L^p norms
-from one transform.  Each of these must reproduce, with exact ==, the
-per-call definitions it replaces.
+from one transform, with p = 2 a Parseval sum that takes none.  Each of
+these must reproduce, with exact ==, the per-call definitions it replaces.
 """
 
 import math
@@ -128,15 +128,22 @@ class TestLpNorms:
         for seed in range(4):
             f = random_field(grid64, np.random.default_rng(seed), band_limited=False)
             assert lp_norms(f, ps) == [lp_norm(f, p) for p in ps]
-            # the quadrature formulas themselves, written out
+            # the quadrature formulas themselves, written out; p = 2 is the
+            # Parseval sum over the Hermitian part of the coefficients
             w = np.abs(np.fft.ifft2(f.coef).real)
             area = grid64.cell_area
+            c = f.coef
+            h = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1))))
+            energy = np.square(h.real) + np.square(h.imag)
             assert lp_norms(f, ps) == [
                 float(w.sum() * area),
-                float(math.sqrt(np.square(w).sum() * area)),
+                float(math.sqrt(area / 64**2 * energy.sum())),
                 float((np.power(w, 4).sum() * area) ** (1.0 / 4)),
                 float(w.max()),
             ]
+            # and the physical-space sum it replaces, to roundoff
+            physical = math.sqrt(np.square(w).sum() * area)
+            assert lp_norm(f, 2.0) == pytest.approx(physical, rel=1e-13, abs=0.0)
 
     def test_invalid_exponent_rejected(self, grid64):
         f = random_field(grid64, np.random.default_rng(0))
