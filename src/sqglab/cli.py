@@ -56,28 +56,18 @@ from .uniqueness import (
     twin_run,
 )
 
-LEMMA_IDS = (
-    "bernstein",
-    "semigroup-decay",
-    "paraproduct",
-    "bilinear-diagonal",
-    "advection-commutator",
-    "riesz-commutator",
-    "commutators",
-    "velocity-multiplier",
-    "duhamel-smoothing",
-)
 COUNTEREXAMPLE_IDS = ("a1", "a3")
 UNIQUENESS_CASES = ("endpoint", "alpha1", "mid", "super")
 
-_INT_KEYS = {"n", "trials", "seed", "threads"}
-_FLOAT_KEYS = {"alpha", "box", "T", "dt", "s", "p", "q", "eps", "s_prime"}
-_STR_KEYS = {"out", "data"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-# commands whose verifiers draw random fields; these refuse to run
-# without an explicit seed so reruns are reproducible by construction
-_RANDOMIZED_LEMMAS = frozenset(LEMMA_IDS) - {"duhamel-smoothing"}
+# every config key with its type; each one is also a --<key> flag
+_KEY_TYPES = {
+    **dict.fromkeys(("n", "trials", "seed", "threads"), int),
+    **dict.fromkeys(
+        ("alpha", "box", "T", "dt", "s", "p", "q", "eps", "s_prime"), float
+    ),
+    **dict.fromkeys(("out", "data"), str),
+}
+_ALL_KEYS = _KEY_TYPES.keys()
 
 
 @dataclass
@@ -100,7 +90,7 @@ class RunConfig:
     seed: int | None = None
     out: str = "."
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
-    data: str = "smooth"
+    data: str | None = None  # smooth when unset
 
     def require_seed(self, why: str) -> int:
         if self.seed is None:
@@ -118,25 +108,8 @@ class RunConfig:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
             raise ParameterError(f"threads must be at least 1, got {self.threads}")
-        if self.data not in ("smooth", "zero", "random"):
+        if self.data not in (None, "smooth", "zero", "random"):
             raise ParameterError(f"data must be smooth|zero|random, got {self.data!r}")
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParameterError(f"key {key} expects an integer, got {raw!r}")
-    if key in _FLOAT_KEYS:
-        if raw.lower() in ("inf", "infinity"):
-            return math.inf
-        try:
-            return float(raw)
-        except ValueError:
-            raise ParameterError(f"key {key} expects a number, got {raw!r}")
-    return raw
 
 
 def load_config_file(path: str) -> dict:
@@ -156,7 +129,14 @@ def load_config_file(path: str) -> dict:
                 key = key.strip()
                 if key not in _ALL_KEYS:
                     raise ParameterError(f"{path}:{line_no}: unknown key {key!r}")
-                out[key] = _parse_value(key, raw)
+                kind = _KEY_TYPES[key]
+                try:
+                    out[key] = kind(raw.strip())
+                except ValueError:
+                    raise ParameterError(
+                        f"{path}:{line_no}: key {key} expects {kind.__name__}, "
+                        f"got {raw.strip()!r}"
+                    )
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}")
     return out
@@ -277,200 +257,212 @@ def _cmd_solve(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lemma_rows(report, trials: int, per_trial: int, levels) -> list:
-    """(trial, j, ratio) rows; j cycles through the per-trial layout."""
+def _lemma_rows(report, levels, repeats: int = 1) -> list:
+    """(trial, j, ratio) rows; each trial holds `repeats` ratios per level."""
     ratios = list(report.ratios)
-    rows = []
-    if per_trial > 0 and len(ratios) == trials * per_trial:
-        for k, r in enumerate(ratios):
-            rows.append((k // per_trial, levels[k % per_trial], float(r)))
+    per_trial = len(levels) * repeats
+    if per_trial > 0 and len(ratios) == report.trials * per_trial:
+        return [
+            (k // per_trial, levels[k % per_trial // repeats], float(r))
+            for k, r in enumerate(ratios)
+        ]
+    # skipped degenerate draws break the rectangular layout
+    return [(k, -1, float(r)) for k, r in enumerate(ratios)]
+
+
+def _some_trial_kept(report) -> bool:
+    """The default verdict: some trial survived and gave a positive ratio."""
+    return report.skipped < report.trials and report.sup_constant > 0.0
+
+
+def _whole_norm(report, lines, passed=None):
+    """The output of a lemma that measures one whole-norm ratio per trial."""
+    rows = _lemma_rows(report, [0])
+    if passed is None:
+        passed = _some_trial_kept(report)
+    return rows, "0 = whole-norm ratio", passed, lines
+
+
+# Each runner takes the bank and its lemma's merged parameters and returns
+# (rows, j unit, verdict, summary lines).  It calls the public verifier by
+# its module-level name, so a wrapper installed on this module sees the call.
+
+
+def _run_bernstein(bank, p, **args):
+    # level 1 of a pi/2 box carries no lattice points; start at 2
+    probe = list(range(2, bank.j_max + 1))
+    report = verify_bernstein(bank, p, levels=probe, **args)
+    # a gradient and an inverse-derivative ratio per level
+    rows = _lemma_rows(report, probe, 2)
+    if p == 2.0:
+        passed = report.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
     else:
-        # skipped degenerate draws break the rectangular layout
-        rows = [(k, -1, float(r)) for k, r in enumerate(ratios)]
-    return rows
+        passed = level_spread([report], lo=2) < 3.0
+    lines = [
+        ("p", p),
+        ("gradient_sup", report.params["gradient_sup"]),
+        ("inverse_sup", report.params["inverse_sup"]),
+        ("sup_constant", report.sup_constant),
+        ("skipped", report.skipped),
+    ]
+    return rows, "dyadic level", passed, lines
 
 
-# (n, box) defaults per verifier: the quarter box packs in two extra
-# dyadic levels, but suites probing the low-pass filter or the default
-# horizon ladder need the full box where the coarse levels hold modes
-_LEMMA_GRIDS = {
-    "bernstein": (128, 0.5 * math.pi),
-    "semigroup-decay": (128, 0.5 * math.pi),
-    "paraproduct": (128, 0.5 * math.pi),
-    "bilinear-diagonal": (128, 0.5 * math.pi),
-    "advection-commutator": (128, 2.0 * math.pi),
-    "riesz-commutator": (128, 2.0 * math.pi),
-    "commutators": (128, 2.0 * math.pi),
-    "velocity-multiplier": (128, 0.5 * math.pi),
-    "duhamel-smoothing": (256, 2.0 * math.pi),
+def _run_semigroup_decay(bank, alpha, p, **args):
+    probe = list(range(2, bank.j_max + 1))
+    report = verify_semigroup_decay(bank, alpha, p, levels=probe, **args)
+    # one ratio per level and decay time
+    rows = _lemma_rows(report, probe, len(report.params["taus"]))
+    fits = report.params["c_fit"]
+    floor = report.params["c_floor"]
+    ceiling = report.params["c_ceiling"]
+    passed = report.sup_constant <= 1.0 + 1e-12 and all(
+        floor < c < ceiling for c in fits.values()
+    )
+    lines = [
+        ("alpha", alpha),
+        ("sup_constant", report.sup_constant),
+        ("c_floor", floor),
+        ("c_ceiling", ceiling),
+        ("c_fit_min", min(fits.values())),
+        ("c_fit_max", max(fits.values())),
+    ]
+    return rows, "dyadic level", passed, lines
+
+
+def _run_paraproduct(bank, s, eps, p, q, **args):
+    report = verify_paraproduct(bank, s, eps, p, q, **args)
+    lines = [
+        ("s", s),
+        ("eps", eps),
+        ("sup_constant", report.sup_constant),
+        ("level_spread", level_spread([report], lo=2)),
+    ]
+    return _whole_norm(report, lines)
+
+
+def _run_bilinear_diagonal(bank, s, s_prime, p, q, **args):
+    report = verify_bilinear(bank, s, s_prime, p, 2.0 * p, 2.0 * p, q=q, **args)
+    lines = [
+        ("s", s),
+        ("s_prime", s_prime),
+        ("sup_constant", report.sup_constant),
+    ]
+    return _whole_norm(report, lines)
+
+
+def _commutator_lines(report):
+    return [("sup_constant", report.sup_constant), ("skipped", report.skipped)]
+
+
+def _run_advection_commutator(bank, **args):
+    report = verify_commutator_advection(bank, **args)
+    return _whole_norm(report, _commutator_lines(report))
+
+
+def _run_riesz_commutator(bank, **args):
+    report = verify_commutator_riesz(bank, **args)
+    return _whole_norm(report, _commutator_lines(report))
+
+
+def _run_commutators(bank, **args):
+    report = verify_commutators(bank, **args)
+    # advection block first, then the riesz block
+    trials = report.trials
+    rows = [(k % trials, k // trials, float(r)) for k, r in enumerate(report.ratios)]
+    j_unit = "0 = advection family, 1 = riesz family"
+    return rows, j_unit, _some_trial_kept(report), _commutator_lines(report)
+
+
+def _run_velocity_multiplier(bank, s, q, **args):
+    report = verify_multiplier_bound(bank, s, q, **args)
+    spread = level_spread([report], lo=2)
+    lines = [
+        ("s", s),
+        ("sup_constant", report.sup_constant),
+        ("level_spread", spread),
+    ]
+    return _whole_norm(report, lines, report.skipped < report.trials and spread < 3.0)
+
+
+def _run_duhamel_smoothing(bank, alpha, p, q):
+    datum = duhamel_test_datum(bank, 4.0 if p is None else p)
+    report = verify_duhamel_bound(alpha, datum, bank, p=p, q=q)
+    horizons = report.params["horizons"]
+    rows = [(0, k, float(r)) for k, r in enumerate(report.ratios)]
+    gap = abs(report.params["slope"] - report.params["target_exponent"])
+    lines = [
+        ("alpha", alpha),
+        ("slope", report.params["slope"]),
+        ("target_exponent", report.params["target_exponent"]),
+        ("slope_gap", gap),
+        ("horizon_lo", horizons[0]),
+        ("horizon_hi", horizons[-1]),
+    ]
+    return rows, "horizon index", gap <= 0.2, lines
+
+
+# id -> (runner, defaults).  The defaults name every key the lemma reads,
+# and a key set outside them is an error.  The quarter box packs in two
+# extra dyadic levels, but suites probing the low-pass filter or the
+# default horizon ladder need the full box where the coarse levels hold
+# modes.  Unset p and q for duhamel-smoothing select the critical space.
+_QUARTER_BOX = dict(n=128, box=0.5 * math.pi)
+_FULL_BOX = dict(n=128, box=2.0 * math.pi)
+_LEMMAS = {
+    "bernstein": (_run_bernstein, dict(_QUARTER_BOX, trials=20, p=2.0)),
+    "semigroup-decay": (
+        _run_semigroup_decay,
+        dict(_QUARTER_BOX, trials=10, alpha=1.0, p=2.0),
+    ),
+    "paraproduct": (
+        _run_paraproduct,
+        dict(_QUARTER_BOX, trials=30, s=-0.5, eps=0.25, p=4.0, q=2.0),
+    ),
+    "bilinear-diagonal": (
+        _run_bilinear_diagonal,
+        dict(_QUARTER_BOX, trials=30, s=-0.5, s_prime=-0.5, p=4.0, q=2.0),
+    ),
+    "advection-commutator": (_run_advection_commutator, dict(_FULL_BOX, trials=20)),
+    "riesz-commutator": (_run_riesz_commutator, dict(_FULL_BOX, trials=20)),
+    "commutators": (_run_commutators, dict(_FULL_BOX, trials=20)),
+    "velocity-multiplier": (
+        _run_velocity_multiplier,
+        dict(_QUARTER_BOX, trials=50, s=-0.5, q=math.inf),
+    ),
+    "duhamel-smoothing": (
+        _run_duhamel_smoothing,
+        dict(n=256, box=2.0 * math.pi, alpha=2.0, p=None, q=None),
+    ),
 }
+LEMMA_IDS = tuple(_LEMMAS)
+
+# lemmas whose verifiers draw random fields; these refuse to run without
+# an explicit seed so reruns are reproducible by construction
+_RANDOMIZED_LEMMAS = frozenset(LEMMA_IDS) - {"duhamel-smoothing"}
 
 
 def _cmd_verify_lemma(config: RunConfig) -> int:
     target = config.target
-    if target not in _LEMMA_GRIDS:
+    if target not in _LEMMAS:
         raise ParameterError(f"unknown lemma id {target!r}")
-    n_default, box_default = _LEMMA_GRIDS[target]
-    n = n_default if config.n is None else config.n
-    box = box_default if config.box is None else config.box
-    grid = shared_grid(n, box)
-    bank = build_bank(grid)
-    threads = config.threads
-    j_unit = "dyadic level"
-
-    if target == "bernstein":
-        seed = config.require_seed("randomized verification")
-        p = 2.0 if config.p is None else config.p
-        trials = 20 if config.trials is None else config.trials
-        # level 1 of a pi/2 box carries no lattice points; start at 2
-        probe = list(range(2, bank.j_max + 1))
-        report = verify_bernstein(
-            bank, p, levels=probe, trials=trials, seed=seed, threads=threads
-        )
-        levels = [j for j in probe for _ in range(2)]
-        rows = _lemma_rows(report, trials, 2 * len(probe), levels)
-        if p == 2.0:
-            passed = report.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
-        else:
-            passed = level_spread([report], lo=2) < 3.0
-        lines = [
-            ("p", p),
-            ("gradient_sup", report.params["gradient_sup"]),
-            ("inverse_sup", report.params["inverse_sup"]),
-            ("sup_constant", report.sup_constant),
-            ("skipped", report.skipped),
-        ]
-    elif target == "semigroup-decay":
-        seed = config.require_seed("randomized verification")
-        alpha = 1.0 if config.alpha is None else config.alpha
-        p = 2.0 if config.p is None else config.p
-        trials = 10 if config.trials is None else config.trials
-        taus = (0.25, 0.5, 1.0, 2.0)
-        probe = list(range(2, bank.j_max + 1))
-        report = verify_semigroup_decay(
-            bank, alpha, p, levels=probe, trials=trials, seed=seed, threads=threads
-        )
-        levels = [j for j in probe for _ in taus]
-        rows = _lemma_rows(report, trials, len(probe) * len(taus), levels)
-        fits = report.params["c_fit"]
-        floor = report.params["c_floor"]
-        ceiling = report.params["c_ceiling"]
-        passed = report.sup_constant <= 1.0 + 1e-12 and all(
-            floor < c < ceiling for c in fits.values()
-        )
-        lines = [
-            ("alpha", alpha),
-            ("sup_constant", report.sup_constant),
-            ("c_floor", floor),
-            ("c_ceiling", ceiling),
-            ("c_fit_min", min(fits.values())),
-            ("c_fit_max", max(fits.values())),
-        ]
-    elif target == "paraproduct":
-        seed = config.require_seed("randomized verification")
-        s = -0.5 if config.s is None else config.s
-        eps = 0.25 if config.eps is None else config.eps
-        p = 4.0 if config.p is None else config.p
-        q = 2.0 if config.q is None else config.q
-        trials = 30 if config.trials is None else config.trials
-        report = verify_paraproduct(
-            bank, s, eps, p, q, trials=trials, seed=seed, threads=threads
-        )
-        rows = _lemma_rows(report, trials, 1, [0])
-        j_unit = "0 = whole-norm ratio"
-        passed = report.skipped < trials and report.sup_constant > 0.0
-        lines = [
-            ("s", s),
-            ("eps", eps),
-            ("sup_constant", report.sup_constant),
-            ("level_spread", level_spread([report], lo=2)),
-        ]
-    elif target == "bilinear-diagonal":
-        seed = config.require_seed("randomized verification")
-        s = -0.5 if config.s is None else config.s
-        s_prime = -0.5 if config.s_prime is None else config.s_prime
-        p = 4.0 if config.p is None else config.p
-        q = 2.0 if config.q is None else config.q
-        trials = 30 if config.trials is None else config.trials
-        report = verify_bilinear(
-            bank, s, s_prime, p, 2.0 * p, 2.0 * p, q=q,
-            trials=trials, seed=seed, threads=threads,
-        )
-        rows = _lemma_rows(report, trials, 1, [0])
-        j_unit = "0 = whole-norm ratio"
-        passed = report.skipped < trials and report.sup_constant > 0.0
-        lines = [
-            ("s", s),
-            ("s_prime", s_prime),
-            ("sup_constant", report.sup_constant),
-        ]
-    elif target in ("advection-commutator", "riesz-commutator", "commutators"):
-        seed = config.require_seed("randomized verification")
-        trials = 20 if config.trials is None else config.trials
-        if target == "advection-commutator":
-            report = verify_commutator_advection(
-                bank, trials=trials, seed=seed, threads=threads
-            )
-        elif target == "riesz-commutator":
-            report = verify_commutator_riesz(
-                bank, trials=trials, seed=seed, threads=threads
-            )
-        else:
-            report = verify_commutators(bank, trials=trials, seed=seed, threads=threads)
-        per_trial = 2 if target == "commutators" else 1
-        if target == "commutators":
-            # advection block first, then the riesz block
-            rows = [
-                (k % trials, k // trials, float(r))
-                for k, r in enumerate(report.ratios)
-            ]
-            j_unit = "0 = advection family, 1 = riesz family"
-        else:
-            rows = _lemma_rows(report, trials, per_trial, [0])
-            j_unit = "0 = whole-norm ratio"
-        passed = report.skipped < trials and report.sup_constant > 0.0
-        lines = [("sup_constant", report.sup_constant), ("skipped", report.skipped)]
-    elif target == "velocity-multiplier":
-        seed = config.require_seed("randomized verification")
-        s = -0.5 if config.s is None else config.s
-        q = math.inf if config.q is None else config.q
-        trials = 50 if config.trials is None else config.trials
-        report = verify_multiplier_bound(
-            bank, s, q, trials=trials, seed=seed, threads=threads
-        )
-        rows = _lemma_rows(report, trials, 1, [0])
-        j_unit = "0 = whole-norm ratio"
-        spread = level_spread([report], lo=2)
-        passed = report.skipped < trials and spread < 3.0
-        lines = [
-            ("s", s),
-            ("sup_constant", report.sup_constant),
-            ("level_spread", spread),
-        ]
-    elif target == "duhamel-smoothing":
-        alpha = 2.0 if config.alpha is None else config.alpha
-        datum = duhamel_test_datum(bank, 4.0 if config.p is None else config.p)
-        report = verify_duhamel_bound(
-            alpha, datum, bank, p=config.p, q=config.q
-        )
-        horizons = report.params["horizons"]
-        rows = [
-            (0, k, float(r)) for k, r in enumerate(report.ratios)
-        ]
-        j_unit = "horizon index"
-        gap = abs(report.params["slope"] - report.params["target_exponent"])
-        passed = gap <= 0.2
-        lines = [
-            ("alpha", alpha),
-            ("slope", report.params["slope"]),
-            ("target_exponent", report.params["target_exponent"]),
-            ("slope_gap", gap),
-            ("horizon_lo", horizons[0]),
-            ("horizon_hi", horizons[-1]),
-        ]
-    else:
-        raise ParameterError(f"unknown lemma id {target!r}")
-
+    runner, defaults = _LEMMAS[target]
+    readable = defaults.keys() | ({"seed"} if target in _RANDOMIZED_LEMMAS else set())
+    # every command accepts out and threads
+    given = {
+        key: getattr(config, key)
+        for key in _ALL_KEYS - {"out", "threads"}
+        if getattr(config, key) is not None
+    }
+    unread = sorted(given.keys() - readable)
+    if unread:
+        raise ParameterError(f"verify-lemma {target} does not read {', '.join(unread)}")
+    args = {**defaults, **given}
+    grid = shared_grid(args.pop("n"), args.pop("box"))
+    if target in _RANDOMIZED_LEMMAS:
+        args["seed"] = config.require_seed("randomized verification")
+        args["threads"] = config.threads
+    rows, j_unit, passed, lines = runner(build_bank(grid), **args)
     columns = (("trial", "count"), ("j", j_unit), ("ratio", "dimensionless"))
     return _emit(config, target, columns, rows, lines, bool(passed))
 
@@ -683,22 +675,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(parser: _Parser) -> None:
-    parser.add_argument("--config", help="flat key=value file; flags override it")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--box", type=float)
-    parser.add_argument("--T", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--s", type=float)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--q", type=float)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory (default: current)")
-    parser.add_argument("--threads", type=int)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqglab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -713,22 +689,20 @@ def build_parser() -> _Parser:
     p_cont = sub.add_parser("continuity", help="semigroup continuity dichotomy")
 
     for p in (p_solve, p_lemma, p_ce, p_uni, p_cont):
-        _add_common_flags(p)
+        p.add_argument("--config", help="flat key=value file; flags override it")
+        for key, kind in sorted(_KEY_TYPES.items()):
+            helptext = "output directory (default: current)" if key == "out" else None
+            p.add_argument(f"--{key}", type=kind, help=helptext)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in sorted(_ALL_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = load_config_file(args.config) if args.config else {}
+    for key in _ALL_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     config = RunConfig(
-        command=args.command,
-        target=getattr(args, "target", None),
-        **{k: v for k, v in values.items() if k in _ALL_KEYS},
+        command=args.command, target=getattr(args, "target", None), **values
     )
     config.validate()
     return config
@@ -751,6 +725,10 @@ def main(argv=None) -> int:
         return _DISPATCH[config.command](config)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
+        return 1
+    except OverflowError as exc:
+        # a power such as 2^(-s j) that the parameters push past the float range
+        sys.stderr.write(f"parameter error: a value leaves the float range: {exc}\n")
         return 1
     except SystemExit as exc:
         return int(exc.code or 0)

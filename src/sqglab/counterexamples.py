@@ -239,6 +239,11 @@ def _richardson(evaluate, m0: int, max_m: int, rtol: float):
     while True:
         m *= 2
         fine = evaluate(m)
+        if not math.isfinite(fine):
+            # refining cannot help once the coefficients have overflowed
+            raise ParameterError(
+                f"quadrature value {fine}: the bump coefficients 2^(-s n) overflow"
+            )
         scale = max(abs(fine), 1e-300)
         estimate = abs(fine - coarse) / scale
         if estimate <= rtol:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,12 +72,12 @@ class EstimateReport:
         object.__setattr__(self, "ratios", ratios)
 
 
-def _make_report(lemma_id, ratios, per_level, params, skipped=0, seed=None, trials=None):
+def _make_report(lemma_id, ratios, per_level, params, skipped, seed, trials):
     ratios = np.asarray(ratios, dtype=np.float64)
     sup = float(ratios.max()) if ratios.size else 0.0
     return EstimateReport(
         lemma_id=lemma_id,
-        trials=trials if trials is not None else len(ratios),
+        trials=trials,
         ratios=ratios,
         sup_constant=sup,
         per_level_sup={int(j): float(v) for j, v in sorted(per_level.items())},
@@ -127,15 +127,35 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
 
 
 def _run_trials(trials: int, seed: int, worker, threads: int = 1):
-    """worker(rng, index) -> result; assembled in index order."""
+    """worker(rng) once per trial, each on its own child seed, in trial order."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
     rngs = [np.random.default_rng(c) for c in children]
     if threads <= 1:
-        return [worker(rngs[i], i) for i in range(trials)]
+        return [worker(rng) for rng in rngs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, rngs, range(trials)))
+        return list(pool.map(worker, rngs))
+
+
+def _collect_trials(lemma_id, worker, params, trials, seed, threads):
+    """Run the seeded trials and fold them into one report.
+
+    worker(rng) returns (row, nskip): row is (ratios, {level: ratio}), or
+    None for a degenerate draw, and nskip counts what the trial skipped
+    (that draw, or its empty blocks).  Ratios keep trial order; each level
+    keeps the max ratio seen there.
+    """
+    ratios, per_level, skipped = [], {}, 0
+    for row, nskip in _run_trials(trials, seed, worker, threads):
+        skipped += nskip
+        if row is None:
+            continue
+        row_ratios, levels = row
+        ratios.extend(row_ratios)
+        for j, v in levels.items():
+            per_level[j] = max(per_level.get(j, 0.0), v)
+    return _make_report(lemma_id, ratios, per_level, params, skipped, seed, trials)
 
 
 def _besov(f, bank, s, p, q):
@@ -182,9 +202,9 @@ def verify_bernstein(
     if any(j < 1 or j > bank.j_max for j in levels):
         raise ParameterError(f"levels must lie in [1, {bank.j_max}]")
 
-    def worker(rng, index):
+    def worker(rng):
         f = random_besov_field(bank, rng)
-        out = []
+        ratios, per_level = [], {}
         skipped = 0
         for j in levels:
             piece = block(f, bank, j)
@@ -195,30 +215,25 @@ def verify_bernstein(
             g1, g2 = _grad_pair(piece)
             grad_norm = max(lp_norm(g1, p), lp_norm(g2, p))
             inv_norm = lp_norm(inverse_lambda(piece), p)
-            out.append((j, grad_norm / (2.0**j * base), 2.0**j * inv_norm / base))
-        return out, skipped
+            # the gradient ratio, then the inverse-derivative ratio
+            pair = (grad_norm / (2.0**j * base), 2.0**j * inv_norm / base)
+            ratios.extend(pair)
+            per_level[j] = max(pair)
+        return (ratios, per_level), skipped
 
-    results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    grad_sup = inv_sup = 0.0
-    for rows, nskip in results:
-        skipped += nskip
-        for j, r_grad, r_inv in rows:
-            ratios.extend((r_grad, r_inv))
-            per_level[j] = max(per_level.get(j, 0.0), r_grad, r_inv)
-            grad_sup = max(grad_sup, r_grad)
-            inv_sup = max(inv_sup, r_inv)
     params = {
         "p": p,
         "levels": levels,
-        "gradient_sup": grad_sup,
-        "inverse_sup": inv_sup,
         "n": bank.grid.n,
         "box_length": bank.grid.box_length,
     }
-    return _make_report(
-        "bernstein", ratios, per_level, params, skipped, seed, trials
-    )
+    report = _collect_trials("bernstein", worker, params, trials, seed, threads)
+    # the ratios alternate gradient, inverse; both sups are 0.0 when
+    # every block was skipped
+    gradient, inverse = report.ratios[0::2], report.ratios[1::2]
+    params["gradient_sup"] = float(gradient.max()) if gradient.size else 0.0
+    params["inverse_sup"] = float(inverse.max()) if inverse.size else 0.0
+    return replace(report, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +270,7 @@ def verify_semigroup_decay(
     c_floor = (3.0 / 8.0) ** alpha
     c_ceiling = (4.0 / 3.0) ** alpha
 
-    def worker(rng, index):
+    def worker(rng):
         f = random_besov_field(bank, rng)
         rows = []
         skipped = 0
@@ -339,7 +354,7 @@ def verify_paraproduct(
         raise ParameterError(f"eps must be positive, got {eps}")
     q1 = q2 = 2.0 * q if q != math.inf else math.inf
 
-    def worker(rng, index):
+    def worker(rng):
         f = random_besov_field(bank, rng, s=0.25)
         g = random_besov_field(bank, rng, s=-0.25)
         para = low_high_paraproduct(f, g, bank)
@@ -350,18 +365,8 @@ def verify_paraproduct(
         weights = 2.0 ** ((s - eps) * np.arange(1, bank.j_max + 1))
         lhs = _besov(para, bank, s - eps, p, q)
         levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
-        return (lhs / rhs, levels), 0
+        return ([lhs / rhs], levels), 0
 
-    results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    for row, nskip in results:
-        skipped += nskip
-        if row is None:
-            continue
-        ratio, levels = row
-        ratios.append(ratio)
-        for j, v in levels.items():
-            per_level[j] = max(per_level.get(j, 0.0), v)
     params = {
         "s": s,
         "eps": eps,
@@ -371,9 +376,7 @@ def verify_paraproduct(
         "q2": q2,
         "n": bank.grid.n,
     }
-    return _make_report(
-        "paraproduct", ratios, per_level, params, skipped, seed, trials
-    )
+    return _collect_trials("paraproduct", worker, params, trials, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +434,7 @@ def verify_bilinear(
     q_lhs = p if endpoint else q
     s_g = (-1.0 - s_prime) if endpoint else (s + 1.0 - s_prime)
 
-    def worker(rng, index):
+    def worker(rng):
         f = random_besov_field(bank, rng, s=s_prime)
         g = random_besov_field(bank, rng, s=s_g)
         total = bilinear_diagonal_sum(f, g, bank)
@@ -442,18 +445,8 @@ def verify_bilinear(
         weights = 2.0 ** (s_lhs * np.arange(1, bank.j_max + 1))
         lhs = _besov(total, bank, s_lhs, p, q_lhs)
         levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
-        return (lhs / rhs, levels), 0
+        return ([lhs / rhs], levels), 0
 
-    results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    for row, nskip in results:
-        skipped += nskip
-        if row is None:
-            continue
-        ratio, levels = row
-        ratios.append(ratio)
-        for j, v in levels.items():
-            per_level[j] = max(per_level.get(j, 0.0), v)
     params = {
         "s": s,
         "s_prime": s_prime,
@@ -464,9 +457,7 @@ def verify_bilinear(
         "endpoint": endpoint,
         "n": bank.grid.n,
     }
-    return _make_report(
-        "bilinear-diagonal", ratios, per_level, params, skipped, seed, trials
-    )
+    return _collect_trials("bilinear-diagonal", worker, params, trials, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,7 @@ def verify_commutator_advection(
         raise ParameterError("commutator exponents out of range")
     q1 = q2 = 2.0 * q if q != math.inf else math.inf
 
-    def worker(rng, index):
+    def worker(rng):
         stream = random_besov_field(bank, rng, s=0.5)
         u1, u2 = riesz_perp_velocity(stream)
         theta = random_besov_field(bank, rng, s=0.25)
@@ -536,21 +527,11 @@ def verify_commutator_advection(
         lhs = norms[0] + tail
         levels = {j: weighted[j - 1] / rhs for j in range(1, len(family))}
         levels[0] = norms[0] / rhs
-        return (lhs / rhs, levels), 0
+        return ([lhs / rhs], levels), 0
 
-    results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    for row, nskip in results:
-        skipped += nskip
-        if row is None:
-            continue
-        ratio, levels = row
-        ratios.append(ratio)
-        for j, v in levels.items():
-            per_level[j] = max(per_level.get(j, 0.0), v)
     params = {"s": s, "eps": eps, "p": p, "q": q, "n": bank.grid.n}
-    return _make_report(
-        "advection-commutator", ratios, per_level, params, skipped, seed, trials
+    return _collect_trials(
+        "advection-commutator", worker, params, trials, seed, threads
     )
 
 
@@ -605,7 +586,7 @@ def verify_commutator_riesz(
     prescribed, so none are applied).
     """
 
-    def worker(rng, index):
+    def worker(rng):
         f = random_besov_field(bank, rng, s=0.25)
         g = random_besov_field(bank, rng, s=0.25)
         c1, c2 = riesz_lowpass_commutator(f, g, bank)
@@ -613,22 +594,10 @@ def verify_commutator_riesz(
         rhs = sum(riesz_commutator_rhs_terms(f, g, bank).values())
         if rhs < ENERGY_FLOOR:
             return None, 1
-        return (lhs / rhs, {0: lhs / rhs}), 0
+        return ([lhs / rhs], {0: lhs / rhs}), 0
 
-    results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    for row, nskip in results:
-        skipped += nskip
-        if row is None:
-            continue
-        ratio, levels = row
-        ratios.append(ratio)
-        for j, v in levels.items():
-            per_level[j] = max(per_level.get(j, 0.0), v)
     params = {"n": bank.grid.n}
-    return _make_report(
-        "riesz-commutator", ratios, per_level, params, skipped, seed, trials
-    )
+    return _collect_trials("riesz-commutator", worker, params, trials, seed, threads)
 
 
 def verify_commutators(
@@ -682,7 +651,7 @@ def verify_multiplier_bound(
     be uniform over levels and resolutions.
     """
 
-    def worker(rng, index):
+    def worker(rng):
         f = random_besov_field(bank, rng, s=s)
         rhs = _besov(f, bank, s, math.inf, q)
         if rhs < ENERGY_FLOOR:
@@ -695,22 +664,10 @@ def verify_multiplier_bound(
             j: weights[j - 1] * norm_rows[:, j].max() / rhs
             for j in range(1, bank.j_max + 1)
         }
-        return (lhs / rhs, levels), 0
+        return ([lhs / rhs], levels), 0
 
-    results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    for row, nskip in results:
-        skipped += nskip
-        if row is None:
-            continue
-        ratio, levels = row
-        ratios.append(ratio)
-        for j, v in levels.items():
-            per_level[j] = max(per_level.get(j, 0.0), v)
     params = {"s": s, "q": q, "n": bank.grid.n}
-    return _make_report(
-        "velocity-multiplier", ratios, per_level, params, skipped, seed, trials
-    )
+    return _collect_trials("velocity-multiplier", worker, params, trials, seed, threads)
 
 
 # ---------------------------------------------------------------------------

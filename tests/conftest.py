@@ -2,6 +2,9 @@
 
 import numpy as np
 
+# the smooth datum of `sqglab solve` and `sqglab uniqueness`, shared so the
+# suite marches the same data as the command line
+from sqglab.cli import _smooth_data as smooth_profile  # noqa: F401
 from sqglab.spectral import Grid2, SpectralField, dealias
 
 
@@ -42,14 +45,3 @@ def pure_mode(grid: Grid2, m1: int, m2: int, amplitude=1.0) -> SpectralField:
     coef[m1 % grid.n, m2 % grid.n] += half
     coef[-m1 % grid.n, -m2 % grid.n] += half
     return SpectralField(grid, coef, real=True)
-
-
-def smooth_profile(grid: Grid2, amp=0.05) -> SpectralField:
-    """Deterministic smooth data: two low modes plus a mid-frequency ripple."""
-    x1, x2 = grid.x1, grid.x2
-    vals = amp * (
-        np.cos(2 * x1) * np.sin(x2)
-        + 0.5 * np.sin(x1 + 3 * x2)
-        + 0.25 * np.cos(5 * x1 - 2 * x2)
-    )
-    return SpectralField.from_physical(grid, vals)

@@ -7,6 +7,8 @@ whole CSV files byte for byte.
 
 import csv
 import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,60 @@ def read_csv(path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+# Recorded verify-lemma outputs and exit codes.  A change that leaves the
+# arithmetic alone reproduces them byte for byte; a change to the arithmetic
+# rewrites them once with `PYTHONPATH=src python tests/test_cli.py` and
+# states the largest relative change.
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
+_SEEDED = ("--seed", "3", "--trials", "3")
+_RANDOMIZED = (
+    "bernstein",
+    "semigroup-decay",
+    "paraproduct",
+    "bilinear-diagonal",
+    "advection-commutator",
+    "riesz-commutator",
+    "commutators",
+    "velocity-multiplier",
+)
+# (golden name, verify-lemma arguments, config-file text)
+GOLDEN_CASES = [(lemma, (lemma, *_SEEDED), "") for lemma in _RANDOMIZED] + [
+    ("duhamel-smoothing", ("duhamel-smoothing",), ""),
+    # exits 2: the fitted slope misses the alpha = 1.25 exponent
+    ("duhamel-smoothing-alpha1.25", ("duhamel-smoothing", "--alpha", "1.25"), ""),
+    ("bernstein-p4", ("bernstein", *_SEEDED, "--p", "4"), ""),
+    ("velocity-multiplier-q2", ("velocity-multiplier", *_SEEDED, "--q", "2"), ""),
+    ("paraproduct-eps0.4", ("paraproduct", *_SEEDED), "eps = 0.4\n"),
+    (
+        "bilinear-diagonal-s_prime-0.25",
+        ("bilinear-diagonal", *_SEEDED),
+        "s_prime = -0.25\n",
+    ),
+]
+
+
+def run_golden_case(argv, config_text, workdir):
+    """One single-threaded verify-lemma run; returns (exit code, output dir)."""
+    out = workdir / "out"
+    config = ()
+    if config_text:
+        cfg = workdir / "run.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        config = ("--config", str(cfg))
+    code = run_cli("verify-lemma", *argv, *config, "--threads", "1", "--out", str(out))
+    return code, out
+
+
+def record_goldens():
+    for name, argv, config_text in GOLDEN_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = run_golden_case(argv, config_text, Path(tmp))
+            target = GOLDEN / name
+            shutil.rmtree(target, ignore_errors=True)
+            shutil.copytree(out, target)
+            (target / "exit_code").write_text(f"{code}\n", encoding="utf-8")
 
 
 class TestConfigHandling:
@@ -126,6 +182,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parameter error: ")
         assert "unknown key" in err
+
+    @pytest.mark.parametrize(
+        "argv, config_text",
+        [
+            (("bernstein", "--seed", "1", "--alpha", "1.0"), ""),
+            # deterministic: no seed to set
+            (("duhamel-smoothing", "--seed", "1"), ""),
+            (("riesz-commutator", "--seed", "1", "--trials", "1"), "s = -0.25\n"),
+        ],
+    )
+    def test_unread_lemma_key_exits_one(self, tmp_path, capsys, argv, config_text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        argv = ("verify-lemma", *argv, "--config", str(cfg), "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ")
+        assert "does not read" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("continuity", "--n", "64", "--s", "-2000"),
+            ("verify-lemma", "velocity-multiplier", "--seed", "1", "--trials", "1",
+             "--n", "32", "--s", "-2000"),
+            ("counterexample", "a1", "--s", "-2000", "--trials", "3"),
+            ("counterexample", "a3", "--s", "-2000", "--trials", "3"),
+        ],
+    )
+    def test_overflowing_regularity_exits_one(self, tmp_path, capsys, argv):
+        # 2^(-s j) leaves the float range; no traceback may escape main
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("parameter error: ")
 
     def test_unresolvable_divergence_exits_two(self, tmp_path):
         # just past the divergence threshold the growth per term is too
@@ -282,6 +371,36 @@ class TestVerifyLemmaCommand:
         assert all(float(r[2]) > 0.0 for r in rows[1:])
 
 
+class TestVerifyGoldens:
+    @pytest.mark.parametrize(
+        "name, argv, config_text",
+        [pytest.param(*case, id=case[0]) for case in GOLDEN_CASES]
+        + [
+            # the config-file goldens again, with the key given as a flag
+            pytest.param(
+                "paraproduct-eps0.4",
+                ("paraproduct", *_SEEDED, "--eps", "0.4"),
+                "",
+                id="paraproduct-eps-flag",
+            ),
+            pytest.param(
+                "bilinear-diagonal-s_prime-0.25",
+                ("bilinear-diagonal", *_SEEDED, "--s_prime", "-0.25"),
+                "",
+                id="bilinear-diagonal-s_prime-flag",
+            ),
+        ],
+    )
+    def test_bytes_and_exit_code(self, tmp_path, name, argv, config_text):
+        code, out = run_golden_case(argv, config_text, tmp_path)
+        golden = GOLDEN / name
+        assert code == int((golden / "exit_code").read_text(encoding="utf-8"))
+        files = sorted(p.name for p in golden.iterdir() if p.name != "exit_code")
+        assert sorted(p.name for p in out.iterdir()) == files
+        for fname in files:
+            assert read_bytes(out / fname) == read_bytes(golden / fname), fname
+
+
 class TestCounterexampleCommand:
     def test_a1_table_matches_oracle(self, tmp_path):
         code = run_cli("counterexample", "a1", "--out", str(tmp_path))
@@ -384,3 +503,7 @@ class TestContinuityCommand:
         # level 1 of the quarter box holds no lattice point
         argv = ("continuity", "--n", "128", "--box", "1.5707963267948966")
         assert run_cli(*argv, "--out", str(tmp_path)) in (0, 1, 2)
+
+
+if __name__ == "__main__":
+    record_goldens()
