@@ -56,8 +56,17 @@ from .uniqueness import (
     twin_run,
 )
 
-COUNTEREXAMPLE_IDS = ("a1", "a3")
-UNIQUENESS_CASES = ("endpoint", "alpha1", "mid", "super")
+# counterexample id -> default number of terms
+_COUNTEREXAMPLE_TERMS = {"a1": 12, "a3": 50}
+COUNTEREXAMPLE_IDS = tuple(_COUNTEREXAMPLE_TERMS)
+# uniqueness case -> (default alpha, admissible alpha, that window's label)
+_UNIQUENESS_CASES = {
+    "endpoint": (2.0, lambda a: 1.5 < a <= 2.0, "(3/2, 2]"),
+    "alpha1": (1.0, lambda a: a == 1.0, "exactly 1"),
+    "mid": (1.25, lambda a: 1.0 < a <= 1.5, "(1, 3/2]"),
+    "super": (0.75, lambda a: 0.0 < a < 1.0, "(0, 1)"),
+}
+UNIQUENESS_CASES = tuple(_UNIQUENESS_CASES)
 
 # every config key with its type; each one is also a --<key> flag
 _KEY_TYPES = {
@@ -195,6 +204,21 @@ def _emit(config: RunConfig, slug: str, columns, rows, lines, passed: bool) -> i
     return 0 if passed else 2
 
 
+def _merged(config: RunConfig, name: str, defaults: dict, also=()) -> dict:
+    """The set keys merged over the defaults; defaults and also name every
+    key the command reads, and any other set key but out and threads is an
+    error."""
+    given = {
+        key: getattr(config, key)
+        for key in _ALL_KEYS - {"out", "threads"}
+        if getattr(config, key) is not None
+    }
+    unread = sorted(given.keys() - defaults.keys() - set(also))
+    if unread:
+        raise ParameterError(f"{name} does not read {', '.join(unread)}")
+    return {**defaults, **given}
+
+
 def _smooth_data(grid, amp: float = 0.05) -> SpectralField:
     x1, x2 = grid.x1, grid.x2
     vals = amp * (
@@ -211,21 +235,21 @@ def _smooth_data(grid, amp: float = 0.05) -> SpectralField:
 
 
 def _cmd_solve(config: RunConfig) -> int:
-    alpha = 1.5 if config.alpha is None else config.alpha
-    n = 128 if config.n is None else config.n
-    box = 2.0 * math.pi if config.box is None else config.box
-    t_final = 0.2 if config.T is None else config.T
-    dt = 0.0025 if config.dt is None else config.dt
+    defaults = dict(alpha=1.5, n=128, box=2.0 * math.pi, T=0.2, dt=0.0025, data="smooth")
+    # only random data reads the seed
+    random_data = config.data == "random"
+    args = _merged(config, "solve", defaults, ("seed",) if random_data else ())
+    alpha, n, box = args["alpha"], args["n"], args["box"]
     grid = shared_grid(n, box)
-    if config.data == "zero":
+    if args["data"] == "zero":
         theta0 = SpectralField(grid, np.zeros((n, n), dtype=np.complex128))
-    elif config.data == "random":
+    elif random_data:
         seed = config.require_seed("randomized initial data")
         bank = build_bank(grid)
         theta0 = random_besov_field(bank, np.random.default_rng(seed)) * 0.05
     else:
         theta0 = _smooth_data(grid)
-    params = SolveParams(alpha=alpha, n=n, t_final=t_final, dt=dt, box_length=box)
+    params = SolveParams(alpha=alpha, n=n, t_final=args["T"], dt=args["dt"], box_length=box)
     try:
         solution = solve(theta0, params)
     except BlowUpError as exc:
@@ -447,19 +471,12 @@ def _cmd_verify_lemma(config: RunConfig) -> int:
     if target not in _LEMMAS:
         raise ParameterError(f"unknown lemma id {target!r}")
     runner, defaults = _LEMMAS[target]
-    readable = defaults.keys() | ({"seed"} if target in _RANDOMIZED_LEMMAS else set())
-    # every command accepts out and threads
-    given = {
-        key: getattr(config, key)
-        for key in _ALL_KEYS - {"out", "threads"}
-        if getattr(config, key) is not None
-    }
-    unread = sorted(given.keys() - readable)
-    if unread:
-        raise ParameterError(f"verify-lemma {target} does not read {', '.join(unread)}")
-    args = {**defaults, **given}
+    randomized = target in _RANDOMIZED_LEMMAS
+    args = _merged(
+        config, f"verify-lemma {target}", defaults, ("seed",) if randomized else ()
+    )
     grid = shared_grid(args.pop("n"), args.pop("box"))
-    if target in _RANDOMIZED_LEMMAS:
+    if randomized:
         args["seed"] = config.require_seed("randomized verification")
         args["threads"] = config.threads
     rows, j_unit, passed, lines = runner(build_bank(grid), **args)
@@ -474,9 +491,15 @@ def _cmd_verify_lemma(config: RunConfig) -> int:
 
 def _cmd_counterexample(config: RunConfig) -> int:
     target = config.target
-    s = -0.5 if config.s is None else config.s
+    if target not in _COUNTEREXAMPLE_TERMS:
+        raise ParameterError(f"unknown counterexample id {target!r}")
+    defaults = dict(s=-0.5, trials=_COUNTEREXAMPLE_TERMS[target])
+    args = _merged(config, f"counterexample {target}", defaults)
+    s, n_max = args["s"], args["trials"]
     if not s < 0.0:
         raise ParameterError(f"the bump families need s < 0, got {s}")
+    if n_max < 2:
+        raise ParameterError(f"need at least 2 terms, got {n_max}")
     columns = (
         ("N", "number of bump terms"),
         ("pairing", "pairing value"),
@@ -484,9 +507,6 @@ def _cmd_counterexample(config: RunConfig) -> int:
         ("ratio", "pairing / partial sum"),
     )
     if target == "a1":
-        n_max = 12 if config.trials is None else config.trials
-        if n_max < 2:
-            raise ParameterError(f"need at least 2 terms, got {n_max}")
         rows = []
         for n_terms in range(2, n_max + 1):
             f, g = build_counterexample_pair(s, n_terms)
@@ -511,10 +531,7 @@ def _cmd_counterexample(config: RunConfig) -> int:
             ("symmetrized_magnitude_sum", float(sym_terms.sum())),
         ]
         slug = "counterexample-a1"
-    elif target == "a3":
-        n_max = 50 if config.trials is None else config.trials
-        if n_max < 2:
-            raise ParameterError(f"need at least 2 terms, got {n_max}")
+    else:
         rows = []
         for n_terms in range(1, n_max + 1):
             value, lower = prop_a3_product_norm(s, n_terms)
@@ -541,8 +558,6 @@ def _cmd_counterexample(config: RunConfig) -> int:
             ("oracle_ratio_spread", spread),
         ]
         slug = "counterexample-a3"
-    else:
-        raise ParameterError(f"unknown counterexample id {target!r}")
     return _emit(config, slug, columns, rows, lines, passed)
 
 
@@ -551,32 +566,19 @@ def _cmd_counterexample(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _uniqueness_alpha(case: str, config: RunConfig) -> float:
-    defaults = {"endpoint": 2.0, "alpha1": 1.0, "mid": 1.25, "super": 0.75}
-    alpha = defaults[case] if config.alpha is None else config.alpha
-    windows = {
-        "endpoint": (lambda a: 1.5 < a <= 2.0, "(3/2, 2]"),
-        "alpha1": (lambda a: a == 1.0, "exactly 1"),
-        "mid": (lambda a: 1.0 < a <= 1.5, "(1, 3/2]"),
-        "super": (lambda a: 0.0 < a < 1.0, "(0, 1)"),
-    }
-    ok, label = windows[case]
-    if not ok(alpha):
-        raise ParameterError(f"case {case} needs alpha in {label}, got {alpha}")
-    return alpha
-
-
 def _cmd_uniqueness(config: RunConfig) -> int:
     case = config.target
-    alpha = _uniqueness_alpha(case, config)
-    n = 128 if config.n is None else config.n
-    box = 2.0 * math.pi if config.box is None else config.box
-    t_top = 0.4 if config.T is None else config.T
-    dt = 0.0025 if config.dt is None else config.dt
+    default_alpha, admits, window = _UNIQUENESS_CASES[case]
+    # an unset s selects the case's own contraction norm
+    defaults = dict(alpha=default_alpha, n=128, box=2.0 * math.pi, T=0.4, dt=0.0025, s=None)
+    args = _merged(config, f"uniqueness {case}", defaults)
+    alpha, n, box, t_top, dt = (args[k] for k in ("alpha", "n", "box", "T", "dt"))
+    if not admits(alpha):
+        raise ParameterError(f"case {case} needs alpha in {window}, got {alpha}")
     grid = shared_grid(n, box)
     bank = build_bank(grid)
     theta0 = _smooth_data(grid)
-    spec = contraction_norm_spec(alpha, s=config.s)
+    spec = contraction_norm_spec(alpha, s=args["s"])
     params = SolveParams(alpha=alpha, n=n, t_final=t_top, dt=dt, box_length=box)
     horizons = [t_top / 8.0, t_top / 4.0, t_top / 2.0, t_top]
     try:
@@ -630,16 +632,18 @@ def _cmd_uniqueness(config: RunConfig) -> int:
 
 
 def _cmd_continuity(config: RunConfig) -> int:
-    n = 512 if config.n is None else config.n
-    box = 2.0 * math.pi if config.box is None else config.box
-    alpha = 2.0 if config.alpha is None else config.alpha
-    s = -0.5 if config.s is None else config.s
-    p = 2.0 if config.p is None else config.p
-    bank = build_bank(shared_grid(n, box))
+    defaults = dict(n=512, box=2.0 * math.pi, alpha=2.0, s=-0.5, p=2.0)
+    args = _merged(config, "continuity", defaults)
+    alpha, s, p = args["alpha"], args["s"], args["p"]
+    bank = build_bank(shared_grid(args["n"], args["box"]))
     vanishing = continuity_criterion_test(
         lambda j: 2.0 ** (-s * j) * 2.0 ** (-j), bank, s, p, alpha
     )
     unit = continuity_criterion_test(lambda j: 2.0 ** (-s * j), bank, s, p, alpha)
+    sizes = [*vanishing.curve, *unit.curve, vanishing.tail, unit.tail]
+    if not np.all(np.isfinite(sizes)):
+        # finite amplitudes 2^(-s j) whose norms leave the float range
+        raise ParameterError(f"continuity at s = {s:g}: a norm is not finite")
     rows = [
         (t, dv, du)
         for t, dv, du in zip(vanishing.times, vanishing.curve, unit.curve)

@@ -25,6 +25,7 @@ from .littlewood import (
     ENERGY_FLOOR,
     BesovIndex,
     DyadicBank,
+    besov_from_norms,
     besov_norm,
     block,
     block_norms,
@@ -170,12 +171,15 @@ def _grad_pair(f):
     return gradient(f, 0), gradient(f, 1)
 
 
-def _advect(u1, u2, h, apply_dealias=True):
-    """u . grad h as a spectral field, product dealiased."""
+def _transport(v1, v2, h):
+    """u . grad h on the grid, for u given by its grid values (v1, v2)."""
     g1, g2 = _grad_pair(h)
-    prod = u1.physical() * g1.physical() + u2.physical() * g2.physical()
-    out = SpectralField.from_physical(h.grid, prod)
-    return dealias(out) if apply_dealias else out
+    return v1 * g1.physical() + v2 * g2.physical()
+
+
+def _advect(v1, v2, h):
+    """u . grad h as a spectral field, product dealiased; u as in _transport."""
+    return dealias(SpectralField.from_physical(h.grid, _transport(v1, v2, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +367,7 @@ def verify_paraproduct(
             return None, 1
         norms = block_norms(para, bank, p)
         weights = 2.0 ** ((s - eps) * np.arange(1, bank.j_max + 1))
-        lhs = _besov(para, bank, s - eps, p, q)
+        lhs = besov_from_norms(norms, BesovIndex(s - eps, p, q))
         levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
         return ([lhs / rhs], levels), 0
 
@@ -385,19 +389,23 @@ def verify_paraproduct(
 
 
 def bilinear_diagonal_sum(f: SpectralField, g: SpectralField, bank: DyadicBank):
-    """sum_{|k-l|<=1} (u_{f_k} . grad g_l + u_{g_l} . grad f_k), dealiased."""
+    """sum_{|k-l|<=1} (u_{f_k} . grad g_l + u_{g_l} . grad f_k), dealiased.
+
+    Regrouped by bilinearity (Bony's paraproduct bookkeeping): level k of
+    each factor advects the other factor's levels k-1..k+1, taken as one
+    multiplier phi_{k-1} + phi_k + phi_{k+1}.  The products accumulate on
+    the grid, and the real part of the total, which is what each pairwise
+    product keeps, is transformed and dealiased once.
+    """
     grid = bank.grid
-    blocks_f = [block(f, bank, j) for j in bank.levels()]
-    blocks_g = [block(g, bank, j) for j in bank.levels()]
-    vel_f = [riesz_perp_velocity(b) for b in blocks_f]
-    vel_g = [riesz_perp_velocity(b) for b in blocks_g]
-    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for k in range(len(blocks_f)):
-        for l in range(max(0, k - 1), min(len(blocks_g), k + 2)):
-            u1, u2 = vel_f[k]
-            coef += _advect(u1, u2, blocks_g[l]).coef
-            w1, w2 = vel_g[l]
-            coef += _advect(w1, w2, blocks_f[k]).coef
+    total = 0.0
+    for k in range(bank.j_max):
+        near = sum(bank.phi_hat[max(0, k - 1) : k + 2])
+        for a, b in ((f, g), (g, f)):
+            u1, u2 = riesz_perp_velocity(block(a, bank, k + 1))
+            h = SpectralField(grid, b.coef * near, real=b.real)
+            total = total + _transport(u1.physical(), u2.physical(), h)
+    coef = dealias(SpectralField.from_physical(grid, np.real(total))).coef
     return SpectralField(grid, coef, real=f.real and g.real)
 
 
@@ -443,7 +451,7 @@ def verify_bilinear(
             return None, 1
         norms = block_norms(total, bank, p)
         weights = 2.0 ** (s_lhs * np.arange(1, bank.j_max + 1))
-        lhs = _besov(total, bank, s_lhs, p, q_lhs)
+        lhs = besov_from_norms(norms, BesovIndex(s_lhs, p, q_lhs))
         levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
         return ([lhs / rhs], levels), 0
 
@@ -467,20 +475,17 @@ def verify_bilinear(
 
 def lowpass_commutator_family(u1, u2, theta, bank):
     """[filter*, u] . grad theta for the low-pass and every annulus filter."""
-    advection = _advect(u1, u2, theta)
-    out = [
+    v1, v2 = u1.physical(), u2.physical()
+    advection = _advect(v1, v2, theta)
+    filters = [psi_block] + [lambda f, b, j=j: block(f, b, j) for j in bank.levels()]
+    return [
         SpectralField(
             bank.grid,
-            psi_block(advection, bank).coef
-            - _advect(u1, u2, psi_block(theta, bank)).coef,
+            filt(advection, bank).coef - _advect(v1, v2, filt(theta, bank)).coef,
             real=True,
         )
+        for filt in filters
     ]
-    for j in bank.levels():
-        filtered = block(advection, bank, j)
-        moved = _advect(u1, u2, block(theta, bank, j))
-        out.append(SpectralField(bank.grid, filtered.coef - moved.coef, real=True))
-    return out
 
 
 def verify_commutator_advection(
@@ -541,16 +546,12 @@ def riesz_lowpass_commutator(f, g, bank):
     R psi* applied to the scalar (R f . grad g), minus advection by R f of
     the vector R psi* g, componentwise; returns the two components.
     """
-    uf1, uf2 = riesz_perp_velocity(f)
-    scalar = _advect(uf1, uf2, g)
-    low_scalar = psi_block(scalar, bank)
-    first = riesz_perp_velocity(low_scalar)
-    lowg1, lowg2 = riesz_perp_velocity(psi_block(g, bank))
-    second = (_advect(uf1, uf2, lowg1), _advect(uf1, uf2, lowg2))
-    grid = bank.grid
-    return (
-        SpectralField(grid, first[0].coef - second[0].coef, real=True),
-        SpectralField(grid, first[1].coef - second[1].coef, real=True),
+    v1, v2 = (u.physical() for u in riesz_perp_velocity(f))
+    first = riesz_perp_velocity(psi_block(_advect(v1, v2, g), bank))
+    low_g = riesz_perp_velocity(psi_block(g, bank))
+    return tuple(
+        SpectralField(bank.grid, a.coef - _advect(v1, v2, b).coef, real=True)
+        for a, b in zip(first, low_g)
     )
 
 
@@ -657,8 +658,9 @@ def verify_multiplier_bound(
         if rhs < ENERGY_FLOOR:
             return None, 1
         comps = velocity_gradient_components(f)
-        lhs = _vector_besov(comps, bank, s - 1.0, math.inf, q)
         norm_rows = np.array([block_norms(c, bank, math.inf) for c in comps])
+        lhs_index = BesovIndex(s - 1.0, math.inf, q)
+        lhs = max(besov_from_norms(row, lhs_index) for row in norm_rows)
         weights = 2.0 ** ((s - 1.0) * np.arange(1, bank.j_max + 1))
         levels = {
             j: weights[j - 1] * norm_rows[:, j].max() / rhs
@@ -725,18 +727,25 @@ def steady_duhamel_norm(theta: SpectralField, alpha: float, horizon: float, p: f
     factor (1 - exp(-T |k|^alpha))/|k|^alpha (T at k = 0), applied to the
     velocity-scalar product; returns the max over the two components.
     """
+    return _steady_duhamel_norms(theta, alpha, (horizon,), p)[0]
+
+
+def _steady_duhamel_norms(theta, alpha, horizons, p):
+    """steady_duhamel_norm at each horizon; the products are formed once."""
     grid = theta.grid
-    u1, u2 = riesz_perp_velocity(theta)
     phys = theta.physical()
-    out = 0.0
+    products = [
+        dealias(SpectralField.from_physical(grid, comp.physical() * phys)).coef
+        for comp in riesz_perp_velocity(theta)
+    ]
     symbol = np.asarray(grid.kabs, dtype=np.float64) ** alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = -np.expm1(-horizon * symbol) / symbol
-    mult[0, 0] = horizon
-    for comp in (u1, u2):
-        prod = dealias(SpectralField.from_physical(grid, comp.physical() * phys))
-        smoothed = SpectralField(grid, prod.coef * mult, real=True)
-        out = max(out, lp_norm(smoothed, p))
+    out = []
+    for horizon in horizons:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mult = -np.expm1(-horizon * symbol) / symbol
+        mult[0, 0] = horizon
+        norms = [lp_norm(SpectralField(grid, c * mult, real=True), p) for c in products]
+        out.append(max(0.0, *norms))
     return out
 
 
@@ -782,7 +791,7 @@ def verify_duhamel_bound(
     else:
         u1, u2 = riesz_perp_velocity(theta)
         denom_base = data_norm * _vector_besov((u1, u2), bank, s_star, p, q)
-    norms = [steady_duhamel_norm(theta, alpha, t, p) for t in horizons]
+    norms = _steady_duhamel_norms(theta, alpha, horizons, p)
     # the integrand factor grows with T per mode, so the running max
     # realizes the sup over [0, T] on the ladder
     sups = np.maximum.accumulate(norms)

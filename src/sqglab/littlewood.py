@@ -251,8 +251,12 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
 
 def besov_norm(f: SpectralField, bank: DyadicBank, idx: BesovIndex) -> float:
     """||psi * f||_p + l^q over j of 2^(s j) ||phi_j * f||_p."""
-    norms = block_norms(f, bank, idx.p)
-    weights = 2.0 ** (idx.s * np.arange(1, bank.j_max + 1))
+    return besov_from_norms(block_norms(f, bank, idx.p), idx)
+
+
+def besov_from_norms(norms, idx: BesovIndex) -> float:
+    """The B^s_{p,q} sum of block norms (psi, phi_1, ..., phi_J) in hand."""
+    weights = 2.0 ** (idx.s * np.arange(1, len(norms)))
     return float(norms[0] + lq_sum(weights * norms[1:], idx.q))
 
 
@@ -328,18 +332,13 @@ def chemin_lerner_norm(
     integral Minkowski inequality applied row by row.
     """
     mat = series_block_norms(series, bank, idx.p)
-    per_block = np.array([time_lr(mat[j], series.times, r) for j in range(bank.j_max + 1)])
-    weights = 2.0 ** (idx.s * np.arange(1, bank.j_max + 1))
-    return float(per_block[0] + lq_sum(weights * per_block[1:], idx.q))
+    return besov_from_norms([time_lr(row, series.times, r) for row in mat], idx)
 
 
 def besov_per_time(series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex) -> np.ndarray:
     """B^s_{p,q} norm of each sample, from one block-norm matrix."""
     mat = series_block_norms(series, bank, idx.p)
-    weights = 2.0 ** (idx.s * np.arange(1, bank.j_max + 1))
-    return np.array(
-        [mat[0, c] + lq_sum(weights * mat[1:, c], idx.q) for c in range(mat.shape[1])]
-    )
+    return np.array([besov_from_norms(col, idx) for col in mat.T])
 
 
 def besov_time_norm(

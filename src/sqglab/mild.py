@@ -34,6 +34,7 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    grid_symbol,
     inverse_lambda,
     riesz_perp_velocity,
     shared_grid,
@@ -168,21 +169,12 @@ def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
     return _EtdTableau(grid, alpha, dt)
 
 
-@functools.lru_cache(maxsize=16)
-def _riesz_symbols(grid: Grid2) -> tuple[np.ndarray, np.ndarray]:
-    kabs = grid.kabs
-    safe = np.where(kabs > 0.0, kabs, 1.0)
-    return (
-        np.where(kabs > 0.0, 1j * (-grid.k2) / safe, 0.0),
-        np.where(kabs > 0.0, 1j * grid.k1 / safe, 0.0),
-    )
-
-
 def _advection_coef(
     grid: Grid2, coef: np.ndarray, apply_dealias: bool, step: int, t: float
 ) -> np.ndarray:
     """Coefficients of -div(u theta) for theta given by coef, with blow-up check."""
-    s1, s2 = _riesz_symbols(grid)
+    s1 = grid_symbol(grid, "riesz_perp", 0)
+    s2 = grid_symbol(grid, "riesz_perp", 1)
     u1_hat = s1 * coef
     u2_hat = s2 * coef
     theta_p = np.fft.ifft2(coef).real

@@ -198,7 +198,8 @@ class SymbolOp:
 
     Negative-order symbols (inverse_lambda, riesz_perp) send the mean mode
     to zero; that is the only sane convention on the torus, where Lambda
-    annihilates constants.
+    annihilates constants.  Those two depend on the grid alone: grid_symbol
+    builds each once per grid, and the shared array is read-only.
     """
 
     def __init__(self, grid: Grid2, kind: str, **params):
@@ -207,7 +208,12 @@ class SymbolOp:
         self.grid = grid
         self.kind = kind
         self.params = dict(params)
-        self.symbol = self._build(grid, kind, params)
+        axis = params.get("axis")
+        # any other axis takes the uncached path, which rejects it
+        if kind in ("inverse_lambda", "riesz_perp") and axis in (None, 0, 1):
+            self.symbol = grid_symbol(grid, kind, axis)
+        else:
+            self.symbol = self._build(grid, kind, params)
 
     @staticmethod
     def _build(grid: Grid2, kind: str, params) -> np.ndarray:
@@ -223,7 +229,8 @@ class SymbolOp:
             axis = params["axis"]
             if axis not in (0, 1):
                 raise ParameterError(f"gradient axis must be 0 or 1, got {axis}")
-            return 1j * (grid.k1 if axis == 0 else grid.k2)
+            # one row or column, broadcast against the coefficients
+            return 1j * (grid.k1[:, :1] if axis == 0 else grid.k2[:1, :])
         if kind == "riesz_perp":
             axis = params["axis"]
             if axis not in (0, 1):
@@ -242,6 +249,14 @@ class SymbolOp:
         if field.grid != self.grid:
             raise ParameterError("field grid does not match operator grid")
         return SpectralField(self.grid, self.symbol * field.coef, real=field.real)
+
+
+@functools.lru_cache(maxsize=16)
+def grid_symbol(grid: Grid2, kind: str, axis: int | None = None) -> np.ndarray:
+    """The shared, read-only symbol of a parameter-free kind on grid."""
+    sym = SymbolOp._build(grid, kind, {"axis": axis})
+    sym.flags.writeable = False
+    return sym
 
 
 def fractional_laplacian(field: SpectralField, alpha: float) -> SpectralField:

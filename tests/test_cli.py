@@ -42,11 +42,11 @@ def read_bytes(path):
         return fh.read()
 
 
-# Recorded verify-lemma outputs and exit codes.  A change that leaves the
-# arithmetic alone reproduces them byte for byte; a change to the arithmetic
-# rewrites them once with `PYTHONPATH=src python tests/test_cli.py` and
-# states the largest relative change.
-GOLDEN = Path(__file__).resolve().parent / "golden" / "verify"
+# Recorded CLI outputs and exit codes.  A change that leaves the arithmetic
+# alone reproduces them byte for byte; a change to the arithmetic rewrites
+# them once with `PYTHONPATH=src python tests/test_cli.py` and states the
+# largest relative change.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 _SEEDED = ("--seed", "3", "--trials", "3")
 _RANDOMIZED = (
     "bernstein",
@@ -74,23 +74,59 @@ GOLDEN_CASES = [(lemma, (lemma, *_SEEDED), "") for lemma in _RANDOMIZED] + [
 ]
 
 
+# The march-side commands, kept under golden/<command>/<case>.
+# (golden path, command arguments, config-file text)
+COMMAND_GOLDEN_CASES = [
+    ("counterexample/a1", ("counterexample", "a1"), ""),
+    ("counterexample/a3", ("counterexample", "a3"), ""),
+    ("continuity/n512", ("continuity", "--n", "512"), ""),
+    # exits 2: at n = 64 the unit-tail distance drops below half its start
+    ("continuity/n64", ("continuity", "--n", "64"), ""),
+    ("solve/smooth", ("solve", "--n", "64", "--T", "0.02"), ""),
+    (
+        "solve/random-seed3",
+        ("solve", "--n", "64", "--T", "0.02", "--seed", "3"),
+        "data = random\n",
+    ),
+]
+
+
+def all_golden_cases():
+    """(golden path, full CLI arguments, config-file text) of every golden."""
+    verify = [
+        (f"verify/{name}", ("verify-lemma", *argv), text)
+        for name, argv, text in GOLDEN_CASES
+    ]
+    return verify + COMMAND_GOLDEN_CASES
+
+
 def run_golden_case(argv, config_text, workdir):
-    """One single-threaded verify-lemma run; returns (exit code, output dir)."""
+    """One single-threaded CLI run; returns (exit code, output dir)."""
     out = workdir / "out"
     config = ()
     if config_text:
         cfg = workdir / "run.cfg"
         cfg.write_text(config_text, encoding="utf-8")
         config = ("--config", str(cfg))
-    code = run_cli("verify-lemma", *argv, *config, "--threads", "1", "--out", str(out))
+    code = run_cli(*argv, *config, "--threads", "1", "--out", str(out))
     return code, out
 
 
+def assert_matches_golden(path, argv, config_text, workdir):
+    code, out = run_golden_case(argv, config_text, workdir)
+    golden = GOLDEN / path
+    assert code == int((golden / "exit_code").read_text(encoding="utf-8"))
+    files = sorted(p.name for p in golden.iterdir() if p.name != "exit_code")
+    assert sorted(p.name for p in out.iterdir()) == files
+    for fname in files:
+        assert read_bytes(out / fname) == read_bytes(golden / fname), fname
+
+
 def record_goldens():
-    for name, argv, config_text in GOLDEN_CASES:
+    for path, argv, config_text in all_golden_cases():
         with tempfile.TemporaryDirectory() as tmp:
             code, out = run_golden_case(argv, config_text, Path(tmp))
-            target = GOLDEN / name
+            target = GOLDEN / path
             shutil.rmtree(target, ignore_errors=True)
             shutil.copytree(out, target)
             (target / "exit_code").write_text(f"{code}\n", encoding="utf-8")
@@ -200,6 +236,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parameter error: ")
         assert "does not read" in err
+
+    @pytest.mark.parametrize(
+        "argv, config_text",
+        [
+            (("counterexample", "a1", "--n", "64"), ""),
+            (("counterexample", "a3", "--alpha", "1.5"), ""),
+            (("continuity", "--n", "64", "--trials", "7"), ""),
+            # smooth data has no seed to read
+            (("solve", "--n", "32", "--seed", "3"), ""),
+            (("solve", "--n", "32", "--seed", "3"), "data = zero\n"),
+            (("uniqueness", "endpoint", "--n", "32", "--q", "2"), ""),
+            (("uniqueness", "super", "--n", "32"), "p = 4\n"),
+        ],
+    )
+    def test_unread_command_key_exits_one(self, tmp_path, capsys, argv, config_text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        argv = (*argv, "--config", str(cfg), "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ")
+        assert "does not read" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_random_solve_reads_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data = random\n", encoding="utf-8")
+        argv = ("solve", "--n", "32", "--T", "0.005", "--seed", "3", "--config", str(cfg))
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+
+    def test_non_finite_continuity_norm_exits_one(self, tmp_path, capsys):
+        # 2^(150 j) is finite, but the squared norms of the packets are not
+        argv = ("continuity", "--n", "64", "--s", "-150", "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("parameter error: ")
+        assert not (tmp_path / "continuity.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -392,13 +464,19 @@ class TestVerifyGoldens:
         ],
     )
     def test_bytes_and_exit_code(self, tmp_path, name, argv, config_text):
-        code, out = run_golden_case(argv, config_text, tmp_path)
-        golden = GOLDEN / name
-        assert code == int((golden / "exit_code").read_text(encoding="utf-8"))
-        files = sorted(p.name for p in golden.iterdir() if p.name != "exit_code")
-        assert sorted(p.name for p in out.iterdir()) == files
-        for fname in files:
-            assert read_bytes(out / fname) == read_bytes(golden / fname), fname
+        assert_matches_golden(
+            f"verify/{name}", ("verify-lemma", *argv), config_text, tmp_path
+        )
+
+
+class TestCommandGoldens:
+    # the march side: none of these outputs may move by a single byte
+    @pytest.mark.parametrize(
+        "path, argv, config_text",
+        [pytest.param(*case, id=case[0]) for case in COMMAND_GOLDEN_CASES],
+    )
+    def test_bytes_and_exit_code(self, tmp_path, path, argv, config_text):
+        assert_matches_golden(path, argv, config_text, tmp_path)
 
 
 class TestCounterexampleCommand:

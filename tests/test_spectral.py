@@ -316,3 +316,20 @@ class TestSymbolOp:
     def test_gradient_axis_checked(self):
         with pytest.raises(ParameterError):
             SymbolOp(Grid2(32), "gradient", axis=2)
+
+    def test_cached_symbols_are_shared_and_read_only(self):
+        g = Grid2(32)
+        rng = np.random.default_rng(7)
+        theta = SpectralField.from_physical(g, rng.standard_normal((32, 32)))
+        before = riesz_perp_velocity(theta)[0].coef.copy()
+        op = SymbolOp(g, "riesz_perp", axis=0)
+        assert op.symbol is SymbolOp(Grid2(32), "riesz_perp", axis=0).symbol
+        with pytest.raises(ValueError):
+            op.symbol[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            op.symbol *= 2.0
+        assert not SymbolOp(g, "inverse_lambda").symbol.flags.writeable
+        assert np.array_equal(riesz_perp_velocity(theta)[0].coef, before)
+        for bad in (2, [0], None):
+            with pytest.raises(ParameterError):
+                SymbolOp(g, "riesz_perp", axis=bad)
