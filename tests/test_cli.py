@@ -554,7 +554,7 @@ class TestUniquenessCommand:
 class TestMarchOutputsFrozen:
     # the benchmark's march workload compares these outputs against its
     # references; any last-digit drift there fails the whole workload
-    @pytest.mark.parametrize("case", ["endpoint", "alpha1"])
+    @pytest.mark.parametrize("case", ["endpoint", "alpha1", "mid", "super"])
     def test_bytes_match_benchmark_reference(self, tmp_path, case):
         argv = ("uniqueness", case, "--T", "0.04", "--n", "128", "--threads", "1")
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
