@@ -13,158 +13,8 @@ The package provides, in rough dependency order:
 * ``uniqueness``: contraction diagnostics, twin runs, and the linear
   continuity criterion,
 * ``cli``: command line entry point.
+
+Import names from their submodule, e.g. ``from sqglab.spectral import Grid2``.
 """
-
-from .spectral import (
-    Grid2,
-    ParameterError,
-    SpectralField,
-    SymbolOp,
-    dealias,
-    fractional_laplacian,
-    gradient,
-    inverse_lambda,
-    lp_norm,
-    lp_norms,
-    riesz_perp_velocity,
-    semigroup_apply,
-    shared_grid,
-)
-from .littlewood import (
-    BesovIndex,
-    DyadicBank,
-    TimeSeriesField,
-    besov_norm,
-    besov_time_norm,
-    block,
-    block_norms,
-    build_bank,
-    chemin_lerner_norm,
-    psi_block,
-    s_partial,
-    tilde_s,
-)
-from .mild import (
-    BlowUpError,
-    MildSolution,
-    NonContractionError,
-    SolveParams,
-    duhamel_series,
-    linear_solution_series,
-    nonlinear_n,
-    picard_solve,
-    solve,
-)
-from .lab import (
-    EstimateReport,
-    duhamel_exponent,
-    duhamel_test_datum,
-    endpoint_norm_indices,
-    level_spread,
-    random_besov_field,
-    verify_bernstein,
-    verify_bilinear,
-    verify_commutator_advection,
-    verify_commutator_riesz,
-    verify_commutators,
-    verify_duhamel_bound,
-    verify_multiplier_bound,
-    verify_paraproduct,
-    verify_semigroup_decay,
-)
-from .counterexamples import (
-    BumpPair,
-    a3_lower_sum,
-    build_counterexample_pair,
-    lower_bound_sum,
-    pairing_quadrature,
-    prop_a3_product_norm,
-    symmetrized_magnitude_series,
-)
-from .uniqueness import (
-    ContinuityReport,
-    ContractionNorm,
-    ContractionResult,
-    UniquenessExperiment,
-    continuity_criterion_test,
-    contraction_factor,
-    contraction_ladder,
-    contraction_norm_spec,
-    end_point_exponent,
-    nonlinear_smallness,
-    temporal_order,
-    twin_run,
-)
-
-__all__ = [
-    "BesovIndex",
-    "BlowUpError",
-    "BumpPair",
-    "ContinuityReport",
-    "ContractionNorm",
-    "ContractionResult",
-    "DyadicBank",
-    "EstimateReport",
-    "Grid2",
-    "MildSolution",
-    "NonContractionError",
-    "ParameterError",
-    "SolveParams",
-    "SpectralField",
-    "SymbolOp",
-    "TimeSeriesField",
-    "UniquenessExperiment",
-    "a3_lower_sum",
-    "besov_norm",
-    "besov_time_norm",
-    "block",
-    "block_norms",
-    "build_bank",
-    "build_counterexample_pair",
-    "chemin_lerner_norm",
-    "continuity_criterion_test",
-    "contraction_factor",
-    "contraction_ladder",
-    "contraction_norm_spec",
-    "dealias",
-    "duhamel_exponent",
-    "duhamel_series",
-    "duhamel_test_datum",
-    "end_point_exponent",
-    "endpoint_norm_indices",
-    "fractional_laplacian",
-    "gradient",
-    "inverse_lambda",
-    "level_spread",
-    "linear_solution_series",
-    "lower_bound_sum",
-    "lp_norm",
-    "lp_norms",
-    "nonlinear_n",
-    "nonlinear_smallness",
-    "pairing_quadrature",
-    "picard_solve",
-    "prop_a3_product_norm",
-    "psi_block",
-    "random_besov_field",
-    "riesz_perp_velocity",
-    "s_partial",
-    "semigroup_apply",
-    "shared_grid",
-    "solve",
-    "symmetrized_magnitude_series",
-    "temporal_order",
-    "tilde_s",
-    "twin_run",
-    "verify_bernstein",
-    "verify_bilinear",
-    "verify_commutator_advection",
-    "verify_commutator_riesz",
-    "verify_commutators",
-    "verify_duhamel_bound",
-    "verify_multiplier_bound",
-    "verify_paraproduct",
-    "verify_semigroup_decay",
-]
 
 __version__ = "0.1.0"

@@ -636,10 +636,12 @@ def _cmd_continuity(config: RunConfig) -> int:
     args = _merged(config, "continuity", defaults)
     alpha, s, p = args["alpha"], args["s"], args["p"]
     bank = build_bank(shared_grid(args["n"], args["box"]))
-    vanishing = continuity_criterion_test(
-        lambda j: 2.0 ** (-s * j) * 2.0 ** (-j), bank, s, p, alpha
-    )
-    unit = continuity_criterion_test(lambda j: 2.0 ** (-s * j), bank, s, p, alpha)
+    # a norm that overflows is caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        vanishing = continuity_criterion_test(
+            lambda j: 2.0 ** (-s * j) * 2.0 ** (-j), bank, s, p, alpha
+        )
+        unit = continuity_criterion_test(lambda j: 2.0 ** (-s * j), bank, s, p, alpha)
     sizes = [*vanishing.curve, *unit.curve, vanishing.tail, unit.tail]
     if not np.all(np.isfinite(sizes)):
         # finite amplitudes 2^(-s j) whose norms leave the float range

@@ -235,10 +235,13 @@ def _pairing_terms(f: BumpPair, g: BumpPair, kind: str, m: int) -> np.ndarray:
 def _richardson(evaluate, m0: int, max_m: int, rtol: float):
     """Run evaluate(m) at doubling node counts until two agree to rtol."""
     m = m0
-    coarse = evaluate(m)
+    # an overflow surfaces as a non-finite value, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = evaluate(m)
     while True:
         m *= 2
-        fine = evaluate(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fine = evaluate(m)
         if not math.isfinite(fine):
             # refining cannot help once the coefficients have overflowed
             raise ParameterError(

@@ -36,8 +36,10 @@ from .littlewood import (
 from .spectral import (
     ParameterError,
     SpectralField,
-    dealias,
+    dealiased_coef,
     gradient,
+    grid_gradient,
+    grid_velocity,
     inverse_lambda,
     lp_norm,
     riesz_perp_velocity,
@@ -114,7 +116,7 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     """
     grid = bank.grid
     noise = rng.standard_normal((grid.n, grid.n))
-    white = dealias(SpectralField.from_physical(grid, noise))
+    white = SpectralField(grid, dealiased_coef(grid, noise))
     norms = block_norms(white, bank, 2)
     coef = np.zeros_like(white.coef)
     if norms[0] > ENERGY_FLOOR:
@@ -171,15 +173,10 @@ def _grad_pair(f):
     return gradient(f, 0), gradient(f, 1)
 
 
-def _transport(v1, v2, h):
-    """u . grad h on the grid, for u given by its grid values (v1, v2)."""
-    g1, g2 = _grad_pair(h)
-    return v1 * g1.physical() + v2 * g2.physical()
-
-
 def _advect(v1, v2, h):
-    """u . grad h as a spectral field, product dealiased; u as in _transport."""
-    return dealias(SpectralField.from_physical(h.grid, _transport(v1, v2, h)))
+    """u . grad h, product dealiased, for u given by its grid values (v1, v2)."""
+    g1, g2 = grid_gradient(h)
+    return SpectralField(h.grid, dealiased_coef(h.grid, v1 * g1 + v2 * g2))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +330,7 @@ def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
     for l in range(2, bank.j_max + 1):
         low = s_partial(f, bank, l - 2)
         high = block(g, bank, l)
-        prod = SpectralField.from_physical(grid, low.physical() * high.physical())
-        coef += dealias(prod).coef
+        coef += dealiased_coef(grid, low.physical() * high.physical())
     return SpectralField(grid, coef, real=f.real and g.real)
 
 
@@ -402,10 +398,10 @@ def bilinear_diagonal_sum(f: SpectralField, g: SpectralField, bank: DyadicBank):
     for k in range(bank.j_max):
         near = sum(bank.phi_hat[max(0, k - 1) : k + 2])
         for a, b in ((f, g), (g, f)):
-            u1, u2 = riesz_perp_velocity(block(a, bank, k + 1))
-            h = SpectralField(grid, b.coef * near, real=b.real)
-            total = total + _transport(u1.physical(), u2.physical(), h)
-    coef = dealias(SpectralField.from_physical(grid, np.real(total))).coef
+            v1, v2 = grid_velocity(block(a, bank, k + 1))
+            g1, g2 = grid_gradient(SpectralField(grid, b.coef * near, real=b.real))
+            total = total + (v1 * g1 + v2 * g2)
+    coef = dealiased_coef(grid, np.real(total))
     return SpectralField(grid, coef, real=f.real and g.real)
 
 
@@ -546,7 +542,7 @@ def riesz_lowpass_commutator(f, g, bank):
     R psi* applied to the scalar (R f . grad g), minus advection by R f of
     the vector R psi* g, componentwise; returns the two components.
     """
-    v1, v2 = (u.physical() for u in riesz_perp_velocity(f))
+    v1, v2 = grid_velocity(f)
     first = riesz_perp_velocity(psi_block(_advect(v1, v2, g), bank))
     low_g = riesz_perp_velocity(psi_block(g, bank))
     return tuple(
@@ -734,10 +730,7 @@ def _steady_duhamel_norms(theta, alpha, horizons, p):
     """steady_duhamel_norm at each horizon; the products are formed once."""
     grid = theta.grid
     phys = theta.physical()
-    products = [
-        dealias(SpectralField.from_physical(grid, comp.physical() * phys)).coef
-        for comp in riesz_perp_velocity(theta)
-    ]
+    products = [dealiased_coef(grid, v * phys) for v in grid_velocity(theta)]
     symbol = np.asarray(grid.kabs, dtype=np.float64) ** alpha
     out = []
     for horizon in horizons:

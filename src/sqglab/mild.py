@@ -34,9 +34,10 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
-    grid_symbol,
+    dealiased_coef,
+    grid_gradient,
+    grid_velocity,
     inverse_lambda,
-    riesz_perp_velocity,
     shared_grid,
 )
 
@@ -83,7 +84,6 @@ class SolveParams:
     dt: float
     box_length: float = 2.0 * math.pi
     picard_depth: int = 4
-    dealias: bool = True
     nonlinear: bool = True
     save_stride: int = 1
 
@@ -114,9 +114,7 @@ class SolveParams:
                 f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
             )
         grid = self.grid()
-        k_max = float(grid.kabs[grid.dealias_keep].max()) if self.dealias else float(
-            grid.kabs.max()
-        )
+        k_max = float(grid.kabs[grid.dealias_keep].max())
         if self.dt * k_max**self.alpha > 40.0:
             raise ParameterError(
                 f"dt * k_max^alpha = {self.dt * k_max ** self.alpha:.3g} exceeds 40; "
@@ -169,23 +167,16 @@ def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
     return _EtdTableau(grid, alpha, dt)
 
 
-def _advection_coef(
-    grid: Grid2, coef: np.ndarray, apply_dealias: bool, step: int, t: float
-) -> np.ndarray:
+def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.ndarray:
     """Coefficients of -div(u theta) for theta given by coef, with blow-up check."""
-    s1 = grid_symbol(grid, "riesz_perp", 0)
-    s2 = grid_symbol(grid, "riesz_perp", 1)
-    u1_hat = s1 * coef
-    u2_hat = s2 * coef
-    theta_p = np.fft.ifft2(coef).real
-    peak = float(np.abs(theta_p).max()) if theta_p.size else 0.0
+    theta = SpectralField(grid, coef)
+    theta_p = theta.physical()
+    peak = float(np.abs(theta_p).max())
     if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
         raise BlowUpError(step, t, peak)
-    p1 = np.fft.fft2(np.fft.ifft2(u1_hat).real * theta_p)
-    p2 = np.fft.fft2(np.fft.ifft2(u2_hat).real * theta_p)
-    if apply_dealias:
-        p1 = p1 * grid.dealias_keep
-        p2 = p2 * grid.dealias_keep
+    u1, u2 = grid_velocity(theta)
+    p1 = dealiased_coef(grid, u1 * theta_p)
+    p2 = dealiased_coef(grid, u2 * theta_p)
     return -(1j * grid.k1 * p1 + 1j * grid.k2 * p2)
 
 
@@ -199,9 +190,9 @@ def _etd2_step(
 ) -> np.ndarray:
     if not params.nonlinear:
         return tab.semigroup * coef
-    g0 = _advection_coef(grid, coef, params.dealias, step, t)
+    g0 = _advection_coef(grid, coef, step, t)
     predictor = tab.semigroup * coef + tab.phi1_dt * g0
-    g1 = _advection_coef(grid, predictor, params.dealias, step, t + params.dt)
+    g1 = _advection_coef(grid, predictor, step, t + params.dt)
     return tab.semigroup * coef + (tab.phi1_dt - tab.phi2_dt) * g0 + tab.phi2_dt * g1
 
 
@@ -223,12 +214,8 @@ def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
         )
 
 
-def _check_band_limited(theta: SpectralField, params: SolveParams) -> None:
-    if not params.dealias:
-        return
+def _check_band_limited(theta: SpectralField) -> None:
     outside = np.abs(theta.coef[~theta.grid.dealias_keep])
-    if outside.size == 0:
-        return
     scale = float(np.abs(theta.coef).max())
     if scale > 0.0 and float(outside.max()) > 1e-13 * scale:
         raise ParameterError(
@@ -243,12 +230,10 @@ def _l2_of_coef(grid: Grid2, coef: np.ndarray) -> float:
 
 
 class MildSolution:
-    """A marched mild solution plus per-sample diagnostics.
-
-    diagnostics maps "times", "l2", "linf", "mean" to aligned arrays over
-    the saved samples; it is computed on first access, since it costs one
-    inverse transform per saved field.  Instances are not mutated after
-    construction.
+    """A marched mild solution: its parameters, saved samples and, for a
+    Picard solve, the successive iterate distances.  Instances are not
+    mutated after construction; spectral.lp_norms gives the norms of a
+    saved sample.
     """
 
     def __init__(self, params: SolveParams, series: TimeSeriesField,
@@ -257,34 +242,15 @@ class MildSolution:
         self.series = series
         self.picard_distances = picard_distances
 
-    @functools.cached_property
-    def diagnostics(self) -> dict:
-        return _diagnose(self.series)
-
     def final(self) -> SpectralField:
         return self.series[len(self.series) - 1]
-
-
-def _diagnose(series: TimeSeriesField) -> dict:
-    l2, linf, mean = [], [], []
-    for f in series.fields:
-        w = np.abs(f.physical())
-        l2.append(math.sqrt(np.square(w).sum() * f.grid.cell_area))
-        linf.append(float(w.max()))
-        mean.append(f.mean())
-    return {
-        "times": series.times.copy(),
-        "l2": np.array(l2),
-        "linf": np.array(linf),
-        "mean": np.array(mean),
-    }
 
 
 def solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
     """March the mild formulation over [0, t_final] by repeated duhamel_step."""
     grid = theta0.grid
     _check_params_grid(grid, params)
-    _check_band_limited(theta0, params)
+    _check_band_limited(theta0)
     tab = _tableau(grid, params.alpha, params.dt)
     n_steps = params.n_steps()
 
@@ -337,10 +303,10 @@ def duhamel_series(source: TimeSeriesField, params: SolveParams) -> TimeSeriesFi
     w1 = tab.phi1_dt - tab.phi2_dt
     fields = [SpectralField(grid, np.zeros_like(source[0].coef), real=True)]
     acc = fields[0].coef.copy()
-    g_prev = _advection_coef(grid, source[0].coef, params.dealias, 0, 0.0)
+    g_prev = _advection_coef(grid, source[0].coef, 0, 0.0)
     for k in range(params.n_steps()):
         t_next = (k + 1) * params.dt
-        g_next = _advection_coef(grid, source[k + 1].coef, params.dealias, k + 1, t_next)
+        g_next = _advection_coef(grid, source[k + 1].coef, k + 1, t_next)
         acc = tab.semigroup * acc + w1 * g_prev + tab.phi2_dt * g_next
         fields.append(SpectralField(grid, acc.copy(), real=True))
         g_prev = g_next
@@ -360,7 +326,7 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
     """
     grid = theta0.grid
     _check_params_grid(grid, params)
-    _check_band_limited(theta0, params)
+    _check_band_limited(theta0)
     _require_mean_free(theta0, "theta0")
 
     linear = linear_solution_series(theta0, params)
@@ -399,12 +365,6 @@ def _require_mean_free(f: SpectralField, name: str) -> None:
         raise ParameterError(f"{name} must be mean-free")
 
 
-def _masked_product(grid: Grid2, a_phys: np.ndarray, b_phys: np.ndarray,
-                    apply_dealias: bool = True) -> np.ndarray:
-    p = np.fft.fft2(a_phys * b_phys)
-    return p * grid.dealias_keep if apply_dealias else p
-
-
 def nonlinear_n(w: SpectralField, theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Symmetrized nonlinearity N(w, theta) = u_w theta + u_theta w (a vector).
 
@@ -417,12 +377,12 @@ def nonlinear_n(w: SpectralField, theta: SpectralField) -> tuple[SpectralField, 
     _require_mean_free(w, "w")
     _require_mean_free(theta, "theta")
     grid = w.grid
-    uw1, uw2 = riesz_perp_velocity(w)
-    ut1, ut2 = riesz_perp_velocity(theta)
+    uw1, uw2 = grid_velocity(w)
+    ut1, ut2 = grid_velocity(theta)
     wp = w.physical()
     tp = theta.physical()
-    n1 = _masked_product(grid, uw1.physical(), tp) + _masked_product(grid, ut1.physical(), wp)
-    n2 = _masked_product(grid, uw2.physical(), tp) + _masked_product(grid, ut2.physical(), wp)
+    n1 = dealiased_coef(grid, uw1 * tp) + dealiased_coef(grid, ut1 * wp)
+    n2 = dealiased_coef(grid, uw2 * tp) + dealiased_coef(grid, ut2 * wp)
     return (
         SpectralField(grid, n1, real=True),
         SpectralField(grid, n2, real=True),
@@ -461,36 +421,24 @@ def divergence_form_check(
     fk = _level_block(f, bank, k)
     gl = _level_block(g, bank, l)
 
-    ufk1, ufk2 = riesz_perp_velocity(fk)
-    ugl1, ugl2 = riesz_perp_velocity(gl)
-    dg1 = 1j * grid.k1 * gl.coef
-    dg2 = 1j * grid.k2 * gl.coef
-    df1 = 1j * grid.k1 * fk.coef
-    df2 = 1j * grid.k2 * fk.coef
+    ufk1, ufk2 = grid_velocity(fk)
+    ugl1, ugl2 = grid_velocity(gl)
+    dg1, dg2 = grid_gradient(gl)
+    df1, df2 = grid_gradient(fk)
 
-    term_a = _masked_product(grid, ufk1.physical(), np.fft.ifft2(dg1).real) + _masked_product(
-        grid, ufk2.physical(), np.fft.ifft2(dg2).real
-    )
-    term_b = _masked_product(grid, ugl1.physical(), np.fft.ifft2(df1).real) + _masked_product(
-        grid, ugl2.physical(), np.fft.ifft2(df2).real
-    )
+    term_a = dealiased_coef(grid, ufk1 * dg1) + dealiased_coef(grid, ufk2 * dg2)
+    term_b = dealiased_coef(grid, ugl1 * df1) + dealiased_coef(grid, ugl2 * df2)
     lhs = term_a + term_b
 
     gl_p = gl.physical()
     lam_inv_g = inverse_lambda(gl).physical()
-    perp1 = np.fft.ifft2(-df2).real  # first component of perp-grad f_k
-    perp2 = np.fft.ifft2(df1).real
-    v1 = _masked_product(grid, ufk1.physical(), gl_p) - _masked_product(grid, lam_inv_g, perp1)
-    v2 = _masked_product(grid, ufk2.physical(), gl_p) - _masked_product(grid, lam_inv_g, perp2)
+    # perp-grad f_k = (-df2, df1)
+    v1 = dealiased_coef(grid, ufk1 * gl_p) - dealiased_coef(grid, lam_inv_g * -df2)
+    v2 = dealiased_coef(grid, ufk2 * gl_p) - dealiased_coef(grid, lam_inv_g * df1)
     rhs = 1j * grid.k1 * v1 + 1j * grid.k2 * v2
 
     num = _l2_of_coef(grid, lhs - rhs)
-    den = max(
-        _l2_of_coef(grid, term_a),
-        _l2_of_coef(grid, term_b),
-        _l2_of_coef(grid, lhs),
-        _l2_of_coef(grid, rhs),
-    )
+    den = max(_l2_of_coef(grid, c) for c in (term_a, term_b, lhs, rhs))
     if den == 0.0:
         return 0.0
     return num / den
@@ -517,37 +465,25 @@ def commutator_a_j(
         raise ParameterError(f"level {j} outside 1..{bank.j_max}")
     grid = f.grid
     sym = bank.phi_hat[j - 1]
-    uf1, uf2 = riesz_perp_velocity(f)
-    ug1, ug2 = riesz_perp_velocity(g)
-    fp = f.physical()
-    gp = g.physical()
+    uf1, uf2 = grid_velocity(f)
+    ug1, ug2 = grid_velocity(g)
 
-    gj = SpectralField(grid, sym * g.coef, real=g.real)
-    grad_gj1 = np.fft.ifft2(1j * grid.k1 * gj.coef).real
-    grad_gj2 = np.fft.ifft2(1j * grid.k2 * gj.coef).real
-    t2 = _masked_product(grid, uf1.physical(), grad_gj1) + _masked_product(
-        grid, uf2.physical(), grad_gj2
-    )
+    grad_gj1, grad_gj2 = grid_gradient(SpectralField(grid, sym * g.coef, real=g.real))
+    t2 = dealiased_coef(grid, uf1 * grad_gj1) + dealiased_coef(grid, uf2 * grad_gj2)
 
     if route == "bracketed":
-        p1 = _masked_product(grid, uf1.physical(), gp)
-        p2 = _masked_product(grid, uf2.physical(), gp)
+        fp = f.physical()
+        gp = g.physical()
+        p1 = dealiased_coef(grid, uf1 * gp)
+        p2 = dealiased_coef(grid, uf2 * gp)
         t1 = sym * (1j * grid.k1 * p1 + 1j * grid.k2 * p2)
-        q1 = _masked_product(grid, ug1.physical(), fp)
-        q2 = _masked_product(grid, ug2.physical(), fp)
+        q1 = dealiased_coef(grid, ug1 * fp)
+        q2 = dealiased_coef(grid, ug2 * fp)
         t3 = sym * (1j * grid.k1 * q1 + 1j * grid.k2 * q2)
     else:
-        grad_g1 = np.fft.ifft2(1j * grid.k1 * g.coef).real
-        grad_g2 = np.fft.ifft2(1j * grid.k2 * g.coef).real
-        t1 = sym * (
-            _masked_product(grid, uf1.physical(), grad_g1)
-            + _masked_product(grid, uf2.physical(), grad_g2)
-        )
-        grad_f1 = np.fft.ifft2(1j * grid.k1 * f.coef).real
-        grad_f2 = np.fft.ifft2(1j * grid.k2 * f.coef).real
-        t3 = sym * (
-            _masked_product(grid, ug1.physical(), grad_f1)
-            + _masked_product(grid, ug2.physical(), grad_f2)
-        )
+        grad_g1, grad_g2 = grid_gradient(g)
+        t1 = sym * (dealiased_coef(grid, uf1 * grad_g1) + dealiased_coef(grid, uf2 * grad_g2))
+        grad_f1, grad_f2 = grid_gradient(f)
+        t3 = sym * (dealiased_coef(grid, ug1 * grad_f1) + dealiased_coef(grid, ug2 * grad_f2))
 
     return SpectralField(grid, t1 - t2 + t3, real=True)

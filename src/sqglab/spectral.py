@@ -3,11 +3,13 @@
 Fields live on a uniform n-by-n grid over [0, L)^2.  Coefficients follow the
 numpy ``fft2`` layout: integer frequency indices run over [-n/2, n/2) per
 axis and the physical wavenumber of index m is k = (2*pi/L) * m.  Every
-operator in this module is a diagonal multiplier on those coefficients;
-pointwise products of fields are formed in physical space by the callers
-that need them, normally followed by :func:`dealias`.  L^2 norms are
-Parseval sums over the coefficients and take no transform; every other
-L^p norm reads the inverse transform.
+operator in this module is a diagonal multiplier on those coefficients.
+Pointwise products are formed on the grid: :func:`grid_velocity` and
+:func:`grid_gradient` give the factors' grid values, and
+:func:`dealiased_coef` transforms the product back and truncates it by
+the 2/3 rule.  This module is the only one that calls ``np.fft``.  L^2
+norms are Parseval sums over the coefficients and take no transform;
+every other L^p norm reads the inverse transform.
 
 Conventions kept throughout the package:
 
@@ -99,6 +101,12 @@ def shared_grid(n: int, box_length: float = 2.0 * math.pi) -> Grid2:
     return Grid2(n, box_length)
 
 
+def _grid_values(coef: np.ndarray, real: bool) -> np.ndarray:
+    """Inverse transform of coef; a real field keeps only its real part."""
+    w = np.fft.ifft2(coef)
+    return w.real if real else w
+
+
 def _mirror(coef: np.ndarray) -> np.ndarray:
     """The coefficient array at negated frequencies, c(-k), as a new array."""
     return np.roll(coef[::-1, ::-1], 1, axis=(0, 1))
@@ -134,8 +142,7 @@ class SpectralField:
         return cls(grid, np.array(coef, dtype=np.complex128, copy=True), real=real)
 
     def physical(self) -> np.ndarray:
-        w = np.fft.ifft2(self.coef)
-        return w.real if self.real else w
+        return _grid_values(self.coef, self.real)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coef.copy(), real=self.real)
@@ -198,8 +205,9 @@ class SymbolOp:
 
     Negative-order symbols (inverse_lambda, riesz_perp) send the mean mode
     to zero; that is the only sane convention on the torus, where Lambda
-    annihilates constants.  Those two depend on the grid alone: grid_symbol
-    builds each once per grid, and the shared array is read-only.
+    annihilates constants.  Those two and gradient depend on the grid
+    alone: grid_symbol builds each once per grid, and the shared array is
+    read-only.
     """
 
     def __init__(self, grid: Grid2, kind: str, **params):
@@ -210,7 +218,7 @@ class SymbolOp:
         self.params = dict(params)
         axis = params.get("axis")
         # any other axis takes the uncached path, which rejects it
-        if kind in ("inverse_lambda", "riesz_perp") and axis in (None, 0, 1):
+        if kind in ("inverse_lambda", "gradient", "riesz_perp") and axis in (None, 0, 1):
             self.symbol = grid_symbol(grid, kind, axis)
         else:
             self.symbol = self._build(grid, kind, params)
@@ -253,7 +261,7 @@ class SymbolOp:
 
 @functools.lru_cache(maxsize=16)
 def grid_symbol(grid: Grid2, kind: str, axis: int | None = None) -> np.ndarray:
-    """The shared, read-only symbol of a parameter-free kind on grid."""
+    """The shared, read-only symbol of a kind that depends on the grid alone."""
     sym = SymbolOp._build(grid, kind, {"axis": axis})
     sym.flags.writeable = False
     return sym
@@ -299,6 +307,27 @@ def dealias(field: SpectralField) -> SpectralField:
     truncating the product reproduces the exact truncated convolution.
     """
     return SpectralField(field.grid, field.coef * field.grid.dealias_keep, real=field.real)
+
+
+def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """Grid values of the velocity perp-grad Lambda^(-1) field (see riesz_perp_velocity)."""
+    return tuple(
+        _grid_values(grid_symbol(field.grid, "riesz_perp", axis) * field.coef, field.real)
+        for axis in (0, 1)
+    )
+
+
+def grid_gradient(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """Grid values of the two partial derivatives of field."""
+    return tuple(
+        _grid_values(grid_symbol(field.grid, "gradient", axis) * field.coef, field.real)
+        for axis in (0, 1)
+    )
+
+
+def dealiased_coef(grid: Grid2, values: np.ndarray) -> np.ndarray:
+    """Coefficients of a grid product, truncated by the 2/3 rule (see dealias)."""
+    return np.fft.fft2(values) * grid.dealias_keep
 
 
 def mode_energy(field: SpectralField) -> np.ndarray:

@@ -9,6 +9,7 @@ import csv
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,20 @@ MARCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "refere
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_quietly(*argv):
+    """run_cli, failing on any warning the run raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and err.count("\n") == 1, err
 
 
 def read_csv(path):
@@ -269,14 +284,15 @@ class TestExitCodes:
     def test_non_finite_continuity_norm_exits_one(self, tmp_path, capsys):
         # 2^(150 j) is finite, but the squared norms of the packets are not
         argv = ("continuity", "--n", "64", "--s", "-150", "--out", str(tmp_path))
-        assert run_cli(*argv) == 1
-        assert capsys.readouterr().err.startswith("parameter error: ")
+        assert run_cli_quietly(*argv) == 1
+        assert_one_error_line(capsys)
         assert not (tmp_path / "continuity.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("continuity", "--n", "64", "--s", "-2000"),
+            ("continuity", "--n", "64", "--s", "1500"),
             ("verify-lemma", "velocity-multiplier", "--seed", "1", "--trials", "1",
              "--n", "32", "--s", "-2000"),
             ("counterexample", "a1", "--s", "-2000", "--trials", "3"),
@@ -284,9 +300,9 @@ class TestExitCodes:
         ],
     )
     def test_overflowing_regularity_exits_one(self, tmp_path, capsys, argv):
-        # 2^(-s j) leaves the float range; no traceback may escape main
-        assert run_cli(*argv, "--out", str(tmp_path)) == 1
-        assert capsys.readouterr().err.startswith("parameter error: ")
+        # 2^(-s j) leaves the float range; no traceback or warning may escape main
+        assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
+        assert_one_error_line(capsys)
 
     def test_unresolvable_divergence_exits_two(self, tmp_path):
         # just past the divergence threshold the growth per term is too

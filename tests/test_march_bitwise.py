@@ -1,9 +1,9 @@
 """Bit-for-bit guards for the shared work of the march path.
 
 The contraction ladder measures every horizon from one Duhamel sweep per
-trial series and one norm matrix per difference series; solutions compute
-their diagnostics on first access; the solve table takes all its L^p norms
-from one transform, with p = 2 a Parseval sum that takes none.  Each of
+trial series and one norm matrix per difference series; the solve table
+takes all its L^p norms from one transform, with p = 2 a Parseval sum that
+takes none.  Each of
 these must reproduce, with exact ==, the per-call definitions it replaces.
 """
 
@@ -17,10 +17,8 @@ from conftest import random_field, smooth_profile
 from sqglab.littlewood import besov_time_norm, build_bank
 from sqglab.mild import (
     SolveParams,
-    _diagnose,
     duhamel_series,
     linear_solution_series,
-    picard_solve,
     solve,
 )
 from sqglab.spectral import (
@@ -106,20 +104,6 @@ class TestLadderMatchesPerHorizon:
         params = SolveParams(alpha=2.0, n=64, t_final=HORIZONS[-1], dt=0.0025)
         with pytest.raises(ParameterError):
             contraction_ladder(smooth_profile(grid64), params, bank64, [0.0126, 0.05])
-
-
-class TestLazyDiagnostics:
-    @pytest.mark.parametrize("march", [solve, picard_solve])
-    def test_first_access_matches_eager(self, grid64, march):
-        theta0 = smooth_profile(grid64)
-        sol = march(theta0, SolveParams(alpha=1.5, n=64, t_final=0.02, dt=0.0025))
-        assert "diagnostics" not in vars(sol)
-        eager = _diagnose(sol.series)
-        lazy = sol.diagnostics
-        assert lazy.keys() == eager.keys()
-        for key in eager:
-            assert np.array_equal(lazy[key], eager[key])
-        assert sol.diagnostics is lazy
 
 
 class TestLpNorms:

@@ -175,7 +175,7 @@ class TestSolve:
         shifted.coef[0, 0] = 0.37 * grid.n**2  # impose a nonzero mean
         params = SolveParams(alpha=1.5, n=64, t_final=0.1, dt=0.005)
         sol = solve(shifted, params)
-        drift = np.abs(sol.diagnostics["mean"] - 0.37).max()
+        drift = np.abs(np.array([f.mean() for f in sol.series.fields]) - 0.37).max()
         assert drift < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])

@@ -6,20 +6,26 @@ coefficient-space Plancherel sums for the quadrature norm).
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqglab.spectral
 from sqglab.spectral import (
     Grid2,
     ParameterError,
     SpectralField,
     SymbolOp,
     dealias,
+    dealiased_coef,
     fractional_laplacian,
     gradient,
+    grid_gradient,
+    grid_velocity,
     inverse_lambda,
     lp_norm,
     riesz_perp_velocity,
@@ -329,7 +335,34 @@ class TestSymbolOp:
         with pytest.raises(ValueError):
             op.symbol *= 2.0
         assert not SymbolOp(g, "inverse_lambda").symbol.flags.writeable
+        assert SymbolOp(g, "gradient", axis=1).symbol is SymbolOp(g, "gradient", axis=1).symbol
         assert np.array_equal(riesz_perp_velocity(theta)[0].coef, before)
-        for bad in (2, [0], None):
-            with pytest.raises(ParameterError):
-                SymbolOp(g, "riesz_perp", axis=bad)
+        for kind in ("riesz_perp", "gradient"):
+            for bad in (2, [0], None):
+                with pytest.raises(ParameterError):
+                    SymbolOp(g, kind, axis=bad)
+
+
+class TestGridProducts:
+    def test_helpers_match_the_field_operators_bit_for_bit(self):
+        g = Grid2(64, 3.0)
+        f = random_field(g, np.random.default_rng(11))
+        for got, op in zip(grid_velocity(f), riesz_perp_velocity(f)):
+            assert np.array_equal(got, op.physical())
+        for axis, got in enumerate(grid_gradient(f)):
+            assert np.array_equal(got, gradient(f, axis).physical())
+        values = f.physical() * grid_gradient(f)[0]
+        want = dealias(SpectralField.from_physical(g, values)).coef
+        assert np.array_equal(dealiased_coef(g, values), want)
+
+    def test_transforms_live_in_the_spectral_module(self):
+        # one module owns the transform convention, so a change of it
+        # (say, to real-to-complex transforms) is made in one place
+        package = Path(sqglab.spectral.__file__).parent
+        pattern = re.compile(r"\b(np|numpy)\.fft\b|from numpy import fft")
+        offenders = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            if path.name != "spectral.py" and pattern.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []
