@@ -238,22 +238,21 @@ def _richardson(evaluate, m0: int, max_m: int, rtol: float):
     # an overflow surfaces as a non-finite value, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         coarse = evaluate(m)
-    while True:
-        m *= 2
-        with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            m *= 2
             fine = evaluate(m)
-        if not math.isfinite(fine):
-            # refining cannot help once the coefficients have overflowed
-            raise ParameterError(
-                f"quadrature value {fine}: the bump coefficients 2^(-s n) overflow"
-            )
-        scale = max(abs(fine), 1e-300)
-        estimate = abs(fine - coarse) / scale
-        if estimate <= rtol:
-            return fine, m
-        if m >= max_m:
-            raise RefinementError(estimate, rtol)
-        coarse = fine
+            if not math.isfinite(fine):
+                # refining cannot help once the coefficients have overflowed
+                raise ParameterError(
+                    f"quadrature value {fine}: the bump coefficients 2^(-s n) overflow"
+                )
+            scale = max(abs(fine), 1e-300)
+            estimate = abs(fine - coarse) / scale
+            if estimate <= rtol:
+                return fine, m
+            if m >= max_m:
+                raise RefinementError(estimate, rtol)
+            coarse = fine
 
 
 def pairing_quadrature(

@@ -174,9 +174,7 @@ def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.nd
     peak = float(np.abs(theta_p).max())
     if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
         raise BlowUpError(step, t, peak)
-    u1, u2 = grid_velocity(theta)
-    p1 = dealiased_coef(grid, u1 * theta_p)
-    p2 = dealiased_coef(grid, u2 * theta_p)
+    p1, p2 = (dealiased_coef(grid, u * theta_p) for u in grid_velocity(theta))
     return -(1j * grid.k1 * p1 + 1j * grid.k2 * p2)
 
 

@@ -3,8 +3,8 @@
 The contraction ladder measures every horizon from one Duhamel sweep per
 trial series and one norm matrix per difference series; the solve table
 takes all its L^p norms from one transform, with p = 2 a Parseval sum that
-takes none.  Each of
-these must reproduce, with exact ==, the per-call definitions it replaces.
+takes none.  Each of these must reproduce, with exact ==, the per-call
+definitions it replaces.
 """
 
 import math
