@@ -34,6 +34,7 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    dealiased_advection,
     dealiased_coef,
     grid_gradient,
     grid_velocity,
@@ -174,8 +175,7 @@ def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.nd
     peak = float(np.abs(theta_p).max())
     if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
         raise BlowUpError(step, t, peak)
-    p1, p2 = (dealiased_coef(grid, u * theta_p) for u in grid_velocity(theta))
-    return -(1j * grid.k1 * p1 + 1j * grid.k2 * p2)
+    return dealiased_advection(theta, theta_p)
 
 
 def _etd2_step(
@@ -464,23 +464,16 @@ def commutator_a_j(
     grid = f.grid
     sym = bank.phi_hat[j - 1]
     uf1, uf2 = grid_velocity(f)
-    ug1, ug2 = grid_velocity(g)
-
     grad_gj1, grad_gj2 = grid_gradient(SpectralField(grid, sym * g.coef, real=g.real))
     t2 = dealiased_coef(grid, uf1 * grad_gj1) + dealiased_coef(grid, uf2 * grad_gj2)
 
     if route == "bracketed":
-        fp = f.physical()
-        gp = g.physical()
-        p1 = dealiased_coef(grid, uf1 * gp)
-        p2 = dealiased_coef(grid, uf2 * gp)
-        t1 = sym * (1j * grid.k1 * p1 + 1j * grid.k2 * p2)
-        q1 = dealiased_coef(grid, ug1 * fp)
-        q2 = dealiased_coef(grid, ug2 * fp)
-        t3 = sym * (1j * grid.k1 * q1 + 1j * grid.k2 * q2)
+        t1 = sym * -dealiased_advection(f, g.physical())
+        t3 = sym * -dealiased_advection(g, f.physical())
     else:
         grad_g1, grad_g2 = grid_gradient(g)
         t1 = sym * (dealiased_coef(grid, uf1 * grad_g1) + dealiased_coef(grid, uf2 * grad_g2))
+        ug1, ug2 = grid_velocity(g)
         grad_f1, grad_f2 = grid_gradient(f)
         t3 = sym * (dealiased_coef(grid, ug1 * grad_f1) + dealiased_coef(grid, ug2 * grad_f2))
 

@@ -21,6 +21,7 @@ from sqglab.spectral import (
     SpectralField,
     SymbolOp,
     dealias,
+    dealiased_advection,
     dealiased_coef,
     fractional_laplacian,
     gradient,
@@ -354,6 +355,9 @@ class TestGridProducts:
         values = f.physical() * grid_gradient(f)[0]
         want = dealias(SpectralField.from_physical(g, values)).coef
         assert np.array_equal(dealiased_coef(g, values), want)
+        p1, p2 = (dealiased_coef(g, u * values) for u in grid_velocity(f))
+        want = -(1j * g.k1 * p1 + 1j * g.k2 * p2)
+        assert np.array_equal(dealiased_advection(f, values), want)
 
     def test_transforms_live_in_the_spectral_module(self):
         # one module owns the transform convention, so a change of it
