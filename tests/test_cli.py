@@ -103,6 +103,10 @@ COMMAND_GOLDEN_CASES = [
         ("solve", "--n", "64", "--T", "0.02", "--seed", "3"),
         "data = random\n",
     ),
+    ("uniqueness/endpoint", ("uniqueness", "endpoint"), ""),
+    ("uniqueness/alpha1", ("uniqueness", "alpha1"), ""),
+    ("uniqueness/mid", ("uniqueness", "mid"), ""),
+    ("uniqueness/super", ("uniqueness", "super"), ""),
 ]
 
 
