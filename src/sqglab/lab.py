@@ -135,10 +135,17 @@ def _run_trials(trials: int, seed: int, worker, threads: int = 1):
         raise ParameterError(f"trials must be >= 1, got {trials}")
     children = np.random.SeedSequence(seed).spawn(trials)
     rngs = [np.random.default_rng(c) for c in children]
+
+    def guarded(rng):
+        # errstate is per thread; a value that leaves the float range
+        # reaches the report, which rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return worker(rng)
+
     if threads <= 1:
-        return [worker(rng) for rng in rngs]
+        return [guarded(rng) for rng in rngs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, rngs))
+        return list(pool.map(guarded, rngs))
 
 
 def _collect_trials(lemma_id, worker, params, trials, seed, threads):

@@ -39,6 +39,7 @@ from .spectral import (
     grid_gradient,
     grid_velocity,
     inverse_lambda,
+    lp_norm,
     shared_grid,
 )
 
@@ -222,11 +223,6 @@ def _check_band_limited(theta: SpectralField) -> None:
         )
 
 
-def _l2_of_coef(grid: Grid2, coef: np.ndarray) -> float:
-    # Plancherel for the fft2 layout: ||f||_2 = (L/n^2) * sqrt(sum |c|^2)
-    return float(grid.box_length / grid.n**2 * math.sqrt(np.square(np.abs(coef)).sum()))
-
-
 class MildSolution:
     """A marched mild solution: its parameters, saved samples and, for a
     Picard solve, the successive iterate distances.  Instances are not
@@ -337,10 +333,7 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
             linear.times.copy(),
             [a + b for a, b in zip(linear.fields, correction.fields)],
         )
-        d = max(
-            _l2_of_coef(grid, a.coef - b.coef)
-            for a, b in zip(nxt.fields, current.fields)
-        )
+        d = max(lp_norm(a - b, 2) for a, b in zip(nxt.fields, current.fields))
         if distances and d > distances[-1] * (1.0 + 1e-12):
             growth_run += 1
         else:
@@ -435,8 +428,8 @@ def divergence_form_check(
     v2 = dealiased_coef(grid, ufk2 * gl_p) - dealiased_coef(grid, lam_inv_g * df1)
     rhs = 1j * grid.k1 * v1 + 1j * grid.k2 * v2
 
-    num = _l2_of_coef(grid, lhs - rhs)
-    den = max(_l2_of_coef(grid, c) for c in (term_a, term_b, lhs, rhs))
+    num = lp_norm(SpectralField(grid, lhs - rhs), 2)
+    den = max(lp_norm(SpectralField(grid, c), 2) for c in (term_a, term_b, lhs, rhs))
     if den == 0.0:
         return 0.0
     return num / den

@@ -7,7 +7,7 @@ module measures that contraction factor in the norms the argument runs
 in: for alpha in (3/2, 2] an L^(p/2)-in-time negative-order Besov norm,
 and for rougher dissipation a sup-in-time Besov norm combined with the
 grid max of the Riesz velocity of the low-pass block.  Alongside the
-factor it runs twin-solve agreement experiments and the linear-semigroup
+factor it reads the gaps between twin runs and the linear-semigroup
 continuity criterion that characterizes strong B^s_{p,infty} continuity
 at t = 0 through the vanishing of the weighted block-norm tail.
 """
@@ -35,7 +35,6 @@ from .mild import (
     SolveParams,
     duhamel_series,
     linear_solution_series,
-    picard_solve,
     solve,
 )
 from .spectral import (
@@ -45,8 +44,6 @@ from .spectral import (
     riesz_perp_velocity,
     semigroup_apply,
 )
-
-_MODES = ("identical", "dt", "picard_depth", "delta")
 
 
 def end_point_exponent(alpha: float) -> tuple[float, float]:
@@ -318,131 +315,49 @@ def contraction_ladder(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniquenessExperiment:
-    """Two runs, their difference series, and its norm over time.
+DELTA = 1e-6
 
-    w_norms[k] is the single-time contraction quantity of w at the k-th
-    shared sample.  Runs always share the grid; outside the delta mode
-    they share the initial data bit for bit and w(0) = 0 exactly.
-    amplification is the delta-mode readout ||w(T)|| / delta, None
-    otherwise.
+
+def perturbed_datum(
+    theta0: SpectralField, bank: DyadicBank, spec: ContractionNorm
+) -> SpectralField:
+    """theta0 plus DELTA times a unit-norm copy of the same profile.
+
+    The difference to theta0 has contraction quantity DELTA, so the twin
+    gap of the two runs over DELTA reads the growth of the perturbation.
     """
-
-    params: SolveParams
-    norm: ContractionNorm
-    mode: str
-    runs: tuple[MildSolution, MildSolution]
-    w_series: TimeSeriesField
-    w_norms: np.ndarray
-    amplification: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParameterError(f"unknown twin mode {self.mode!r}")
-        a, b = self.runs
-        if a.series.grid != b.series.grid:
-            raise ParameterError("twin runs must share one grid")
-        if self.mode != "delta" and not np.array_equal(
-            a.series[0].coef, b.series[0].coef
-        ):
-            raise ParameterError("twin runs must start from identical data")
-        if self.mode != "delta" and float(np.abs(self.w_series[0].coef).max()) != 0.0:
-            raise ParameterError("difference series must start at exactly zero")
+    scale = instant_norm(theta0, bank, spec)
+    if scale <= 0.0:
+        raise ParameterError("a perturbed twin needs nonzero initial data")
+    return SpectralField(theta0.grid, theta0.coef * (1.0 + DELTA / scale), real=theta0.real)
 
 
-def _align_to(series: TimeSeriesField, times: np.ndarray) -> TimeSeriesField:
-    keep_idx, keep_fields = [], []
-    pos = 0
-    for t in times:
-        while pos < len(series) and series.times[pos] < t - 1e-12:
-            pos += 1
-        if pos >= len(series) or abs(series.times[pos] - t) > 1e-9 * max(1.0, t):
-            raise ParameterError("refined run does not sample the coarse times")
-        keep_idx.append(pos)
-        keep_fields.append(series[pos])
-    return TimeSeriesField(times.copy(), keep_fields)
+def twin_run(a, b, bank: DyadicBank, spec: ContractionNorm) -> np.ndarray:
+    """Contraction quantity of a(t) - b(t) at each shared sample.
 
-
-def twin_run(
-    theta0: SpectralField,
-    params: SolveParams,
-    mode: str,
-    bank: DyadicBank,
-    spec: ContractionNorm | None = None,
-    delta: float = 1e-6,
-    depth_offset: int = 2,
-) -> UniquenessExperiment:
-    """Run a configured pair and record the difference-norm history.
-
-    identical:    same configuration twice; determinism makes w vanish
-                  bit for bit.
-    dt:           second run at dt/2, compared on the coarse samples;
-                  the gap is the temporal discretization error.
-    picard_depth: fixed-point sweeps deepened by depth_offset.
-    delta:        data perturbed by delta times a unit-norm copy of the
-                  same profile; w(0) has contraction quantity exactly
-                  delta and amplification is ||w(T)|| / delta.
+    a and b are solved runs or series on one grid whose sample times
+    agree to 1e-9 max(1, t); a run at dt/2 with save_stride doubled
+    samples exactly the times of its dt twin.  Two solves of one
+    configuration give zeros bit for bit, a dt/2 twin the temporal
+    discretization error, a perturbed_datum twin the growth of DELTA.
     """
-    if mode not in _MODES:
-        raise ParameterError(f"unknown twin mode {mode!r}")
-    spec = contraction_norm_spec(params.alpha) if spec is None else spec
-    if mode == "picard_depth":
-        run_a = picard_solve(theta0, params)
-        run_b = picard_solve(
-            theta0, replace(params, picard_depth=params.picard_depth + depth_offset)
-        )
-        series_b = run_b.series
-    elif mode == "dt":
-        run_a = solve(theta0, params)
-        run_b = solve(
-            theta0,
-            replace(params, dt=params.dt / 2.0, save_stride=2 * params.save_stride),
-        )
-        series_b = _align_to(run_b.series, run_a.series.times)
-    elif mode == "delta":
-        run_a = solve(theta0, params)
-        scale = instant_norm(theta0, bank, spec)
-        if scale <= 0.0:
-            raise ParameterError("delta mode needs nonzero initial data")
-        perturbed = SpectralField(
-            theta0.grid, theta0.coef * (1.0 + delta / scale), real=theta0.real
-        )
-        run_b = solve(perturbed, params)
-        series_b = run_b.series
-    else:
-        run_a = solve(theta0, params)
-        run_b = solve(theta0, params)
-        series_b = run_b.series
-    w = TimeSeriesField(
-        run_a.series.times.copy(),
-        [a - b for a, b in zip(run_a.series.fields, series_b.fields)],
-    )
-    w_norms = np.array([instant_norm(f, bank, spec) for f in w.fields])
-    amplification = float(w_norms[-1] / delta) if mode == "delta" else None
-    return UniquenessExperiment(
-        params=params,
-        norm=spec,
-        mode=mode,
-        runs=(run_a, run_b),
-        w_series=w,
-        w_norms=w_norms,
-        amplification=amplification,
-    )
+    sa, sb = _as_series(a), _as_series(b)
+    if len(sa) != len(sb) or np.any(
+        np.abs(sa.times - sb.times) > 1e-9 * np.maximum(1.0, sa.times)
+    ):
+        raise ParameterError("twin runs do not share their sample times")
+    return np.array([instant_norm(fa - fb, bank, spec) for fa, fb in zip(sa.fields, sb.fields)])
 
 
-def temporal_order(theta0: SpectralField, params: SolveParams, bank: DyadicBank,
-                   spec: ContractionNorm | None = None) -> float:
-    """log2 ratio of successive dt-refinement gaps at the final time.
+def temporal_order(coarse, fine, finer, bank: DyadicBank, spec: ContractionNorm) -> float:
+    """log2 ratio of successive dt-refinement gaps at the final sample.
 
-    Three resolutions dt, dt/2, dt/4 give two twin gaps whose ratio
-    estimates 2^order for the stepper's temporal order.
+    coarse, fine and finer are runs of one configuration at dt, dt/2 and
+    dt/4; the ratio of their two twin gaps estimates 2^order for the
+    stepper's temporal order.
     """
-    spec = contraction_norm_spec(params.alpha) if spec is None else spec
-    first = twin_run(theta0, params, "dt", bank, spec)
-    fine = replace(params, dt=params.dt / 2.0, save_stride=2 * params.save_stride)
-    second = twin_run(theta0, fine, "dt", bank, spec)
-    top, bottom = first.w_norms[-1], second.w_norms[-1]
+    top = twin_run(coarse, fine, bank, spec)[-1]
+    bottom = twin_run(fine, finer, bank, spec)[-1]
     if bottom <= 0.0:
         raise ParameterError("refinement gap vanished; data too small to resolve")
     return float(np.log2(top / bottom))

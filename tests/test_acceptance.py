@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -304,14 +305,15 @@ def test_criterion_8_contraction_uniqueness():
         assert factors[0] < 1.0  # T = 0.05
 
         twin_params = SolveParams(alpha=alpha, n=128, t_final=0.1, dt=0.005)
-        identical = twin_run(theta0, twin_params, "identical", bank)
-        for fa, fb in zip(
-            identical.runs[0].series.fields, identical.runs[1].series.fields
-        ):
+        run, rerun = solve(theta0, twin_params), solve(theta0, twin_params)
+        for fa, fb in zip(run.series.fields, rerun.series.fields):
             assert np.array_equal(fa.coef, fb.coef)
-        assert identical.w_norms.max() == 0.0
+        assert twin_run(run, rerun, bank, spec).max() == 0.0
 
-        order = temporal_order(theta0, twin_params, bank)
+        fine, finer = (
+            solve(theta0, replace(twin_params, dt=0.005 / k, save_stride=k)) for k in (2, 4)
+        )
+        order = temporal_order(run, fine, finer, bank, spec)
         assert abs(order - 2.0) <= 0.3
 
     _passed(8, "contraction and uniqueness harness", t0, 300.0)

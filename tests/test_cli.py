@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sqglab.cli
+import sqglab.uniqueness
 from sqglab.cli import (
     RunConfig,
     build_config,
@@ -22,6 +24,7 @@ from sqglab.cli import (
     load_config_file,
     main,
 )
+from sqglab.mild import solve
 from sqglab.spectral import ParameterError
 
 
@@ -299,6 +302,9 @@ class TestExitCodes:
             ("continuity", "--n", "64", "--s", "1500"),
             ("verify-lemma", "velocity-multiplier", "--seed", "1", "--trials", "1",
              "--n", "32", "--s", "-2000"),
+            # 2^(s j) overflows inside the trial workers
+            ("verify-lemma", "velocity-multiplier", "--seed", "1", "--trials", "1",
+             "--n", "32", "--s", "300"),
             ("counterexample", "a1", "--s", "-2000", "--trials", "3"),
             ("counterexample", "a3", "--s", "-2000", "--trials", "3"),
         ],
@@ -559,6 +565,29 @@ class TestUniquenessCommand:
         )
         assert "identical_twin_gap = 0.000000000000000e+00" in summary
         assert summary.endswith("status = pass\n")
+
+    def test_each_configuration_solved_once(self, tmp_path, monkeypatch):
+        # only the twin configuration (T/4, 2 dt) from theta0 is solved
+        # twice: the second solve is the determinism check
+        calls = []
+
+        def counting_solve(theta0, params):
+            calls.append((theta0, params))
+            return solve(theta0, params)
+
+        for module in (sqglab.cli, sqglab.uniqueness):
+            monkeypatch.setattr(module, "solve", counting_solve)
+        argv = ("uniqueness", "endpoint", "--T", "0.04", "--threads", "1")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        assert len(calls) == 6
+        assert sum(params.n_steps() for _, params in calls) == 34
+        theta0 = calls[0][0]  # the ladder's march from the command's datum
+        twins = [
+            datum
+            for datum, params in calls
+            if (params.t_final, params.dt) == (0.01, 0.005)
+        ]
+        assert sum(np.array_equal(d.coef, theta0.coef) for d in twins) == 2
 
     def test_alpha_one_combined_norm(self, tmp_path):
         code = run_cli("uniqueness", "alpha1", "--out", str(tmp_path))

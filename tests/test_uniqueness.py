@@ -8,6 +8,7 @@ exactness) are asserted at machine precision.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,11 @@ from sqglab.littlewood import (
     s_partial,
     tilde_s,
 )
-from sqglab.mild import SolveParams, linear_solution_series, solve
+from sqglab.mild import SolveParams, linear_solution_series, picard_solve, solve
 from sqglab.spectral import ParameterError, SpectralField, lp_norm, shared_grid
 from sqglab.uniqueness import (
+    DELTA,
     ContractionNorm,
-    UniquenessExperiment,
     contraction_factor,
     contraction_ladder,
     contraction_norm_spec,
@@ -38,6 +39,7 @@ from sqglab.uniqueness import (
     instant_norm,
     nonlinear_smallness,
     packet_profile,
+    perturbed_datum,
     riesz_low_max,
     temporal_order,
     twin_run,
@@ -302,82 +304,87 @@ class TestContractionFactor:
             contraction_ladder(theta0, params, bank128, [0.0, 0.1])
 
 
+def refined(params, k):
+    """params at dt/k with save_stride k: the same sample times."""
+    return replace(params, dt=params.dt / k, save_stride=k * params.save_stride)
+
+
 class TestTwinRuns:
     def test_identical_twins_bitwise_zero(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        exp = twin_run(theta0, params, "identical", bank128)
-        assert exp.w_norms.max() == 0.0
-        assert all(float(np.abs(f.coef).max()) == 0.0 for f in exp.w_series.fields)
+        run, rerun = solve(theta0, params), solve(theta0, params)
+        gaps = twin_run(run, rerun, bank128, contraction_norm_spec(1.5))
+        assert gaps.max() == 0.0
+        assert all(
+            float(np.abs((a - b).coef).max()) == 0.0
+            for a, b in zip(run.series.fields, rerun.series.fields)
+        )
 
     def test_dt_twin_initial_zero_and_frozen_gap(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        exp = twin_run(theta0, params, "dt", bank128)
-        assert exp.w_norms[0] == 0.0
-        assert rel_err(exp.w_norms[-1], 4.42926998147552e-9) < RTOL
+        gaps = twin_run(
+            solve(theta0, params),
+            solve(theta0, refined(params, 2)),
+            bank128,
+            contraction_norm_spec(1.5),
+        )
+        assert gaps[0] == 0.0
+        assert rel_err(gaps[-1], 4.42926998147552e-9) < RTOL
 
     def test_temporal_order_near_two(self, theta0, bank128):
-        order = temporal_order(
-            theta0, SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005), bank128
-        )
+        def order_at(alpha):
+            params = SolveParams(alpha=alpha, n=128, t_final=0.1, dt=0.005)
+            runs = [solve(theta0, refined(params, k)) for k in (1, 2, 4)]
+            return temporal_order(*runs, bank128, contraction_norm_spec(alpha))
+
+        order = order_at(1.5)
         assert rel_err(order, 2.000252016772492) < RTOL
         assert abs(order - 2.0) < 0.3
-        order2 = temporal_order(
-            theta0, SolveParams(alpha=2.0, n=128, t_final=0.1, dt=0.005), bank128
-        )
+        order2 = order_at(2.0)
         assert rel_err(order2, 2.00054123542546) < RTOL
         assert abs(order2 - 2.0) < 0.3
 
     def test_delta_twin_amplification(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        exp = twin_run(theta0, params, "delta", bank128, delta=1e-6)
-        assert rel_err(exp.w_norms[0], 1e-6) < 1e-9
-        assert rel_err(exp.amplification, 0.6578424621578169) < RTOL
-        assert exp.amplification <= 10.0
+        spec = contraction_norm_spec(1.5)
+        perturbed = perturbed_datum(theta0, bank128, spec)
+        gaps = twin_run(solve(theta0, params), solve(perturbed, params), bank128, spec)
+        amplification = gaps[-1] / DELTA
+        assert rel_err(gaps[0], 1e-6) < 1e-9
+        assert rel_err(amplification, 0.6578424621578169) < RTOL
+        assert amplification <= 10.0
 
     def test_picard_depth_twin_converged(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        exp = twin_run(theta0, params, "picard_depth", bank128)
-        assert exp.w_norms[0] == 0.0
+        deeper = replace(params, picard_depth=params.picard_depth + 2)
+        gaps = twin_run(
+            picard_solve(theta0, params),
+            picard_solve(theta0, deeper),
+            bank128,
+            contraction_norm_spec(1.5),
+        )
+        assert gaps[0] == 0.0
         # depth 4 already sits at the fixed point; two extra sweeps move
         # the series only at roundoff level.
-        assert exp.w_norms[-1] < 1e-12
-
-    def test_unknown_mode_rejected(self, theta0, bank128):
-        params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        with pytest.raises(ParameterError):
-            twin_run(theta0, params, "noise", bank128)
+        assert gaps[-1] < 1e-12
 
     def test_delta_needs_nonzero_data(self, grid128, bank128):
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
-        params = SolveParams(alpha=1.5, n=128, t_final=0.05, dt=0.005)
         with pytest.raises(ParameterError):
-            twin_run(zero, params, "delta", bank128)
+            perturbed_datum(zero, bank128, contraction_norm_spec(1.5))
 
-    def test_experiment_invariants_enforced(self, theta0, bank128):
+    def test_unshared_samples_rejected(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.05, dt=0.005)
-        exp = twin_run(theta0, params, "identical", bank128)
-        bad_w = TimeSeriesField(
-            exp.w_series.times.copy(),
-            [theta0 for _ in range(len(exp.w_series))],
-        )
+        spec = contraction_norm_spec(1.5)
+        run = solve(theta0, params)
+        # dt/2 without the doubled stride samples twice as often
         with pytest.raises(ParameterError):
-            UniquenessExperiment(
-                params=exp.params,
-                norm=exp.norm,
-                mode="identical",
-                runs=exp.runs,
-                w_series=bad_w,
-                w_norms=exp.w_norms,
-            )
+            twin_run(run, solve(theta0, replace(params, dt=0.0025)), bank128, spec)
+        # the same times on another grid
+        grid64 = shared_grid(64)
+        coarse = solve(smooth_profile(grid64), replace(params, n=64))
         with pytest.raises(ParameterError):
-            UniquenessExperiment(
-                params=exp.params,
-                norm=exp.norm,
-                mode="sideways",
-                runs=exp.runs,
-                w_series=exp.w_series,
-                w_norms=exp.w_norms,
-            )
+            twin_run(run, coarse, bank128, spec)
 
 
 class TestHighLowSplit:
