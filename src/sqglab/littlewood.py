@@ -335,14 +335,9 @@ def chemin_lerner_norm(
     return besov_from_norms([time_lr(row, series.times, r) for row in mat], idx)
 
 
-def besov_per_time(series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex) -> np.ndarray:
-    """B^s_{p,q} norm of each sample, from one block-norm matrix."""
-    mat = series_block_norms(series, bank, idx.p)
-    return np.array([besov_from_norms(col, idx) for col in mat.T])
-
-
 def besov_time_norm(
     series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex, r: float
 ) -> float:
     """Time-outside mixed norm L^r(0, T; B^s_{p,q}) on the sample times."""
-    return time_lr(besov_per_time(series, bank, idx), series.times, r)
+    mat = series_block_norms(series, bank, idx.p)
+    return time_lr([besov_from_norms(col, idx) for col in mat.T], series.times, r)

@@ -15,6 +15,10 @@ interpolation of the nonlinear integrand (ETD2).  The divergence is applied
 spectrally after the product, so each step is the weak form tested against
 gradients and the mean mode is conserved to rounding.
 
+The steps are taken in one place, the generator march.  solve collects
+it, and duhamel_along runs the Duhamel recurrence along it with the
+stepper's own advections as the integrand, so a fold holds no series.
+
 The same exponential quadrature drives the global Picard iteration: iterate
 m+1 solves the linear-plus-Duhamel recurrence with the nonlinearity frozen
 at iterate m, which is the fixed-point map whose contraction the uniqueness
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,13 +187,14 @@ def _etd2_step(
     grid: Grid2,
     tab: _EtdTableau,
     coef: np.ndarray,
+    g0: np.ndarray | None,
     params: SolveParams,
     step: int,
     t: float,
 ) -> np.ndarray:
-    if not params.nonlinear:
+    """One step from coef, whose stage-1 advection is g0 (None: linear)."""
+    if g0 is None:
         return tab.semigroup * coef
-    g0 = _advection_coef(grid, coef, step, t)
     predictor = tab.semigroup * coef + tab.phi1_dt * g0
     g1 = _advection_coef(grid, predictor, step, t + params.dt)
     return tab.semigroup * coef + (tab.phi1_dt - tab.phi2_dt) * g0 + tab.phi2_dt * g1
@@ -201,7 +206,8 @@ def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> S
     _check_params_grid(grid, params)
     tab = _tableau(grid, params.alpha, params.dt)
     step = int(round(t / params.dt))
-    coef = _etd2_step(grid, tab, theta.coef, params, step, t)
+    g0 = _advection_coef(grid, theta.coef, step, t) if params.nonlinear else None
+    coef = _etd2_step(grid, tab, theta.coef, g0, params, step, t)
     return SpectralField(grid, coef, real=theta.real)
 
 
@@ -213,7 +219,12 @@ def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
         )
 
 
-def _check_band_limited(theta: SpectralField) -> None:
+def _check_datum(theta: SpectralField, params: SolveParams) -> None:
+    """Reject a datum the march would misread: off the params grid, with
+    energy above the dealias cutoff, or marked real but not
+    conjugate-symmetric (its grid values are read through .real, which
+    would silently drop the anti-Hermitian part)."""
+    _check_params_grid(theta.grid, params)
     outside = np.abs(theta.coef[~theta.grid.dealias_keep])
     scale = float(np.abs(theta.coef).max())
     if scale > 0.0 and float(outside.max()) > 1e-13 * scale:
@@ -221,6 +232,59 @@ def _check_band_limited(theta: SpectralField) -> None:
             "initial datum carries energy above the dealias cutoff; "
             "restrict it to the retained band first"
         )
+    if theta.real and theta.conjugate_symmetry_defect() > 1e-12:
+        raise ParameterError("initial datum is marked real but is not conjugate-symmetric")
+
+
+def march(theta0: SpectralField, params: SolveParams):
+    """The ETD2 march over [0, t_final], one step at a time.
+
+    Checks theta0 against params on entry, then yields (t_k, coef_k, g_k)
+    for k = 0..N: the coefficients of theta(t_k) and the stage-1 advection
+    G(theta(t_k)) of the step from t_k, which is also the Duhamel
+    integrand at t_k; g_k is None at k = N and on a linear march.  The
+    march owns every array it yields and never writes to one again.
+    """
+    _check_datum(theta0, params)
+    return _steps(theta0.grid, theta0.coef.copy(), params)
+
+
+def _steps(grid: Grid2, coef: np.ndarray, params: SolveParams):
+    tab = _tableau(grid, params.alpha, params.dt)
+    n_steps = params.n_steps()
+    for step in range(n_steps):
+        t = step * params.dt
+        g0 = _advection_coef(grid, coef, step, t) if params.nonlinear else None
+        yield t, coef, g0
+        coef = _etd2_step(grid, tab, coef, g0, params, step, t)
+        if not np.all(np.isfinite(coef)):
+            raise BlowUpError(step + 1, t + params.dt, math.inf)
+    yield n_steps * params.dt, coef, None
+
+
+def duhamel_along(steps, grid: Grid2, params: SolveParams):
+    """Pass march-shaped (t_k, coef_k, g_k) on as (t_k, coef_k, D_k).
+
+    D is the Duhamel integral of -div(u theta) along the stepped series:
+    D_0 = 0 and
+
+        D_{k+1} = e^{-dt Lambda^alpha} D_k
+                  + dt [ (phi1 - phi2) G_k + phi2 G_{k+1} ],
+
+    the same exponential-trapezoid quadrature the stepper uses.  G_k is
+    g_k when given and is evaluated from coef_k when g_k is None.
+    """
+    tab = _tableau(grid, params.alpha, params.dt)
+    w1 = tab.phi1_dt - tab.phi2_dt
+    for k, (t, coef, g) in enumerate(steps):
+        if g is None:
+            g = _advection_coef(grid, coef, k, t)
+        if k == 0:
+            acc = np.zeros_like(coef)
+        else:
+            acc = tab.semigroup * acc + w1 * g_prev + tab.phi2_dt * g
+        yield t, coef, acc
+        g_prev = g
 
 
 class MildSolution:
@@ -241,69 +305,30 @@ class MildSolution:
 
 
 def solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
-    """March the mild formulation over [0, t_final] by repeated duhamel_step."""
-    grid = theta0.grid
-    _check_params_grid(grid, params)
-    _check_band_limited(theta0)
-    tab = _tableau(grid, params.alpha, params.dt)
+    """March theta0 over [0, t_final], keeping every save_stride-th step and the last."""
     n_steps = params.n_steps()
-
-    times = [0.0]
-    saved = [theta0.copy()]
-    coef = theta0.coef.copy()
-    for step in range(n_steps):
-        t = step * params.dt
-        coef = _etd2_step(grid, tab, coef, params, step, t)
-        if not np.all(np.isfinite(coef)):
-            raise BlowUpError(step + 1, t + params.dt, math.inf)
-        if (step + 1) % params.save_stride == 0 or step + 1 == n_steps:
-            times.append((step + 1) * params.dt)
-            saved.append(SpectralField(grid, coef.copy(), real=theta0.real))
-    series = TimeSeriesField(np.array(times), saved)
-    return MildSolution(params, series)
+    times, saved = [], []
+    for step, (t, coef, _) in enumerate(march(theta0, params)):
+        if step % params.save_stride == 0 or step == n_steps:
+            times.append(t)
+            saved.append(SpectralField(theta0.grid, coef, real=theta0.real))
+    return MildSolution(params, TimeSeriesField(times, saved))
 
 
 def linear_solution_series(theta0: SpectralField, params: SolveParams) -> TimeSeriesField:
     """e^{-t Lambda^alpha} theta0 sampled on the step grid, exact per symbol."""
-    grid = theta0.grid
-    _check_params_grid(grid, params)
-    tab = _tableau(grid, params.alpha, params.dt)
-    n_steps = params.n_steps()
-    fields = [theta0.copy()]
-    coef = theta0.coef.copy()
-    for _ in range(n_steps):
-        coef = tab.semigroup * coef
-        fields.append(SpectralField(grid, coef.copy(), real=theta0.real))
-    times = params.dt * np.arange(n_steps + 1)
-    return TimeSeriesField(times, fields)
+    return solve(theta0, replace(params, nonlinear=False, save_stride=1)).series
 
 
 def duhamel_series(source: TimeSeriesField, params: SolveParams) -> TimeSeriesField:
-    """The Duhamel integral of -div(u theta) evaluated along a given series.
-
-    Returns D with D(0) = 0 and
-
-        D(t_{k+1}) = e^{-dt Lambda^alpha} D(t_k)
-                     + dt [ (phi1 - phi2) G(t_k) + phi2 G(t_{k+1}) ],
-
-    the same exponential-trapezoid quadrature the stepper uses, with the
-    nonlinear integrand G frozen on the supplied series.
-    """
+    """The duhamel_along integral of -div(u theta) frozen on a series that
+    samples every step of the horizon."""
     grid = source.grid
     _check_params_grid(grid, params)
     if len(source) != params.n_steps() + 1:
         raise ParameterError("source series does not cover every step of the horizon")
-    tab = _tableau(grid, params.alpha, params.dt)
-    w1 = tab.phi1_dt - tab.phi2_dt
-    fields = [SpectralField(grid, np.zeros_like(source[0].coef), real=True)]
-    acc = fields[0].coef.copy()
-    g_prev = _advection_coef(grid, source[0].coef, 0, 0.0)
-    for k in range(params.n_steps()):
-        t_next = (k + 1) * params.dt
-        g_next = _advection_coef(grid, source[k + 1].coef, k + 1, t_next)
-        acc = tab.semigroup * acc + w1 * g_prev + tab.phi2_dt * g_next
-        fields.append(SpectralField(grid, acc.copy(), real=True))
-        g_prev = g_next
+    steps = ((k * params.dt, f.coef, None) for k, f in enumerate(source.fields))
+    fields = [SpectralField(grid, d, real=True) for _, _, d in duhamel_along(steps, grid, params)]
     return TimeSeriesField(source.times.copy(), fields)
 
 
@@ -318,12 +343,8 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
     Raises a non-contraction error when that distance grows three times in
     a row.
     """
-    grid = theta0.grid
-    _check_params_grid(grid, params)
-    _check_band_limited(theta0)
-    _require_mean_free(theta0, "theta0")
-
     linear = linear_solution_series(theta0, params)
+    _require_mean_free(theta0, "theta0")
     current = linear
     distances: list[float] = []
     growth_run = 0

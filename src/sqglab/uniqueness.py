@@ -6,8 +6,11 @@ horizon drives the Lipschitz constant of the Duhamel map below one.  This
 module measures that contraction factor in the norms the argument runs
 in: for alpha in (3/2, 2] an L^(p/2)-in-time negative-order Besov norm,
 and for rougher dissipation a sup-in-time Besov norm combined with the
-grid max of the Riesz velocity of the low-pass block.  Alongside the
-factor it reads the gaps between twin runs and the linear-semigroup
+grid max of the Riesz velocity of the low-pass block.  The ladder of
+factors over shrinking horizons is one fold over the march: the solution
+and the linear evolution step side by side with their Duhamel integrals,
+and only per-time norm parts are kept, so no series is held.  Alongside
+the factor it reads the gaps between twin runs and the linear-semigroup
 continuity criterion that characterizes strong B^s_{p,infty} continuity
 at t = 0 through the vanishing of the weighted block-norm tail.
 """
@@ -24,7 +27,6 @@ from .littlewood import (
     DyadicBank,
     TimeSeriesField,
     besov_norm,
-    besov_per_time,
     block_norms,
     packet_profile,
     psi_block,
@@ -33,9 +35,9 @@ from .littlewood import (
 from .mild import (
     MildSolution,
     SolveParams,
+    duhamel_along,
     duhamel_series,
-    linear_solution_series,
-    solve,
+    march,
 )
 from .spectral import (
     ParameterError,
@@ -180,31 +182,27 @@ def instant_norm(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> f
     return value
 
 
-def _prefix_norms(
-    series: TimeSeriesField, bank: DyadicBank, spec: ContractionNorm, cuts
-) -> list[float]:
-    """Mixed-time contraction norm of each prefix series[:cut].
+def _norm_parts(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> tuple:
+    """The per-time parts of the contraction norm at one sample: the Besov
+    value and, when spec.riesz_low, the Riesz low-pass max (else 0)."""
+    riesz = riesz_low_max(f, bank) if spec.riesz_low else 0.0
+    return besov_norm(f, bank, spec.index), riesz
 
-    Every per-sample quantity is computed once over the whole series and
-    each prefix aggregates its slice, which reproduces the norm of the
-    sliced series bit for bit.
-    """
-    per_time = besov_per_time(series, bank, spec.index)
-    riesz = [riesz_low_max(f, bank) for f in series.fields] if spec.riesz_low else None
-    out = []
-    for cut in cuts:
-        value = time_lr(per_time[:cut], series.times[:cut], spec.time_exponent)
-        if riesz is not None:
-            value += max(riesz[:cut])
-        out.append(value)
-    return out
+
+def _aggregate(parts, times, spec: ContractionNorm) -> float:
+    """Mixed-time contraction norm from the per-time parts of its samples."""
+    besov, riesz = zip(*parts)
+    value = time_lr(besov, times, spec.time_exponent)
+    if spec.riesz_low:
+        value += max(riesz)
+    return value
 
 
 def difference_norm(
     series: TimeSeriesField, bank: DyadicBank, spec: ContractionNorm
 ) -> float:
     """Mixed-time contraction norm of a difference series."""
-    return _prefix_norms(series, bank, spec, [len(series)])[0]
+    return _aggregate([_norm_parts(f, bank, spec) for f in series.fields], series.times, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -225,39 +223,19 @@ class ContractionResult:
         return self.factor
 
 
+def _ratio(numerator: float, denominator: float) -> ContractionResult:
+    # identical inputs: report a degenerate zero rather than divide
+    if denominator < 1e-14:
+        return ContractionResult(0.0, 0.0, denominator, True)
+    return ContractionResult(numerator / denominator, numerator, denominator, False)
+
+
 def _as_series(x) -> TimeSeriesField:
     if isinstance(x, MildSolution):
         return x.series
     if isinstance(x, TimeSeriesField):
         return x
     raise ParameterError("expected a time series or a solved run")
-
-
-def _prefix_contractions(
-    s1: TimeSeriesField,
-    s2: TimeSeriesField,
-    params: SolveParams,
-    bank: DyadicBank,
-    spec: ContractionNorm,
-    cuts,
-) -> list[ContractionResult]:
-    """Contraction result on each prefix [:cut] of one trial pair.
-
-    params covers the whole pair; the Duhamel integral of a prefix is the
-    prefix of the Duhamel integral, so one sweep per series serves every
-    cut.  The sweeps are skipped when every denominator is degenerate.
-    """
-    denominators = _prefix_norms(s1 - s2, bank, spec, cuts)
-    numerators = [0.0] * len(cuts)
-    if not all(d < 1e-14 for d in denominators):
-        image = duhamel_series(s1, params) - duhamel_series(s2, params)
-        numerators = _prefix_norms(image, bank, spec, cuts)
-    return [
-        ContractionResult(0.0, 0.0, d, True)
-        if d < 1e-14
-        else ContractionResult(num / d, num, d, False)
-        for num, d in zip(numerators, denominators)
-    ]
 
 
 def contraction_factor(
@@ -276,7 +254,8 @@ def contraction_factor(
     """
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
     s1, s2 = _as_series(theta1), _as_series(theta2)
-    return _prefix_contractions(s1, s2, params, bank, spec, [len(s1)])[0]
+    image = duhamel_series(s1, params) - duhamel_series(s2, params)
+    return _ratio(difference_norm(image, bank, spec), difference_norm(s1 - s2, bank, spec))
 
 
 def contraction_ladder(
@@ -286,28 +265,42 @@ def contraction_ladder(
     horizons,
     spec: ContractionNorm | None = None,
 ) -> list[ContractionResult]:
-    """Contraction factor at each horizon, sliced from one solve.
+    """Contraction factor at each horizon, folded over one march.
 
     The trial pair is the marched solution against the bare linear
     evolution of the same data; their difference is the accumulated
-    nonlinear correction, which exercises the map away from zero.  The
-    whole ladder costs one solve, one Duhamel sweep per trial series and
-    one norm matrix per difference series: each shorter horizon reads a
-    prefix of the longest one, with the same bits as a separate
-    contraction_factor call on the sliced pair.
+    nonlinear correction, which exercises the map away from zero.  One
+    pass marches both to the longest horizon beside their Duhamel
+    integrals, whose integrand along the solution is the stepper's own
+    stage-1 advection, and keeps only the per-time norm parts of the
+    difference and of its image.  Each horizon aggregates a prefix of
+    them, with the same bits as contraction_factor on the pair cut at
+    that horizon.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0.0:
         raise ParameterError("horizons must be positive")
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
-    steps = [replace(params, t_final=t).n_steps() for t in horizons]
+    cuts = [replace(params, t_final=t).n_steps() + 1 for t in horizons]
     top = replace(params, t_final=horizons[-1])
-    full = solve(theta0, top)
-    linear = linear_solution_series(theta0, top)
-    cuts = [len(full.series.slice_until(t)) for t in horizons]
-    if any(cut != n + 1 for cut, n in zip(cuts, steps)):
-        raise ParameterError("source series does not cover every step of the horizon")
-    return _prefix_contractions(full.series, linear, top, bank, spec, cuts)
+    grid, real = theta0.grid, theta0.real
+    times, gaps, images = [], [], []
+    for (t, a, da), (_, b, db) in zip(
+        duhamel_along(march(theta0, top), grid, top),
+        duhamel_along(march(theta0, replace(top, nonlinear=False)), grid, top),
+    ):
+        gap = SpectralField(grid, a, real) - SpectralField(grid, b, real)
+        image = SpectralField(grid, da) - SpectralField(grid, db)
+        times.append(t)
+        gaps.append(_norm_parts(gap, bank, spec))
+        images.append(_norm_parts(image, bank, spec))
+    return [
+        _ratio(
+            _aggregate(images[:cut], times[:cut], spec),
+            _aggregate(gaps[:cut], times[:cut], spec),
+        )
+        for cut in cuts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +325,15 @@ def perturbed_datum(
     return SpectralField(theta0.grid, theta0.coef * (1.0 + DELTA / scale), real=theta0.real)
 
 
+def _twin_series(a, b) -> tuple[TimeSeriesField, TimeSeriesField]:
+    sa, sb = _as_series(a), _as_series(b)
+    if len(sa) != len(sb) or np.any(
+        np.abs(sa.times - sb.times) > 1e-9 * np.maximum(1.0, sa.times)
+    ):
+        raise ParameterError("twin runs do not share their sample times")
+    return sa, sb
+
+
 def twin_run(a, b, bank: DyadicBank, spec: ContractionNorm) -> np.ndarray:
     """Contraction quantity of a(t) - b(t) at each shared sample.
 
@@ -341,12 +343,14 @@ def twin_run(a, b, bank: DyadicBank, spec: ContractionNorm) -> np.ndarray:
     configuration give zeros bit for bit, a dt/2 twin the temporal
     discretization error, a perturbed_datum twin the growth of DELTA.
     """
-    sa, sb = _as_series(a), _as_series(b)
-    if len(sa) != len(sb) or np.any(
-        np.abs(sa.times - sb.times) > 1e-9 * np.maximum(1.0, sa.times)
-    ):
-        raise ParameterError("twin runs do not share their sample times")
+    sa, sb = _twin_series(a, b)
     return np.array([instant_norm(fa - fb, bank, spec) for fa, fb in zip(sa.fields, sb.fields)])
+
+
+def final_gap(a, b, bank: DyadicBank, spec: ContractionNorm) -> float:
+    """twin_run(a, b, bank, spec)[-1], evaluated at the final sample alone."""
+    sa, sb = _twin_series(a, b)
+    return instant_norm(sa.fields[-1] - sb.fields[-1], bank, spec)
 
 
 def temporal_order(coarse, fine, finer, bank: DyadicBank, spec: ContractionNorm) -> float:
@@ -356,8 +360,8 @@ def temporal_order(coarse, fine, finer, bank: DyadicBank, spec: ContractionNorm)
     dt/4; the ratio of their two twin gaps estimates 2^order for the
     stepper's temporal order.
     """
-    top = twin_run(coarse, fine, bank, spec)[-1]
-    bottom = twin_run(fine, finer, bank, spec)[-1]
+    top = final_gap(coarse, fine, bank, spec)
+    bottom = final_gap(fine, finer, bank, spec)
     if bottom <= 0.0:
         raise ParameterError("refinement gap vanished; data too small to resolve")
     return float(np.log2(top / bottom))
@@ -372,9 +376,7 @@ def high_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     """Sum of the annulus blocks strictly above level j."""
     if not 0 <= j <= bank.j_max:
         raise ParameterError(f"level {j} outside 0..{bank.j_max}")
-    sym = np.zeros_like(bank.psi_hat)
-    for k in range(j + 1, bank.j_max + 1):
-        sym = sym + bank.phi_hat[k - 1]
+    sym = sum(bank.phi_hat[j:], np.zeros_like(bank.psi_hat))
     return SpectralField(f.grid, f.coef * sym, real=f.real)
 
 
@@ -443,28 +445,3 @@ def continuity_criterion_test(
         tail_per_level=weighted,
         converged=converged,
     )
-
-
-# ---------------------------------------------------------------------------
-# Nonlinear smallness at shrinking horizon
-# ---------------------------------------------------------------------------
-
-
-def nonlinear_smallness(
-    solution: MildSolution, bank: DyadicBank, idx: BesovIndex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Running sup of || theta - exp(-t Lambda^alpha) theta0 || over [0, T].
-
-    Returns the positive sample times and the running sup of the Besov
-    distance to the bare semigroup evolution; read toward shrinking T
-    the curve is monotone and vanishes for a genuinely mild solution.
-    """
-    series = solution.series
-    theta0 = series[0]
-    alpha = solution.params.alpha
-    sups, running = [], 0.0
-    for t, f in zip(series.times[1:], series.fields[1:]):
-        gap = besov_norm(f - semigroup_apply(theta0, alpha, float(t)), bank, idx)
-        running = max(running, gap)
-        sups.append(running)
-    return series.times[1:].copy(), np.array(sups)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import sqglab.cli
+import sqglab.mild
 import sqglab.uniqueness
 from sqglab.cli import (
     RunConfig,
@@ -24,7 +25,7 @@ from sqglab.cli import (
     load_config_file,
     main,
 )
-from sqglab.mild import solve
+from sqglab.mild import march
 from sqglab.spectral import ParameterError
 
 
@@ -568,17 +569,22 @@ class TestUniquenessCommand:
 
     def test_each_configuration_solved_once(self, tmp_path, monkeypatch):
         # only the twin configuration (T/4, 2 dt) from theta0 is solved
-        # twice: the second solve is the determinism check
+        # twice: the second solve is the determinism check.  Every solve
+        # is one march; the ladder marches the solution and, beside it,
+        # the linear evolution of the same datum
         calls = []
 
-        def counting_solve(theta0, params):
+        def counting_march(theta0, params):
             calls.append((theta0, params))
-            return solve(theta0, params)
+            return march(theta0, params)
 
-        for module in (sqglab.cli, sqglab.uniqueness):
-            monkeypatch.setattr(module, "solve", counting_solve)
+        for module in (sqglab.mild, sqglab.cli, sqglab.uniqueness):
+            monkeypatch.setattr(module, "march", counting_march)
         argv = ("uniqueness", "endpoint", "--T", "0.04", "--threads", "1")
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        linear = [params for _, params in calls if not params.nonlinear]
+        assert [params.n_steps() for params in linear] == [16]
+        calls = [(datum, params) for datum, params in calls if params.nonlinear]
         assert len(calls) == 6
         assert sum(params.n_steps() for _, params in calls) == 34
         theta0 = calls[0][0]  # the ladder's march from the command's datum

@@ -3,10 +3,15 @@
 The dissipative SQG equation commutes with translations and with quarter
 turns of the periodic box, and it conserves the mean: the velocity is
 divergence-free and the mean mode of the nonlinearity is a divergence.
+It is also invariant under the critical scaling
+theta(x, t) -> lam^(alpha - 1) theta(lam x, lam^alpha t) (Constantin &
+Wu, SIAM J. Math. Anal. 30, 1999), which maps the box 2 pi onto 2 pi / lam.
 These hold for the equation, not for one way of computing it, so the
 tolerance is a rounding bound (rel 1e-12) that any arithmetic of the
 march must meet.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -85,3 +90,25 @@ def test_mean_is_conserved(case, mean):
     theta0 = datum(grid, case["seed"], mean)
     means = np.array([f.mean() for f in solve(theta0, params(case)).series.fields])
     assert np.abs(means - mean).max() <= REL * max(1.0, abs(mean))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    lam=st.sampled_from([2, 4]),
+    alpha=st.floats(0.5, 2.0),
+    n=st.sampled_from([32, 64]),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_critical_scaling_commutes_with_solve(lam, alpha, n, steps, seed):
+    # on the box 2 pi / lam the same n grid points sample theta(lam x), so
+    # the scaled datum has the same coefficients times lam^(alpha - 1) and
+    # the scaled run's grid values are those of the unscaled run, scaled
+    theta0 = datum(shared_grid(n), seed)
+    amplitude = lam ** (alpha - 1.0)
+    case = {"n": n, "alpha": alpha, "steps": steps}
+    box = 2.0 * math.pi / lam
+    dt = 0.005 / lam**alpha
+    scaled0 = SpectralField(shared_grid(n, box), amplitude * theta0.coef)
+    scaled = SolveParams(alpha=alpha, n=n, t_final=steps * dt, dt=dt, box_length=box)
+    assert_close(solve(scaled0, scaled).final().physical(), amplitude * march(theta0, case))
