@@ -45,6 +45,7 @@ from .spectral import (
     riesz_perp_velocity,
     semigroup_apply,
 )
+from .uniqueness import contraction_norm_spec
 
 
 @dataclass(frozen=True)
@@ -359,7 +360,7 @@ def verify_paraproduct(
     """
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    q1 = q2 = 2.0 * q if q != math.inf else math.inf
+    q1 = q2 = 2.0 * q
 
     def worker(rng):
         f = random_besov_field(bank, rng, s=0.25)
@@ -440,7 +441,7 @@ def verify_bilinear(
     if endpoint:
         q1 = q2 = 2.0  # the borderline variant needs 1/q1 + 1/q2 = 1
     else:
-        q1 = q2 = 2.0 * q if q != math.inf else math.inf
+        q1 = q2 = 2.0 * q
     s_lhs = -2.0 if endpoint else s
     q_lhs = p if endpoint else q
     s_g = (-1.0 - s_prime) if endpoint else (s + 1.0 - s_prime)
@@ -510,7 +511,7 @@ def verify_commutator_advection(
     """
     if not (s + 2.0 / p + 1.0 > 0.0 and 0.0 < eps < 2.0 / p + 1.0 and s + eps < 2.0 / p + 1.0):
         raise ParameterError("commutator exponents out of range")
-    q1 = q2 = 2.0 * q if q != math.inf else math.inf
+    q1 = q2 = 2.0 * q
 
     def worker(rng):
         stream = random_besov_field(bank, rng, s=0.5)
@@ -681,15 +682,10 @@ def verify_multiplier_bound(
 
 
 def endpoint_norm_indices(alpha: float):
-    """(p, q, s) of the critical space the smoothing bound is phrased in."""
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
-    if alpha > 1.5:
-        p = 4.0 / (2.0 * alpha - 3.0)
-        return p, p / (p - 2.0), -0.5
-    if alpha == 1.5:
-        return math.inf, 1.0, -0.5
-    return math.inf, math.inf, 1.0 - alpha
+    """(p, q, s) of the critical space the smoothing bound is phrased in:
+    the data space of the contraction norm (see contraction_norm_spec)."""
+    d = contraction_norm_spec(alpha).data_index
+    return d.p, d.q, d.s
 
 
 def duhamel_exponent(alpha: float) -> float:

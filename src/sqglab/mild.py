@@ -41,6 +41,7 @@ from .spectral import (
     dealiased_advection,
     dealiased_coef,
     grid_gradient,
+    grid_symbol,
     grid_velocity,
     inverse_lambda,
     lp_norm,
@@ -48,6 +49,8 @@ from .spectral import (
 )
 
 BLOWUP_THRESHOLD = 1e12
+# a march of more steps is refused before it starts, not left to run on
+MAX_STEPS = 1_000_000
 
 
 class BlowUpError(RuntimeError):
@@ -118,6 +121,10 @@ class SolveParams:
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ParameterError(
                 f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
+            )
+        if self.n_steps() > MAX_STEPS:
+            raise ParameterError(
+                f"step count t_final/dt = {steps:.3g} exceeds {MAX_STEPS}"
             )
         grid = self.grid()
         k_max = float(grid.kabs[grid.dealias_keep].max())
@@ -447,7 +454,7 @@ def divergence_form_check(
     # perp-grad f_k = (-df2, df1)
     v1 = dealiased_coef(grid, ufk1 * gl_p) - dealiased_coef(grid, lam_inv_g * -df2)
     v2 = dealiased_coef(grid, ufk2 * gl_p) - dealiased_coef(grid, lam_inv_g * df1)
-    rhs = 1j * grid.k1 * v1 + 1j * grid.k2 * v2
+    rhs = grid_symbol(grid, "gradient", 0) * v1 + grid_symbol(grid, "gradient", 1) * v2
 
     num = lp_norm(SpectralField(grid, lhs - rhs), 2)
     den = max(lp_norm(SpectralField(grid, c), 2) for c in (term_a, term_b, lhs, rhs))

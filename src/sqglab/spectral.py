@@ -184,103 +184,57 @@ class SpectralField:
             raise ParameterError("fields live on different grids")
 
 
-_SYMBOL_KINDS = (
-    "fractional_laplacian",
-    "inverse_lambda",
-    "gradient",
-    "riesz_perp",
-    "semigroup",
-)
-
-
-class SymbolOp:
-    """Precomputed diagonal Fourier multiplier.
-
-    kind selects the symbol:
-
-    ``fractional_laplacian``  |k|^alpha            (params: alpha)
-    ``inverse_lambda``        1/|k|, 0 at k = 0
-    ``gradient``              i*k_axis             (params: axis in {0, 1})
-    ``riesz_perp``            i*kperp_axis/|k|, 0 at k = 0   (params: axis)
-    ``semigroup``             exp(-t*|k|^alpha)    (params: alpha, t >= 0)
-
-    Negative-order symbols (inverse_lambda, riesz_perp) send the mean mode
-    to zero; that is the only sane convention on the torus, where Lambda
-    annihilates constants.  Those two and gradient depend on the grid
-    alone: grid_symbol builds each once per grid, and the shared array is
-    read-only.
-    """
-
-    def __init__(self, grid: Grid2, kind: str, **params):
-        if kind not in _SYMBOL_KINDS:
-            raise ParameterError(f"unknown symbol kind {kind!r}")
-        self.grid = grid
-        self.kind = kind
-        self.params = dict(params)
-        axis = params.get("axis")
-        # any other axis takes the uncached path, which rejects it
-        if kind in ("inverse_lambda", "gradient", "riesz_perp") and axis in (None, 0, 1):
-            self.symbol = grid_symbol(grid, kind, axis)
-        else:
-            self.symbol = self._build(grid, kind, params)
-
-    @staticmethod
-    def _build(grid: Grid2, kind: str, params) -> np.ndarray:
-        kabs = grid.kabs
-        if kind == "fractional_laplacian":
-            alpha = _check_alpha(params["alpha"])
-            return kabs**alpha
-        if kind == "inverse_lambda":
-            with np.errstate(divide="ignore"):
-                sym = np.where(kabs > 0.0, 1.0 / np.where(kabs > 0.0, kabs, 1.0), 0.0)
-            return sym
-        if kind == "gradient":
-            axis = params["axis"]
-            if axis not in (0, 1):
-                raise ParameterError(f"gradient axis must be 0 or 1, got {axis}")
-            # one row or column, broadcast against the coefficients
-            return 1j * (grid.k1[:, :1] if axis == 0 else grid.k2[:1, :])
-        if kind == "riesz_perp":
-            axis = params["axis"]
-            if axis not in (0, 1):
-                raise ParameterError(f"riesz_perp axis must be 0 or 1, got {axis}")
-            kperp = -grid.k2 if axis == 0 else grid.k1
-            safe = np.where(kabs > 0.0, kabs, 1.0)
-            return np.where(kabs > 0.0, 1j * kperp / safe, 0.0)
-        # semigroup
-        alpha = _check_alpha(params["alpha"])
-        t = float(params["t"])
-        if t < 0.0:
-            raise ParameterError(f"semigroup time must be nonnegative, got {t}")
-        return np.exp(-t * kabs**alpha)
-
-    def __call__(self, field: SpectralField) -> SpectralField:
-        if field.grid != self.grid:
-            raise ParameterError("field grid does not match operator grid")
-        return SpectralField(self.grid, self.symbol * field.coef, real=field.real)
-
-
 @functools.lru_cache(maxsize=16)
 def grid_symbol(grid: Grid2, kind: str, axis: int | None = None) -> np.ndarray:
-    """The shared, read-only symbol of a kind that depends on the grid alone."""
-    sym = SymbolOp._build(grid, kind, {"axis": axis})
+    """The shared, read-only symbol of a kind that depends on the grid alone.
+
+    ``inverse_lambda``  1/|k|, 0 at k = 0                  (axis None)
+    ``gradient``        i*k_axis, one row or column broadcast against
+                        the coefficients                   (axis 0 or 1)
+    ``riesz_perp``      i*kperp_axis/|k|, 0 at k = 0        (axis 0 or 1)
+
+    Negative-order symbols send the mean mode to zero; that is the only
+    sane convention on the torus, where Lambda annihilates constants.
+    Each symbol is built once per grid and axis.
+    """
+    kabs = grid.kabs
+    if kind == "inverse_lambda" and axis is None:
+        with np.errstate(divide="ignore"):
+            sym = np.where(kabs > 0.0, 1.0 / np.where(kabs > 0.0, kabs, 1.0), 0.0)
+    elif kind == "gradient" and axis in (0, 1):
+        sym = 1j * (grid.k1[:, :1] if axis == 0 else grid.k2[:1, :])
+    elif kind == "riesz_perp" and axis in (0, 1):
+        kperp = -grid.k2 if axis == 0 else grid.k1
+        safe = np.where(kabs > 0.0, kabs, 1.0)
+        sym = np.where(kabs > 0.0, 1j * kperp / safe, 0.0)
+    elif kind in ("inverse_lambda", "gradient", "riesz_perp"):
+        raise ParameterError(f"no axis {axis!r} for the {kind} symbol")
+    else:
+        raise ParameterError(f"unknown symbol kind {kind!r}")
     sym.flags.writeable = False
     return sym
 
 
+def _apply(field: SpectralField, symbol: np.ndarray) -> SpectralField:
+    return SpectralField(field.grid, symbol * field.coef, real=field.real)
+
+
 def fractional_laplacian(field: SpectralField, alpha: float) -> SpectralField:
     """Apply Lambda^alpha = (-Laplacian)^(alpha/2), alpha in (0, 2]."""
-    return SymbolOp(field.grid, "fractional_laplacian", alpha=alpha)(field)
+    return _apply(field, field.grid.kabs ** _check_alpha(alpha))
 
 
 def inverse_lambda(field: SpectralField) -> SpectralField:
     """Apply Lambda^(-1); the mean mode is sent to zero."""
-    return SymbolOp(field.grid, "inverse_lambda")(field)
+    return _apply(field, grid_symbol(field.grid, "inverse_lambda"))
 
 
 def gradient(field: SpectralField, axis: int) -> SpectralField:
     """Partial derivative along axis (0 for x1, 1 for x2)."""
-    return SymbolOp(field.grid, "gradient", axis=axis)(field)
+    # checked here, since an unhashable axis would fail inside the cache
+    if axis not in (0, 1):
+        raise ParameterError(f"gradient axis must be 0 or 1, got {axis!r}")
+    return _apply(field, grid_symbol(field.grid, "gradient", axis))
 
 
 def riesz_perp_velocity(field: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -290,14 +244,16 @@ def riesz_perp_velocity(field: SpectralField) -> tuple[SpectralField, SpectralFi
     kperp = (-k2, k1) and u_hat(0) = 0.  The spectral divergence of the
     result vanishes identically because k . kperp = 0 mode by mode.
     """
-    u1 = SymbolOp(field.grid, "riesz_perp", axis=0)(field)
-    u2 = SymbolOp(field.grid, "riesz_perp", axis=1)(field)
-    return u1, u2
+    return tuple(_apply(field, grid_symbol(field.grid, "riesz_perp", axis)) for axis in (0, 1))
 
 
 def semigroup_apply(field: SpectralField, alpha: float, t: float) -> SpectralField:
-    """Apply the dissipative semigroup exp(-t Lambda^alpha)."""
-    return SymbolOp(field.grid, "semigroup", alpha=alpha, t=t)(field)
+    """Apply the dissipative semigroup exp(-t Lambda^alpha), t >= 0."""
+    alpha = _check_alpha(alpha)
+    t = float(t)
+    if t < 0.0:
+        raise ParameterError(f"semigroup time must be nonnegative, got {t}")
+    return _apply(field, np.exp(-t * field.grid.kabs**alpha))
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -346,7 +302,7 @@ def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
     p2 = np.fft.fft2(u2 * scalar)
     p1 = p1 * grid.dealias_keep
     p2 = p2 * grid.dealias_keep
-    return -(1j * grid.k1 * p1 + 1j * grid.k2 * p2)
+    return -(grid_symbol(grid, "gradient", 0) * p1 + grid_symbol(grid, "gradient", 1) * p2)
 
 
 def mode_energy(field: SpectralField) -> np.ndarray:

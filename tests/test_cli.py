@@ -222,7 +222,12 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "horizon", [("--T", "inf"), ("--T", "1e308", "--dt", "1e-308")]
+        "horizon",
+        [
+            ("--T", "inf"),
+            ("--T", "1e308", "--dt", "1e-308"),
+            ("--n", "16", "--T", "1e300", "--dt", "1e-3"),
+        ],
     )
     def test_unrepresentable_horizon_exits_one(self, tmp_path, capsys, horizon):
         assert run_cli("solve", *horizon, "--out", str(tmp_path)) == 1

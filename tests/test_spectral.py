@@ -19,13 +19,13 @@ from sqglab.spectral import (
     Grid2,
     ParameterError,
     SpectralField,
-    SymbolOp,
     dealias,
     dealiased_advection,
     dealiased_coef,
     fractional_laplacian,
     gradient,
     grid_gradient,
+    grid_symbol,
     grid_velocity,
     inverse_lambda,
     lp_norm,
@@ -310,38 +310,45 @@ class TestDealias:
 class TestSymbolOp:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
-            SymbolOp(Grid2(32), "laplacian")
+            grid_symbol(Grid2(32), "laplacian")
 
     def test_zero_mode_policy(self):
+        # on unit coefficients each operator returns its symbol
         g = Grid2(32)
-        assert SymbolOp(g, "inverse_lambda").symbol[0, 0] == 0.0
-        assert SymbolOp(g, "riesz_perp", axis=0).symbol[0, 0] == 0.0
-        assert SymbolOp(g, "riesz_perp", axis=1).symbol[0, 0] == 0.0
-        assert SymbolOp(g, "semigroup", alpha=1.0, t=3.0).symbol[0, 0] == 1.0
-        assert SymbolOp(g, "fractional_laplacian", alpha=1.5).symbol[0, 0] == 0.0
+        ones = SpectralField(g, np.ones((32, 32)))
+        assert inverse_lambda(ones).coef[0, 0] == 0.0
+        assert all(u.coef[0, 0] == 0.0 for u in riesz_perp_velocity(ones))
+        assert gradient(ones, 0).coef[0, 0] == 0.0 and gradient(ones, 1).coef[0, 0] == 0.0
+        assert semigroup_apply(ones, 1.0, 3.0).coef[0, 0] == 1.0
+        assert fractional_laplacian(ones, 1.5).coef[0, 0] == 0.0
 
     def test_gradient_axis_checked(self):
+        g = Grid2(32)
+        for bad in (2, [0], None):
+            with pytest.raises(ParameterError):
+                gradient(SpectralField(g, np.ones((32, 32))), bad)
+        for kind in ("riesz_perp", "gradient"):
+            for bad in (2, None):
+                with pytest.raises(ParameterError):
+                    grid_symbol(g, kind, bad)
         with pytest.raises(ParameterError):
-            SymbolOp(Grid2(32), "gradient", axis=2)
+            grid_symbol(g, "inverse_lambda", 0)
 
     def test_cached_symbols_are_shared_and_read_only(self):
         g = Grid2(32)
         rng = np.random.default_rng(7)
         theta = SpectralField.from_physical(g, rng.standard_normal((32, 32)))
         before = riesz_perp_velocity(theta)[0].coef.copy()
-        op = SymbolOp(g, "riesz_perp", axis=0)
-        assert op.symbol is SymbolOp(Grid2(32), "riesz_perp", axis=0).symbol
+        sym = grid_symbol(g, "riesz_perp", 0)
+        assert sym is grid_symbol(Grid2(32), "riesz_perp", 0)
         with pytest.raises(ValueError):
-            op.symbol[1, 1] = 0.0
+            sym[1, 1] = 0.0
         with pytest.raises(ValueError):
-            op.symbol *= 2.0
-        assert not SymbolOp(g, "inverse_lambda").symbol.flags.writeable
-        assert SymbolOp(g, "gradient", axis=1).symbol is SymbolOp(g, "gradient", axis=1).symbol
+            sym *= 2.0
+        assert not grid_symbol(g, "inverse_lambda").flags.writeable
+        assert not grid_symbol(g, "gradient", 0).flags.writeable
+        assert grid_symbol(g, "gradient", 1) is grid_symbol(g, "gradient", 1)
         assert np.array_equal(riesz_perp_velocity(theta)[0].coef, before)
-        for kind in ("riesz_perp", "gradient"):
-            for bad in (2, [0], None):
-                with pytest.raises(ParameterError):
-                    SymbolOp(g, kind, axis=bad)
 
 
 class TestGridProducts:
@@ -359,11 +366,17 @@ class TestGridProducts:
         want = -(1j * g.k1 * p1 + 1j * g.k2 * p2)
         assert np.array_equal(dealiased_advection(f, values), want)
 
-    def test_transforms_live_in_the_spectral_module(self):
-        # one module owns the transform convention, so a change of it
-        # (say, to real-to-complex transforms) is made in one place
+    @pytest.mark.parametrize(
+        "pattern",
+        [r"\b(np|numpy)\.fft\b|from numpy import fft", r"\b1j\b"],
+        ids=["fft", "1j"],
+    )
+    def test_transforms_live_in_the_spectral_module(self, pattern):
+        # one module owns the transform convention and the derivative
+        # symbols, so a change of them (say, to real-to-complex
+        # transforms) is made in one place
         package = Path(sqglab.spectral.__file__).parent
-        pattern = re.compile(r"\b(np|numpy)\.fft\b|from numpy import fft")
+        pattern = re.compile(pattern)
         offenders = [
             path.name
             for path in sorted(package.glob("*.py"))

@@ -6,9 +6,13 @@ divergence-free and the mean mode of the nonlinearity is a divergence.
 It is also invariant under the critical scaling
 theta(x, t) -> lam^(alpha - 1) theta(lam x, lam^alpha t) (Constantin &
 Wu, SIAM J. Math. Anal. 30, 1999), which maps the box 2 pi onto 2 pi / lam.
+The norms and multipliers the march is measured with share the symmetry
+of the box: block norms are unchanged by any lattice symmetry of the
+grid values (their symbols are radial), and the velocity and gradient
+of a quarter-turned field are the quarter-turned vectors.
 These hold for the equation, not for one way of computing it, so the
 tolerance is a rounding bound (rel 1e-12) that any arithmetic of the
-march must meet.
+march or of the spectral layer must meet.
 """
 
 import math
@@ -17,8 +21,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqglab.littlewood import BesovIndex, besov_norm, block_norms, build_bank
 from sqglab.mild import SolveParams, solve
-from sqglab.spectral import SpectralField, dealias, shared_grid
+from sqglab.spectral import SpectralField, dealias, grid_gradient, grid_velocity, shared_grid
 
 REL = 1e-12
 
@@ -30,6 +35,23 @@ marches = st.fixed_dictionaries(
         "seed": st.integers(0, 2**32 - 1),
     }
 )
+
+
+grids = st.tuples(st.sampled_from([32, 64]), st.sampled_from([2.0 * math.pi, 0.5 * math.pi]))
+
+# lattice symmetries of the grid values: quarter turn, shift, transpose, reflection
+MOVES = {
+    "rot90": np.rot90,
+    "roll": lambda values: np.roll(values, (5, 11), axis=(0, 1)),
+    "transpose": np.transpose,
+    "flip": lambda values: np.flip(values, axis=0),
+}
+
+
+def noise(grid, seed):
+    """Field with independent standard normal grid values: every block is filled."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((grid.n, grid.n))
 
 
 def datum(grid, seed, mean=0.0):
@@ -112,3 +134,35 @@ def test_critical_scaling_commutes_with_solve(lam, alpha, n, steps, seed):
     scaled0 = SpectralField(shared_grid(n, box), amplitude * theta0.coef)
     scaled = SolveParams(alpha=alpha, n=n, t_final=steps * dt, dt=dt, box_length=box)
     assert_close(solve(scaled0, scaled).final().physical(), amplitude * march(theta0, case))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=grids, seed=st.integers(0, 2**32 - 1), move=st.sampled_from(sorted(MOVES)))
+def test_block_norms_are_unchanged_by_lattice_symmetries(shape, seed, move):
+    grid = shared_grid(*shape)
+    bank = build_bank(grid)
+    values = noise(grid, seed)
+    f = SpectralField.from_physical(grid, values)
+    h = SpectralField.from_physical(grid, MOVES[move](values))
+    for p in (1.0, 2.0, 4.0, math.inf):
+        want = block_norms(f, bank, p)
+        assert np.all(np.abs(block_norms(h, bank, p) - want) <= REL * want)
+    for idx in (BesovIndex(-0.5, 4.0, 2.0), BesovIndex(0.25, math.inf, 1.0)):
+        want = besov_norm(f, bank, idx)
+        assert abs(besov_norm(h, bank, idx) - want) <= REL * want
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=grids, seed=st.integers(0, 2**32 - 1))
+def test_velocity_and_gradient_turn_with_the_field(shape, seed):
+    # h(x) = theta(R x) for the quarter turn R, so each vector field v of
+    # theta turns to R^T v(R x) = (-v2, v1) at the turned points
+    grid = shared_grid(*shape)
+    values = noise(grid, seed)
+    theta = SpectralField.from_physical(grid, values)
+    h = SpectralField.from_physical(grid, np.rot90(values))
+    for of in (grid_velocity, grid_gradient):
+        v1, v2 = of(theta)
+        w1, w2 = of(h)
+        assert_close(w1, -np.rot90(v2))
+        assert_close(w2, np.rot90(v1))
