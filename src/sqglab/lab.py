@@ -29,6 +29,7 @@ from .littlewood import (
     besov_norm,
     block,
     block_norms,
+    lq_sum,
     packet_profile,
     psi_block,
     s_partial,
@@ -436,6 +437,8 @@ def verify_bilinear(
     """
     if not s > -2.0 and not endpoint:
         raise ParameterError(f"graded variant needs s > -2, got {s}")
+    if not min(p, p1, p2) >= 1.0:
+        raise ParameterError(f"exponents p, p1, p2 must be >= 1, got {p}, {p1}, {p2}")
     if abs(1.0 / p - (1.0 / p1 + 1.0 / p2)) > 1e-12:
         raise ParameterError("exponents must satisfy 1/p = 1/p1 + 1/p2")
     if endpoint:
@@ -529,11 +532,7 @@ def verify_commutator_advection(
         weighted = [
             2.0 ** (s * j) * norms[j] for j in range(1, len(family))
         ]
-        if q == math.inf:
-            tail = max(weighted)
-        else:
-            tail = float(np.sum(np.asarray(weighted) ** q) ** (1.0 / q))
-        lhs = norms[0] + tail
+        lhs = norms[0] + lq_sum(weighted, q)
         levels = {j: weighted[j - 1] / rhs for j in range(1, len(family))}
         levels[0] = norms[0] / rhs
         return ([lhs / rhs], levels), 0

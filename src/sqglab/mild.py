@@ -16,8 +16,10 @@ spectrally after the product, so each step is the weak form tested against
 gradients and the mean mode is conserved to rounding.
 
 The steps are taken in one place, the generator march.  solve collects
-it, and duhamel_along runs the Duhamel recurrence along it with the
-stepper's own advections as the integrand, so a fold holds no series.
+every step of it for library callers; duhamel_along runs the Duhamel
+recurrence along it with the stepper's own advections as the integrand.
+The CLI folds over march (the solve table, the contraction ladder and the
+uniqueness twin runs), so no command holds a series.
 
 The same exponential quadrature drives the global Picard iteration: iterate
 m+1 solves the linear-plus-Duhamel recurrence with the nonlinearity frozen
@@ -94,7 +96,6 @@ class SolveParams:
     box_length: float = 2.0 * math.pi
     picard_depth: int = 4
     nonlinear: bool = True
-    save_stride: int = 1
 
     def __post_init__(self):
         for name in ("alpha", "t_final", "dt"):
@@ -111,8 +112,6 @@ class SolveParams:
             )
         if self.picard_depth < 1:
             raise ParameterError(f"picard_depth must be >= 1, got {self.picard_depth}")
-        if self.save_stride < 1:
-            raise ParameterError(f"save_stride must be >= 1, got {self.save_stride}")
         steps = self.t_final / self.dt
         if not math.isfinite(steps):
             raise ParameterError(
@@ -295,8 +294,8 @@ def duhamel_along(steps, grid: Grid2, params: SolveParams):
 
 
 class MildSolution:
-    """A marched mild solution: its parameters, saved samples and, for a
-    Picard solve, the successive iterate distances.  Instances are not
+    """A marched mild solution: its parameters, a sample at every step and,
+    for a Picard solve, the successive iterate distances.  Instances are not
     mutated after construction; spectral.lp_norms gives the norms of a
     saved sample.
     """
@@ -312,19 +311,17 @@ class MildSolution:
 
 
 def solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
-    """March theta0 over [0, t_final], keeping every save_stride-th step and the last."""
-    n_steps = params.n_steps()
+    """March theta0 over [0, t_final], keeping every step."""
     times, saved = [], []
-    for step, (t, coef, _) in enumerate(march(theta0, params)):
-        if step % params.save_stride == 0 or step == n_steps:
-            times.append(t)
-            saved.append(SpectralField(theta0.grid, coef, real=theta0.real))
+    for t, coef, _ in march(theta0, params):
+        times.append(t)
+        saved.append(SpectralField(theta0.grid, coef, real=theta0.real))
     return MildSolution(params, TimeSeriesField(times, saved))
 
 
 def linear_solution_series(theta0: SpectralField, params: SolveParams) -> TimeSeriesField:
     """e^{-t Lambda^alpha} theta0 sampled on the step grid, exact per symbol."""
-    return solve(theta0, replace(params, nonlinear=False, save_stride=1)).series
+    return solve(theta0, replace(params, nonlinear=False)).series
 
 
 def duhamel_series(source: TimeSeriesField, params: SolveParams) -> TimeSeriesField:

@@ -65,6 +65,8 @@ class Grid2:
         self.index1 = np.broadcast_to(idx[:, None], (n, n))
         self.index2 = np.broadcast_to(idx[None, :], (n, n))
         unit = 2.0 * math.pi / box_length
+        if not math.isfinite(unit * n):
+            raise ParameterError(f"box_length {box_length} is too small: wavenumbers overflow")
         self.k1 = unit * self.index1
         self.k2 = unit * self.index2
         self.kabs = np.hypot(self.k1, self.k2)
@@ -248,11 +250,11 @@ def riesz_perp_velocity(field: SpectralField) -> tuple[SpectralField, SpectralFi
 
 
 def semigroup_apply(field: SpectralField, alpha: float, t: float) -> SpectralField:
-    """Apply the dissipative semigroup exp(-t Lambda^alpha), t >= 0."""
+    """Apply the dissipative semigroup exp(-t Lambda^alpha), finite t >= 0."""
     alpha = _check_alpha(alpha)
     t = float(t)
-    if t < 0.0:
-        raise ParameterError(f"semigroup time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"semigroup time must be finite and nonnegative, got {t}")
     return _apply(field, np.exp(-t * field.grid.kabs**alpha))
 
 

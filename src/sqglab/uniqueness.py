@@ -10,9 +10,11 @@ grid max of the Riesz velocity of the low-pass block.  The ladder of
 factors over shrinking horizons is one fold over the march: the solution
 and the linear evolution step side by side with their Duhamel integrals,
 and only per-time norm parts are kept, so no series is held.  Alongside
-the factor it reads the gaps between twin runs and the linear-semigroup
-continuity criterion that characterizes strong B^s_{p,infty} continuity
-at t = 0 through the vanishing of the weighted block-norm tail.
+the factor it reads the gaps between twin runs (determinism, temporal
+order and growth of a perturbation), folded over their marches the same
+way, and the linear-semigroup continuity criterion that characterizes
+strong B^s_{p,infty} continuity at t = 0 through the vanishing of the
+weighted block-norm tail.
 """
 
 from __future__ import annotations
@@ -325,46 +327,49 @@ def perturbed_datum(
     return SpectralField(theta0.grid, theta0.coef * (1.0 + DELTA / scale), real=theta0.real)
 
 
-def _twin_series(a, b) -> tuple[TimeSeriesField, TimeSeriesField]:
-    sa, sb = _as_series(a), _as_series(b)
-    if len(sa) != len(sb) or np.any(
-        np.abs(sa.times - sb.times) > 1e-9 * np.maximum(1.0, sa.times)
-    ):
-        raise ParameterError("twin runs do not share their sample times")
-    return sa, sb
+def _final(steps) -> np.ndarray:
+    """The coefficients of the last state of a march."""
+    for _, coef, _ in steps:
+        pass
+    return coef
 
 
-def twin_run(a, b, bank: DyadicBank, spec: ContractionNorm) -> np.ndarray:
-    """Contraction quantity of a(t) - b(t) at each shared sample.
+def twin_experiments(
+    theta0: SpectralField, params: SolveParams, bank: DyadicBank, spec: ContractionNorm
+) -> tuple[float, float, float]:
+    """The three twin-run readings of one configuration, folded over its marches.
 
-    a and b are solved runs or series on one grid whose sample times
-    agree to 1e-9 max(1, t); a run at dt/2 with save_stride doubled
-    samples exactly the times of its dt twin.  Two solves of one
-    configuration give zeros bit for bit, a dt/2 twin the temporal
-    discretization error, a perturbed_datum twin the growth of DELTA.
+    Returns (identical_gap, order, amplification), each read through the
+    contraction quantity of a difference:
+
+    - identical_gap: the max over every step of the gap between two
+      independent marches of params from theta0, zero bit for bit when
+      the march is deterministic;
+    - order: log2 of the ratio of the final gaps between the dt and dt/2
+      runs and between the dt/2 and dt/4 runs, which estimates the
+      stepper's temporal order (2 for ETD2);
+    - amplification: the final gap between the run from theta0 and the
+      run from perturbed_datum, over DELTA.
+
+    The twin marches step side by side; of the others only the final
+    state is kept, so no series is held.
     """
-    sa, sb = _twin_series(a, b)
-    return np.array([instant_norm(fa - fb, bank, spec) for fa, fb in zip(sa.fields, sb.fields)])
+    grid, real = theta0.grid, theta0.real
 
+    def gap(a: np.ndarray, b: np.ndarray) -> float:
+        return instant_norm(SpectralField(grid, a, real) - SpectralField(grid, b, real), bank, spec)
 
-def final_gap(a, b, bank: DyadicBank, spec: ContractionNorm) -> float:
-    """twin_run(a, b, bank, spec)[-1], evaluated at the final sample alone."""
-    sa, sb = _twin_series(a, b)
-    return instant_norm(sa.fields[-1] - sb.fields[-1], bank, spec)
-
-
-def temporal_order(coarse, fine, finer, bank: DyadicBank, spec: ContractionNorm) -> float:
-    """log2 ratio of successive dt-refinement gaps at the final sample.
-
-    coarse, fine and finer are runs of one configuration at dt, dt/2 and
-    dt/4; the ratio of their two twin gaps estimates 2^order for the
-    stepper's temporal order.
-    """
-    top = final_gap(coarse, fine, bank, spec)
-    bottom = final_gap(fine, finer, bank, spec)
+    identical_gap = 0.0
+    for (_, a, _), (_, b, _) in zip(march(theta0, params), march(theta0, params)):
+        identical_gap = max(identical_gap, gap(a, b))
+    run = a
+    fine, finer = (_final(march(theta0, replace(params, dt=params.dt / k))) for k in (2, 4))
+    perturbed = _final(march(perturbed_datum(theta0, bank, spec), params))
+    bottom = gap(fine, finer)
     if bottom <= 0.0:
         raise ParameterError("refinement gap vanished; data too small to resolve")
-    return float(np.log2(top / bottom))
+    order = float(np.log2(gap(run, fine) / bottom))
+    return identical_gap, order, gap(run, perturbed) / DELTA
 
 
 # ---------------------------------------------------------------------------

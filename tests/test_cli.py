@@ -14,11 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sqglab.cli
 import sqglab.mild
 import sqglab.uniqueness
 from sqglab.cli import (
+    UNIQUENESS_CASES,
     RunConfig,
     build_config,
     build_parser,
@@ -203,8 +206,21 @@ class TestConfigHandling:
 
 
 class TestExitCodes:
-    def test_bad_flag_value_exits_one(self, tmp_path):
-        assert run_cli("solve", "--dt", "-1", "--out", str(tmp_path)) == 1
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys):
+        seeded = ("--seed", "1", "--trials", "1", "--n", "32")
+        for argv in (
+            ("solve", "--dt", "-1"),
+            # numpy refuses a negative seed
+            ("verify-lemma", "bernstein", "--seed", "-1", "--trials", "1", "--n", "32"),
+            # a1 starts at 2 terms and reads the growth between two rows
+            ("counterexample", "a1", "--trials", "2"),
+            # 1/p of a zero exponent
+            ("verify-lemma", "bilinear-diagonal", *seeded, "--p", "0"),
+            # the wavenumbers of so small a box overflow
+            ("uniqueness", "mid", "--n", "16", "--box", "5e-324"),
+        ):
+            assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
+            assert_one_error_line(capsys)
 
     def test_unknown_command_exits_one(self):
         assert run_cli("explode") == 1
@@ -418,6 +434,15 @@ class TestVerifyLemmaCommand:
         summary = (tmp_path / "bernstein-summary.txt").read_text(encoding="utf-8")
         assert "gradient_sup" in summary
         assert summary.endswith("status = pass\n")
+
+    def test_semigroup_decay_without_blocks_fails(self, tmp_path):
+        # on a box this small every block falls below the energy floor,
+        # so no decay rate is fitted and the verdict cannot pass
+        argv = ("semigroup-decay", "--seed", "1", "--trials", "1", "--n", "32", "--box", "1e-30")
+        assert run_cli("verify-lemma", *argv, "--out", str(tmp_path)) == 2
+        summary = (tmp_path / "semigroup-decay-summary.txt").read_text(encoding="utf-8")
+        assert "c_fit_min = nan\n" in summary
+        assert summary.endswith("status = fail\n")
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -645,3 +670,106 @@ class TestContinuityCommand:
 
 if __name__ == "__main__":
     record_goldens()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any flag values exit 0, 1 or 2 without a traceback
+# ---------------------------------------------------------------------------
+
+# every command with the keys it reads besides n, box, out and threads;
+# n, T and trials are always set, small, so that a run stays short
+_FUZZ_KEYS = {
+    ("solve",): ("alpha", "dt", "data"),
+    ("continuity",): ("alpha", "s", "p"),
+    ("counterexample", "a1"): ("s",),
+    ("counterexample", "a3"): ("s",),
+    **{("uniqueness", case): ("alpha", "dt", "s") for case in UNIQUENESS_CASES},
+    ("verify-lemma", "bernstein"): ("p", "seed"),
+    ("verify-lemma", "semigroup-decay"): ("alpha", "p", "seed"),
+    ("verify-lemma", "paraproduct"): ("s", "eps", "p", "q", "seed"),
+    ("verify-lemma", "bilinear-diagonal"): ("s", "s_prime", "p", "q", "seed"),
+    ("verify-lemma", "advection-commutator"): ("seed",),
+    ("verify-lemma", "riesz-commutator"): ("seed",),
+    ("verify-lemma", "commutators"): ("seed",),
+    ("verify-lemma", "velocity-multiplier"): ("s", "q", "seed"),
+    ("verify-lemma", "duhamel-smoothing"): ("alpha", "p", "q"),
+}
+_EDGE_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+# values inside or near each key's working range, drawn most of the time
+_FUZZ_VALUES = {
+    "alpha": st.sampled_from([0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]) | st.floats(0.1, 2.5),
+    "s": st.floats(-2.0, 1.0),
+    "s_prime": st.floats(-2.0, 1.0),
+    "eps": st.floats(0.0, 2.0),
+    "p": st.sampled_from([1.0, 2.0, 4.0, math.inf]) | st.floats(0.5, 16.0),
+    "q": st.sampled_from([1.0, 2.0, math.inf]) | st.floats(0.5, 16.0),
+    "box": st.sampled_from([2.0 * math.pi, 0.5 * math.pi]) | st.floats(0.1, 20.0),
+    "dt": st.sampled_from([0.0025, 0.005]),
+    "data": st.sampled_from(["smooth", "zero", "random"]),
+    "seed": st.integers(0, 2**64),
+}
+# and the rest of the time a value at or past the edge of its range; an
+# edge of n, T, dt or trials never asks for a bigger grid or more steps
+_FUZZ_EDGES = {
+    "threads": st.integers(-1, 0),
+    "n": st.integers(-16, 15) | st.sampled_from([17, 24, 33, 48]),
+    "trials": st.integers(-2, 0),
+    "T": st.sampled_from(_EDGE_FLOATS) | st.floats(0.0, 0.04),
+    "dt": st.sampled_from(_EDGE_FLOATS),
+    "data": st.just("noise"),
+    "seed": st.integers(-2, -1),
+}
+_DT = 0.0025
+
+
+def _flag(key, value) -> str:
+    # --key=value, so that a value such as -1e+300 is not read as a flag
+    return f"--{key}={value!r}" if isinstance(value, float) else f"--{key}={value}"
+
+
+@st.composite
+def cli_runs(draw):
+    """argv of one short CLI run with fuzzed flag values."""
+    command = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
+
+    def value(key, usual):
+        if draw(st.integers(0, 15)) > 0:
+            return draw(usual)
+        return draw(_FUZZ_EDGES.get(key, st.sampled_from(_EDGE_FLOATS) | st.floats()))
+
+    def maybe(key):
+        return draw(st.none() | st.just(value(key, _FUZZ_VALUES[key])))
+
+    flags = {"threads": value("threads", st.integers(1, 2))}
+    if command[0] != "counterexample":
+        # below n = 32 a verifier's bank is too shallow
+        flags["n"] = value("n", st.sampled_from([16, 32, 64] if command[0] != "verify-lemma" else [32, 64]))
+        flags["box"] = maybe("box")
+    if command[0] == "solve":
+        flags["T"] = value("T", st.integers(1, 16).map(lambda k: k * _DT))
+    if command[0] == "uniqueness":
+        # the ladder halves T three times and the twins step 2 dt to T/4
+        flags["T"] = value("T", st.sampled_from([8 * _DT, 12 * _DT, 16 * _DT]))
+    if command[0] in ("counterexample", "verify-lemma") and command[1] != "duhamel-smoothing":
+        flags["trials"] = value("trials", st.integers(1, 6))
+    for key in _FUZZ_KEYS[command]:
+        flags[key] = maybe(key)
+    # a seed is read by the randomized lemmas and by random data only
+    if "seed" in flags and command[0] == "verify-lemma" or flags.get("data") == "random":
+        flags["seed"] = value("seed", _FUZZ_VALUES["seed"])
+    argv = list(command)
+    return argv + [_flag(key, v) for key, v in flags.items() if v is not None]
+
+
+class TestFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=cli_runs())
+    def test_any_run_exits_cleanly(self, tmp_path, capsys, argv):
+        # a traceback or an escaping warning fails here; exit 1 is a
+        # parameter error, exit 2 a failed verdict or a blow-up
+        assert run_cli(*argv, "--out", str(tmp_path)) in (0, 1, 2)
+        capsys.readouterr()

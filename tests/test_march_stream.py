@@ -2,9 +2,10 @@
 
 `mild.march` yields (t_k, coef_k, g_k) for k = 0..N, where g_k is the
 stage-1 advection of the step from t_k.  `solve` collects it, the
-contraction ladder reads its advections as the Duhamel integrand, and the
-`solve` command folds its table over it, so neither holds a series and
-their memory does not grow with the horizon.
+contraction ladder reads its advections as the Duhamel integrand, the
+uniqueness twin runs fold their gaps over it, and the `solve` command
+folds its table over it, so none of them holds a series and their memory
+does not grow with the horizon.
 """
 
 import tracemalloc
@@ -59,14 +60,13 @@ class TestMarch:
             assert g is None or np.array_equal(g, g_then)
         assert kept[0][0] is not theta0.coef
 
-    def test_solve_keeps_the_strided_samples(self, grid64):
+    def test_solve_keeps_every_step(self, grid64):
         theta0 = smooth_profile(grid64)
         steps = list(march(theta0, PARAMS))
-        sol = solve(theta0, replace(PARAMS, save_stride=5))
-        keep = [0, 5, 10, 15, 16]
-        assert list(sol.series.times) == [steps[k][0] for k in keep]
-        for f, k in zip(sol.series.fields, keep):
-            assert np.array_equal(f.coef, steps[k][1])
+        sol = solve(theta0, PARAMS)
+        assert list(sol.series.times) == [t for t, _, _ in steps]
+        for f, (_, coef, _) in zip(sol.series.fields, steps):
+            assert np.array_equal(f.coef, coef)
 
     def test_checks_run_on_entry(self, grid64):
         # no step is taken before a bad datum is rejected
@@ -128,6 +128,18 @@ class TestMemoryFlatInHorizon:
             return lambda: main(argv)
 
         run(self.HORIZONS[0])()  # warm the grid, symbol and tableau caches
+        short, long = (traced_peak(run(T)) for T in self.HORIZONS)
+        assert long <= 1.5 * short
+
+    def test_uniqueness_command(self, tmp_path, capsys):
+        # the twin configuration runs to T/4 at 2 dt, its refinements at
+        # dt and dt/2 and its perturbed twin beside it: held as series,
+        # five runs would add 35 fields (2.2 MiB) over 8 times the horizon
+        def run(T):
+            argv = ["uniqueness", "endpoint", "--n", "64", "--T", str(T), "--out", str(tmp_path)]
+            return lambda: main(argv)
+
+        run(self.HORIZONS[0])()
         short, long = (traced_peak(run(T)) for T in self.HORIZONS)
         assert long <= 1.5 * short
 

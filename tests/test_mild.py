@@ -60,8 +60,6 @@ class TestSolveParams:
             SolveParams(**{**good, "t_final": 0.0315})
         with pytest.raises(ParameterError):
             SolveParams(**{**good, "picard_depth": 0})
-        with pytest.raises(ParameterError):
-            SolveParams(**{**good, "save_stride": 0})
 
     @pytest.mark.parametrize(
         "override",
@@ -142,13 +140,6 @@ class TestSolve:
         sol = solve(f, params)
         assert np.abs(sol.series[0].coef - f.coef).max() == 0.0
         assert np.allclose(sol.series.times, 0.01 * np.arange(6))
-
-    def test_save_stride(self):
-        grid = Grid2(64)
-        f = smooth_data(grid, np.random.default_rng(1))
-        params = SolveParams(alpha=1.5, n=64, t_final=0.1, dt=0.01, save_stride=3)
-        sol = solve(f, params)
-        assert np.allclose(sol.series.times, [0.0, 0.03, 0.06, 0.09, 0.1])
 
     def test_band_limit_enforced(self):
         grid = Grid2(64)

@@ -59,7 +59,8 @@ class TestGrid2:
         with pytest.raises(ParameterError):
             Grid2(n)
 
-    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf])
+    # 2 pi / 5e-324 overflows to inf, and inf * 0 at the zero mode is nan
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, 5e-324])
     def test_rejects_bad_box(self, L):
         with pytest.raises(ParameterError):
             Grid2(32, box_length=L)
@@ -186,9 +187,12 @@ class TestSemigroup:
         assert np.array_equal(out.coef, f.coef)
 
     def test_negative_time_rejected(self):
+        # a non-finite time is rejected too: NaN would pass t < 0 and
+        # return an all-NaN field, inf would give inf * 0 at k = 0
         f = random_field(Grid2(32))
-        with pytest.raises(ParameterError):
-            semigroup_apply(f, 1.0, -1e-9)
+        for t in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                semigroup_apply(f, 1.0, t)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_composition(self, alpha):

@@ -9,7 +9,11 @@ Wu, SIAM J. Math. Anal. 30, 1999), which maps the box 2 pi onto 2 pi / lam.
 The norms and multipliers the march is measured with share the symmetry
 of the box: block norms are unchanged by any lattice symmetry of the
 grid values (their symbols are radial), and the velocity and gradient
-of a quarter-turned field are the quarter-turned vectors.
+of a quarter-turned field are the quarter-turned vectors.  The bilinear
+forms the estimates are verified on (the diagonal sum, the low-high
+paraproduct and the filter-advection commutators) are built from those
+norms' radial symbols, the velocity, the gradient and pointwise products,
+so they move with grid shifts and quarter turns of their factors.
 These hold for the equation, not for one way of computing it, so the
 tolerance is a rounding bound (rel 1e-12) that any arithmetic of the
 march or of the spectral layer must meet.
@@ -21,9 +25,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqglab.lab import bilinear_diagonal_sum, low_high_paraproduct, lowpass_commutator_family
 from sqglab.littlewood import BesovIndex, besov_norm, block_norms, build_bank
 from sqglab.mild import SolveParams, solve
-from sqglab.spectral import SpectralField, dealias, grid_gradient, grid_velocity, shared_grid
+from sqglab.spectral import (
+    SpectralField,
+    dealias,
+    grid_gradient,
+    grid_velocity,
+    riesz_perp_velocity,
+    shared_grid,
+)
 
 REL = 1e-12
 
@@ -166,3 +178,42 @@ def test_velocity_and_gradient_turn_with_the_field(shape, seed):
         w1, w2 = of(h)
         assert_close(w1, -np.rot90(v2))
         assert_close(w2, np.rot90(v1))
+
+
+# the moves a bilinear form of two fields must commute with
+PLANE_MOVES = ("rot90", "roll")
+
+
+def moved_pair(grid, seed, move):
+    """Two white-noise fields and the fields of their moved grid values."""
+    values = [noise(grid, seed), noise(grid, seed + 1)]
+    return (
+        [SpectralField.from_physical(grid, v) for v in values],
+        [SpectralField.from_physical(grid, MOVES[move](v)) for v in values],
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=grids, seed=st.integers(0, 2**32 - 2), move=st.sampled_from(PLANE_MOVES))
+def test_bilinear_forms_move_with_their_factors(shape, seed, move):
+    grid = shared_grid(*shape)
+    bank = build_bank(grid)
+    (f, g), (fh, gh) = moved_pair(grid, seed, move)
+    for form in (bilinear_diagonal_sum, low_high_paraproduct):
+        want = MOVES[move](form(f, g, bank).physical())
+        assert_close(form(fh, gh, bank).physical(), want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=grids, seed=st.integers(0, 2**32 - 2), move=st.sampled_from(PLANE_MOVES))
+def test_commutator_family_moves_with_its_factors(shape, seed, move):
+    # the velocity is taken of the moved stream, so it is the moved
+    # vector field; u . grad theta is then a scalar that moves with both
+    grid = shared_grid(*shape)
+    bank = build_bank(grid)
+    (stream, theta), (stream_h, theta_h) = moved_pair(grid, seed, move)
+    family = [m.physical() for m in lowpass_commutator_family(*riesz_perp_velocity(stream), theta, bank)]
+    moved_family = lowpass_commutator_family(*riesz_perp_velocity(stream_h), theta_h, bank)
+    scale = max(np.abs(m).max() for m in family)
+    for got, want in zip(moved_family, family):
+        assert np.abs(got.physical() - MOVES[move](want)).max() <= REL * scale

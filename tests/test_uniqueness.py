@@ -24,7 +24,13 @@ from sqglab.littlewood import (
     s_partial,
     tilde_s,
 )
-from sqglab.mild import SolveParams, linear_solution_series, picard_solve, solve
+from sqglab.mild import (
+    BlowUpError,
+    SolveParams,
+    linear_solution_series,
+    picard_solve,
+    solve,
+)
 from sqglab.spectral import (
     ParameterError,
     SpectralField,
@@ -47,8 +53,7 @@ from sqglab.uniqueness import (
     packet_profile,
     perturbed_datum,
     riesz_low_max,
-    temporal_order,
-    twin_run,
+    twin_experiments,
 )
 
 RTOL = 1e-6
@@ -310,16 +315,19 @@ class TestContractionFactor:
             contraction_ladder(theta0, params, bank128, [0.0, 0.1])
 
 
-def refined(params, k):
-    """params at dt/k with save_stride k: the same sample times."""
-    return replace(params, dt=params.dt / k, save_stride=k * params.save_stride)
+def twin_gaps(a, b, bank, spec, k=1):
+    """Contraction quantity of a(t) - b(t) at the samples of a; b is a run
+    at dt/k, so its every k-th sample shares a time with a."""
+    fine = b.series.fields[::k]
+    assert len(fine) == len(a.series)
+    return np.array([instant_norm(fa - fb, bank, spec) for fa, fb in zip(a.series.fields, fine)])
 
 
 class TestTwinRuns:
     def test_identical_twins_bitwise_zero(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
         run, rerun = solve(theta0, params), solve(theta0, params)
-        gaps = twin_run(run, rerun, bank128, contraction_norm_spec(1.5))
+        gaps = twin_gaps(run, rerun, bank128, contraction_norm_spec(1.5))
         assert gaps.max() == 0.0
         assert all(
             float(np.abs((a - b).coef).max()) == 0.0
@@ -328,25 +336,28 @@ class TestTwinRuns:
 
     def test_dt_twin_initial_zero_and_frozen_gap(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        gaps = twin_run(
+        gaps = twin_gaps(
             solve(theta0, params),
-            solve(theta0, refined(params, 2)),
+            solve(theta0, replace(params, dt=params.dt / 2)),
             bank128,
             contraction_norm_spec(1.5),
+            k=2,
         )
         assert gaps[0] == 0.0
         assert rel_err(gaps[-1], 4.42926998147552e-9) < RTOL
 
     def test_temporal_order_near_two(self, theta0, bank128):
-        def order_at(alpha):
+        def twins_at(alpha):
             params = SolveParams(alpha=alpha, n=128, t_final=0.1, dt=0.005)
-            runs = [solve(theta0, refined(params, k)) for k in (1, 2, 4)]
-            return temporal_order(*runs, bank128, contraction_norm_spec(alpha))
+            return twin_experiments(theta0, params, bank128, contraction_norm_spec(alpha))
 
-        order = order_at(1.5)
+        gap, order, amplification = twins_at(1.5)
         assert rel_err(order, 2.000252016772492) < RTOL
         assert abs(order - 2.0) < 0.3
-        order2 = order_at(2.0)
+        # the fold reads the same gaps as the series twins of this class
+        assert gap == 0.0
+        assert rel_err(amplification, 0.6578424621578169) < RTOL
+        order2 = twins_at(2.0)[1]
         assert rel_err(order2, 2.00054123542546) < RTOL
         assert abs(order2 - 2.0) < 0.3
 
@@ -354,7 +365,7 @@ class TestTwinRuns:
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
         spec = contraction_norm_spec(1.5)
         perturbed = perturbed_datum(theta0, bank128, spec)
-        gaps = twin_run(solve(theta0, params), solve(perturbed, params), bank128, spec)
+        gaps = twin_gaps(solve(theta0, params), solve(perturbed, params), bank128, spec)
         amplification = gaps[-1] / DELTA
         assert rel_err(gaps[0], 1e-6) < 1e-9
         assert rel_err(amplification, 0.6578424621578169) < RTOL
@@ -363,7 +374,7 @@ class TestTwinRuns:
     def test_picard_depth_twin_converged(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
         deeper = replace(params, picard_depth=params.picard_depth + 2)
-        gaps = twin_run(
+        gaps = twin_gaps(
             picard_solve(theta0, params),
             picard_solve(theta0, deeper),
             bank128,
@@ -376,21 +387,19 @@ class TestTwinRuns:
 
     def test_delta_needs_nonzero_data(self, grid128, bank128):
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
-        with pytest.raises(ParameterError):
-            perturbed_datum(zero, bank128, contraction_norm_spec(1.5))
-
-    def test_unshared_samples_rejected(self, theta0, bank128):
-        params = SolveParams(alpha=1.5, n=128, t_final=0.05, dt=0.005)
         spec = contraction_norm_spec(1.5)
-        run = solve(theta0, params)
-        # dt/2 without the doubled stride samples twice as often
         with pytest.raises(ParameterError):
-            twin_run(run, solve(theta0, replace(params, dt=0.0025)), bank128, spec)
-        # the same times on another grid
-        grid64 = shared_grid(64)
-        coarse = solve(smooth_profile(grid64), replace(params, n=64))
-        with pytest.raises(ParameterError):
-            twin_run(run, coarse, bank128, spec)
+            perturbed_datum(zero, bank128, spec)
+        # the twin fold reaches the perturbed datum before its
+        # vanished-refinement-gap check, so zero data fails there
+        params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
+        with pytest.raises(ParameterError, match="nonzero initial data"):
+            twin_experiments(zero, params, bank128, spec)
+
+    def test_blow_up_propagates(self, theta0, bank128):
+        params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
+        with pytest.raises(BlowUpError):
+            twin_experiments(theta0 * 1e13, params, bank128, contraction_norm_spec(1.5))
 
 
 class TestHighLowSplit:
