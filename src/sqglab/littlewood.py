@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid2, ParameterError, SpectralField, lp_norm, mode_energy
+from .spectral import Grid2, ParameterError, SpectralField, band_slices, lp_norm, mode_energy
 
 _PLATEAU = 3.0 / 4.0
 _EDGE = 4.0 / 3.0
@@ -70,7 +70,11 @@ def max_feasible_level(grid: Grid2) -> int:
 
 
 class DyadicBank:
-    """Sampled partition of unity on a grid: one low-pass and J annuli."""
+    """Sampled partition of unity on a grid: one low-pass and J annuli.
+
+    bands[j] is the largest |m1| on which the level-j symbol (0 for psi)
+    is nonzero, or None when it vanishes on the whole lattice.
+    """
 
     def __init__(self, grid: Grid2, j_max: int):
         self.grid = grid
@@ -79,6 +83,11 @@ class DyadicBank:
         self.psi_hat = lowpass_profile(r)
         self.phi_hat = [annulus_profile(j, r) for j in range(1, self.j_max + 1)]
         self.admissible = r <= _PLATEAU * 2.0**self.j_max
+        m1 = np.abs(grid.index1[:, 0])
+        self.bands = []
+        for sym in (self.psi_hat, *self.phi_hat):
+            rows = sym.any(axis=1)
+            self.bands.append(int(m1[rows].max()) if rows.any() else None)
 
     def partition_residual(self) -> float:
         """max |psi + sum_j phi_j - 1| over admissible lattice frequencies."""
@@ -132,6 +141,17 @@ def psi_block(f: SpectralField, bank: DyadicBank) -> SpectralField:
     """Low-pass part psi * f."""
     _check_bank_field(f, bank)
     return SpectralField(f.grid, f.coef * bank.psi_hat, real=f.real)
+
+
+def band_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
+    """Block j of f (0 for psi), multiplied on the rows |m1| <= bank.bands[j]
+    alone, where it equals block or psi_block, and zero on the rows where
+    the symbol vanishes.  The level must not be empty."""
+    sym = bank.phi_hat[j - 1] if j else bank.psi_hat
+    coef = np.zeros_like(f.coef)
+    for rows in band_slices(f.grid.n, bank.bands[j]):
+        np.multiply(f.coef[rows], sym[rows], out=coef[rows])
+    return SpectralField(f.grid, coef, real=f.real)
 
 
 def s_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
@@ -191,22 +211,24 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
 
     At p = 2 no block is formed: the symbols are radial, so each block
     norm is the Parseval sum of the symbol squared against the per-mode
-    energy of f, taken once for all levels.
+    energy of f, taken once for all levels.  At other p each block is
+    formed and inverted on its band rows alone (see band_block), which
+    gives the same floats as lp_norm(block(f, bank, j), p).  An empty
+    level reads 0.0, as the transform of its zero block would, and costs
+    no multiply and no transform.
     """
+    _check_bank_field(f, bank)
+    out = np.zeros(bank.j_max + 1)
     if p == 2.0:
-        _check_bank_field(f, bank)
         e = mode_energy(f)
         scale = f.grid.cell_area / f.grid.n**2
-        return np.array(
-            [
-                math.sqrt(scale * np.einsum("ij,ij,ij->", sym, sym, e))
-                for sym in (bank.psi_hat, *bank.phi_hat)
-            ]
-        )
-    out = np.empty(bank.j_max + 1)
-    out[0] = lp_norm(psi_block(f, bank), p)
-    for j in bank.levels():
-        out[j] = lp_norm(block(f, bank, j), p)
+        for j, sym in enumerate((bank.psi_hat, *bank.phi_hat)):
+            if bank.bands[j] is not None:
+                out[j] = math.sqrt(scale * np.einsum("ij,ij,ij->", sym, sym, e))
+        return out
+    for j, band in enumerate(bank.bands):
+        if band is not None:
+            out[j] = lp_norm(band_block(f, bank, j), p, band)
     return out
 
 

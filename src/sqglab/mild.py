@@ -183,8 +183,9 @@ def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.nd
     """Coefficients of -div(u theta) for theta given by coef, with blow-up check."""
     theta = SpectralField(grid, coef)
     theta_p = theta.physical()
-    peak = float(np.abs(theta_p).max())
-    if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
+    hi, lo = float(theta_p.max()), float(theta_p.min())
+    peak = max(abs(hi), abs(lo))
+    if not (math.isfinite(hi) and math.isfinite(lo)) or peak > BLOWUP_THRESHOLD:
         raise BlowUpError(step, t, peak)
     return dealiased_advection(theta, theta_p)
 

@@ -12,6 +12,17 @@ This module is the only one that calls ``np.fft``.  L^2 norms are
 Parseval sums over the coefficients and take no transform; every other
 L^p norm reads the inverse transform.
 
+Every 2-D transform is two 1-D passes in numpy's own ``fft2`` order, axis 1
+then axis 0, which equals ``np.fft.fft2``/``ifft2`` byte for byte.  Two
+kinds of pass are skipped, and neither moves a bit of a result that is
+kept.  An inverse told a row band (the caller's symbol vanishes on every
+row |m1| > band: dyadic blocks and their Riesz velocities) transforms only
+the band rows in pass 1; the other rows are zero and so is their
+transform.  A forward transform truncated by the 2/3 rule runs pass 2 only
+on the kept columns |m2| <= n//3, since the others are multiplied by zero.
+March states get no band: their coefficients carry roundoff outside the
+retained square, and dropping it would change bits.
+
 Conventions kept throughout the package:
 
 * axis 0 of an array is the x1 direction, axis 1 is x2,
@@ -104,10 +115,40 @@ def shared_grid(n: int, box_length: float = 2.0 * math.pi) -> Grid2:
     return Grid2(n, box_length)
 
 
-def _grid_values(coef: np.ndarray, real: bool) -> np.ndarray:
-    """Inverse transform of coef; a real field keeps only its real part."""
-    w = np.fft.ifft2(coef)
+def band_slices(n: int, band: int) -> tuple[slice, slice]:
+    """Slices of the indices |m| <= band along an axis of n, in fft order."""
+    return slice(0, band + 1), slice(n - band, n)
+
+
+def _grid_values(coef: np.ndarray, real: bool, band: int | None = None) -> np.ndarray:
+    """Inverse transform of coef; a real field keeps only its real part.
+
+    With band, every row |m1| > band of coef must be zero; those rows are
+    not read and their pass-1 transform is skipped.
+    """
+    if band is None:
+        w = np.fft.ifft(coef, axis=1)
+    else:
+        w = np.zeros_like(coef)
+        for rows in band_slices(coef.shape[0], band):
+            np.fft.ifft(coef[rows], axis=1, out=w[rows])
+    np.fft.ifft(w, axis=0, out=w)
     return w.real if real else w
+
+
+def _forward(w: np.ndarray, grid: Grid2 | None = None) -> np.ndarray:
+    """Forward transform of the complex array w, in place.  Given the grid,
+    the result is truncated by the 2/3 rule: pass 2 runs only on the kept
+    columns |m2| <= n//3, and the others are zeroed before the mask."""
+    np.fft.fft(w, axis=1, out=w)
+    if grid is None:
+        return np.fft.fft(w, axis=0, out=w)
+    n, m = grid.n, grid.n // 3
+    for cols in band_slices(n, m):
+        np.fft.fft(w[:, cols], axis=0, out=w[:, cols])
+    w[:, m + 1 : n - m] = 0.0
+    w *= grid.dealias_keep
+    return w
 
 
 def _mirror(coef: np.ndarray) -> np.ndarray:
@@ -136,7 +177,7 @@ class SpectralField:
             raise ParameterError(
                 f"value array shape {values.shape} does not match grid n={grid.n}"
             )
-        return cls(grid, np.fft.fft2(values), real=True)
+        return cls(grid, _forward(values.astype(np.complex128)), real=True)
 
     @classmethod
     def from_coefficients(
@@ -286,25 +327,33 @@ def grid_gradient(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 
 def dealiased_coef(grid: Grid2, values: np.ndarray) -> np.ndarray:
     """Coefficients of a grid product, truncated by the 2/3 rule (see dealias)."""
-    return np.fft.fft2(values) * grid.dealias_keep
+    return _forward(values.astype(np.complex128), grid)
 
 
 def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
     """Coefficients of -div(u s), u the velocity of field and s grid values,
     each product u_i s truncated by the 2/3 rule as by dealiased_coef.
 
-    The order of the temporaries is chosen for the allocator: orders of the
-    same arithmetic that free the velocity before the end, or truncate each
-    product as soon as it is transformed, made it trim and regrow the heap
-    more often, with up to twice the page faults of a march pass.
+    Two n-by-n buffers are reused within the call, so that a march pass
+    allocates little: the velocity component is transformed in place, and
+    the product goes into a complex buffer, which spares numpy a cast copy
+    before the forward transform.  The result is a fresh array.
     """
     grid = field.grid
-    u1, u2 = grid_velocity(field)
-    p1 = np.fft.fft2(u1 * scalar)
-    p2 = np.fft.fft2(u2 * scalar)
-    p1 = p1 * grid.dealias_keep
-    p2 = p2 * grid.dealias_keep
-    return -(grid_symbol(grid, "gradient", 0) * p1 + grid_symbol(grid, "gradient", 1) * p2)
+    w = np.empty_like(field.coef)
+    p = np.empty_like(field.coef)
+    out = None
+    for axis in (0, 1):
+        np.multiply(grid_symbol(grid, "riesz_perp", axis), field.coef, out=w)
+        np.fft.ifft(w, axis=1, out=w)
+        np.fft.ifft(w, axis=0, out=w)
+        np.multiply(w.real if field.real else w, scalar, out=p)
+        _forward(p, grid)
+        if out is None:
+            out = np.multiply(grid_symbol(grid, "gradient", axis), p)
+        else:
+            out += np.multiply(grid_symbol(grid, "gradient", axis), p, out=p)
+    return np.negative(out, out=out)
 
 
 def mode_energy(field: SpectralField) -> np.ndarray:
@@ -329,17 +378,19 @@ def mode_energy(field: SpectralField) -> np.ndarray:
     return e
 
 
-def lp_norm(field: SpectralField, p: float) -> float:
+def lp_norm(field: SpectralField, p: float, band: int | None = None) -> float:
     """L^p norm over the box via the uniform-grid quadrature.
 
     On a periodic uniform grid the trapezoid rule collapses to the plain
     Riemann sum (L/n)^2 * sum |f|^p.  p = math.inf returns the grid max;
-    p = 2 is the same sum taken by Parseval over the coefficients.
+    p = 2 is the same sum taken by Parseval over the coefficients.  A
+    band promises that every coefficient row |m1| > band is zero, which
+    the inverse transform then skips (see _grid_values).
     """
-    return lp_norms(field, (p,))[0]
+    return lp_norms(field, (p,), band)[0]
 
 
-def lp_norms(field: SpectralField, ps) -> list[float]:
+def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
     """L^p norms of one field for each exponent in ps.
 
     p = 2 is a Parseval sum over the coefficients (see mode_energy); the
@@ -351,7 +402,9 @@ def lp_norms(field: SpectralField, ps) -> list[float]:
         if p != math.inf and not p >= 1.0:
             raise ParameterError(f"exponent p must satisfy p >= 1 (or math.inf), got {p}")
     grid = field.grid
-    w = np.abs(field.physical()) if any(p != 2.0 for p in ps) else None
+    w = None
+    if any(p != 2.0 for p in ps):
+        w = np.abs(_grid_values(field.coef, field.real, band))
     out = []
     for p in ps:
         if p == 2.0:

@@ -28,10 +28,10 @@ from .littlewood import (
     BesovIndex,
     DyadicBank,
     TimeSeriesField,
+    band_block,
     besov_norm,
     block_norms,
     packet_profile,
-    psi_block,
     time_lr,
 )
 from .mild import (
@@ -172,8 +172,9 @@ def contraction_norm_spec(
 
 def riesz_low_max(f: SpectralField, bank: DyadicBank) -> float:
     """Grid max over both components of the Riesz velocity of the low block."""
-    u1, u2 = riesz_perp_velocity(psi_block(f, bank))
-    return max(lp_norm(u1, math.inf), lp_norm(u2, math.inf))
+    band = bank.bands[0]
+    u1, u2 = riesz_perp_velocity(band_block(f, bank, 0))
+    return max(lp_norm(u1, math.inf, band), lp_norm(u2, math.inf, band))
 
 
 def instant_norm(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> float:

@@ -648,6 +648,25 @@ class TestMarchOutputsFrozen:
             got = read_bytes(tmp_path / f"{slug}{suffix}")
             assert got == read_bytes(MARCH_REFERENCE / f"march.{slug}{suffix}"), suffix
 
+    def test_random_solve_matches_benchmark_reference(self, tmp_path):
+        # the summary and the time, linf and mean columns match byte for
+        # byte; the l2 and l4 columns have differed from the reference in
+        # the last digits since it was recorded, so they are held to the
+        # benchmark's own relative tolerance, 1e-6
+        config = tmp_path / "random.cfg"
+        config.write_text("data = random\n", encoding="utf-8")
+        argv = ("solve", "--seed", "2", "--threads", "1", "--config", str(config))
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        ref = MARCH_REFERENCE / "march.solve.seed2"
+        got = read_bytes(tmp_path / "solve-summary.txt")
+        assert got == read_bytes(ref.with_name(ref.name + "-summary.txt"))
+        got, want = read_csv(tmp_path / "solve.csv"), read_csv(ref.with_name(ref.name + ".csv"))
+        assert got[0] == want[0] and len(got) == len(want)
+        for row, ref_row in zip(got[1:], want[1:]):
+            assert [row[0], *row[3:]] == [ref_row[0], *ref_row[3:]]
+            for a, b in zip(row[1:3], ref_row[1:3]):
+                assert math.isclose(float(a), float(b), rel_tol=1e-6)
+
 
 class TestContinuityCommand:
     def test_dichotomy_table(self, tmp_path):

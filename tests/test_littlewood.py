@@ -13,6 +13,7 @@ from sqglab.littlewood import (
     DyadicBank,
     TimeSeriesField,
     annulus_profile,
+    band_block,
     besov_norm,
     besov_time_norm,
     block,
@@ -196,6 +197,43 @@ class TestBlocks:
         f = random_field(Grid2(32), RNG)
         with pytest.raises(ParameterError):
             block(f, bank, 1)
+
+
+class TestEmptyLevels:
+    # at box 1e-30 the lowest nonzero lattice wavenumber is near 2^102, so
+    # of the 105 levels of an n = 32 bank only psi and levels 102-105 hold
+    # a lattice point
+    @pytest.fixture(scope="class")
+    def tiny_box(self):
+        bank = build_bank(Grid2(32, box_length=1e-30))
+        return bank, random_field(bank.grid, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("p", [1.0, 4.0, math.inf])
+    def test_empty_levels_cost_no_transform(self, tiny_box, p, monkeypatch):
+        bank, f = tiny_box
+        occupied = [j for j, band in enumerate(bank.bands) if band is not None]
+        assert occupied == [0, 102, 103, 104, 105]
+        calls = []
+        ifft = np.fft.ifft
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counting)
+        norms = block_norms(f, bank, p)
+        spent = len(calls)
+        calls.clear()
+        for j in occupied:
+            lp_norm(band_block(f, bank, j), p, bank.bands[j])
+        assert spent == len(calls)
+        empty = np.ones(bank.j_max + 1, dtype=bool)
+        empty[occupied] = False
+        assert np.array_equal(norms[empty].view(np.int64), np.zeros(empty.sum(), np.int64))
+        monkeypatch.undo()
+        want = [lp_norm(psi_block(f, bank), p)]
+        want += [lp_norm(block(f, bank, j), p) for j in occupied[1:]]
+        assert list(norms[occupied]) == want
 
 
 class TestBesovNorm:

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import sqglab.mild
-from conftest import smooth_profile
+from conftest import random_field, smooth_profile
 from sqglab.cli import main
 from sqglab.littlewood import build_bank
 from sqglab.mild import SolveParams, linear_solution_series, march, picard_solve, solve
-from sqglab.spectral import ParameterError, SpectralField, shared_grid
+from sqglab.spectral import ParameterError, SpectralField, dealiased_advection, shared_grid
 from sqglab.uniqueness import contraction_ladder
 
 PARAMS = SolveParams(alpha=1.5, n=64, t_final=0.04, dt=0.0025)
@@ -154,3 +154,16 @@ class TestMemoryFlatInHorizon:
         run(self.HORIZONS[0])()
         short, long = (traced_peak(run(T)) for T in self.HORIZONS)
         assert long <= 1.5 * short
+
+
+class TestAdvectionAllocation:
+    # traced peak of one advection at n = 128, in units of one n-by-n
+    # complex128 array: 3.5 with two buffers reused inside the call, 6.5
+    # when every transform pass and product allocated its own array
+    def test_traced_peak(self):
+        grid = shared_grid(128)
+        f = random_field(grid, np.random.default_rng(3))
+        scalar = f.physical()
+        dealiased_advection(f, scalar)  # warm the symbol cache
+        peak = traced_peak(lambda: dealiased_advection(f, scalar))
+        assert peak <= 4.5 * grid.n**2 * 16

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqglab.spectral
+from sqglab.littlewood import DyadicBank, block, block_norms, max_feasible_level, psi_block
 from sqglab.spectral import (
     Grid2,
     ParameterError,
@@ -32,6 +33,7 @@ from sqglab.spectral import (
     riesz_perp_velocity,
     semigroup_apply,
 )
+from sqglab.uniqueness import riesz_low_max
 
 RNG = np.random.default_rng(20260819)
 
@@ -387,3 +389,51 @@ class TestGridProducts:
             if path.name != "spectral.py" and pattern.search(path.read_text(encoding="utf-8"))
         ]
         assert offenders == []
+
+
+def reference_block_norms(f, bank, p):
+    """block_norms as one full transform per block: the oracle that the
+    banded transforms and the skipped empty levels must match."""
+    blocks = [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+    return np.array([lp_norm(b, p) for b in blocks])
+
+
+def reference_riesz_low_max(f, bank):
+    u1, u2 = riesz_perp_velocity(psi_block(f, bank))
+    return max(lp_norm(u1, math.inf), lp_norm(u2, math.inf))
+
+
+class TestPrunedTransforms:
+    # each 2-D transform is two 1-D passes in fft2 order that skip rows
+    # known to be zero or columns the 2/3 rule discards; no kept bit moves
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_n=st.integers(4, 8),
+        band_frac=st.floats(0.0, 1.0, exclude_max=True),
+        box=st.sampled_from([2.0 * math.pi, 0.5 * math.pi]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_for_bit_against_full_transforms(self, log_n, band_frac, box, seed):
+        n = 2**log_n
+        band = int(band_frac * (n // 2))
+        grid = Grid2(n, box)
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        coef[np.abs(grid.index1) > band] = 0.0
+
+        got = sqglab.spectral._grid_values(coef, False, band)
+        assert np.array_equal(got.view(np.int64), np.fft.ifft2(coef).view(np.int64))
+
+        values = rng.standard_normal((n, n))
+        got = dealiased_coef(grid, values)
+        want = np.fft.fft2(values) * grid.dealias_keep
+        assert np.array_equal(got, want)
+        keep = grid.dealias_keep
+        assert np.array_equal(got[keep].view(np.int64), want[keep].view(np.int64))
+
+        bank = DyadicBank(grid, max_feasible_level(grid))
+        f = SpectralField(grid, coef, real=True)
+        for p in (1.0, 4.0, math.inf):
+            want = reference_block_norms(f, bank, p)
+            assert np.array_equal(block_norms(f, bank, p).view(np.int64), want.view(np.int64))
+        assert riesz_low_max(f, bank) == reference_riesz_low_max(f, bank)
