@@ -147,7 +147,7 @@ def load_config_file(path: str) -> dict:
                         f"{path}:{line_no}: key {key} expects {kind.__name__}, "
                         f"got {raw.strip()!r}"
                     )
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}")
     return out
 

@@ -13,7 +13,9 @@ supported on {(3/4) 2^(j-1) <= r <= (8/3) 2^(j-1)} and identically 1 on
 
 so the bank resolves the identity exactly on the ball {r <= (3/4) 2^J}.
 Profiles are plain functions of the radius, usable both for sampling on a
-grid lattice and for continuum quadrature off the grid.
+grid lattice and for continuum quadrature off the grid.  The time-mixed
+norms read a sampled solution as the plain (times, fields) that
+mild.solve returns.
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ class DyadicBank:
     """Sampled partition of unity on a grid: one low-pass and J annuli.
 
     bands[j] is the largest |m1| on which the level-j symbol (0 for psi)
-    is nonzero, or None when it vanishes on the whole lattice.
+    is nonzero, or None when it vanishes on the whole lattice.  Every such
+    empty level shares one read-only zero symbol, so the bank holds
+    memory for its occupied levels only, however deep it is.
     """
 
     def __init__(self, grid: Grid2, j_max: int):
@@ -81,7 +85,11 @@ class DyadicBank:
         self.j_max = int(j_max)
         r = grid.kabs
         self.psi_hat = lowpass_profile(r)
-        self.phi_hat = [annulus_profile(j, r) for j in range(1, self.j_max + 1)]
+        empty = np.broadcast_to(0.0, r.shape)  # read-only, holds one float
+        self.phi_hat = []
+        for j in range(1, self.j_max + 1):
+            sym = annulus_profile(j, r)
+            self.phi_hat.append(sym if sym.any() else empty)
         self.admissible = r <= _PLATEAU * 2.0**self.j_max
         m1 = np.abs(grid.index1[:, 0])
         self.bands = []
@@ -282,46 +290,6 @@ def besov_from_norms(norms, idx: BesovIndex) -> float:
     return float(norms[0] + lq_sum(weights * norms[1:], idx.q))
 
 
-class TimeSeriesField:
-    """Fields sampled on a strictly increasing time grid, one shared grid."""
-
-    def __init__(self, times, fields):
-        times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or len(fields) != times.size:
-            raise ParameterError("times and fields must have equal length")
-        if times.size == 0:
-            raise ParameterError("time series must hold at least one sample")
-        if np.any(np.diff(times) <= 0.0):
-            raise ParameterError("times must be strictly increasing")
-        grid = fields[0].grid
-        for f in fields:
-            if f.grid != grid:
-                raise ParameterError("all fields in a series must share one grid")
-        self.times = times
-        self.fields = list(fields)
-        self.grid = grid
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-    def __getitem__(self, i: int) -> SpectralField:
-        return self.fields[i]
-
-    def slice_until(self, t_final: float) -> "TimeSeriesField":
-        """Prefix of the series with times <= t_final (within roundoff)."""
-        cut = np.searchsorted(self.times, t_final * (1.0 + 1e-12) + 1e-300, side="right")
-        if cut == 0:
-            raise ParameterError(f"no samples at or before t={t_final}")
-        return TimeSeriesField(self.times[:cut], self.fields[:cut])
-
-    def __sub__(self, other: "TimeSeriesField") -> "TimeSeriesField":
-        if len(other) != len(self) or not np.array_equal(other.times, self.times):
-            raise ParameterError("series subtraction requires identical time grids")
-        return TimeSeriesField(
-            self.times, [a - b for a, b in zip(self.fields, other.fields)]
-        )
-
-
 def time_lr(values, times, r: float) -> float:
     """L^r norm in time by the trapezoid rule; r = math.inf takes the max."""
     values = np.asarray(values, dtype=np.float64)
@@ -336,30 +304,27 @@ def time_lr(values, times, r: float) -> float:
     return float(np.trapezoid(values**r, times) ** (1.0 / r))
 
 
-def series_block_norms(series: TimeSeriesField, bank: DyadicBank, p: float) -> np.ndarray:
-    """Matrix of block norms, shape (J + 1, len(series)); row 0 is psi."""
-    out = np.empty((bank.j_max + 1, len(series)))
-    for col, f in enumerate(series.fields):
+def series_block_norms(fields, bank: DyadicBank, p: float) -> np.ndarray:
+    """Matrix of block norms, shape (J + 1, len(fields)); row 0 is psi."""
+    out = np.empty((bank.j_max + 1, len(fields)))
+    for col, f in enumerate(fields):
         out[:, col] = block_norms(f, bank, p)
     return out
 
 
-def chemin_lerner_norm(
-    series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex, r: float
-) -> float:
-    """Time-first mixed norm: L^r in time inside each block, then l^q.
+def chemin_lerner_norm(fields, times, bank: DyadicBank, idx: BesovIndex, r: float) -> float:
+    """Time-first mixed norm of fields sampled at times: L^r in time inside
+    each block, then l^q.
 
     Equals ||psi*f||_{L^r L^p} + l^q_j of 2^(s j) ||phi_j*f||_{L^r L^p}.
     For r <= q this never exceeds the time-outside aggregation, by the
     integral Minkowski inequality applied row by row.
     """
-    mat = series_block_norms(series, bank, idx.p)
-    return besov_from_norms([time_lr(row, series.times, r) for row in mat], idx)
+    mat = series_block_norms(fields, bank, idx.p)
+    return besov_from_norms([time_lr(row, times, r) for row in mat], idx)
 
 
-def besov_time_norm(
-    series: TimeSeriesField, bank: DyadicBank, idx: BesovIndex, r: float
-) -> float:
-    """Time-outside mixed norm L^r(0, T; B^s_{p,q}) on the sample times."""
-    mat = series_block_norms(series, bank, idx.p)
-    return time_lr([besov_from_norms(col, idx) for col in mat.T], series.times, r)
+def besov_time_norm(fields, times, bank: DyadicBank, idx: BesovIndex, r: float) -> float:
+    """Time-outside mixed norm L^r(0, T; B^s_{p,q}) of fields sampled at times."""
+    mat = series_block_norms(fields, bank, idx.p)
+    return time_lr([besov_from_norms(col, idx) for col in mat.T], times, r)

@@ -16,7 +16,8 @@ spectrally after the product, so each step is the weak form tested against
 gradients and the mean mode is conserved to rounding.
 
 The steps are taken in one place, the generator march.  solve collects
-every step of it for library callers; duhamel_along runs the Duhamel
+every step of it for library callers as (times, fields), the march's own
+times and a list of SpectralField; duhamel_along runs the Duhamel
 recurrence along it with the stepper's own advections as the integrand.
 The CLI folds over march (the solve table, the contraction ladder and the
 uniqueness twin runs), so no command holds a series.
@@ -24,7 +25,8 @@ uniqueness twin runs), so no command holds a series.
 The same exponential quadrature drives the global Picard iteration: iterate
 m+1 solves the linear-plus-Duhamel recurrence with the nonlinearity frozen
 at iterate m, which is the fixed-point map whose contraction the uniqueness
-harness measures.
+harness measures.  Its fixed point is the mild solution, which the ETD2
+march approximates to second order in dt.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .littlewood import DyadicBank, TimeSeriesField, block, psi_block
+from .littlewood import DyadicBank, block, psi_block
 from .spectral import (
     Grid2,
     ParameterError,
@@ -294,50 +296,31 @@ def duhamel_along(steps, grid: Grid2, params: SolveParams):
         g_prev = g
 
 
-class MildSolution:
-    """A marched mild solution: its parameters, a sample at every step and,
-    for a Picard solve, the successive iterate distances.  Instances are not
-    mutated after construction; spectral.lp_norms gives the norms of a
-    saved sample.
+def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]:
+    """March theta0 over [0, t_final], keeping every step.
+
+    Returns (times, fields): the march's own times t_k as a float64 array
+    and the fields theta(t_k), k = 0..N.
     """
-
-    def __init__(self, params: SolveParams, series: TimeSeriesField,
-                 picard_distances: list | None = None):
-        self.params = params
-        self.series = series
-        self.picard_distances = picard_distances
-
-    def final(self) -> SpectralField:
-        return self.series[len(self.series) - 1]
-
-
-def solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
-    """March theta0 over [0, t_final], keeping every step."""
-    times, saved = [], []
+    times, fields = [], []
     for t, coef, _ in march(theta0, params):
         times.append(t)
-        saved.append(SpectralField(theta0.grid, coef, real=theta0.real))
-    return MildSolution(params, TimeSeriesField(times, saved))
+        fields.append(SpectralField(theta0.grid, coef, real=theta0.real))
+    return np.array(times), fields
 
 
-def linear_solution_series(theta0: SpectralField, params: SolveParams) -> TimeSeriesField:
-    """e^{-t Lambda^alpha} theta0 sampled on the step grid, exact per symbol."""
-    return solve(theta0, replace(params, nonlinear=False)).series
-
-
-def duhamel_series(source: TimeSeriesField, params: SolveParams) -> TimeSeriesField:
-    """The duhamel_along integral of -div(u theta) frozen on a series that
-    samples every step of the horizon."""
-    grid = source.grid
-    _check_params_grid(grid, params)
-    if len(source) != params.n_steps() + 1:
+def duhamel_series(fields, params: SolveParams) -> list:
+    """The duhamel_along integral of -div(u theta) frozen on fields that
+    sample every step of the horizon, one field per step."""
+    if len(fields) != params.n_steps() + 1:
         raise ParameterError("source series does not cover every step of the horizon")
-    steps = ((k * params.dt, f.coef, None) for k, f in enumerate(source.fields))
-    fields = [SpectralField(grid, d, real=True) for _, _, d in duhamel_along(steps, grid, params)]
-    return TimeSeriesField(source.times.copy(), fields)
+    grid = fields[0].grid
+    _check_params_grid(grid, params)
+    steps = ((k * params.dt, f.coef, None) for k, f in enumerate(fields))
+    return [SpectralField(grid, d, real=True) for _, _, d in duhamel_along(steps, grid, params)]
 
 
-def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
+def picard_solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list, list]:
     """Global Picard iteration of the Duhamel fixed point over [0, t_final].
 
     Starts from the linear solution and applies picard_depth sweeps of
@@ -345,21 +328,18 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
         theta^{(m+1)} = e^{-t Lambda^alpha} theta0 + Duhamel[theta^{(m)}],
 
     recording the sup-in-time L^2 distance between consecutive iterates.
-    Raises a non-contraction error when that distance grows three times in
-    a row.
+    Returns (times, fields, distances), the last iterate sampled like
+    solve.  Raises a non-contraction error when that distance grows three
+    times in a row.
     """
-    linear = linear_solution_series(theta0, params)
+    times, linear = solve(theta0, replace(params, nonlinear=False))
     _require_mean_free(theta0, "theta0")
     current = linear
     distances: list[float] = []
     growth_run = 0
     for _ in range(params.picard_depth):
-        correction = duhamel_series(current, params)
-        nxt = TimeSeriesField(
-            linear.times.copy(),
-            [a + b for a, b in zip(linear.fields, correction.fields)],
-        )
-        d = max(lp_norm(a - b, 2) for a, b in zip(nxt.fields, current.fields))
+        nxt = [a + b for a, b in zip(linear, duhamel_series(current, params))]
+        d = max(lp_norm(a - b, 2) for a, b in zip(nxt, current))
         if distances and d > distances[-1] * (1.0 + 1e-12):
             growth_run += 1
         else:
@@ -368,7 +348,7 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> MildSolution:
         current = nxt
         if growth_run >= 3:
             raise NonContractionError(distances)
-    return MildSolution(params, current, picard_distances=distances)
+    return times, current, distances
 
 
 # ---------------------------------------------------------------------------

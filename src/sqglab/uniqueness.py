@@ -9,12 +9,14 @@ and for rougher dissipation a sup-in-time Besov norm combined with the
 grid max of the Riesz velocity of the low-pass block.  The ladder of
 factors over shrinking horizons is one fold over the march: the solution
 and the linear evolution step side by side with their Duhamel integrals,
-and only per-time norm parts are kept, so no series is held.  Alongside
-the factor it reads the gaps between twin runs (determinism, temporal
-order and growth of a perturbation), folded over their marches the same
-way, and the linear-semigroup continuity criterion that characterizes
-strong B^s_{p,infty} continuity at t = 0 through the vanishing of the
-weighted block-norm tail.
+and only per-time norm parts are kept, so no series is held.
+contraction_factor and difference_norm measure the same on plain lists of
+fields sampled at every step, the reference the ladder matches bit for
+bit.  Alongside the factor it reads the gaps between twin runs
+(determinism, temporal order and growth of a perturbation), folded over
+their marches the same way, and the linear-semigroup continuity criterion
+that characterizes strong B^s_{p,infty} continuity at t = 0 through the
+vanishing of the weighted block-norm tail.
 """
 
 from __future__ import annotations
@@ -27,20 +29,13 @@ import numpy as np
 from .littlewood import (
     BesovIndex,
     DyadicBank,
-    TimeSeriesField,
     band_block,
     besov_norm,
     block_norms,
     packet_profile,
     time_lr,
 )
-from .mild import (
-    MildSolution,
-    SolveParams,
-    duhamel_along,
-    duhamel_series,
-    march,
-)
+from .mild import SolveParams, duhamel_along, duhamel_series, march
 from .spectral import (
     ParameterError,
     SpectralField,
@@ -201,11 +196,9 @@ def _aggregate(parts, times, spec: ContractionNorm) -> float:
     return value
 
 
-def difference_norm(
-    series: TimeSeriesField, bank: DyadicBank, spec: ContractionNorm
-) -> float:
-    """Mixed-time contraction norm of a difference series."""
-    return _aggregate([_norm_parts(f, bank, spec) for f in series.fields], series.times, spec)
+def difference_norm(fields, times, bank: DyadicBank, spec: ContractionNorm) -> float:
+    """Mixed-time contraction norm of a difference series sampled at times."""
+    return _aggregate([_norm_parts(f, bank, spec) for f in fields], times, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -233,32 +226,29 @@ def _ratio(numerator: float, denominator: float) -> ContractionResult:
     return ContractionResult(numerator / denominator, numerator, denominator, False)
 
 
-def _as_series(x) -> TimeSeriesField:
-    if isinstance(x, MildSolution):
-        return x.series
-    if isinstance(x, TimeSeriesField):
-        return x
-    raise ParameterError("expected a time series or a solved run")
-
-
 def contraction_factor(
-    theta1,
-    theta2,
+    fields1,
+    fields2,
     params: SolveParams,
     bank: DyadicBank,
     spec: ContractionNorm | None = None,
 ) -> ContractionResult:
     """||Duhamel[theta1] - Duhamel[theta2]||_X / ||theta1 - theta2||_X.
 
-    The linear parts of the solution map cancel in the difference, so the
-    data term never enters.  Identical inputs (denominator below 1e-14)
-    return a degenerate zero rather than dividing by it.  The ratio is
-    exactly symmetric in its two arguments.
+    fields1 and fields2 sample theta1 and theta2 at every step k dt of the
+    horizon, as solve returns them.  The linear parts of the solution map
+    cancel in the difference, so the data term never enters.  Identical
+    inputs (denominator below 1e-14) return a degenerate zero rather than
+    dividing by it.  The ratio is exactly symmetric in its two arguments.
     """
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
-    s1, s2 = _as_series(theta1), _as_series(theta2)
-    image = duhamel_series(s1, params) - duhamel_series(s2, params)
-    return _ratio(difference_norm(image, bank, spec), difference_norm(s1 - s2, bank, spec))
+    times = params.dt * np.arange(params.n_steps() + 1)
+    d1, d2 = duhamel_series(fields1, params), duhamel_series(fields2, params)
+    image = [a - b for a, b in zip(d1, d2)]
+    gap = [a - b for a, b in zip(fields1, fields2)]
+    return _ratio(
+        difference_norm(image, times, bank, spec), difference_norm(gap, times, bank, spec)
+    )
 
 
 def contraction_ladder(

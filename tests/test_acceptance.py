@@ -35,7 +35,7 @@ from sqglab.lab import (
     verify_duhamel_bound,
 )
 from sqglab.littlewood import block, build_bank
-from sqglab.mild import SolveParams, divergence_form_check, solve
+from sqglab.mild import SolveParams, divergence_form_check, picard_solve, solve
 from sqglab.spectral import (
     fractional_laplacian,
     lp_norm,
@@ -246,8 +246,7 @@ def test_criterion_6_maximum_principle():
     theta0 = smooth_profile(grid)
     for alpha in (1.0, 1.5, 2.0):
         params = SolveParams(alpha=alpha, n=128, t_final=0.5, dt=0.0025)
-        solution = solve(theta0, params)
-        fields = solution.series.fields
+        _, fields = solve(theta0, params)
         for p in (2.0, 4.0, math.inf):
             norms = [lp_norm(f, p) for f in fields]
             for before, after in zip(norms, norms[1:]):
@@ -304,13 +303,10 @@ def test_criterion_8_contraction_uniqueness():
         assert factors[0] < 1.0  # T = 0.05
 
         twin_params = SolveParams(alpha=alpha, n=128, t_final=0.1, dt=0.005)
-        run, rerun = solve(theta0, twin_params), solve(theta0, twin_params)
-        for fa, fb in zip(run.series.fields, rerun.series.fields):
+        (_, run), (_, rerun) = solve(theta0, twin_params), solve(theta0, twin_params)
+        for fa, fb in zip(run, rerun):
             assert np.array_equal(fa.coef, fb.coef)
-        gaps = [
-            instant_norm(fa - fb, bank, spec)
-            for fa, fb in zip(run.series.fields, rerun.series.fields)
-        ]
+        gaps = [instant_norm(fa - fb, bank, spec) for fa, fb in zip(run, rerun)]
         assert max(gaps) == 0.0
 
         identical_gap, order, _ = twin_experiments(theta0, twin_params, bank, spec)
@@ -331,3 +327,23 @@ def test_criterion_9_duhamel_scaling():
         target = min(1.0, 1.0 / (2.0 * alpha))
         assert abs(report.params["slope"] - target) <= 0.2
     _passed(9, "Duhamel smoothing scaling", t0, 120.0)
+
+
+def test_criterion_10_march_is_the_mild_solution():
+    """The ETD2 march converges to the Picard fixed point at order 2 +- 0.2."""
+    t0 = time.perf_counter()
+    grid = shared_grid(64, TWO_PI)
+    theta0 = smooth_profile(grid, 0.5)
+    for alpha in (2.0, 1.5, 1.25, 1.0, 0.75):
+        gaps = []
+        for dt in (0.01, 0.005, 0.0025):
+            params = SolveParams(alpha=alpha, n=64, t_final=0.1, dt=dt, picard_depth=8)
+            _, fixed_point, distances = picard_solve(theta0, params)
+            assert distances[-1] <= 1e-10
+            _, marched = solve(theta0, params)
+            # sup-in-time L^2 gap, relative to the sup-in-time L^2 norm
+            gap = max(lp_norm(a - b, 2.0) for a, b in zip(fixed_point, marched))
+            gaps.append(gap / max(lp_norm(b, 2.0) for b in marched))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert abs(math.log2(coarse / fine) - 2.0) <= 0.2
+    _passed(10, "march is the mild solution", t0, 60.0)

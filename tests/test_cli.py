@@ -21,6 +21,8 @@ import sqglab.cli
 import sqglab.mild
 import sqglab.uniqueness
 from sqglab.cli import (
+    _ALL_KEYS,
+    _KEY_TYPES,
     UNIQUENESS_CASES,
     RunConfig,
     build_config,
@@ -262,6 +264,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("parameter error: ")
         assert "unknown key" in err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe n = 32\n")
+        assert run_cli_quietly("solve", "--config", str(cfg), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"parameter error: cannot read config file {cfg}: " + (
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
         "argv, config_text",
@@ -780,6 +792,55 @@ def cli_runs(draw):
     return argv + [_flag(key, v) for key, v in flags.items() if v is not None]
 
 
+def _parses(kind, text) -> bool:
+    try:
+        kind(text.strip())
+    except ValueError:
+        return False
+    return True
+
+
+# one line of text, in any characters but the line breaks
+_LINE = st.text(st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)))
+_TYPED_KEYS = sorted(key for key in _ALL_KEYS if _KEY_TYPES[key] is not str)
+# lines that no run may end in a traceback on: unknown keys, lines without
+# "=" and known keys whose value has the wrong type; none can ask for a
+# bigger grid, more steps or more threads
+_BAD_CONFIG_LINES = (
+    st.from_regex(r"[a-z_]{1,8}", fullmatch=True)
+    .filter(lambda key: key not in _ALL_KEYS)
+    .map(lambda key: f"{key} = 1".encode())
+    | _LINE.filter(lambda line: "=" not in line).map(str.encode)
+    | st.sampled_from(_TYPED_KEYS).flatmap(
+        lambda key: _LINE.filter(lambda raw: not _parses(_KEY_TYPES[key], raw))
+        .map(lambda raw: f"{key} = {raw}".encode())
+    )
+)
+# and random bytes, most of them not UTF-8; with no "=" they set no key
+_RANDOM_BYTES = st.binary(min_size=1, max_size=12).filter(lambda raw: b"=" not in raw)
+
+
+@st.composite
+def config_runs(draw):
+    """argv of one short CLI run and the bytes of its --config file: some of
+    the run's flags moved into the file, some of them twice, perhaps once
+    more with another usual value, mixed with bad lines and random bytes."""
+    argv = draw(cli_runs())
+    flags = [a for a in argv if a.startswith("--")]
+    moved = draw(st.lists(st.sampled_from(flags), unique=True)) if flags else []
+    lines = [flag[2:].replace("=", " = ", 1).encode() for flag in moved]
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=2))
+    for flag in moved:
+        key = flag[2:].partition("=")[0]
+        if key in _FUZZ_VALUES and draw(st.booleans()):
+            lines.append(_flag(key, draw(_FUZZ_VALUES[key]))[2:].encode())
+    lines += draw(st.lists(_BAD_CONFIG_LINES, max_size=1))
+    lines += draw(st.lists(_RANDOM_BYTES, max_size=1))
+    text = b"\n".join(draw(st.permutations(lines)))
+    return [a for a in argv if a not in moved], text
+
+
 class TestFuzz:
     @settings(
         max_examples=150,
@@ -791,4 +852,17 @@ class TestFuzz:
         # a traceback or an escaping warning fails here; exit 1 is a
         # parameter error, exit 2 a failed verdict or a blow-up
         assert run_cli(*argv, "--out", str(tmp_path)) in (0, 1, 2)
+        capsys.readouterr()
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(run=config_runs())
+    def test_any_config_file_exits_cleanly(self, tmp_path, capsys, run):
+        argv, text = run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        assert run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path)) in (0, 1, 2)
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Tests for the dyadic partition, Besov norms, and time-mixed norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from conftest import ball_limited_field, pure_mode, random_field, rel_err
 from sqglab.littlewood import (
     BesovIndex,
     DyadicBank,
-    TimeSeriesField,
     annulus_profile,
     band_block,
     besov_norm,
@@ -235,6 +235,31 @@ class TestEmptyLevels:
         want += [lp_norm(block(f, bank, j), p) for j in occupied[1:]]
         assert list(norms[occupied]) == want
 
+    def test_bank_holds_only_its_occupied_levels(self):
+        # at box 1e-272 an n = 128 bank has 911 levels and 7 of them hold a
+        # lattice point; a symbol per level would hold 912 n^2 floats
+        grid = Grid2(128, box_length=1e-272)
+        tracemalloc.start()
+        try:
+            bank = build_bank(grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert bank.j_max == 911
+        assert sum(band is not None for band in bank.bands) == 7
+        assert held <= 24 * 128**2 * 8
+
+    def test_shared_empty_symbol_changes_no_value(self):
+        # the same bits as a bank that keeps the sampled symbol of every level
+        bank = build_bank(Grid2(32, box_length=1e-272))
+        sampled = build_bank(bank.grid)
+        sampled.phi_hat = [annulus_profile(j, bank.grid.kabs) for j in bank.levels()]
+        assert bank.partition_residual() == sampled.partition_residual()
+        f = random_field(bank.grid, np.random.default_rng(7))
+        for p in (1.0, 2.0, 4.0, math.inf):
+            got, want = block_norms(f, bank, p), block_norms(f, sampled, p)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestBesovNorm:
     def test_index_validation(self):
@@ -324,7 +349,7 @@ class TestTimeNorms:
         times = np.sort(rng.uniform(0.0, 1.0, n_times))
         times += np.arange(n_times) * 1e-6  # enforce strict increase
         fields = [random_field(grid, rng) * rng.uniform(0.2, 2.0) for _ in times]
-        return TimeSeriesField(times, fields)
+        return times, fields
 
     def test_time_lr_constant_closed_form(self):
         times = np.linspace(0.0, 2.0, 9)
@@ -337,49 +362,15 @@ class TestTimeNorms:
         with pytest.raises(ParameterError):
             time_lr([1.0], [0.0], 0.5)
 
-    def test_series_validation(self):
-        grid = Grid2(32)
-        f = random_field(grid, RNG)
-        with pytest.raises(ParameterError):
-            TimeSeriesField([0.0, 0.0], [f, f])
-        with pytest.raises(ParameterError):
-            TimeSeriesField([0.0, 1.0], [f])
-        with pytest.raises(ParameterError):
-            TimeSeriesField([], [])
-        g = random_field(Grid2(64), RNG)
-        with pytest.raises(ParameterError):
-            TimeSeriesField([0.0, 1.0], [f, g])
-
-    def test_slice_until(self):
-        grid = Grid2(32)
-        times = np.linspace(0.0, 1.0, 11)
-        fields = [random_field(grid, RNG) for _ in times]
-        series = TimeSeriesField(times, fields)
-        assert len(series.slice_until(0.3)) == 4
-        assert len(series.slice_until(1.0)) == 11
-        with pytest.raises(ParameterError):
-            series.slice_until(-0.5)
-
-    def test_series_subtraction(self):
-        rng = np.random.default_rng(3)
-        a = self._series(rng)
-        b = TimeSeriesField(a.times, [f * 0.5 for f in a.fields])
-        d = a - b
-        for f, g in zip(d.fields, a.fields):
-            assert np.abs(f.coef - 0.5 * g.coef).max() < 1e-15
-        c = self._series(rng)
-        with pytest.raises(ParameterError):
-            a - c
-
     def test_minkowski_direction_rowwise(self):
         # l^q over blocks of L^r in time <= L^r in time of l^q over blocks,
         # exactly as stated, whenever r <= q
         rng = np.random.default_rng(5)
         idx_weights = None
         for trial in range(50):
-            series = self._series(rng)
-            bank = build_bank(series.grid)
-            mat = series_block_norms(series, bank, 2.0)
+            times, fields = self._series(rng)
+            bank = build_bank(fields[0].grid)
+            mat = series_block_norms(fields, bank, 2.0)
             if idx_weights is None:
                 idx_weights = np.concatenate(
                     [[1.0], 2.0 ** (-0.5 * np.arange(1, bank.j_max + 1))]
@@ -387,12 +378,12 @@ class TestTimeNorms:
             weighted = idx_weights[:, None] * mat
             for r, q in [(1.0, 2.0), (2.0, 2.0), (2.0, 4.0), (1.0, math.inf)]:
                 time_first = lq_sum(
-                    [time_lr(weighted[j], series.times, r) for j in range(len(weighted))],
+                    [time_lr(weighted[j], times, r) for j in range(len(weighted))],
                     q,
                 )
                 block_first = time_lr(
                     [lq_sum(weighted[:, c], q) for c in range(weighted.shape[1])],
-                    series.times,
+                    times,
                     r,
                 )
                 assert time_first <= block_first * (1 + 1e-12)
@@ -402,28 +393,28 @@ class TestTimeNorms:
         # the rowwise Minkowski inequality
         rng = np.random.default_rng(9)
         for trial in range(10):
-            series = self._series(rng)
-            bank = build_bank(series.grid)
+            times, fields = self._series(rng)
+            bank = build_bank(fields[0].grid)
             for r, q in [(1.0, 2.0), (2.0, 2.0), (2.0, math.inf)]:
                 idx = BesovIndex(-0.5, 2.0, q)
-                cl = chemin_lerner_norm(series, bank, idx, r)
-                lb = besov_time_norm(series, bank, idx, r)
+                cl = chemin_lerner_norm(fields, times, bank, idx, r)
+                lb = besov_time_norm(fields, times, bank, idx, r)
                 assert cl <= 2.0 * lb * (1 + 1e-12)
 
     def test_sup_in_time_matches_max_sample(self):
         rng = np.random.default_rng(17)
-        series = self._series(rng)
-        bank = build_bank(series.grid)
+        times, fields = self._series(rng)
+        bank = build_bank(fields[0].grid)
         idx = BesovIndex(0.0, 2.0, 2.0)
-        vals = [besov_norm(f, bank, idx) for f in series.fields]
-        assert rel_err(besov_time_norm(series, bank, idx, math.inf), max(vals)) < 1e-12
+        vals = [besov_norm(f, bank, idx) for f in fields]
+        assert rel_err(besov_time_norm(fields, times, bank, idx, math.inf), max(vals)) < 1e-12
 
     def test_block_norm_matrix_consistency(self):
         rng = np.random.default_rng(21)
-        series = self._series(rng, n_times=3)
-        bank = build_bank(series.grid)
-        mat = series_block_norms(series, bank, 2.0)
-        for c, f in enumerate(series.fields):
+        times, fields = self._series(rng, n_times=3)
+        bank = build_bank(fields[0].grid)
+        mat = series_block_norms(fields, bank, 2.0)
+        for c, f in enumerate(fields):
             col = block_norms(f, bank, 2.0)
             assert np.abs(mat[:, c] - col).max() < 1e-15 * max(col.max(), 1.0)
 

@@ -18,7 +18,7 @@ import sqglab.mild
 from conftest import random_field, smooth_profile
 from sqglab.cli import main
 from sqglab.littlewood import build_bank
-from sqglab.mild import SolveParams, linear_solution_series, march, picard_solve, solve
+from sqglab.mild import SolveParams, march, picard_solve, solve
 from sqglab.spectral import ParameterError, SpectralField, dealiased_advection, shared_grid
 from sqglab.uniqueness import contraction_ladder
 
@@ -63,9 +63,9 @@ class TestMarch:
     def test_solve_keeps_every_step(self, grid64):
         theta0 = smooth_profile(grid64)
         steps = list(march(theta0, PARAMS))
-        sol = solve(theta0, PARAMS)
-        assert list(sol.series.times) == [t for t, _, _ in steps]
-        for f, (_, coef, _) in zip(sol.series.fields, steps):
+        times, fields = solve(theta0, PARAMS)
+        assert list(times) == [t for t, _, _ in steps]
+        for f, (_, coef, _) in zip(fields, steps):
             assert np.array_equal(f.coef, coef)
 
     def test_checks_run_on_entry(self, grid64):
@@ -84,9 +84,11 @@ class TestRealDataMustBeHermitian:
     def test_march_solve_and_picard_reject_it(self, grid64):
         theta0 = self.single_sided_mode(grid64)
         assert theta0.conjugate_symmetry_defect() > 1e-12
-        for run in (march, solve, linear_solution_series, picard_solve):
+        linear = replace(PARAMS, nonlinear=False)
+        runs = ((march, PARAMS), (solve, PARAMS), (solve, linear), (picard_solve, PARAMS))
+        for run, params in runs:
             with pytest.raises(ParameterError, match="conjugate-symmetric"):
-                run(theta0, PARAMS)
+                run(theta0, params)
 
 
 class TestLadderReusesTheStepper:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from conftest import ball_limited_field, pure_mode, rel_err, smooth_profile
 from sqglab.littlewood import (
     BesovIndex,
-    TimeSeriesField,
     besov_norm,
     build_bank,
     s_partial,
@@ -27,7 +26,7 @@ from sqglab.littlewood import (
 from sqglab.mild import (
     BlowUpError,
     SolveParams,
-    linear_solution_series,
+    march,
     picard_solve,
     solve,
 )
@@ -240,13 +239,13 @@ class TestNormEvaluators:
 
     def test_difference_norm_zero_series(self, grid128, bank128):
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
-        series = TimeSeriesField([0.0, 0.1, 0.2], [zero, zero, zero])
-        assert difference_norm(series, bank128, contraction_norm_spec(1.5)) == 0.0
+        times, fields = [0.0, 0.1, 0.2], [zero, zero, zero]
+        assert difference_norm(fields, times, bank128, contraction_norm_spec(1.5)) == 0.0
 
     def test_difference_norm_includes_riesz_sup(self, grid128, bank128):
         f = pure_mode(grid128, 1, 0)
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
-        series = TimeSeriesField([0.0, 0.1], [zero, f])
+        times, fields = [0.0, 0.1], [zero, f]
         spec = contraction_norm_spec(1.5)
         base = ContractionNorm(
             index=spec.index,
@@ -254,8 +253,8 @@ class TestNormEvaluators:
             riesz_low=False,
             data_index=spec.data_index,
         )
-        gap = difference_norm(series, bank128, spec) - difference_norm(
-            series, bank128, base
+        gap = difference_norm(fields, times, bank128, spec) - difference_norm(
+            fields, times, bank128, base
         )
         assert rel_err(gap, riesz_low_max(f, bank128)) < 1e-12
 
@@ -281,31 +280,35 @@ class TestContractionFactor:
 
     def test_identical_inputs_degenerate(self, theta0, bank128):
         params = SolveParams(alpha=2.0, n=128, t_final=0.05, dt=0.0025)
-        series = linear_solution_series(theta0, params)
+        _, series = solve(theta0, replace(params, nonlinear=False))
         res = contraction_factor(series, series, params, bank128)
         assert res.factor == 0.0
         assert res.degenerate is True
 
     def test_relabeling_invariance(self, theta0, bank128):
         params = SolveParams(alpha=2.0, n=128, t_final=0.05, dt=0.0025)
-        sol = solve(theta0, params)
-        lin = linear_solution_series(theta0, params)
-        ab = contraction_factor(sol.series, lin, params, bank128)
-        ba = contraction_factor(lin, sol.series, params, bank128)
+        _, sol = solve(theta0, params)
+        _, lin = solve(theta0, replace(params, nonlinear=False))
+        ab = contraction_factor(sol, lin, params, bank128)
+        ba = contraction_factor(lin, sol, params, bank128)
         assert ab.factor == ba.factor
 
     def test_accepts_solution_objects(self, theta0, bank128):
+        # the fields solve returns are the march's own states
         params = SolveParams(alpha=2.0, n=128, t_final=0.05, dt=0.0025)
-        sol = solve(theta0, params)
-        lin = linear_solution_series(theta0, params)
+        _, sol = solve(theta0, params)
+        _, lin = solve(theta0, replace(params, nonlinear=False))
+        marched = [SpectralField(theta0.grid, c, theta0.real) for _, c, _ in march(theta0, params)]
         via_solution = contraction_factor(sol, lin, params, bank128)
-        via_series = contraction_factor(sol.series, lin, params, bank128)
+        via_series = contraction_factor(marched, lin, params, bank128)
         assert via_solution.factor == via_series.factor
 
     def test_rejects_non_series(self, theta0, bank128):
+        # a list that misses a step of the horizon is not its series
         params = SolveParams(alpha=2.0, n=128, t_final=0.05, dt=0.0025)
+        _, lin = solve(theta0, replace(params, nonlinear=False))
         with pytest.raises(ParameterError):
-            contraction_factor(3.0, linear_solution_series(theta0, params), params, bank128)
+            contraction_factor(lin[:-1], lin, params, bank128)
 
     def test_ladder_horizon_validation(self, theta0, bank128):
         params = SolveParams(alpha=2.0, n=128, t_final=0.4, dt=0.0025)
@@ -316,29 +319,27 @@ class TestContractionFactor:
 
 
 def twin_gaps(a, b, bank, spec, k=1):
-    """Contraction quantity of a(t) - b(t) at the samples of a; b is a run
-    at dt/k, so its every k-th sample shares a time with a."""
-    fine = b.series.fields[::k]
-    assert len(fine) == len(a.series)
-    return np.array([instant_norm(fa - fb, bank, spec) for fa, fb in zip(a.series.fields, fine)])
+    """Contraction quantity of a(t) - b(t) at the samples of a; a and b are
+    the fields of two runs, b at dt/k, so its every k-th sample shares a
+    time with a."""
+    fine = b[::k]
+    assert len(fine) == len(a)
+    return np.array([instant_norm(fa - fb, bank, spec) for fa, fb in zip(a, fine)])
 
 
 class TestTwinRuns:
     def test_identical_twins_bitwise_zero(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
-        run, rerun = solve(theta0, params), solve(theta0, params)
+        (_, run), (_, rerun) = solve(theta0, params), solve(theta0, params)
         gaps = twin_gaps(run, rerun, bank128, contraction_norm_spec(1.5))
         assert gaps.max() == 0.0
-        assert all(
-            float(np.abs((a - b).coef).max()) == 0.0
-            for a, b in zip(run.series.fields, rerun.series.fields)
-        )
+        assert all(float(np.abs((a - b).coef).max()) == 0.0 for a, b in zip(run, rerun))
 
     def test_dt_twin_initial_zero_and_frozen_gap(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
         gaps = twin_gaps(
-            solve(theta0, params),
-            solve(theta0, replace(params, dt=params.dt / 2)),
+            solve(theta0, params)[1],
+            solve(theta0, replace(params, dt=params.dt / 2))[1],
             bank128,
             contraction_norm_spec(1.5),
             k=2,
@@ -365,7 +366,7 @@ class TestTwinRuns:
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
         spec = contraction_norm_spec(1.5)
         perturbed = perturbed_datum(theta0, bank128, spec)
-        gaps = twin_gaps(solve(theta0, params), solve(perturbed, params), bank128, spec)
+        gaps = twin_gaps(solve(theta0, params)[1], solve(perturbed, params)[1], bank128, spec)
         amplification = gaps[-1] / DELTA
         assert rel_err(gaps[0], 1e-6) < 1e-9
         assert rel_err(amplification, 0.6578424621578169) < RTOL
@@ -375,8 +376,8 @@ class TestTwinRuns:
         params = SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005)
         deeper = replace(params, picard_depth=params.picard_depth + 2)
         gaps = twin_gaps(
-            picard_solve(theta0, params),
-            picard_solve(theta0, deeper),
+            picard_solve(theta0, params)[1],
+            picard_solve(theta0, deeper)[1],
             bank128,
             contraction_norm_spec(1.5),
         )
@@ -515,22 +516,21 @@ class TestContinuityCriterion:
             continuity_criterion_test(lambda j: 1.0, bank512, self.S, self.P, 2.5)
 
 
-def nonlinear_smallness(solution, bank, idx):
+def nonlinear_smallness(times, fields, alpha, bank, idx):
     """Running sup of || theta - exp(-t Lambda^alpha) theta0 || over [0, T].
 
-    Returns the positive sample times and the running sup of the Besov
-    distance to the bare semigroup evolution; read toward shrinking T
-    the curve is monotone and vanishes for a genuinely mild solution.
+    Takes a run of dissipation alpha as solve returns it.  Returns the
+    positive sample times and the running sup of the Besov distance to
+    the bare semigroup evolution; read toward shrinking T the curve is
+    monotone and vanishes for a genuinely mild solution.
     """
-    series = solution.series
-    theta0 = series[0]
-    alpha = solution.params.alpha
+    theta0 = fields[0]
     sups, running = [], 0.0
-    for t, f in zip(series.times[1:], series.fields[1:]):
+    for t, f in zip(times[1:], fields[1:]):
         gap = besov_norm(f - semigroup_apply(theta0, alpha, float(t)), bank, idx)
         running = max(running, gap)
         sups.append(running)
-    return series.times[1:].copy(), np.array(sups)
+    return times[1:].copy(), np.array(sups)
 
 
 class TestNonlinearSmallness:
@@ -538,7 +538,7 @@ class TestNonlinearSmallness:
 
     def test_frozen_curve_and_small_ratio(self, theta0, bank128):
         sol = solve(theta0, SolveParams(alpha=1.5, n=128, t_final=0.2, dt=0.00125))
-        times, sups = nonlinear_smallness(sol, bank128, self.IDX)
+        times, sups = nonlinear_smallness(*sol, 1.5, bank128, self.IDX)
         assert times[0] > 0.0
         assert rel_err(sups[0], 6.47997481943769e-7) < RTOL
         assert rel_err(sups[-1], 1.428025627522591e-5) < RTOL
@@ -546,7 +546,7 @@ class TestNonlinearSmallness:
 
     def test_running_sup_monotone(self, theta0, bank128):
         sol = solve(theta0, SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005))
-        _, sups = nonlinear_smallness(sol, bank128, self.IDX)
+        _, sups = nonlinear_smallness(*sol, 1.5, bank128, self.IDX)
         assert np.all(np.diff(sups) >= 0.0)
 
     def test_linear_run_vanishes(self, theta0, bank128):
@@ -554,11 +554,11 @@ class TestNonlinearSmallness:
             theta0,
             SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005, nonlinear=False),
         )
-        _, sups = nonlinear_smallness(sol, bank128, self.IDX)
+        _, sups = nonlinear_smallness(*sol, 1.5, bank128, self.IDX)
         assert sups.max() < 1e-14
 
     def test_zero_data_vanishes(self, grid128, bank128):
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
         sol = solve(zero, SolveParams(alpha=1.5, n=128, t_final=0.1, dt=0.005))
-        _, sups = nonlinear_smallness(sol, bank128, self.IDX)
+        _, sups = nonlinear_smallness(*sol, 1.5, bank128, self.IDX)
         assert sups.max() == 0.0
