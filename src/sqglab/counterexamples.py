@@ -16,7 +16,11 @@ bump supports, in coordinates translated to each bump center, so the
 centers 2^n never enter a grid resolution budget.  Because every integrand
 is smooth and compactly supported inside the quadrature box, the tensor
 midpoint rule converges superalgebraically; a Richardson comparison
-between two node counts guards every returned value.
+between two node counts guards every returned value.  The costly part,
+the bump self-correlation and its chi(w + v) coupling, depends on the
+node count alone: it is computed once per node count (the correlation is
+memoized, the coupling is built once per chunk for all terms), and each
+term still sums its chunks in the same order, so no value changes.
 
 Scale conventions: bump-norm units (the L^p norm of a single bump is the
 unit), and pairing values drop the overall factor i of the derivative
@@ -25,6 +29,7 @@ symbol, matching the real lower bounds they are compared against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,16 +179,34 @@ def _bump_nodes(m: int):
     return w1, w2, chi, h * h
 
 
+def _couplings(w1: np.ndarray, w2: np.ndarray, chunk: int):
+    """Yield (rows, chi(w + v)) over consecutive chunks of w nodes.
+
+    The coupling of the test-function weight depends on the node count
+    alone, so every caller builds each chunk once and applies it to all
+    of its terms before moving on.  The node sums are temporaries, so a
+    suspended generator holds no chunk-sized array.
+    """
+    for start in range(0, w1.size, chunk):
+        rows = slice(start, min(start + chunk, w1.size))
+        yield rows, bump_profile(
+            np.hypot(w1[rows, None] + w1[None, :], w2[rows, None] + w2[None, :])
+        )
+
+
+@functools.lru_cache(maxsize=4)
 def _self_correlation(m: int, chunk: int = 512):
-    """C(w) = int chi(v) chi(w + v) dv on the midpoint nodes, plus nodes."""
+    """C(w) = int chi(v) chi(w + v) dv on the midpoint nodes, plus nodes.
+
+    The O(m^4) sum depends on m alone: it is computed once per node count
+    and shared, so the returned arrays are read-only.
+    """
     w1, w2, chi, da = _bump_nodes(m)
-    npts = w1.size
-    corr = np.empty(npts)
-    for start in range(0, npts, chunk):
-        stop = min(start + chunk, npts)
-        s1 = w1[start:stop, None] + w1[None, :]
-        s2 = w2[start:stop, None] + w2[None, :]
-        corr[start:stop] = (bump_profile(np.hypot(s1, s2)) * chi[None, :]).sum(axis=1) * da
+    corr = np.empty(w1.size)
+    for rows, coupling in _couplings(w1, w2, chunk):
+        corr[rows] = (coupling * chi[None, :]).sum(axis=1) * da
+    for a in (w1, w2, chi, corr):
+        a.flags.writeable = False
     return w1, w2, chi, da, corr
 
 
@@ -312,31 +335,27 @@ def pairing_filter_decomposition(
     telescope to 1 on the bump supports.
     """
     _check_a1_pair(f, g)
-    w1, w2, chi, da, corr_unused = _self_correlation(m)
-    x1, x2, chiv, dav = _bump_nodes(m)
+    w1, w2, chi, da = _bump_nodes(m)
+    terms = range(1, f.n_terms + 1)
+    left, right = {}, {}
+    for i in terms:
+        cc = 2.0**i
+        rad_f = np.hypot(cc + w1, w2)
+        rad_g = np.hypot(cc - w1, w2)
+        kern = _kernel_plus(i, w1, w2)
+        for d in (0, 1):
+            left[d, i] = kern * annulus_profile(i + d, rad_f) * chi * da
+            right[d, i] = annulus_profile(i + d, rad_g) * chi * da
+    # couple through chi(w + v), chunked over w nodes; each (offset, term)
+    # sums its chunks in order
+    acc = {(dk, dl, i): 0.0 for dk in (0, 1) for dl in (0, 1) for i in terms}
+    for rows, coupling in _couplings(w1, w2, 256):
+        for dk, dl, i in acc:
+            acc[dk, dl, i] += float(left[dk, i][rows] @ coupling @ right[dl, i])
+    c = f.coefficients()
     out: dict[tuple[int, int], float] = {}
-    for dk in (0, 1):
-        for dl in (0, 1):
-            total = 0.0
-            for i, c in enumerate(f.coefficients(), start=1):
-                cc = 2.0**i
-                rad_f = np.hypot(cc + w1, w2)
-                rad_g = np.hypot(cc - x1, x2)
-                filt_f = annulus_profile(i + dk, rad_f)
-                filt_g = annulus_profile(i + dl, rad_g)
-                kern = _kernel_plus(i, w1, w2)
-                left = kern * filt_f * chi * da
-                right = filt_g * chiv * dav
-                # couple through chi(w + v), chunked over w nodes
-                acc = 0.0
-                for start in range(0, w1.size, 256):
-                    stop = min(start + 256, w1.size)
-                    s1 = w1[start:stop, None] + x1[None, :]
-                    s2 = w2[start:stop, None] + x2[None, :]
-                    coupling = bump_profile(np.hypot(s1, s2))
-                    acc += float(left[start:stop] @ coupling @ right)
-                total += c * c * acc
-            out[(dk, dl)] = total
+    for (dk, dl, i), a in acc.items():
+        out[dk, dl] = out.get((dk, dl), 0.0) + c[i - 1] * c[i - 1] * a
     return out
 
 
@@ -349,20 +368,17 @@ def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.nd
     """
     _check_a1_pair(f, g)
     w1, w2, chi, da = _bump_nodes(m)
-    out = np.empty(f.n_terms)
-    for i, c in enumerate(f.coefficients(), start=1):
-        ka = _kernel_plus(i, w1, w2)
-        acc = 0.0
-        for start in range(0, w1.size, 256):
-            stop = min(start + 256, w1.size)
-            s1 = w1[start:stop, None] + w1[None, :]
-            s2 = w2[start:stop, None] + w2[None, :]
-            coupling = bump_profile(np.hypot(s1, s2))
-            kb = _kernel_minus(i, w1, w2)
-            diff = np.abs(ka[start:stop, None] - kb[None, :])
-            acc += float((chi[start:stop] * da) @ ((diff * coupling) @ (chi * da)))
-        out[i - 1] = c * c * acc
-    return out
+    terms = range(1, f.n_terms + 1)
+    ka = [_kernel_plus(i, w1, w2) for i in terms]
+    kb = [_kernel_minus(i, w1, w2) for i in terms]
+    weight = chi * da
+    acc = [0.0] * f.n_terms
+    for rows, coupling in _couplings(w1, w2, 256):
+        for t in range(f.n_terms):
+            diff = np.abs(ka[t][rows, None] - kb[t][None, :])
+            acc[t] += float(weight[rows] @ ((diff * coupling) @ weight))
+    c = f.coefficients()
+    return c * c * np.array(acc)
 
 
 def prop_a3_product_norm(

@@ -77,7 +77,9 @@ class DyadicBank:
     bands[j] is the largest |m1| on which the level-j symbol (0 for psi)
     is nonzero, or None when it vanishes on the whole lattice.  Every such
     empty level shares one read-only zero symbol, so the bank holds
-    memory for its occupied levels only, however deep it is.
+    memory for its occupied levels only, however deep it is.  A level
+    whose outer edge (4/3) 2^j lies below the smallest nonzero |k| is
+    known to be empty and is not sampled at all.
     """
 
     def __init__(self, grid: Grid2, j_max: int):
@@ -86,16 +88,21 @@ class DyadicBank:
         r = grid.kabs
         self.psi_hat = lowpass_profile(r)
         empty = np.broadcast_to(0.0, r.shape)  # read-only, holds one float
+        # r[0, 1] is the smallest nonzero |k|; the margin keeps a level
+        # whose edge rounds onto the lattice among the sampled ones
+        k_min = r[0, 1]
         self.phi_hat = []
         for j in range(1, self.j_max + 1):
+            if _EDGE * 2.0**j * (1.0 + 1e-9) < k_min:
+                self.phi_hat.append(empty)
+                continue
             sym = annulus_profile(j, r)
             self.phi_hat.append(sym if sym.any() else empty)
         self.admissible = r <= _PLATEAU * 2.0**self.j_max
         m1 = np.abs(grid.index1[:, 0])
         self.bands = []
         for sym in (self.psi_hat, *self.phi_hat):
-            rows = sym.any(axis=1)
-            self.bands.append(int(m1[rows].max()) if rows.any() else None)
+            self.bands.append(None if sym is empty else int(m1[sym.any(axis=1)].max()))
 
     def partition_residual(self) -> float:
         """max |psi + sum_j phi_j - 1| over admissible lattice frequencies."""

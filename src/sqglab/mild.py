@@ -174,6 +174,8 @@ class _EtdTableau:
         self.semigroup = np.exp(z)
         self.phi1_dt = dt * _phi1(z)
         self.phi2_dt = dt * _phi2(z)
+        for a in (self.semigroup, self.phi1_dt, self.phi2_dt):
+            a.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=16)

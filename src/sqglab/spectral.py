@@ -94,6 +94,9 @@ class Grid2:
         self.dealias_keep = (np.abs(self.index1) <= m_cut) & (np.abs(self.index2) <= m_cut)
         self.dealias_cutoff = unit * (n / 3.0)
         self.cell_area = (box_length / n) ** 2
+        # shared_grid and the symbol caches hand one grid to every caller
+        for a in (self.k1, self.k2, self.kabs, self.dealias_keep):
+            a.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,12 +1,15 @@
 """Tests for the frequency-bump divergence constructions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqglab import counterexamples
+from sqglab.cli import main
 from sqglab.counterexamples import (
     BUMP_PLATEAU,
     BUMP_SUPPORT,
@@ -21,6 +24,7 @@ from sqglab.counterexamples import (
     prop_a3_product_norm,
     symmetrized_magnitude_series,
 )
+from sqglab.littlewood import annulus_profile
 from sqglab.spectral import Grid2, ParameterError
 
 
@@ -244,6 +248,117 @@ class TestSymmetrizedPairing:
         mags = symmetrized_magnitude_series(f, g, m=24)
         ratios = mags[1:] / mags[:-1]
         assert np.all(ratios < 0.5)
+
+
+def reference_magnitude_series(f, g, m):
+    """symmetrized_magnitude_series as a term-outer loop that rebuilds the
+    chi(w + v) coupling of every chunk for every term."""
+    w1, w2, chi, da = counterexamples._bump_nodes(m)
+    out = np.empty(f.n_terms)
+    for i, c in enumerate(f.coefficients(), start=1):
+        ka = counterexamples._kernel_plus(i, w1, w2)
+        acc = 0.0
+        for start in range(0, w1.size, 256):
+            stop = min(start + 256, w1.size)
+            s1 = w1[start:stop, None] + w1[None, :]
+            s2 = w2[start:stop, None] + w2[None, :]
+            coupling = bump_profile(np.hypot(s1, s2))
+            kb = counterexamples._kernel_minus(i, w1, w2)
+            diff = np.abs(ka[start:stop, None] - kb[None, :])
+            acc += float((chi[start:stop] * da) @ ((diff * coupling) @ (chi * da)))
+        out[i - 1] = c * c * acc
+    return out
+
+
+def reference_filter_decomposition(f, g, m):
+    """pairing_filter_decomposition with the coupling rebuilt per (offset, term)."""
+    w1, w2, chi, da = counterexamples._bump_nodes(m)
+    out = {}
+    for dk in (0, 1):
+        for dl in (0, 1):
+            total = 0.0
+            for i, c in enumerate(f.coefficients(), start=1):
+                cc = 2.0**i
+                filt_f = annulus_profile(i + dk, np.hypot(cc + w1, w2))
+                filt_g = annulus_profile(i + dl, np.hypot(cc - w1, w2))
+                left = counterexamples._kernel_plus(i, w1, w2) * filt_f * chi * da
+                right = filt_g * chi * da
+                acc = 0.0
+                for start in range(0, w1.size, 256):
+                    stop = min(start + 256, w1.size)
+                    s1 = w1[start:stop, None] + w1[None, :]
+                    s2 = w2[start:stop, None] + w2[None, :]
+                    acc += float(left[start:stop] @ bump_profile(np.hypot(s1, s2)) @ right)
+                total += c * c * acc
+            out[(dk, dl)] = total
+    return out
+
+
+class TestSharedCoupling:
+    """The self-correlation is computed once per node count and shared."""
+
+    def test_default_a1_run_computes_two_node_counts(self, tmp_path):
+        counterexamples._self_correlation.cache_clear()
+        assert main(["counterexample", "a1", "--out", str(tmp_path)]) == 0
+        info = counterexamples._self_correlation.cache_info()
+        assert info.misses == 2
+        assert info.hits > 0
+
+    def test_cached_arrays_are_read_only(self):
+        w1, w2, chi, _, corr = counterexamples._self_correlation(16)
+        for a in (w1, w2, chi, corr):
+            before = a.copy()
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+            assert np.array_equal(a, before)
+
+    def test_correlation_peak_memory(self):
+        # one chunk of the coupling is 512 x 1024 floats at m = 32; the sum
+        # peaks near 5.8 chunks, and reads 6.8 or more when the node sums
+        # w + v of a chunk outlive the coupling built from them
+        tracemalloc.start()
+        try:
+            counterexamples._self_correlation.__wrapped__(32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 512 * 1024 * 8
+
+    @pytest.mark.parametrize("kind", ["single", "symmetrized"])
+    def test_pairing_bits_match_uncached_reference(self, kind, monkeypatch):
+        # each call recomputes the correlation from scratch in the reference
+        f, g = build_counterexample_pair(-0.5, 12, "a1")
+        counterexamples._self_correlation.cache_clear()
+        got = [pairing_quadrature(f, g, kind, details=True) for _ in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                counterexamples,
+                "_self_correlation",
+                counterexamples._self_correlation.__wrapped__,
+            )
+            value, terms, m_used = pairing_quadrature(f, g, kind, details=True)
+        for got_value, got_terms, got_m in got:
+            assert got_value.hex() == value.hex()
+            assert np.array_equal(got_terms.view(np.int64), terms.view(np.int64))
+            assert got_m == m_used
+
+    # several chunks of 256 nodes each, so the order of their sums shows
+    @pytest.mark.parametrize("m", [24, 32])
+    def test_magnitude_series_bits_match_term_outer_loop(self, m):
+        f, g = build_counterexample_pair(-0.5, 12, "a1")
+        got = symmetrized_magnitude_series(f, g, m=m)
+        want = reference_magnitude_series(f, g, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_filter_decomposition_bits_match_term_outer_loop(self):
+        f, g = build_counterexample_pair(-0.5, 3, "a1")
+        got = pairing_filter_decomposition(f, g, m=32)
+        want = reference_filter_decomposition(f, g, 32)
+        assert {k: float(v).hex() for k, v in got.items()} == {
+            k: float(v).hex() for k, v in want.items()
+        }
 
 
 class TestProductNormA3:

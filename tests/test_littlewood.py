@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ball_limited_field, pure_mode, random_field, rel_err
+from sqglab import littlewood
 from sqglab.littlewood import (
     BesovIndex,
     DyadicBank,
@@ -248,6 +249,36 @@ class TestEmptyLevels:
         assert bank.j_max == 911
         assert sum(band is not None for band in bank.bands) == 7
         assert held <= 24 * 128**2 * 8
+
+    @pytest.mark.parametrize(
+        "n, box, first",
+        [(128, 1e-272, 906), (32, 1e-30, 102), (64, 2.0 * math.pi, 1)],
+    )
+    def test_empty_levels_are_not_sampled(self, n, box, first, monkeypatch):
+        # a level whose outer edge lies below the smallest nonzero |k| is
+        # not sampled; the bank equals one that samples every level
+        grid = Grid2(n, box_length=box)
+        sampled = []
+
+        def counting(j, r):
+            sampled.append(j)
+            return annulus_profile(j, r)
+
+        monkeypatch.setattr(littlewood, "annulus_profile", counting)
+        bank = build_bank(grid)
+        monkeypatch.undo()
+        assert sampled == list(range(first, bank.j_max + 1))
+        assert bank.j_max == max_feasible_level(grid)
+        full = [annulus_profile(j, grid.kabs) for j in bank.levels()]
+        assert len(bank.phi_hat) == len(full)
+        for got, want in zip(bank.phi_hat, full):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        m1 = np.abs(grid.index1[:, 0])
+        bands = []
+        for sym in (lowpass_profile(grid.kabs), *full):
+            rows = sym.any(axis=1)
+            bands.append(int(m1[rows].max()) if rows.any() else None)
+        assert bank.bands == bands
 
     def test_shared_empty_symbol_changes_no_value(self):
         # the same bits as a bank that keeps the sampled symbol of every level

@@ -67,6 +67,18 @@ class TestGrid2:
         with pytest.raises(ParameterError):
             Grid2(32, box_length=L)
 
+    @pytest.mark.parametrize("name", ["k1", "k2", "kabs", "dealias_keep"])
+    def test_shared_grid_arrays_are_read_only(self, name):
+        # shared_grid hands one grid to every caller: a write would reach
+        # every later march on it
+        a = getattr(sqglab.spectral.shared_grid(32), name)
+        before = a.copy()
+        with pytest.raises(ValueError):
+            a[1, 1] = 0
+        with pytest.raises(ValueError):
+            a *= 2
+        assert np.array_equal(a, before)
+
 
 class TestSpectralField:
     def test_round_trip_small_grids(self):
