@@ -103,6 +103,9 @@ GOLDEN_CASES = [(lemma, (lemma, *_SEEDED), "") for lemma in _RANDOMIZED] + [
 COMMAND_GOLDEN_CASES = [
     ("counterexample/a1", ("counterexample", "a1"), ""),
     ("counterexample/a3", ("counterexample", "a3"), ""),
+    # the other branch of each table: a3 diverges, a1 grows by 2^(3/2)
+    ("counterexample/a1-s-0.75", ("counterexample", "a1", "--s", "-0.75"), ""),
+    ("counterexample/a3-s-0.75", ("counterexample", "a3", "--s", "-0.75"), ""),
     ("continuity/n512", ("continuity", "--n", "512"), ""),
     # exits 2: at n = 64 the unit-tail distance drops below half its start
     ("continuity/n64", ("continuity", "--n", "64"), ""),
