@@ -28,10 +28,12 @@ from .counterexamples import (
     build_counterexample_pair,
     lower_bound_sum,
     pairing_quadrature,
-    prop_a3_product_norm,
+    prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
 from .lab import (
+    MAX_THREADS,
+    MAX_TRIALS,
     duhamel_test_datum,
     level_spread,
     random_besov_field,
@@ -97,7 +99,7 @@ class RunConfig:
     trials: int | None = None
     seed: int | None = None
     out: str = "."
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
+    threads: int = field(default_factory=lambda: min(os.cpu_count() or 1, MAX_THREADS))
     data: str | None = None  # smooth when unset
 
     def require_seed(self, why: str) -> int:
@@ -112,12 +114,12 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and not v > 0.0:
                 raise ParameterError(f"{name} must be positive, got {v}")
-        if self.trials is not None and self.trials < 1:
-            raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        if self.trials is not None and not 1 <= self.trials <= MAX_TRIALS:
+            raise ParameterError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
         if self.seed is not None and self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        if self.threads < 1:
-            raise ParameterError(f"threads must be at least 1, got {self.threads}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ParameterError(f"threads must lie in 1..{MAX_THREADS}, got {self.threads}")
         if self.data not in (None, "smooth", "zero", "random"):
             raise ParameterError(f"data must be smooth|zero|random, got {self.data!r}")
 
@@ -536,10 +538,11 @@ def _cmd_counterexample(config: RunConfig) -> int:
         ]
         slug = "counterexample-a1"
     else:
-        rows = []
-        for n_terms in range(1, n_max + 1):
-            value, lower = prop_a3_product_norm(s, n_terms)
-            rows.append((n_terms, value, lower, value / lower if lower else 0.0))
+        norms = prop_a3_product_norms(s, n_max)
+        rows = [
+            (n_terms, value, lower, value / lower if lower else 0.0)
+            for n_terms, (value, lower) in enumerate(norms, start=1)
+        ]
         ratios = [r[3] for r in rows]
         spread = max(ratios) / min(ratios)
         exponent = -2.0 * s - 1.0

@@ -20,7 +20,10 @@ between two node counts guards every returned value.  The costly part,
 the bump self-correlation and its chi(w + v) coupling, depends on the
 node count alone: it is computed once per node count (the correlation is
 memoized, the coupling is built once per chunk for all terms), and each
-term still sums its chunks in the same order, so no value changes.
+term still sums its chunks in the same order, so no value changes.  The
+a3 table is one sweep over N: each term integral is computed once per node
+count, in a table that lives for that one call, and every N sums its own
+terms in order, so each row is the float a separate call would return.
 
 Scale conventions: bump-norm units (the L^p norm of a single bump is the
 unit), and pairing values drop the overall factor i of the derivative
@@ -373,40 +376,78 @@ def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.nd
     kb = [_kernel_minus(i, w1, w2) for i in terms]
     weight = chi * da
     acc = [0.0] * f.n_terms
+    # every term's |ka - kb| * coupling is written into one chunk buffer
+    buf = np.empty((min(256, w1.size), w1.size))
     for rows, coupling in _couplings(w1, w2, 256):
+        diff = buf[: coupling.shape[0]]
         for t in range(f.n_terms):
-            diff = np.abs(ka[t][rows, None] - kb[t][None, :])
-            acc[t] += float(weight[rows] @ ((diff * coupling) @ weight))
+            np.subtract(ka[t][rows, None], kb[t][None, :], out=diff)
+            np.abs(diff, out=diff)
+            np.multiply(diff, coupling, out=diff)
+            acc[t] += float(weight[rows] @ (diff @ weight))
     c = f.coefficients()
     return c * c * np.array(acc)
+
+
+def _a3_term_integral(i: int, w1, w2, chi, da) -> float:
+    """J_i = int chi(w) / |2^i e1 + w| dw on the midpoint nodes."""
+    return float((chi / np.hypot(2.0**i + w1, w2)).sum() * da)
+
+
+def prop_a3_product_norms(
+    s: float, n_max: int, m0: int = 16, max_m: int = 64, rtol: float = 0.01
+) -> list[tuple[float, float]]:
+    """prop_a3_product_norm for every N = 1..n_max, in one sweep.
+
+    For the symmetric family the only surviving frequency combinations put
+    the two factors on opposite bumps, the low-pass weight is identically 1
+    there, and the integral factorizes into (int chi) * int chi / |center + w|.
+    Row N is (quadrature value, sum_{n<=N} 2^((-2s-1) n) n^(-4)).
+
+    Each N runs its own Richardson refinement and sums its terms in the
+    same order, but the nodes, the chi mass and each term integral
+    J_i(m) = int chi / |2^i e1 + w| are evaluated once per node count m in
+    a table that lives for this call alone.  A row is therefore the same
+    float as a separate call for that N would return.
+    """
+    BumpPair(s, n_max, "a3_symmetric")  # validates s and n_max
+    if n_max == 0:
+        return []
+    if lowpass_profile(2.0 * BUMP_SUPPORT) != 1.0:
+        raise ParameterError("low-pass plateau no longer covers the bump sums")
+    tables = {}  # m -> (nodes, chi mass, [J_1, J_2, ...] at m)
+
+    def term_integrals(m: int, n_terms: int):
+        if m not in tables:
+            w1, w2, chi, da = _bump_nodes(m)
+            tables[m] = ((w1, w2, chi, da), float(chi.sum() * da), [])
+        nodes, chi_mass, j = tables[m]
+        for i in range(len(j) + 1, n_terms + 1):
+            j.append(_a3_term_integral(i, *nodes))
+        return chi_mass, j
+
+    rows = []
+    for n_terms in range(1, n_max + 1):
+        # an overflow surfaces as a non-finite value, which _richardson reports
+        with np.errstate(over="ignore"):
+            coef = BumpPair(s, n_terms, "a3_symmetric").coefficients()
+
+        def total(m: int) -> float:
+            chi_mass, j = term_integrals(m, n_terms)
+            value = 0.0
+            for i, c in enumerate(coef, start=1):
+                value += 2.0 * c * c * chi_mass * j[i - 1]
+            return value
+
+        value, _ = _richardson(total, m0, max_m, rtol)
+        rows.append((value, a3_lower_sum(s, n_terms)))
+    return rows
 
 
 def prop_a3_product_norm(
     s: float, n_terms: int, m0: int = 16, max_m: int = 64, rtol: float = 0.01
 ) -> tuple[float, float]:
-    """Low-pass pairing of (Lambda^(-1) f_N) g_N and its lower-bound sum.
-
-    For the symmetric family the only surviving frequency combinations put
-    the two factors on opposite bumps, the low-pass weight is identically 1
-    there, and the integral factorizes into (int chi) * int chi / |center + w|.
-    Returns (quadrature value, sum_{n<=N} 2^((-2s-1) n) n^(-4)).
-    """
-    pair = BumpPair(s, n_terms, "a3_symmetric")
-    if n_terms == 0:
-        return 0.0, 0.0
-    top = lowpass_profile(2.0 * BUMP_SUPPORT)
-    if top != 1.0:
-        raise ParameterError("low-pass plateau no longer covers the bump sums")
-
-    def total(m: int) -> float:
-        w1, w2, chi, da = _bump_nodes(m)
-        chi_mass = float(chi.sum() * da)
-        value = 0.0
-        for i, c in enumerate(pair.coefficients(), start=1):
-            cc = 2.0**i
-            j_n = float((chi / np.hypot(cc + w1, w2)).sum() * da)
-            value += 2.0 * c * c * chi_mass * j_n
-        return value
-
-    value, _ = _richardson(total, m0, max_m, rtol)
-    return value, a3_lower_sum(s, n_terms)
+    """Low-pass pairing of (Lambda^(-1) f_N) g_N and its lower-bound sum:
+    the last row of prop_a3_product_norms, (0.0, 0.0) for N = 0."""
+    rows = prop_a3_product_norms(s, n_terms, m0, max_m, rtol)
+    return rows[-1] if rows else (0.0, 0.0)

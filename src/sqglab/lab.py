@@ -32,7 +32,6 @@ from .littlewood import (
     lq_sum,
     packet_profile,
     psi_block,
-    s_partial,
 )
 from .spectral import (
     ParameterError,
@@ -47,6 +46,12 @@ from .spectral import (
     semigroup_apply,
 )
 from .uniqueness import contraction_norm_spec
+
+# larger counts are refused before a seed is spawned or a thread started:
+# every trial's generator is made up front, and a pool wider than the
+# machine only adds threads
+MAX_TRIALS = 10_000
+MAX_THREADS = 256
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,10 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
 
 def _run_trials(trials: int, seed: int, worker, threads: int = 1):
     """worker(rng) once per trial, each on its own child seed, in trial order."""
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ParameterError(f"trials must lie in 1..{MAX_TRIALS}, got {trials}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ParameterError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
     children = np.random.SeedSequence(seed).spawn(trials)
     rngs = [np.random.default_rng(c) for c in children]
 
@@ -333,11 +340,24 @@ def verify_semigroup_decay(
 
 
 def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
-    """sum_{l>=2} (low part of f below l-2) * (phi_l * g), dealiased."""
+    """sum_{l>=2} (low part of f below l-2) * (phi_l * g), dealiased.
+
+    The symbol of S_{l-2} is the one before it plus phi_{l-2}: the chain of
+    sums s_partial builds, so the same array.  A level whose annulus holds
+    no lattice point has a zero product and is skipped; adding that zero
+    would move no bit.
+    """
     grid = bank.grid
+    if f.grid != grid:
+        raise ParameterError("field and bank live on different grids")
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    low_sym = bank.psi_hat  # the symbol of S_0
     for l in range(2, bank.j_max + 1):
-        low = s_partial(f, bank, l - 2)
+        if l > 2:
+            low_sym = low_sym + bank.phi_hat[l - 3]
+        if bank.bands[l] is None:
+            continue
+        low = SpectralField(grid, f.coef * low_sym, real=f.real)
         high = block(g, bank, l)
         coef += dealiased_coef(grid, low.physical() * high.physical())
     return SpectralField(grid, coef, real=f.real and g.real)

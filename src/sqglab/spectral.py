@@ -43,6 +43,11 @@ class ParameterError(ValueError):
     """An argument fell outside the supported parameter range."""
 
 
+# a larger grid is refused before any n-by-n array exists; one complex
+# n-by-n array takes 16 n^2 bytes, 64 MiB at n = 2048
+MAX_GRID_N = 2048
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
@@ -57,7 +62,8 @@ class Grid2:
     ----------
     n : int
         Samples per axis.  Must be a power of two, at least 16, so that
-        dyadic frequency decompositions nest cleanly.
+        dyadic frequency decompositions nest cleanly, and at most
+        MAX_GRID_N.
     box_length : float
         Side length L of the periodic box.
     """
@@ -66,6 +72,8 @@ class Grid2:
         n = int(n)
         if n < 16 or (n & (n - 1)) != 0:
             raise ParameterError(f"grid size must be a power of two >= 16, got {n}")
+        if n > MAX_GRID_N:
+            raise ParameterError(f"grid size {n} exceeds the budget {MAX_GRID_N}")
         box_length = float(box_length)
         if not box_length > 0.0 or not math.isfinite(box_length):
             raise ParameterError(f"box_length must be positive, got {box_length}")

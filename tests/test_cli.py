@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqglab.cli
+import sqglab.lab
 import sqglab.mild
 import sqglab.uniqueness
 from sqglab.cli import (
@@ -211,8 +212,15 @@ class TestConfigHandling:
 
 
 class TestExitCodes:
-    def test_bad_flag_value_exits_one(self, tmp_path, capsys):
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the budget refusals come first: no seed is spawned, no thread started
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached the trial loop")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unreachable)
+        monkeypatch.setattr(sqglab.lab, "ThreadPoolExecutor", unreachable)
         seeded = ("--seed", "1", "--trials", "1", "--n", "32")
+        huge = str(10**9)
         for argv in (
             ("solve", "--dt", "-1"),
             # numpy refuses a negative seed
@@ -223,6 +231,11 @@ class TestExitCodes:
             ("verify-lemma", "bilinear-diagonal", *seeded, "--p", "0"),
             # the wavenumbers of so small a box overflow
             ("uniqueness", "mid", "--n", "16", "--box", "5e-324"),
+            # over the input budget: a complex 2^20 grid array takes 16 TiB
+            ("solve", "--n", "1048576", "--T", "0.01"),
+            ("verify-lemma", "bernstein", "--seed", "1", "--trials", huge, "--n", "32"),
+            ("verify-lemma", "bernstein", *seeded, "--threads", huge),
+            ("counterexample", "a3", "--trials", huge),
         ):
             assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
             assert_one_error_line(capsys)

@@ -1,7 +1,12 @@
 """Tests for the frequency-bump divergence constructions."""
 
+import collections
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from sqglab.counterexamples import (
     pairing_filter_decomposition,
     pairing_quadrature,
     prop_a3_product_norm,
+    prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
 from sqglab.littlewood import annulus_profile
@@ -389,6 +395,100 @@ class TestProductNormA3:
         target = math.pi**4 / 90.0
         assert a3_lower_sum(-0.5, 50) < target
         assert a3_lower_sum(-0.5, 1000) < target * (1.0 + 1e-12)
+
+
+def reference_a3_value(s, n_terms, m0=16, max_m=64, rtol=0.01):
+    """prop_a3_product_norm's value computed for one N alone: every node
+    count rebuilds its nodes and evaluates all N term integrals."""
+
+    def total(m):
+        w1, w2, chi, da = counterexamples._bump_nodes(m)
+        chi_mass = float(chi.sum() * da)
+        value = 0.0
+        for i, c in enumerate(BumpPair(s, n_terms, "a3_symmetric").coefficients(), start=1):
+            j_n = float((chi / np.hypot(2.0**i + w1, w2)).sum() * da)
+            value += 2.0 * c * c * chi_mass * j_n
+        return value
+
+    return counterexamples._richardson(total, m0, max_m, rtol)[0]
+
+
+class TestProductNormSweep:
+    """One sweep over N returns, row by row, the floats of separate calls."""
+
+    @pytest.mark.parametrize("s", [-0.5, -0.75, -0.3, -1.0])
+    def test_rows_match_per_n_reference_bits(self, s):
+        rows = prop_a3_product_norms(s, 50)
+        assert len(rows) == 50
+        for n_terms, (value, lower) in enumerate(rows, start=1):
+            assert value.hex() == reference_a3_value(s, n_terms).hex(), n_terms
+            assert lower.hex() == a3_lower_sum(s, n_terms).hex(), n_terms
+
+    def test_overflow_raises_at_the_same_n(self):
+        # at s = -12 the squared coefficients 2^(24 n) n^(-4) overflow by N = 50
+        s = -12.0
+        first_bad = None
+        for n_terms in range(1, 51):
+            try:
+                reference_a3_value(s, n_terms)
+            except ParameterError as exc:
+                first_bad, message = n_terms, str(exc)
+                break
+        assert first_bad is not None
+        rows = prop_a3_product_norms(s, first_bad - 1)
+        for n_terms, (value, _) in enumerate(rows, start=1):
+            assert value.hex() == reference_a3_value(s, n_terms).hex(), n_terms
+        with pytest.raises(ParameterError) as info:
+            prop_a3_product_norms(s, first_bad)
+        assert str(info.value) == message
+
+    def test_single_call_is_the_last_row(self):
+        rows = prop_a3_product_norms(-0.75, 7)
+        assert prop_a3_product_norm(-0.75, 7) == rows[-1]
+        assert prop_a3_product_norms(-0.75, 0) == []
+        with pytest.raises(ParameterError):
+            prop_a3_product_norms(0.25, 3)
+        with pytest.raises(ParameterError):
+            prop_a3_product_norms(-0.75, -1)
+
+    def test_default_run_evaluates_each_integral_once(self, tmp_path, monkeypatch):
+        nodes, integrals = collections.Counter(), collections.Counter()
+        bump_nodes = counterexamples._bump_nodes
+        term_integral = counterexamples._a3_term_integral
+
+        def counted_nodes(m):
+            nodes[m] += 1
+            return bump_nodes(m)
+
+        def counted_integral(i, w1, *rest):
+            integrals[i, math.isqrt(w1.size)] += 1
+            return term_integral(i, w1, *rest)
+
+        monkeypatch.setattr(counterexamples, "_bump_nodes", counted_nodes)
+        monkeypatch.setattr(counterexamples, "_a3_term_integral", counted_integral)
+        assert main(["counterexample", "a3", "--out", str(tmp_path)]) == 0
+        # every N settles at m = 32; one call per N evaluated 1,275 term
+        # integrals at each node count, the sweep 50
+        assert dict(nodes) == {16: 1, 32: 1}
+        assert set(integrals.values()) == {1}
+        assert set(integrals) == {(i, m) for i in range(1, 51) for m in (16, 32)}
+
+    def test_bytes_repeat_in_process_and_in_a_fresh_process(self, tmp_path):
+        outs = [tmp_path / name for name in ("first", "second", "fresh")]
+        for out in outs[:2]:
+            assert main(["counterexample", "a3", "--out", str(out)]) == 0
+        src = Path(counterexamples.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "sqglab.cli", "counterexample", "a3", "--out", str(outs[2])],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        for name in ("counterexample-a3.csv", "counterexample-a3-summary.txt"):
+            first = (outs[0] / name).read_bytes()
+            assert [(out / name).read_bytes() for out in outs[1:]] == [first, first]
 
 
 @settings(max_examples=12, deadline=None)

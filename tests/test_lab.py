@@ -13,10 +13,14 @@ import math
 import numpy as np
 import pytest
 
+import sqglab.lab
 from conftest import pure_mode, rel_err
 from sqglab.lab import (
     ENERGY_FLOOR,
+    MAX_THREADS,
+    MAX_TRIALS,
     EstimateReport,
+    _run_trials,
     bilinear_diagonal_sum,
     duhamel_exponent,
     duhamel_test_datum,
@@ -38,11 +42,12 @@ from sqglab.lab import (
     verify_paraproduct,
     verify_semigroup_decay,
 )
-from sqglab.littlewood import block, block_norms, build_bank
+from sqglab.littlewood import block, block_norms, build_bank, s_partial
 from sqglab.spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    dealiased_coef,
     gradient,
     inverse_lambda,
     lp_norm,
@@ -309,6 +314,20 @@ class TestParaproduct:
         assert norms[2] < 1e-6 * norms.max()
         assert norms[0] < 1e-14 * norms.max()
 
+    # the verifier's default box, and a tiny one whose low levels are empty
+    @pytest.mark.parametrize("n, box", [(128, math.pi / 2), (32, 1e-272)])
+    def test_bits_match_the_s_partial_construction(self, n, box):
+        bank = build_bank(Grid2(n, box))
+        rng = np.random.default_rng(6)
+        f = random_besov_field(bank, rng, s=0.25)
+        g = random_besov_field(bank, rng, s=-0.25)
+        want = np.zeros((n, n), dtype=np.complex128)
+        for l in range(2, bank.j_max + 1):
+            low = s_partial(f, bank, l - 2).physical()
+            want += dealiased_coef(bank.grid, low * block(g, bank, l).physical())
+        got = low_high_paraproduct(f, g, bank).coef
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_eps_validation(self, bank128):
         with pytest.raises(ParameterError):
             verify_paraproduct(bank128, s=-0.5, eps=0.0, p=4.0, q=2.0, trials=1, seed=0)
@@ -546,6 +565,20 @@ class TestDuhamelScaling:
 
 
 class TestThreading:
+    @pytest.mark.parametrize(
+        "trials, threads",
+        [(MAX_TRIALS + 1, 1), (10**9, 1), (0, 1), (1, MAX_THREADS + 1), (1, 10**6), (1, 0)],
+    )
+    def test_counts_outside_the_budget_refused_first(self, trials, threads, monkeypatch):
+        # refused before a child seed is spawned or a thread started
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached the trial loop")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unreachable)
+        monkeypatch.setattr(sqglab.lab, "ThreadPoolExecutor", unreachable)
+        with pytest.raises(ParameterError, match="must lie in"):
+            _run_trials(trials, 0, unreachable, threads)
+
     def test_bernstein_threaded_identical(self, bank128h):
         a = verify_bernstein(bank128h, 2.0, levels=range(2, 5), trials=6,
                              seed=21, threads=1)

@@ -61,6 +61,16 @@ class TestGrid2:
         with pytest.raises(ParameterError):
             Grid2(n)
 
+    # powers of two past the budget; 2^20 once ended in a MemoryError
+    @pytest.mark.parametrize("n", [2 * sqglab.spectral.MAX_GRID_N, 2**20])
+    def test_refuses_sizes_over_the_budget(self, n, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused grid built its lattice")
+
+        monkeypatch.setattr(np.fft, "fftfreq", unreachable)
+        with pytest.raises(ParameterError, match="budget"):
+            Grid2(n)
+
     # 2 pi / 5e-324 overflows to inf, and inf * 0 at the zero mode is nan
     @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, 5e-324])
     def test_rejects_bad_box(self, L):
