@@ -5,8 +5,8 @@ The package provides, in rough dependency order:
 * ``spectral``: periodic grids, coefficient-space fields, multiplier calculus,
 * ``littlewood``: dyadic partition of unity, block operators, Besov and
   Chemin-Lerner norms,
-* ``mild``: Duhamel time stepping, Picard iteration, and the symmetrised
-  nonlinearity with its divergence-form identity,
+* ``mild``: Duhamel time stepping, Picard iteration, and the
+  divergence-form identity of the symmetrised nonlinearity,
 * ``lab``: empirical verification harnesses for the inequality toolbox,
 * ``counterexamples``: frequency-side bump constructions whose pairings
   separate the divergent product from its cancelling symmetrisation,

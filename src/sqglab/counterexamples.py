@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood import annulus_profile, lowpass_profile, smooth_step
-from .spectral import Grid2, ParameterError, SpectralField
+from .spectral import ParameterError
 
 BUMP_SUPPORT = 0.1
 BUMP_PLATEAU = 0.05
@@ -89,66 +89,21 @@ class BumpPair:
         n = np.arange(1, self.n_terms + 1, dtype=np.float64)
         return 2.0 ** (-self.s * n) * n**-2.0
 
-    def centers(self, n: int) -> list[tuple[float, float]]:
-        c = float(2.0**n)
-        if self.variant == "a1_plus":
-            return [(c, 0.0)]
-        if self.variant == "a1_minus":
-            return [(-c, 0.0)]
-        return [(c, 0.0), (-c, 0.0)]
-
-    def support_disjoint(self) -> bool:
-        """Bumps at distinct n never overlap: gap 2^n vs radius 1/10."""
-        radii = [2.0**n for n in range(1, self.n_terms + 1)]
-        return all(b - a > 2.0 * BUMP_SUPPORT for a, b in zip(radii, radii[1:]))
-
-    def to_field(self, grid: Grid2) -> SpectralField:
-        """Sample the bump sum on a grid's frequency lattice.
-
-        Raises a parameter error when the highest bump exceeds the dealias
-        cutoff or the lattice spacing is too coarse to resolve a bump.
-        """
-        top = 2.0**self.n_terms + BUMP_SUPPORT
-        if self.n_terms >= 1 and top > grid.dealias_cutoff:
-            raise ParameterError(
-                f"bump at |xi| = 2^{self.n_terms} exceeds the frequency budget "
-                f"{grid.dealias_cutoff:.3g} of the grid"
-            )
-        unit = 2.0 * math.pi / grid.box_length
-        if self.n_terms >= 1 and unit > BUMP_PLATEAU:
-            raise ParameterError(
-                f"frequency spacing {unit:.3g} too coarse to resolve bumps of "
-                f"radius {BUMP_SUPPORT}; enlarge the box"
-            )
-        coef = np.zeros((grid.n, grid.n))
-        for n, c in enumerate(self.coefficients(), start=1):
-            for cx, cy in self.centers(n):
-                coef = coef + c * bump_profile(
-                    np.hypot(grid.k1 - cx, grid.k2 - cy)
-                )
-        return SpectralField(grid, coef.astype(np.complex128), real=False)
-
 
 def build_counterexample_pair(
-    s: float, n_terms: int, variant: str = "a1", grid: Grid2 | None = None
+    s: float, n_terms: int, variant: str = "a1"
 ) -> tuple[BumpPair, BumpPair]:
     """The (f_N, g_N) bump families of the divergence propositions.
 
     variant "a1": f has bumps at +2^n e1 and g at -2^n e1.
     variant "a3": f = g with symmetric bumps at both centers.
-    When a grid is supplied the construction is validated against its
-    frequency budget immediately.
     """
     if variant == "a1":
-        pair = (BumpPair(s, n_terms, "a1_plus"), BumpPair(s, n_terms, "a1_minus"))
-    elif variant == "a3":
+        return BumpPair(s, n_terms, "a1_plus"), BumpPair(s, n_terms, "a1_minus")
+    if variant == "a3":
         sym = BumpPair(s, n_terms, "a3_symmetric")
-        pair = (sym, sym)
-    else:
-        raise ParameterError(f"unknown counterexample variant {variant!r}")
-    if grid is not None:
-        pair[0].to_field(grid)
-    return pair
+        return sym, sym
+    raise ParameterError(f"unknown counterexample variant {variant!r}")
 
 
 def lower_bound_sum(s: float, n_terms: int) -> float:
@@ -397,7 +352,8 @@ def _a3_term_integral(i: int, w1, w2, chi, da) -> float:
 def prop_a3_product_norms(
     s: float, n_max: int, m0: int = 16, max_m: int = 64, rtol: float = 0.01
 ) -> list[tuple[float, float]]:
-    """prop_a3_product_norm for every N = 1..n_max, in one sweep.
+    """Low-pass pairing of (Lambda^(-1) f_N) g_N and its lower-bound sum
+    for every N = 1..n_max, in one sweep.
 
     For the symmetric family the only surviving frequency combinations put
     the two factors on opposite bumps, the low-pass weight is identically 1
@@ -443,11 +399,3 @@ def prop_a3_product_norms(
         rows.append((value, a3_lower_sum(s, n_terms)))
     return rows
 
-
-def prop_a3_product_norm(
-    s: float, n_terms: int, m0: int = 16, max_m: int = 64, rtol: float = 0.01
-) -> tuple[float, float]:
-    """Low-pass pairing of (Lambda^(-1) f_N) g_N and its lower-bound sum:
-    the last row of prop_a3_product_norms, (0.0, 0.0) for N = 0."""
-    rows = prop_a3_product_norms(s, n_terms, m0, max_m, rtol)
-    return rows[-1] if rows else (0.0, 0.0)

@@ -131,7 +131,7 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     for j in bank.levels():
         if norms[j] > ENERGY_FLOOR:
             coef += block(white, bank, j).coef * (2.0 ** (-s * j) / norms[j])
-    out = SpectralField(grid, coef, real=True)
+    out = SpectralField(grid, coef)
     out.coef[0, 0] = 0.0
     return out
 
@@ -357,10 +357,10 @@ def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
             low_sym = low_sym + bank.phi_hat[l - 3]
         if bank.bands[l] is None:
             continue
-        low = SpectralField(grid, f.coef * low_sym, real=f.real)
+        low = SpectralField(grid, f.coef * low_sym)
         high = block(g, bank, l)
         coef += dealiased_coef(grid, low.physical() * high.physical())
-    return SpectralField(grid, coef, real=f.real and g.real)
+    return SpectralField(grid, coef)
 
 
 def verify_paraproduct(
@@ -419,8 +419,7 @@ def bilinear_diagonal_sum(f: SpectralField, g: SpectralField, bank: DyadicBank):
     Regrouped by bilinearity (Bony's paraproduct bookkeeping): level k of
     each factor advects the other factor's levels k-1..k+1, taken as one
     multiplier phi_{k-1} + phi_k + phi_{k+1}.  The products accumulate on
-    the grid, and the real part of the total, which is what each pairwise
-    product keeps, is transformed and dealiased once.
+    the grid, and the total is transformed and dealiased once.
     """
     grid = bank.grid
     total = 0.0
@@ -428,10 +427,9 @@ def bilinear_diagonal_sum(f: SpectralField, g: SpectralField, bank: DyadicBank):
         near = sum(bank.phi_hat[max(0, k - 1) : k + 2])
         for a, b in ((f, g), (g, f)):
             v1, v2 = grid_velocity(block(a, bank, k + 1))
-            g1, g2 = grid_gradient(SpectralField(grid, b.coef * near, real=b.real))
+            g1, g2 = grid_gradient(SpectralField(grid, b.coef * near))
             total = total + (v1 * g1 + v2 * g2)
-    coef = dealiased_coef(grid, np.real(total))
-    return SpectralField(grid, coef, real=f.real and g.real)
+    return SpectralField(grid, dealiased_coef(grid, total))
 
 
 def verify_bilinear(
@@ -509,7 +507,6 @@ def lowpass_commutator_family(u1, u2, theta, bank):
         SpectralField(
             bank.grid,
             filt(advection, bank).coef - _advect(v1, v2, filt(theta, bank)).coef,
-            real=True,
         )
         for filt in filters
     ]
@@ -573,7 +570,7 @@ def riesz_lowpass_commutator(f, g, bank):
     first = riesz_perp_velocity(psi_block(_advect(v1, v2, g), bank))
     low_g = riesz_perp_velocity(psi_block(g, bank))
     return tuple(
-        SpectralField(bank.grid, a.coef - _advect(v1, v2, b).coef, real=True)
+        SpectralField(bank.grid, a.coef - _advect(v1, v2, b).coef)
         for a, b in zip(first, low_g)
     )
 
@@ -622,31 +619,6 @@ def verify_commutator_riesz(
 
     params = {"n": bank.grid.n}
     return _collect_trials("riesz-commutator", worker, params, trials, seed, threads)
-
-
-def verify_commutators(
-    bank: DyadicBank, trials: int = 30, seed: int = 0, threads: int = 1
-) -> EstimateReport:
-    """Both commutator families in one combined report."""
-    advection = verify_commutator_advection(
-        bank, trials=trials, seed=seed, threads=threads
-    )
-    riesz = verify_commutator_riesz(bank, trials=trials, seed=seed, threads=threads)
-    ratios = np.concatenate([advection.ratios, riesz.ratios])
-    params = {
-        "advection_sup": advection.sup_constant,
-        "riesz_sup": riesz.sup_constant,
-        "n": bank.grid.n,
-    }
-    return _make_report(
-        "commutators",
-        ratios,
-        advection.per_level_sup,
-        params,
-        advection.skipped + riesz.skipped,
-        seed,
-        trials,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -738,18 +710,15 @@ def duhamel_test_datum(
     return packet_profile(bank, p, lambda j: 2.0 ** (-s * j) if j <= top else 0.0)
 
 
-def steady_duhamel_norm(theta: SpectralField, alpha: float, horizon: float, p: float):
-    """Exact L^p size of int_0^T exp(-(T-s) Lambda^alpha) (u theta) ds.
+def _steady_duhamel_norms(theta, alpha, horizons, p):
+    """Exact L^p size of int_0^T exp(-(T-s) Lambda^alpha) (u theta) ds at
+    each horizon T.
 
     For time-constant theta every mode integrates in closed form to the
     factor (1 - exp(-T |k|^alpha))/|k|^alpha (T at k = 0), applied to the
-    velocity-scalar product; returns the max over the two components.
+    velocity-scalar product, which is formed once; each entry is the max
+    over the two components.
     """
-    return _steady_duhamel_norms(theta, alpha, (horizon,), p)[0]
-
-
-def _steady_duhamel_norms(theta, alpha, horizons, p):
-    """steady_duhamel_norm at each horizon; the products are formed once."""
     grid = theta.grid
     phys = theta.physical()
     products = [dealiased_coef(grid, v * phys) for v in grid_velocity(theta)]
@@ -759,7 +728,7 @@ def _steady_duhamel_norms(theta, alpha, horizons, p):
         with np.errstate(divide="ignore", invalid="ignore"):
             mult = -np.expm1(-horizon * symbol) / symbol
         mult[0, 0] = horizon
-        norms = [lp_norm(SpectralField(grid, c * mult, real=True), p) for c in products]
+        norms = [lp_norm(SpectralField(grid, c * mult), p) for c in products]
         out.append(max(0.0, *norms))
     return out
 

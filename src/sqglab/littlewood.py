@@ -149,13 +149,13 @@ def block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     _check_bank_field(f, bank)
     if not 1 <= j <= bank.j_max:
         raise ParameterError(f"level {j} outside 1..{bank.j_max}")
-    return SpectralField(f.grid, f.coef * bank.phi_hat[j - 1], real=f.real)
+    return SpectralField(f.grid, f.coef * bank.phi_hat[j - 1])
 
 
 def psi_block(f: SpectralField, bank: DyadicBank) -> SpectralField:
     """Low-pass part psi * f."""
     _check_bank_field(f, bank)
-    return SpectralField(f.grid, f.coef * bank.psi_hat, real=f.real)
+    return SpectralField(f.grid, f.coef * bank.psi_hat)
 
 
 def band_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
@@ -166,7 +166,7 @@ def band_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     coef = np.zeros_like(f.coef)
     for rows in band_slices(f.grid.n, bank.bands[j]):
         np.multiply(f.coef[rows], sym[rows], out=coef[rows])
-    return SpectralField(f.grid, coef, real=f.real)
+    return SpectralField(f.grid, coef)
 
 
 def s_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
@@ -177,12 +177,7 @@ def s_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     sym = bank.psi_hat.copy()
     for k in range(1, j + 1):
         sym = sym + bank.phi_hat[k - 1]
-    return SpectralField(f.grid, f.coef * sym, real=f.real)
-
-
-def tilde_s(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    """High-frequency remainder f - S_j f."""
-    return f - s_partial(f, bank, j)
+    return SpectralField(f.grid, f.coef * sym)
 
 
 def _check_exponent(value: float, name: str) -> float:
@@ -272,7 +267,7 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
     for j, amp in zip(bank.levels(), amps):
         if amp == 0.0:
             continue
-        kern = SpectralField(grid, bank.phi_hat[j - 1].astype(np.complex128), real=True)
+        kern = SpectralField(grid, bank.phi_hat[j - 1].astype(np.complex128))
         size = lp_norm(kern, p)
         if size < ENERGY_FLOOR:
             continue
@@ -283,7 +278,7 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
             f"every level with a nonzero amplitude is empty on grid n={grid.n}, "
             f"box_length={grid.box_length:g}"
         )
-    return SpectralField(grid, coef, real=True)
+    return SpectralField(grid, coef)
 
 
 def besov_norm(f: SpectralField, bank: DyadicBank, idx: BesovIndex) -> float:

@@ -219,7 +219,7 @@ def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> S
     step = int(round(t / params.dt))
     g0 = _advection_coef(grid, theta.coef, step, t) if params.nonlinear else None
     coef = _etd2_step(grid, tab, theta.coef, g0, params, step, t)
-    return SpectralField(grid, coef, real=theta.real)
+    return SpectralField(grid, coef)
 
 
 def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
@@ -232,9 +232,9 @@ def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
 
 def _check_datum(theta: SpectralField, params: SolveParams) -> None:
     """Reject a datum the march would misread: off the params grid, with
-    energy above the dealias cutoff, or marked real but not
-    conjugate-symmetric (its grid values are read through .real, which
-    would silently drop the anti-Hermitian part)."""
+    energy above the dealias cutoff, or not conjugate-symmetric (the march
+    reads grid values as the real part, which would silently drop the
+    anti-Hermitian part)."""
     _check_params_grid(theta.grid, params)
     outside = np.abs(theta.coef[~theta.grid.dealias_keep])
     scale = float(np.abs(theta.coef).max())
@@ -243,8 +243,8 @@ def _check_datum(theta: SpectralField, params: SolveParams) -> None:
             "initial datum carries energy above the dealias cutoff; "
             "restrict it to the retained band first"
         )
-    if theta.real and theta.conjugate_symmetry_defect() > 1e-12:
-        raise ParameterError("initial datum is marked real but is not conjugate-symmetric")
+    if theta.conjugate_symmetry_defect() > 1e-12:
+        raise ParameterError("initial datum is not conjugate-symmetric")
 
 
 def march(theta0: SpectralField, params: SolveParams):
@@ -307,7 +307,7 @@ def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]
     times, fields = [], []
     for t, coef, _ in march(theta0, params):
         times.append(t)
-        fields.append(SpectralField(theta0.grid, coef, real=theta0.real))
+        fields.append(SpectralField(theta0.grid, coef))
     return np.array(times), fields
 
 
@@ -319,7 +319,13 @@ def duhamel_series(fields, params: SolveParams) -> list:
     grid = fields[0].grid
     _check_params_grid(grid, params)
     steps = ((k * params.dt, f.coef, None) for k, f in enumerate(fields))
-    return [SpectralField(grid, d, real=True) for _, _, d in duhamel_along(steps, grid, params)]
+    return [SpectralField(grid, d) for _, _, d in duhamel_along(steps, grid, params)]
+
+
+def _require_mean_free(f: SpectralField, name: str) -> None:
+    scale = float(np.abs(f.coef).max())
+    if scale > 0.0 and abs(f.coef[0, 0]) > 1e-10 * scale:
+        raise ParameterError(f"{name} must be mean-free")
 
 
 def picard_solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list, list]:
@@ -354,38 +360,8 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear forms and commutators
+# Divergence-form identity
 # ---------------------------------------------------------------------------
-
-
-def _require_mean_free(f: SpectralField, name: str) -> None:
-    scale = float(np.abs(f.coef).max())
-    if scale > 0.0 and abs(f.coef[0, 0]) > 1e-10 * scale:
-        raise ParameterError(f"{name} must be mean-free")
-
-
-def nonlinear_n(w: SpectralField, theta: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Symmetrized nonlinearity N(w, theta) = u_w theta + u_theta w (a vector).
-
-    u_h denotes perp-grad Lambda^(-1) h.  Products are formed pointwise
-    from dealiased factors and the result is dealiased again, so it is the
-    exact truncated convolution.
-    """
-    if w.grid != theta.grid:
-        raise ParameterError("fields live on different grids")
-    _require_mean_free(w, "w")
-    _require_mean_free(theta, "theta")
-    grid = w.grid
-    uw1, uw2 = grid_velocity(w)
-    ut1, ut2 = grid_velocity(theta)
-    wp = w.physical()
-    tp = theta.physical()
-    n1 = dealiased_coef(grid, uw1 * tp) + dealiased_coef(grid, ut1 * wp)
-    n2 = dealiased_coef(grid, uw2 * tp) + dealiased_coef(grid, ut2 * wp)
-    return (
-        SpectralField(grid, n1, real=True),
-        SpectralField(grid, n2, real=True),
-    )
 
 
 def _level_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
@@ -442,40 +418,3 @@ def divergence_form_check(
         return 0.0
     return num / den
 
-
-def commutator_a_j(
-    f: SpectralField, g: SpectralField, bank: DyadicBank, j: int, route: str = "bracketed"
-) -> SpectralField:
-    """The level-j commutator combination A_j(f, g).
-
-    A_j(f, g) = div(phi_j * (u_f g)) - u_f . grad(phi_j * g)
-                + div(phi_j * (u_g f)),
-
-    with u_h = perp-grad Lambda^(-1) h; the first two terms are the
-    convolution commutator [del phi_j *, u_f] g and the third symmetrizes.
-    route="expanded" rewrites both divergences through div u = 0 as
-    phi_j * (u . grad), an independent association of the same products.
-    """
-    if f.grid != g.grid:
-        raise ParameterError("fields live on different grids")
-    if route not in ("bracketed", "expanded"):
-        raise ParameterError(f"unknown route {route!r}")
-    if not 1 <= j <= bank.j_max:
-        raise ParameterError(f"level {j} outside 1..{bank.j_max}")
-    grid = f.grid
-    sym = bank.phi_hat[j - 1]
-    uf1, uf2 = grid_velocity(f)
-    grad_gj1, grad_gj2 = grid_gradient(SpectralField(grid, sym * g.coef, real=g.real))
-    t2 = dealiased_coef(grid, uf1 * grad_gj1) + dealiased_coef(grid, uf2 * grad_gj2)
-
-    if route == "bracketed":
-        t1 = sym * -dealiased_advection(f, g.physical())
-        t3 = sym * -dealiased_advection(g, f.physical())
-    else:
-        grad_g1, grad_g2 = grid_gradient(g)
-        t1 = sym * (dealiased_coef(grid, uf1 * grad_g1) + dealiased_coef(grid, uf2 * grad_g2))
-        ug1, ug2 = grid_velocity(g)
-        grad_f1, grad_f2 = grid_gradient(f)
-        t3 = sym * (dealiased_coef(grid, ug1 * grad_f1) + dealiased_coef(grid, ug2 * grad_f2))
-
-    return SpectralField(grid, t1 - t2 + t3, real=True)

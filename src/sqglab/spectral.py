@@ -1,7 +1,10 @@
 """Fourier-side fields and diagonal multiplier calculus on a periodic box.
 
-Fields live on a uniform n-by-n grid over [0, L)^2.  Coefficients follow the
-numpy ``fft2`` layout: integer frequency indices run over [-n/2, n/2) per
+Fields live on a uniform n-by-n grid over [0, L)^2, and every field is
+real: its grid values are the real part of the inverse transform of its
+coefficients, which depends on their Hermitian part
+h(k) = (c(k) + conj(c(-k)))/2 alone.  No operation makes a complex field.
+Coefficients follow the numpy ``fft2`` layout: integer frequency indices run over [-n/2, n/2) per
 axis and the physical wavenumber of index m is k = (2*pi/L) * m.  Every
 operator in this module is a diagonal multiplier on those coefficients.
 Pointwise products are formed on the grid: :func:`grid_velocity` and
@@ -131,8 +134,8 @@ def band_slices(n: int, band: int) -> tuple[slice, slice]:
     return slice(0, band + 1), slice(n - band, n)
 
 
-def _grid_values(coef: np.ndarray, real: bool, band: int | None = None) -> np.ndarray:
-    """Inverse transform of coef; a real field keeps only its real part.
+def _grid_values(coef: np.ndarray, band: int | None = None) -> np.ndarray:
+    """Real part of the inverse transform of coef.
 
     With band, every row |m1| > band of coef must be zero; those rows are
     not read and their pass-1 transform is skipped.
@@ -144,7 +147,7 @@ def _grid_values(coef: np.ndarray, real: bool, band: int | None = None) -> np.nd
         for rows in band_slices(coef.shape[0], band):
             np.fft.ifft(coef[rows], axis=1, out=w[rows])
     np.fft.ifft(w, axis=0, out=w)
-    return w.real if real else w
+    return w.real
 
 
 def _forward(w: np.ndarray, grid: Grid2 | None = None) -> np.ndarray:
@@ -168,18 +171,21 @@ def _mirror(coef: np.ndarray) -> np.ndarray:
 
 
 class SpectralField:
-    """Scalar field on a :class:`Grid2`, stored by its fft2 coefficients."""
+    """Real scalar field on a :class:`Grid2`, stored by its fft2 coefficients.
 
-    __slots__ = ("grid", "coef", "real")
+    A coefficient array need not be conjugate-symmetric; the field is the
+    real part of its inverse transform all the same (see mode_energy).
+    """
 
-    def __init__(self, grid: Grid2, coef: np.ndarray, real: bool = True):
+    __slots__ = ("grid", "coef")
+
+    def __init__(self, grid: Grid2, coef: np.ndarray):
         if coef.shape != (grid.n, grid.n):
             raise ParameterError(
                 f"coefficient array shape {coef.shape} does not match grid n={grid.n}"
             )
         self.grid = grid
         self.coef = np.asarray(coef, dtype=np.complex128)
-        self.real = bool(real)
 
     @classmethod
     def from_physical(cls, grid: Grid2, values: np.ndarray) -> "SpectralField":
@@ -188,24 +194,17 @@ class SpectralField:
             raise ParameterError(
                 f"value array shape {values.shape} does not match grid n={grid.n}"
             )
-        return cls(grid, _forward(values.astype(np.complex128)), real=True)
-
-    @classmethod
-    def from_coefficients(
-        cls, grid: Grid2, coef: np.ndarray, real: bool = True
-    ) -> "SpectralField":
-        return cls(grid, np.array(coef, dtype=np.complex128, copy=True), real=real)
+        return cls(grid, _forward(values.astype(np.complex128)))
 
     def physical(self) -> np.ndarray:
-        return _grid_values(self.coef, self.real)
+        return _grid_values(self.coef)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coef.copy(), real=self.real)
+        return SpectralField(self.grid, self.coef.copy())
 
     def mean(self) -> float:
         """Average of the field over the box (the k = 0 amplitude)."""
-        m = self.coef[0, 0] / self.grid.n**2
-        return m.real if self.real else m
+        return (self.coef[0, 0] / self.grid.n**2).real
 
     def conjugate_symmetry_defect(self) -> float:
         """Relative departure from c(-k) = conj(c(k))."""
@@ -219,19 +218,21 @@ class SpectralField:
     # Linear-space arithmetic; products belong to physical space.
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(self.grid, self.coef + other.coef, real=self.real and other.real)
+        return SpectralField(self.grid, self.coef + other.coef)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(self.grid, self.coef - other.coef, real=self.real and other.real)
+        return SpectralField(self.grid, self.coef - other.coef)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coef * scalar, real=self.real and not isinstance(scalar, complex))
+        if np.iscomplexobj(scalar):
+            raise ParameterError(f"a field scales by a real number, got {scalar!r}")
+        return SpectralField(self.grid, self.coef * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coef, real=self.real)
+        return SpectralField(self.grid, -self.coef)
 
     def _check_same_grid(self, other: "SpectralField") -> None:
         if self.grid != other.grid:
@@ -270,7 +271,7 @@ def grid_symbol(grid: Grid2, kind: str, axis: int | None = None) -> np.ndarray:
 
 
 def _apply(field: SpectralField, symbol: np.ndarray) -> SpectralField:
-    return SpectralField(field.grid, symbol * field.coef, real=field.real)
+    return SpectralField(field.grid, symbol * field.coef)
 
 
 def fractional_laplacian(field: SpectralField, alpha: float) -> SpectralField:
@@ -317,13 +318,13 @@ def dealias(field: SpectralField) -> SpectralField:
     square, aliasing from the product lands entirely outside it, so
     truncating the product reproduces the exact truncated convolution.
     """
-    return SpectralField(field.grid, field.coef * field.grid.dealias_keep, real=field.real)
+    return SpectralField(field.grid, field.coef * field.grid.dealias_keep)
 
 
 def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of the velocity perp-grad Lambda^(-1) field (see riesz_perp_velocity)."""
     return tuple(
-        _grid_values(grid_symbol(field.grid, "riesz_perp", axis) * field.coef, field.real)
+        _grid_values(grid_symbol(field.grid, "riesz_perp", axis) * field.coef)
         for axis in (0, 1)
     )
 
@@ -331,7 +332,7 @@ def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 def grid_gradient(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of the two partial derivatives of field."""
     return tuple(
-        _grid_values(grid_symbol(field.grid, "gradient", axis) * field.coef, field.real)
+        _grid_values(grid_symbol(field.grid, "gradient", axis) * field.coef)
         for axis in (0, 1)
     )
 
@@ -358,7 +359,7 @@ def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
         np.multiply(grid_symbol(grid, "riesz_perp", axis), field.coef, out=w)
         np.fft.ifft(w, axis=1, out=w)
         np.fft.ifft(w, axis=0, out=w)
-        np.multiply(w.real if field.real else w, scalar, out=p)
+        np.multiply(w.real, scalar, out=p)
         _forward(p, grid)
         if out is None:
             out = np.multiply(grid_symbol(grid, "gradient", axis), p)
@@ -370,20 +371,17 @@ def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
 def mode_energy(field: SpectralField) -> np.ndarray:
     """Per-mode energy |h(k)|^2 of the coefficients physical() inverts.
 
-    A real field keeps only the real part of its inverse transform, which
-    is the transform of the Hermitian part h(k) = (c(k) + conj(c(-k)))/2;
-    a complex field has h = c.  By Parseval the L^2 norm of any diagonal
+    A field keeps only the real part of its inverse transform, which is
+    the transform of the Hermitian part h(k) = (c(k) + conj(c(-k)))/2.
+    By Parseval the L^2 norm of any diagonal
     multiplier m applied to the field is sqrt(cell_area/n^2 * sum m^2 e)
     whenever m(k) = m(-k), as for every radial symbol.
     """
     c = field.coef
-    if field.real:
-        h = _mirror(c)
-        np.conjugate(h, out=h)
-        h += c
-        h *= 0.5
-    else:
-        h = c
+    h = _mirror(c)
+    np.conjugate(h, out=h)
+    h += c
+    h *= 0.5
     e = np.square(h.real)
     e += np.square(h.imag)
     return e
@@ -415,7 +413,7 @@ def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
     grid = field.grid
     w = None
     if any(p != 2.0 for p in ps):
-        w = np.abs(_grid_values(field.coef, field.real, band))
+        w = np.abs(_grid_values(field.coef, band))
     out = []
     for p in ps:
         if p == 2.0:

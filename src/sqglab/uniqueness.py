@@ -102,9 +102,7 @@ class ContractionNorm:
             )
 
 
-def contraction_norm_spec(
-    alpha: float, s: float | None = None, r: float | None = None
-) -> ContractionNorm:
+def contraction_norm_spec(alpha: float, s: float | None = None) -> ContractionNorm:
     """Dispatch the contraction norm by dissipation strength.
 
     alpha > 3/2: L^(p/2)(0,T; B^(-1/2)_{p,p/2}), data in B^(-1/2)_{p,p/(p-2)}.
@@ -112,9 +110,9 @@ def contraction_norm_spec(
                  data in B^(-1/2)_{inf,1}.
     1 < alpha < 3/2: same shape at regularity 1 - alpha, data exponent
                  q = inf.
-    alpha = 1:   regularity -s for a configurable 0 < s < 1 (default 1/4),
-                 data in B^0_{inf,inf}; the auxiliary time exponent r
-                 must satisfy 1 < r < 1/s (default 2, recorded only).
+    alpha = 1:   regularity -s for a configurable 0 < s < 1/2 (default
+                 1/4), data in B^0_{inf,inf}; s < 1/2 is the window
+                 1 < r < 1/s of the argument's auxiliary time exponent r = 2.
     alpha < 1:   regularity -s with 0 < s < 1 - alpha (default (1-alpha)/2).
     """
     if not 0.0 < alpha <= 2.0:
@@ -143,11 +141,8 @@ def contraction_norm_spec(
         )
     if alpha == 1.0:
         s = 0.25 if s is None else float(s)
-        if not 0.0 < s < 1.0:
-            raise ParameterError(f"alpha = 1 needs 0 < s < 1, got {s}")
-        r = 2.0 if r is None else float(r)
-        if not 1.0 < r < 1.0 / s:
-            raise ParameterError(f"auxiliary exponent needs 1 < r < {1.0 / s}, got {r}")
+        if not 0.0 < s < 0.5:
+            raise ParameterError(f"alpha = 1 needs 0 < s < 1/2, got {s}")
         return ContractionNorm(
             index=BesovIndex(-s, math.inf, math.inf),
             time_exponent=math.inf,
@@ -276,13 +271,13 @@ def contraction_ladder(
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
     cuts = [replace(params, t_final=t).n_steps() + 1 for t in horizons]
     top = replace(params, t_final=horizons[-1])
-    grid, real = theta0.grid, theta0.real
+    grid = theta0.grid
     times, gaps, images = [], [], []
     for (t, a, da), (_, b, db) in zip(
         duhamel_along(march(theta0, top), grid, top),
         duhamel_along(march(theta0, replace(top, nonlinear=False)), grid, top),
     ):
-        gap = SpectralField(grid, a, real) - SpectralField(grid, b, real)
+        gap = SpectralField(grid, a) - SpectralField(grid, b)
         image = SpectralField(grid, da) - SpectralField(grid, db)
         times.append(t)
         gaps.append(_norm_parts(gap, bank, spec))
@@ -315,7 +310,7 @@ def perturbed_datum(
     scale = instant_norm(theta0, bank, spec)
     if scale <= 0.0:
         raise ParameterError("a perturbed twin needs nonzero initial data")
-    return SpectralField(theta0.grid, theta0.coef * (1.0 + DELTA / scale), real=theta0.real)
+    return SpectralField(theta0.grid, theta0.coef * (1.0 + DELTA / scale))
 
 
 def _final(steps) -> np.ndarray:
@@ -345,10 +340,10 @@ def twin_experiments(
     The twin marches step side by side; of the others only the final
     state is kept, so no series is held.
     """
-    grid, real = theta0.grid, theta0.real
+    grid = theta0.grid
 
     def gap(a: np.ndarray, b: np.ndarray) -> float:
-        return instant_norm(SpectralField(grid, a, real) - SpectralField(grid, b, real), bank, spec)
+        return instant_norm(SpectralField(grid, a) - SpectralField(grid, b), bank, spec)
 
     identical_gap = 0.0
     for (_, a, _), (_, b, _) in zip(march(theta0, params), march(theta0, params)):
@@ -361,19 +356,6 @@ def twin_experiments(
         raise ParameterError("refinement gap vanished; data too small to resolve")
     order = float(np.log2(gap(run, fine) / bottom))
     return identical_gap, order, gap(run, perturbed) / DELTA
-
-
-# ---------------------------------------------------------------------------
-# High/low split helpers
-# ---------------------------------------------------------------------------
-
-
-def high_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    """Sum of the annulus blocks strictly above level j."""
-    if not 0 <= j <= bank.j_max:
-        raise ParameterError(f"level {j} outside 0..{bank.j_max}")
-    sym = sum(bank.phi_hat[j:], np.zeros_like(bank.psi_hat))
-    return SpectralField(f.grid, f.coef * sym, real=f.real)
 
 
 # ---------------------------------------------------------------------------

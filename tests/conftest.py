@@ -25,7 +25,7 @@ def random_field(grid: Grid2, rng, band_limited=True, envelope=None) -> Spectral
     if envelope is not None:
         coef = coef * envelope(grid.kabs)
     coef[0, 0] = 0.0
-    f = SpectralField(grid, coef, real=True)
+    f = SpectralField(grid, coef)
     if band_limited:
         f = dealias(f)
     return f
@@ -35,7 +35,7 @@ def ball_limited_field(grid: Grid2, rng, radius: float) -> SpectralField:
     """Random field with spectrum confined to the ball |k| <= radius."""
     f = random_field(grid, rng, band_limited=False)
     coef = f.coef * (grid.kabs <= radius)
-    return SpectralField(grid, coef, real=True)
+    return SpectralField(grid, coef)
 
 
 def pure_mode(grid: Grid2, m1: int, m2: int, amplitude=1.0) -> SpectralField:
@@ -44,4 +44,4 @@ def pure_mode(grid: Grid2, m1: int, m2: int, amplitude=1.0) -> SpectralField:
     half = amplitude * grid.n**2 / 2.0
     coef[m1 % grid.n, m2 % grid.n] += half
     coef[-m1 % grid.n, -m2 % grid.n] += half
-    return SpectralField(grid, coef, real=True)
+    return SpectralField(grid, coef)

@@ -24,7 +24,7 @@ from sqglab.counterexamples import (
     build_counterexample_pair,
     lower_bound_sum,
     pairing_quadrature,
-    prop_a3_product_norm,
+    prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
 from sqglab.lab import (
@@ -222,7 +222,7 @@ def test_criterion_5_counterexample_dichotomy():
     s_div = -0.75
     a3_values = {}
     for n in (10, 20, 30, 40, 50):
-        value, lower = prop_a3_product_norm(s_div, n)
+        value, lower = prop_a3_product_norms(s_div, n)[-1]
         assert value > 0.0
         a3_values[n] = value / lower
     assert max(a3_values.values()) / min(a3_values.values()) <= 1.05
@@ -231,8 +231,8 @@ def test_criterion_5_counterexample_dichotomy():
 
     s_conv = -0.5
     limit = math.pi**4 / 90.0
-    value10, lower10 = prop_a3_product_norm(s_conv, 10)
-    value50, lower50 = prop_a3_product_norm(s_conv, 50)
+    value10, lower10 = prop_a3_product_norms(s_conv, 10)[-1]
+    value50, lower50 = prop_a3_product_norms(s_conv, 50)[-1]
     assert abs(lower50 - limit) <= 0.01 * limit
     assert abs((value50 / lower50) / (value10 / lower10) - 1.0) <= 0.01
 

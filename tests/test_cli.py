@@ -96,6 +96,13 @@ GOLDEN_CASES = [(lemma, (lemma, *_SEEDED), "") for lemma in _RANDOMIZED] + [
         ("bilinear-diagonal", *_SEEDED),
         "s_prime = -0.25\n",
     ),
+    # exits 2: each family skips one trial, and every kept riesz ratio
+    # is 0; the rows keep each family's own ratios under its own label
+    (
+        "commutators-skip",
+        ("commutators", "--n", "32", "--box", "5.5e-14", "--trials", "8", "--seed", "1"),
+        "",
+    ),
 ]
 
 

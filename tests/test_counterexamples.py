@@ -26,12 +26,11 @@ from sqglab.counterexamples import (
     lower_bound_sum,
     pairing_filter_decomposition,
     pairing_quadrature,
-    prop_a3_product_norm,
     prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
 from sqglab.littlewood import annulus_profile
-from sqglab.spectral import Grid2, ParameterError
+from sqglab.spectral import ParameterError
 
 
 class TestBumpProfile:
@@ -69,46 +68,10 @@ class TestBumpPair:
     def test_build_variants(self):
         f, g = build_counterexample_pair(-0.5, 4, "a1")
         assert f.variant == "a1_plus" and g.variant == "a1_minus"
-        assert f.centers(2) == [(4.0, 0.0)]
-        assert g.centers(2) == [(-4.0, 0.0)]
         fs, gs = build_counterexample_pair(-0.5, 4, "a3")
         assert fs is gs and fs.variant == "a3_symmetric"
-        assert fs.centers(3) == [(8.0, 0.0), (-8.0, 0.0)]
         with pytest.raises(ParameterError):
             build_counterexample_pair(-0.5, 4, "a2")
-
-    def test_supports_pairwise_disjoint(self):
-        for n_terms in (1, 4, 12, 40):
-            assert BumpPair(-0.5, n_terms, "a3_symmetric").support_disjoint()
-
-
-class TestGridProjection:
-    def test_budget_error_on_small_grid(self):
-        f, _ = build_counterexample_pair(-0.5, 6, "a1")
-        with pytest.raises(ParameterError, match="frequency budget"):
-            f.to_field(Grid2(128))
-
-    def test_resolution_error_on_coarse_box(self):
-        f, _ = build_counterexample_pair(-0.5, 1, "a1")
-        with pytest.raises(ParameterError, match="too coarse"):
-            f.to_field(Grid2(128, 2.0 * math.pi))
-
-    def test_projection_hits_centers(self):
-        grid = Grid2(512, 40.0 * math.pi)
-        f, g = build_counterexample_pair(-0.5, 3, "a1", grid=grid)
-        field = f.to_field(grid)
-        # lattice point exactly at the n=1 center (2, 0): index 2/unit = 40
-        unit = 2.0 * math.pi / grid.box_length
-        idx = round(2.0 / unit)
-        assert abs(field.coef[idx, 0] - f.coefficients()[0]) < 1e-15
-        # one-sided bumps are not Hermitian, symmetric ones are
-        assert field.conjugate_symmetry_defect() > 1e-3
-        sym, _ = build_counterexample_pair(-0.5, 3, "a3")
-        assert sym.to_field(grid).conjugate_symmetry_defect() < 1e-14
-
-    def test_build_validates_against_grid(self):
-        with pytest.raises(ParameterError):
-            build_counterexample_pair(-0.5, 6, "a1", grid=Grid2(128))
 
 
 class TestLowerBoundSums:
@@ -369,10 +332,10 @@ class TestSharedCoupling:
 
 class TestProductNormA3:
     def test_empty_family(self):
-        assert prop_a3_product_norm(-0.75, 0) == (0.0, 0.0)
+        assert prop_a3_product_norms(-0.75, 0) == []
 
     def test_frozen_value_and_exact_lower_term(self):
-        value, lower = prop_a3_product_norm(-0.75, 1)
+        value, lower = prop_a3_product_norms(-0.75, 1)[-1]
         assert abs(lower - math.sqrt(2.0)) < 1e-15
         assert abs(value - 9.04676593e-04) / 9.04676593e-04 < 1e-6
 
@@ -381,7 +344,7 @@ class TestProductNormA3:
         # 2 (int chi)^2, so the running ratio must be flat in N and s
         ratios = []
         for s, n_terms in ((-0.75, 5), (-0.75, 20), (-0.5, 30), (-1.0, 8)):
-            value, lower = prop_a3_product_norm(s, n_terms)
+            value, lower = prop_a3_product_norms(s, n_terms)[-1]
             ratios.append(value / lower)
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() - 1.0 < 1e-3
@@ -398,7 +361,7 @@ class TestProductNormA3:
 
 
 def reference_a3_value(s, n_terms, m0=16, max_m=64, rtol=0.01):
-    """prop_a3_product_norm's value computed for one N alone: every node
+    """Row N of prop_a3_product_norms computed for that N alone: every node
     count rebuilds its nodes and evaluates all N term integrals."""
 
     def total(m):
@@ -444,7 +407,7 @@ class TestProductNormSweep:
 
     def test_single_call_is_the_last_row(self):
         rows = prop_a3_product_norms(-0.75, 7)
-        assert prop_a3_product_norm(-0.75, 7) == rows[-1]
+        assert prop_a3_product_norms(-0.75, 7)[-1] == rows[-1]
         assert prop_a3_product_norms(-0.75, 0) == []
         with pytest.raises(ParameterError):
             prop_a3_product_norms(0.25, 3)

@@ -29,7 +29,6 @@ from sqglab.littlewood import (
     s_partial,
     series_block_norms,
     smooth_step,
-    tilde_s,
     time_lr,
 )
 from sqglab.spectral import Grid2, ParameterError, SpectralField, lp_norm
@@ -171,7 +170,6 @@ class TestBlocks:
         scale = np.abs(f.coef).max()
         assert np.abs(total.coef - f.coef).max() < 1e-12 * scale
         assert np.abs(s_partial(f, bank, bank.j_max).coef - f.coef).max() < 1e-12 * scale
-        assert np.abs(tilde_s(f, bank, bank.j_max).coef).max() < 1e-12 * scale
 
     def test_partial_sum_endpoints(self):
         grid = Grid2(64)
@@ -179,8 +177,6 @@ class TestBlocks:
         f = random_field(grid, RNG)
         s0 = s_partial(f, bank, 0)
         assert np.abs(s0.coef - psi_block(f, bank).coef).max() == 0.0
-        t0 = tilde_s(f, bank, 0)
-        assert np.abs((s0 + t0).coef - f.coef).max() < 1e-12 * np.abs(f.coef).max()
 
     def test_level_bounds_checked(self):
         grid = Grid2(64)

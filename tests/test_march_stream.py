@@ -76,10 +76,10 @@ class TestMarch:
 
 class TestRealDataMustBeHermitian:
     def single_sided_mode(self, grid):
-        # e^{i x1} alone: complex-valued, yet flagged real
+        # e^{i x1} alone: its grid values would be read as cos(x1)
         coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
         coef[1, 0] = grid.n**2
-        return SpectralField(grid, coef, real=True)
+        return SpectralField(grid, coef)
 
     def test_march_solve_and_picard_reject_it(self, grid64):
         theta0 = self.single_sided_mode(grid64)

@@ -1,4 +1,4 @@
-"""Tests for the mild-solution march, Picard iteration, and commutators."""
+"""Tests for the mild-solution march, Picard iteration, and the divergence-form identity."""
 
 import math
 from dataclasses import replace
@@ -12,11 +12,9 @@ from sqglab.mild import (
     BlowUpError,
     NonContractionError,
     SolveParams,
-    commutator_a_j,
     divergence_form_check,
     duhamel_series,
     duhamel_step,
-    nonlinear_n,
     picard_solve,
     solve,
 )
@@ -26,7 +24,6 @@ from sqglab.spectral import (
     SpectralField,
     dealias,
     lp_norm,
-    riesz_perp_velocity,
     semigroup_apply,
 )
 
@@ -38,7 +35,7 @@ def smooth_data(grid, rng, amp=0.5, k0=6.0):
     f = SpectralField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
     coef = f.coef * np.exp(-((grid.kabs / k0) ** 2))
     coef[0, 0] = 0.0
-    f = dealias(SpectralField(grid, coef, real=True))
+    f = dealias(SpectralField(grid, coef))
     peak = lp_norm(f, math.inf)
     return f * (amp / peak)
 
@@ -195,7 +192,7 @@ class TestSolve:
         for j in [2, 3, 4]:
             f = random_field(grid, rng, band_limited=False)
             coef = f.coef * (bank.phi_hat[j - 1] > 0.0)
-            f = dealias(SpectralField(grid, coef, real=True))
+            f = dealias(SpectralField(grid, coef))
             _, fields = solve(f, params)
             n0 = lp_norm(fields[0], 2.0)
             n1 = lp_norm(fields[-1], 2.0)
@@ -283,76 +280,6 @@ class TestPicard:
             picard_solve(f, params)
 
 
-class TestNonlinearN:
-    def test_zero_first_argument(self):
-        grid = Grid2(64)
-        theta = random_field(grid, RNG)
-        zero = SpectralField(grid, np.zeros((64, 64), dtype=complex))
-        n1, n2 = nonlinear_n(zero, theta)
-        assert np.abs(n1.coef).max() == 0.0
-        assert np.abs(n2.coef).max() == 0.0
-
-    def test_symmetry(self):
-        grid = Grid2(64)
-        w = random_field(grid, RNG)
-        theta = random_field(grid, RNG)
-        a1, a2 = nonlinear_n(w, theta)
-        b1, b2 = nonlinear_n(theta, w)
-        scale = max(np.abs(a1.coef).max(), np.abs(a2.coef).max())
-        assert np.abs(a1.coef - b1.coef).max() < 1e-12 * scale
-        assert np.abs(a2.coef - b2.coef).max() < 1e-12 * scale
-
-    def test_diagonal_value(self):
-        grid = Grid2(64)
-        f = random_field(grid, RNG)
-        n1, n2 = nonlinear_n(f, f)
-        u1, u2 = riesz_perp_velocity(f)
-        fp = f.physical()
-        d1 = dealias(SpectralField.from_physical(grid, u1.physical() * fp))
-        d2 = dealias(SpectralField.from_physical(grid, u2.physical() * fp))
-        scale = max(np.abs(n1.coef).max(), 1e-30)
-        assert np.abs(n1.coef - 2.0 * d1.coef).max() < 1e-12 * scale
-        assert np.abs(n2.coef - 2.0 * d2.coef).max() < 1e-12 * scale
-
-    def test_symmetrization_identity(self):
-        # u_{t1} t1 - u_{t2} t2 = (N(w, t1) + N(w, t2)) / 2 with w = t1 - t2
-        grid = Grid2(64)
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            t1 = random_field(grid, rng)
-            t2 = random_field(grid, rng)
-            w = t1 - t2
-            a1, a2 = nonlinear_n(w, t1)
-            b1, b2 = nonlinear_n(w, t2)
-            u11, u12 = riesz_perp_velocity(t1)
-            u21, u22 = riesz_perp_velocity(t2)
-            lhs1 = dealias(
-                SpectralField.from_physical(
-                    grid, u11.physical() * t1.physical() - u21.physical() * t2.physical()
-                )
-            )
-            lhs2 = dealias(
-                SpectralField.from_physical(
-                    grid, u12.physical() * t1.physical() - u22.physical() * t2.physical()
-                )
-            )
-            scale = max(np.abs(lhs1.coef).max(), 1e-30)
-            assert np.abs(lhs1.coef - 0.5 * (a1.coef + b1.coef)).max() < 1e-12 * scale
-            assert np.abs(lhs2.coef - 0.5 * (a2.coef + b2.coef)).max() < 1e-12 * scale
-
-    def test_mean_free_enforced(self):
-        grid = Grid2(64)
-        f = random_field(grid, RNG)
-        g = random_field(grid, RNG)
-        g.coef[0, 0] = grid.n**2
-        with pytest.raises(ParameterError):
-            nonlinear_n(f, g)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ParameterError):
-            nonlinear_n(random_field(Grid2(32), RNG), random_field(Grid2(64), RNG))
-
-
 class TestDivergenceForm:
     def test_random_pairs_diagonal(self):
         grid = Grid2(64)
@@ -390,46 +317,3 @@ class TestDivergenceForm:
         bank = build_bank(grid)
         f = pure_mode(grid, 6, 0)  # level-3 plateau
         assert divergence_form_check(f, f, bank, 3, 3) < 1e-12
-
-
-class TestCommutator:
-    def test_constant_f_annihilates(self):
-        grid = Grid2(64)
-        bank = build_bank(grid)
-        g = random_field(grid, RNG)
-        const = SpectralField(grid, np.zeros((64, 64), dtype=complex))
-        const.coef[0, 0] = 2.5 * grid.n**2
-        out = commutator_a_j(const, g, bank, 3)
-        assert np.abs(out.coef).max() < 1e-12 * np.abs(g.coef).max()
-
-    def test_zero_inputs(self):
-        grid = Grid2(64)
-        bank = build_bank(grid)
-        zero = SpectralField(grid, np.zeros((64, 64), dtype=complex))
-        out = commutator_a_j(zero, zero, bank, 2)
-        assert np.abs(out.coef).max() == 0.0
-
-    def test_reassociation_oracle(self):
-        # bracketed route moves the divergence inside the filter through
-        # div u = 0; both associations must agree
-        grid = Grid2(64)
-        bank = build_bank(grid)
-        rng = np.random.default_rng(11)
-        for j in [2, 3, 4]:
-            f = random_field(grid, rng)
-            g = random_field(grid, rng)
-            a = commutator_a_j(f, g, bank, j, route="bracketed")
-            b = commutator_a_j(f, g, bank, j, route="expanded")
-            scale = max(np.abs(a.coef).max(), 1e-30)
-            assert np.abs(a.coef - b.coef).max() < 1e-10 * scale
-
-    def test_level_and_route_validation(self):
-        grid = Grid2(64)
-        bank = build_bank(grid)
-        f = random_field(grid, RNG)
-        with pytest.raises(ParameterError):
-            commutator_a_j(f, f, bank, 0)
-        with pytest.raises(ParameterError):
-            commutator_a_j(f, f, bank, bank.j_max + 1)
-        with pytest.raises(ParameterError):
-            commutator_a_j(f, f, bank, 2, route="sideways")

@@ -1,7 +1,7 @@
 """L^2 norms by Parseval against the physical-space quadrature they replace.
 
 lp_norm(f, 2) and block_norms(f, bank, 2) read the coefficients and take
-no inverse transform.  A real field keeps only the real part of its
+no inverse transform.  Every field keeps only the real part of its
 inverse transform, so the sum runs over the Hermitian part of the
 coefficients; that must match the Riemann sum of |physical()|^2 to
 roundoff for Hermitian and non-Hermitian coefficients alike.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
-from sqglab.counterexamples import BumpPair
+from sqglab.counterexamples import BumpPair, bump_profile
 from sqglab.littlewood import (
     block,
     block_norms,
@@ -50,12 +50,10 @@ def complex_coef(grid: Grid2, rng) -> np.ndarray:
 
 
 def fields(grid: Grid2, rng) -> dict[str, SpectralField]:
-    """Hermitian real, non-Hermitian real and complex fields on one grid."""
-    coef = complex_coef(grid, rng)
+    """Fields of Hermitian and non-Hermitian coefficients on one grid."""
     return {
         "hermitian": random_field(grid, rng, band_limited=False),
-        "non-hermitian real": SpectralField(grid, coef, real=True),
-        "complex": SpectralField(grid, coef, real=False),
+        "non-hermitian real": SpectralField(grid, complex_coef(grid, rng)),
     }
 
 
@@ -69,21 +67,19 @@ class TestLpNormParseval:
     def test_bump_family_coefficients(self):
         # bump coefficients sit at +2^n e1 only: far from Hermitian
         grid = Grid2(256, 40.0 * math.pi)
-        bump = BumpPair(-0.5, 2, "a1_plus").to_field(grid)
-        assert bump.real is False
-        as_real = SpectralField(grid, bump.coef, real=True)
-        assert as_real.conjugate_symmetry_defect() > 0.5
-        for f in (bump, as_real):
-            assert lp_norm(f, 2.0) == pytest.approx(physical_l2(f), rel=RTOL, abs=0.0)
+        coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
+        for n, c in enumerate(BumpPair(-0.5, 2, "a1_plus").coefficients(), start=1):
+            coef += c * bump_profile(np.hypot(grid.k1 - 2.0**n, grid.k2))
+        f = SpectralField(grid, coef)
+        assert f.conjugate_symmetry_defect() > 0.5
+        assert lp_norm(f, 2.0) == pytest.approx(physical_l2(f), rel=RTOL, abs=0.0)
         # the real part keeps half the energy of a one-sided spectrum
-        assert lp_norm(as_real, 2.0) == pytest.approx(
-            lp_norm(bump, 2.0) / math.sqrt(2.0), rel=RTOL
-        )
+        whole = math.sqrt(np.square(np.abs(np.fft.ifft2(coef))).sum() * grid.cell_area)
+        assert lp_norm(f, 2.0) == pytest.approx(whole / math.sqrt(2.0), rel=RTOL)
 
-    @pytest.mark.parametrize("real", [True, False])
-    def test_zero_field_exactly_zero(self, real):
+    def test_zero_field_exactly_zero(self):
         grid = shared_grid(32)
-        zero = SpectralField(grid, np.zeros((32, 32), dtype=np.complex128), real=real)
+        zero = SpectralField(grid, np.zeros((32, 32), dtype=np.complex128))
         assert lp_norm(zero, 2.0) == 0.0
 
 
@@ -123,18 +119,16 @@ class TestBlockNormsParseval:
 @given(
     n=st.sampled_from([16, 32, 64]),
     box=st.sampled_from([2.0 * math.pi, 0.5 * math.pi]),
-    real=st.booleans(),
     hermitian=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_parseval_property(n, box, real, hermitian, seed):
+def test_parseval_property(n, box, hermitian, seed):
     grid = shared_grid(n, box)
     rng = np.random.default_rng(seed)
     if hermitian:
         f = random_field(grid, rng, band_limited=False)
-        f = SpectralField(grid, f.coef, real=real)
     else:
-        f = SpectralField(grid, complex_coef(grid, rng), real=real)
+        f = SpectralField(grid, complex_coef(grid, rng))
     assert lp_norm(f, 2.0) == pytest.approx(physical_l2(f), rel=RTOL, abs=0.0)
     if max_feasible_level(grid) < 3:
         return  # too few dyadic levels for a bank on this grid

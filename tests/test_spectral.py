@@ -32,6 +32,7 @@ from sqglab.spectral import (
     lp_norm,
     riesz_perp_velocity,
     semigroup_apply,
+    shared_grid,
 )
 from sqglab.uniqueness import riesz_low_max
 
@@ -116,7 +117,7 @@ class TestSpectralField:
         g = Grid2(32)
         c = np.zeros((32, 32), dtype=complex)
         c[1, 0] = 1.0  # no mirror partner
-        f = SpectralField.from_coefficients(g, c, real=True)
+        f = SpectralField(g, c)
         assert f.conjugate_symmetry_defect() > 0.5
 
     def test_mean_reads_zero_mode(self):
@@ -129,6 +130,45 @@ class TestSpectralField:
         h = random_field(Grid2(64))
         with pytest.raises(ParameterError):
             _ = f + h
+
+    @pytest.mark.parametrize("scalar", [1j, 2.0 + 0.0j, np.complex128(-1.0)])
+    def test_complex_scaling_refused(self, scalar):
+        f = random_field(Grid2(32))
+        with pytest.raises(ParameterError):
+            _ = f * scalar
+        with pytest.raises(ParameterError):
+            _ = scalar * f
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_n=st.integers(4, 7),
+        box=st.sampled_from([2.0 * math.pi, 0.5 * math.pi, 3.0]),
+        alpha=st.floats(0.1, 2.0),
+        t=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_images_of_one_sided_coefficients_are_real(self, log_n, box, alpha, t, seed):
+        # coefficients on the half plane m1 > 0 alone have no mirror
+        # partner; the field is still the real part of their transform,
+        # and so is every image of it.  No field carries a realness flag
+        # that an operation could turn off.
+        n = 2**log_n
+        grid = shared_grid(n, box)
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        coef[grid.index1 <= 0] = 0.0
+        f = SpectralField(grid, coef)
+        assert f.conjugate_symmetry_defect() > 0.5
+        images = [f, f * 2.5, -f, f + f, f - f * 0.5, semigroup_apply(f, alpha, t)]
+        images += [gradient(f, axis) for axis in (0, 1)]
+        images += riesz_perp_velocity(f)
+        if max_feasible_level(grid) >= 1:
+            bank = DyadicBank(grid, max_feasible_level(grid))
+            images += [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+        for image in images:
+            assert not hasattr(image, "real")
+            values = image.physical()
+            assert values.dtype == np.float64 and values.shape == (n, n)
 
 
 class TestFractionalLaplacian:
@@ -296,13 +336,13 @@ def padded_product(f, g):
         dst = np.zeros((m, m), dtype=complex)
         lo = (m - n) // 2
         dst[lo : lo + n, lo : lo + n] = src
-        return SpectralField(big, np.fft.ifftshift(dst) * (m / n) ** 2, real=field.real)
+        return SpectralField(big, np.fft.ifftshift(dst) * (m / n) ** 2)
 
     prod_big = SpectralField.from_physical(big, embed(f).physical() * embed(g).physical())
     src = np.fft.fftshift(prod_big.coef)
     lo = (m - n) // 2
     small = np.fft.ifftshift(src[lo : lo + n, lo : lo + n]) * (n / m) ** 2
-    return SpectralField(f.grid, small, real=True)
+    return SpectralField(f.grid, small)
 
 
 class TestDealias:
@@ -319,7 +359,7 @@ class TestDealias:
         g = Grid2(32)
         c = np.zeros((32, 32), dtype=complex)
         c[16, 0] = 1.0  # pure Nyquist mode
-        out = dealias(SpectralField.from_coefficients(g, c))
+        out = dealias(SpectralField(g, c))
         assert np.abs(out.coef).max() == 0.0
 
     def test_product_matches_padding_oracle(self):
@@ -395,20 +435,25 @@ class TestGridProducts:
         assert np.array_equal(dealiased_advection(f, values), want)
 
     @pytest.mark.parametrize(
-        "pattern",
-        [r"\b(np|numpy)\.fft\b|from numpy import fft", r"\b1j\b"],
-        ids=["fft", "1j"],
+        "pattern, owner",
+        [
+            (r"\b(np|numpy)\.fft\b|from numpy import fft", "spectral.py"),
+            (r"\b1j\b", "spectral.py"),
+            (r"\breal=", None),
+        ],
+        ids=["fft", "1j", "real"],
     )
-    def test_transforms_live_in_the_spectral_module(self, pattern):
+    def test_transforms_live_in_the_spectral_module(self, pattern, owner):
         # one module owns the transform convention and the derivative
         # symbols, so a change of them (say, to real-to-complex
-        # transforms) is made in one place
+        # transforms) is made in one place; and every field is real, so
+        # no module, that one included, passes a realness flag
         package = Path(sqglab.spectral.__file__).parent
         pattern = re.compile(pattern)
         offenders = [
             path.name
             for path in sorted(package.glob("*.py"))
-            if path.name != "spectral.py" and pattern.search(path.read_text(encoding="utf-8"))
+            if path.name != owner and pattern.search(path.read_text(encoding="utf-8"))
         ]
         assert offenders == []
 
@@ -443,8 +488,8 @@ class TestPrunedTransforms:
         coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         coef[np.abs(grid.index1) > band] = 0.0
 
-        got = sqglab.spectral._grid_values(coef, False, band)
-        assert np.array_equal(got.view(np.int64), np.fft.ifft2(coef).view(np.int64))
+        got = sqglab.spectral._grid_values(coef, band)
+        assert np.array_equal(got.view(np.int64), np.fft.ifft2(coef).real.view(np.int64))
 
         values = rng.standard_normal((n, n))
         got = dealiased_coef(grid, values)
@@ -454,7 +499,7 @@ class TestPrunedTransforms:
         assert np.array_equal(got[keep].view(np.int64), want[keep].view(np.int64))
 
         bank = DyadicBank(grid, max_feasible_level(grid))
-        f = SpectralField(grid, coef, real=True)
+        f = SpectralField(grid, coef)
         for p in (1.0, 4.0, math.inf):
             want = reference_block_norms(f, bank, p)
             assert np.array_equal(block_norms(f, bank, p).view(np.int64), want.view(np.int64))

@@ -15,13 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_limited_field, pure_mode, rel_err, smooth_profile
+from conftest import pure_mode, rel_err, smooth_profile
 from sqglab.littlewood import (
     BesovIndex,
     besov_norm,
     build_bank,
-    s_partial,
-    tilde_s,
 )
 from sqglab.mild import (
     BlowUpError,
@@ -33,7 +31,6 @@ from sqglab.mild import (
 from sqglab.spectral import (
     ParameterError,
     SpectralField,
-    lp_norm,
     semigroup_apply,
     shared_grid,
 )
@@ -47,7 +44,6 @@ from sqglab.uniqueness import (
     difference_norm,
     end_point_exponent,
     exponent_identity_gap,
-    high_partial,
     instant_norm,
     packet_profile,
     perturbed_datum,
@@ -183,15 +179,10 @@ class TestContractionNormSpec:
         assert spec.index.s == -0.4
 
     def test_alpha_one_auxiliary_exponent_window(self):
-        # default r = 2 needs s < 1/2; s = 0.6 puts 1/s below it.
+        # the auxiliary time exponent r = 2 needs s < 1/2; s = 0.6 puts
+        # 1/s below it.
         with pytest.raises(ParameterError):
             contraction_norm_spec(1.0, s=0.6)
-        spec = contraction_norm_spec(1.0, s=0.6, r=1.5)
-        assert spec.index.s == -0.6
-        with pytest.raises(ParameterError):
-            contraction_norm_spec(1.0, r=1.0)
-        with pytest.raises(ParameterError):
-            contraction_norm_spec(1.0, r=4.0)
 
     def test_sub_one_defaults(self):
         spec = contraction_norm_spec(0.75)
@@ -298,7 +289,7 @@ class TestContractionFactor:
         params = SolveParams(alpha=2.0, n=128, t_final=0.05, dt=0.0025)
         _, sol = solve(theta0, params)
         _, lin = solve(theta0, replace(params, nonlinear=False))
-        marched = [SpectralField(theta0.grid, c, theta0.real) for _, c, _ in march(theta0, params)]
+        marched = [SpectralField(theta0.grid, c) for _, c, _ in march(theta0, params)]
         via_solution = contraction_factor(sol, lin, params, bank128)
         via_series = contraction_factor(marched, lin, params, bank128)
         assert via_solution.factor == via_series.factor
@@ -401,34 +392,6 @@ class TestTwinRuns:
         params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
         with pytest.raises(BlowUpError):
             twin_experiments(theta0 * 1e13, params, bank128, contraction_norm_spec(1.5))
-
-
-class TestHighLowSplit:
-    # The finite ladder telescopes to the top-level lowpass envelope,
-    # which equals one only on the ball of radius (3/4) * 2^J; spectra
-    # confined there see the split as an exact identity.
-
-    def test_partition_reassembles_identity(self, grid128, bank128):
-        rng = np.random.default_rng(21)
-        f = ball_limited_field(grid128, rng, 0.75 * 2.0**bank128.j_max)
-        for j in (0, 2, bank128.j_max):
-            total = s_partial(f, bank128, j) + high_partial(f, bank128, j)
-            gap = lp_norm(total - f, 2)
-            assert gap <= 1e-12 * lp_norm(f, 2)
-
-    def test_matches_complement_form(self, grid128, bank128):
-        rng = np.random.default_rng(22)
-        f = ball_limited_field(grid128, rng, 0.75 * 2.0**bank128.j_max)
-        j = 3
-        gap = lp_norm(high_partial(f, bank128, j) - tilde_s(f, bank128, j), 2)
-        assert gap <= 1e-12 * lp_norm(f, 2)
-
-    def test_level_validated(self, grid128, bank128):
-        f = pure_mode(grid128, 1, 0)
-        with pytest.raises(ParameterError):
-            high_partial(f, bank128, -1)
-        with pytest.raises(ParameterError):
-            high_partial(f, bank128, bank128.j_max + 1)
 
 
 class TestContinuityCriterion:

@@ -17,13 +17,13 @@ import pytest
 
 from sqglab.lab import (
     _run_trials,
+    _steady_duhamel_norms,
     bilinear_diagonal_sum,
     duhamel_test_datum,
     low_high_paraproduct,
     lowpass_commutator_family,
     random_besov_field,
     riesz_lowpass_commutator,
-    steady_duhamel_norm,
     velocity_gradient_components,
     verify_bilinear,
     verify_duhamel_bound,
@@ -64,7 +64,7 @@ def pairwise_bilinear(f, g, bank):
         for l in range(max(0, k - 1), min(len(blocks_g), k + 2)):
             coef += pairwise_advect(*riesz_perp_velocity(fk), blocks_g[l]).coef
             coef += pairwise_advect(*riesz_perp_velocity(blocks_g[l]), fk).coef
-    return SpectralField(grid, coef, real=f.real and g.real)
+    return SpectralField(grid, coef)
 
 
 def rel_diff(a, b):
@@ -85,28 +85,15 @@ class TestBilinearOracle:
         g = random_besov_field(bank, rng, s=0.25)
         got = bilinear_diagonal_sum(f, g, bank)
         want = pairwise_bilinear(f, g, bank)
-        assert got.real
-        assert rel_diff(got.coef, want.coef) <= 1e-13
-
-    def test_complex_input_keeps_the_real_part(self):
-        bank = bank_of(64, QUARTER)
-        rng = np.random.default_rng(3)
-        parts = [random_besov_field(bank, rng) for _ in range(3)]
-        f = SpectralField(bank.grid, parts[0].coef + 1j * parts[1].coef, real=False)
-        g = parts[2]
-        # the pairwise form drops the imaginary part of each product
-        want = pairwise_bilinear(f, g, bank)
-        got = bilinear_diagonal_sum(f, g, bank)
-        assert not got.real
         assert rel_diff(got.coef, want.coef) <= 1e-13
 
     def test_non_hermitian_real_input(self):
-        # flagged real, coefficients not conjugate-symmetric: every factor
-        # keeps the real part of its own inverse transform
+        # coefficients not conjugate-symmetric: every factor keeps the
+        # real part of its own inverse transform
         bank = bank_of(128, QUARTER)
         rng = np.random.default_rng(4)
         noise = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-        f = dealias(SpectralField(bank.grid, noise * 128.0, real=True))
+        f = dealias(SpectralField(bank.grid, noise * 128.0))
         g = random_besov_field(bank, rng)
         assert f.conjugate_symmetry_defect() > 0.1
         got = bilinear_diagonal_sum(f, g, bank)
@@ -145,7 +132,7 @@ class TestCommutatorsBitwise:
 
 
 def one_horizon_duhamel(theta, alpha, horizon, p):
-    """steady_duhamel_norm as it was written for a single horizon."""
+    """_steady_duhamel_norms as it was written for a single horizon."""
     grid = theta.grid
     u1, u2 = riesz_perp_velocity(theta)
     phys = theta.physical()
@@ -156,7 +143,7 @@ def one_horizon_duhamel(theta, alpha, horizon, p):
     mult[0, 0] = horizon
     for comp in (u1, u2):
         prod = dealias(SpectralField.from_physical(grid, comp.physical() * phys))
-        out = max(out, lp_norm(SpectralField(grid, prod.coef * mult, real=True), p))
+        out = max(out, lp_norm(SpectralField(grid, prod.coef * mult), p))
     return out
 
 
@@ -170,7 +157,7 @@ class TestDuhamelBitwise:
         norms = []
         for t in horizons:
             norms.append(one_horizon_duhamel(theta, alpha, t, p))
-            assert steady_duhamel_norm(theta, alpha, t, p) == norms[-1]
+            assert _steady_duhamel_norms(theta, alpha, (t,), p) == [norms[-1]]
         # the report's slope is fitted to the running max of these norms
         sups = np.maximum.accumulate(norms)
         slope = float(np.polyfit(np.log(horizons), np.log(sups), 1)[0])
