@@ -236,25 +236,33 @@ def _smooth_data(grid, amp: float = 0.05) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 
+def _solve_march(config: RunConfig, args: dict, grid):
+    """The march of the solve command.  It holds its own copy of the
+    datum, so neither the datum nor the bank that drew it outlives this
+    call."""
+    n = grid.n
+    if args["data"] == "zero":
+        theta0 = SpectralField(grid, np.zeros((n, n), dtype=np.complex128))
+    elif args["data"] == "random":
+        seed = config.require_seed("randomized initial data")
+        theta0 = random_besov_field(build_bank(grid), np.random.default_rng(seed)) * 0.05
+    else:
+        theta0 = _smooth_data(grid)
+    params = SolveParams(
+        alpha=args["alpha"], n=n, t_final=args["T"], dt=args["dt"], box_length=args["box"]
+    )
+    return march(theta0, params)
+
+
 def _cmd_solve(config: RunConfig) -> int:
     defaults = dict(alpha=1.5, n=128, box=2.0 * math.pi, T=0.2, dt=0.0025, data="smooth")
     # only random data reads the seed
-    random_data = config.data == "random"
-    args = _merged(config, "solve", defaults, ("seed",) if random_data else ())
-    alpha, n, box = args["alpha"], args["n"], args["box"]
-    grid = shared_grid(n, box)
-    if args["data"] == "zero":
-        theta0 = SpectralField(grid, np.zeros((n, n), dtype=np.complex128))
-    elif random_data:
-        seed = config.require_seed("randomized initial data")
-        bank = build_bank(grid)
-        theta0 = random_besov_field(bank, np.random.default_rng(seed)) * 0.05
-    else:
-        theta0 = _smooth_data(grid)
-    params = SolveParams(alpha=alpha, n=n, t_final=args["T"], dt=args["dt"], box_length=box)
+    args = _merged(config, "solve", defaults, ("seed",) if config.data == "random" else ())
+    alpha, n = args["alpha"], args["n"]
+    grid = shared_grid(n, args["box"])
     rows = []
     try:
-        for t, coef, _ in march(theta0, params):
+        for t, coef, _ in _solve_march(config, args, grid):
             f = SpectralField(grid, coef)
             rows.append((t, *lp_norms(f, (2, 4, math.inf)), f.mean()))
     except BlowUpError as exc:

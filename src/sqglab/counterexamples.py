@@ -153,11 +153,13 @@ def _couplings(w1: np.ndarray, w2: np.ndarray, chunk: int):
 
 
 @functools.lru_cache(maxsize=4)
-def _self_correlation(m: int, chunk: int = 512):
+def _self_correlation(m: int, chunk: int = 128):
     """C(w) = int chi(v) chi(w + v) dv on the midpoint nodes, plus nodes.
 
     The O(m^4) sum depends on m alone: it is computed once per node count
-    and shared, so the returned arrays are read-only.
+    and shared, so the returned arrays are read-only.  Each entry sums its
+    own row of couplings over all m^2 nodes, so the chunk (rows per block)
+    bounds the working set at chunk x m^2 floats and moves no bit.
     """
     w1, w2, chi, da = _bump_nodes(m)
     corr = np.empty(w1.size)
@@ -166,6 +168,18 @@ def _self_correlation(m: int, chunk: int = 512):
     for a in (w1, w2, chi, corr):
         a.flags.writeable = False
     return w1, w2, chi, da, corr
+
+
+@functools.lru_cache(maxsize=2)
+def _coupling_chunks(m: int, chunk: int) -> tuple:
+    """The (rows, chi(w + v)) chunks of _couplings on the m-node grid, all
+    at once.  They depend on m and chunk alone, so they are built once and
+    shared, and are read-only."""
+    w1, w2, _, _ = _bump_nodes(m)
+    chunks = tuple(_couplings(w1, w2, chunk))
+    for _, coupling in chunks:
+        coupling.flags.writeable = False
+    return chunks
 
 
 def _kernel_plus(n: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -333,7 +347,7 @@ def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.nd
     acc = [0.0] * f.n_terms
     # every term's |ka - kb| * coupling is written into one chunk buffer
     buf = np.empty((min(256, w1.size), w1.size))
-    for rows, coupling in _couplings(w1, w2, 256):
+    for rows, coupling in _coupling_chunks(m, 256):
         diff = buf[: coupling.shape[0]]
         for t in range(f.n_terms):
             np.subtract(ka[t][rows, None], kb[t][None, :], out=diff)

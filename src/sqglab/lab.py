@@ -25,6 +25,7 @@ from .littlewood import (
     ENERGY_FLOOR,
     BesovIndex,
     DyadicBank,
+    add_block,
     besov_from_norms,
     besov_norm,
     block,
@@ -128,9 +129,11 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     coef = np.zeros_like(white.coef)
     if norms[0] > ENERGY_FLOOR:
         coef += psi_block(white, bank).coef / norms[0]
+    # coef starts at +0.0 and never holds -0.0, so each level's scaled block
+    # is added on its band square alone
     for j in bank.levels():
         if norms[j] > ENERGY_FLOOR:
-            coef += block(white, bank, j).coef * (2.0 ** (-s * j) / norms[j])
+            add_block(coef, white, bank, j, 2.0 ** (-s * j) / norms[j])
     out = SpectralField(grid, coef)
     out.coef[0, 0] = 0.0
     return out
@@ -351,10 +354,10 @@ def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
     if f.grid != grid:
         raise ParameterError("field and bank live on different grids")
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    low_sym = bank.psi_hat  # the symbol of S_0
+    low_sym = bank.add_symbol(0, np.zeros(coef.shape))  # the symbol of S_0
     for l in range(2, bank.j_max + 1):
         if l > 2:
-            low_sym = low_sym + bank.phi_hat[l - 3]
+            bank.add_symbol(l - 2, low_sym)
         if bank.bands[l] is None:
             continue
         low = SpectralField(grid, f.coef * low_sym)
@@ -424,7 +427,9 @@ def bilinear_diagonal_sum(f: SpectralField, g: SpectralField, bank: DyadicBank):
     grid = bank.grid
     total = 0.0
     for k in range(bank.j_max):
-        near = sum(bank.phi_hat[max(0, k - 1) : k + 2])
+        near = np.zeros((grid.n, grid.n))
+        for level in range(max(1, k), min(k + 2, bank.j_max) + 1):
+            bank.add_symbol(level, near)
         for a, b in ((f, g), (g, f)):
             v1, v2 = grid_velocity(block(a, bank, k + 1))
             g1, g2 = grid_gradient(SpectralField(grid, b.coef * near))

@@ -20,6 +20,7 @@ mild.solve returns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,45 +72,89 @@ def max_feasible_level(grid: Grid2) -> int:
     return j
 
 
+@functools.lru_cache(maxsize=64)
+def _quadrants(n: int, band: int) -> tuple:
+    """The square |m1|, |m2| <= band of an fft-ordered n-by-n array as four
+    (at, of) pairs of index tuples: at in the n-by-n array, of in its
+    (2 band + 1)-square copy, which keeps the fft order (0..band, then
+    -band..-1) along each axis."""
+    full, copy = band_slices(n, band), band_slices(2 * band + 1, band)
+    return tuple(
+        ((rows, cols), (copy_rows, copy_cols))
+        for rows, copy_rows in zip(full, copy)
+        for cols, copy_cols in zip(full, copy)
+    )
+
+
+def _square(a: np.ndarray, band: int) -> np.ndarray:
+    """The square |m1|, |m2| <= band of the fft-ordered square array a, as
+    a (2 band + 1)-square copy (see _quadrants)."""
+    n = a.shape[0]
+    idx = np.r_[0 : band + 1, n - band : n]
+    return a[np.ix_(idx, idx)]
+
+
 class DyadicBank:
     """Sampled partition of unity on a grid: one low-pass and J annuli.
 
     bands[j] is the largest |m1| on which the level-j symbol (0 for psi)
-    is nonzero, or None when it vanishes on the whole lattice.  Every such
-    empty level shares one read-only zero symbol, so the bank holds
-    memory for its occupied levels only, however deep it is.  A level
-    whose outer edge (4/3) 2^j lies below the smallest nonzero |k| is
-    known to be empty and is not sampled at all.
+    is nonzero, or None when it vanishes on the whole lattice.  The
+    symbols are radial, so each one vanishes outside its index square
+    |m1|, |m2| <= bands[j] (smooth_step is exactly 0 past its ends), and
+    the bank samples and holds only that square, (2 bands[j] + 1)^2
+    floats: an empty level holds nothing, however deep the bank is.
+    add_symbol expands a level onto the whole lattice.
     """
 
     def __init__(self, grid: Grid2, j_max: int):
         self.grid = grid
         self.j_max = int(j_max)
         r = grid.kabs
-        self.psi_hat = lowpass_profile(r)
-        empty = np.broadcast_to(0.0, r.shape)  # read-only, holds one float
-        # r[0, 1] is the smallest nonzero |k|; the margin keeps a level
-        # whose edge rounds onto the lattice among the sampled ones
-        k_min = r[0, 1]
-        self.phi_hat = []
-        for j in range(1, self.j_max + 1):
-            if _EDGE * 2.0**j * (1.0 + 1e-9) < k_min:
-                self.phi_hat.append(empty)
-                continue
-            sym = annulus_profile(j, r)
-            self.phi_hat.append(sym if sym.any() else empty)
-        self.admissible = r <= _PLATEAU * 2.0**self.j_max
-        m1 = np.abs(grid.index1[:, 0])
+        # |k| along the m1 axis for m1 = 0..n/2-1, increasing; |k| at
+        # (m1, m2) is at least its m1 entry (and its m2 entry), so a level
+        # vanishes on every row and column past its last entry below the
+        # edge (4/3) 2^j, computed as the profiles compute r / 2^j
+        axis = r[: grid.n // 2, 0]
         self.bands = []
-        for sym in (self.psi_hat, *self.phi_hat):
-            self.bands.append(None if sym is empty else int(m1[sym.any(axis=1)].max()))
+        self._squares = []
+        for j in range(self.j_max + 1):
+            bound = int(np.count_nonzero(axis / 2.0**j < _EDGE)) - 1
+            if j and bound == 0:
+                # only the origin lies below the edge, and an annulus
+                # symbol is 1 - 1 = 0 there: empty, and not sampled
+                sym = None
+            else:
+                near = _square(r, bound)
+                sym = lowpass_profile(near) if j == 0 else annulus_profile(j, near)
+                m = np.abs(np.r_[0 : bound + 1, -bound:0])
+                rows = sym.any(axis=1)
+                sym = _square(sym, int(m[rows].max())) if rows.any() else None
+            self.bands.append(None if sym is None else sym.shape[0] // 2)
+            self._squares.append(sym)
+
+    def add_symbol(self, j: int, out: np.ndarray) -> np.ndarray:
+        """Add the symbol of level j (0 for psi) into the n-by-n array out,
+        in place, and return out.
+
+        Only the level's band square is read and written: the symbol is
+        +0.0 outside it, where adding it would change no value.  Into an
+        array of zeros this writes the whole symbol, the same floats the
+        profile gives sampled on every lattice point.
+        """
+        sym = self._squares[j]
+        if sym is not None:
+            for at, of in _quadrants(out.shape[0], self.bands[j]):
+                out[at] += sym[of]
+        return out
 
     def partition_residual(self) -> float:
         """max |psi + sum_j phi_j - 1| over admissible lattice frequencies."""
-        total = self.psi_hat.copy()
-        for sym in self.phi_hat:
-            total = total + sym
-        return float(np.abs(total[self.admissible] - 1.0).max())
+        r = self.grid.kabs
+        total = np.zeros(r.shape)
+        for j in range(self.j_max + 1):
+            self.add_symbol(j, total)
+        admissible = r <= _PLATEAU * 2.0**self.j_max
+        return float(np.abs(total[admissible] - 1.0).max())
 
     def levels(self) -> range:
         return range(1, self.j_max + 1)
@@ -149,24 +194,38 @@ def block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     _check_bank_field(f, bank)
     if not 1 <= j <= bank.j_max:
         raise ParameterError(f"level {j} outside 1..{bank.j_max}")
-    return SpectralField(f.grid, f.coef * bank.phi_hat[j - 1])
+    return band_block(f, bank, j)
 
 
 def psi_block(f: SpectralField, bank: DyadicBank) -> SpectralField:
     """Low-pass part psi * f."""
     _check_bank_field(f, bank)
-    return SpectralField(f.grid, f.coef * bank.psi_hat)
+    return band_block(f, bank, 0)
 
 
 def band_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    """Block j of f (0 for psi), multiplied on the rows |m1| <= bank.bands[j]
-    alone, where it equals block or psi_block, and zero on the rows where
-    the symbol vanishes.  The level must not be empty."""
-    sym = bank.phi_hat[j - 1] if j else bank.psi_hat
-    coef = np.zeros_like(f.coef)
-    for rows in band_slices(f.grid.n, bank.bands[j]):
-        np.multiply(f.coef[rows], sym[rows], out=coef[rows])
+    """Block j of f (0 for psi), unchecked: the symbol times f on the
+    level's band square alone, and zero elsewhere.  Inside the square
+    these are the floats of f.coef times the whole symbol; outside it
+    that product is a zero too, possibly of the other sign."""
+    coef = np.zeros(f.coef.shape, dtype=np.complex128)
+    sym = bank._squares[j]
+    if sym is not None:
+        for at, of in _quadrants(f.grid.n, bank.bands[j]):
+            np.multiply(f.coef[at], sym[of], out=coef[at])
     return SpectralField(f.grid, coef)
+
+
+def add_block(out: np.ndarray, f: SpectralField, bank: DyadicBank, j: int, scale: float) -> None:
+    """out += (block j of f, 0 for psi) * scale, in place, on the level's
+    band square alone.  Outside the square that product is a zero, which
+    would change no entry of out but a -0.0."""
+    sym = bank._squares[j]
+    if sym is not None:
+        for at, of in _quadrants(f.grid.n, bank.bands[j]):
+            piece = f.coef[at] * sym[of]
+            piece *= scale
+            out[at] += piece
 
 
 def s_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
@@ -174,9 +233,9 @@ def s_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     _check_bank_field(f, bank)
     if not 0 <= j <= bank.j_max:
         raise ParameterError(f"level {j} outside 0..{bank.j_max}")
-    sym = bank.psi_hat.copy()
-    for k in range(1, j + 1):
-        sym = sym + bank.phi_hat[k - 1]
+    sym = np.zeros(f.coef.shape)
+    for k in range(j + 1):
+        bank.add_symbol(k, sym)
     return SpectralField(f.grid, f.coef * sym)
 
 
@@ -232,9 +291,15 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
     if p == 2.0:
         e = mode_energy(f)
         scale = f.grid.cell_area / f.grid.n**2
-        for j, sym in enumerate((bank.psi_hat, *bank.phi_hat)):
-            if bank.bands[j] is not None:
+        # one whole symbol at a time, in an array local to the call: the
+        # einsum over all n^2 entries fixes the order of the sum's terms
+        sym = np.zeros(e.shape)
+        for j, band in enumerate(bank.bands):
+            if band is not None:
+                bank.add_symbol(j, sym)
                 out[j] = math.sqrt(scale * np.einsum("ij,ij,ij->", sym, sym, e))
+                for at, _ in _quadrants(f.grid.n, band):
+                    sym[at] = 0.0
         return out
     for j, band in enumerate(bank.bands):
         if band is not None:
@@ -265,10 +330,10 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
     placed = 0
     for j, amp in zip(bank.levels(), amps):
-        if amp == 0.0:
+        if amp == 0.0 or bank.bands[j] is None:
             continue
-        kern = SpectralField(grid, bank.phi_hat[j - 1].astype(np.complex128))
-        size = lp_norm(kern, p)
+        kern = SpectralField(grid, bank.add_symbol(j, np.zeros_like(coef)))
+        size = lp_norm(kern, p, bank.bands[j])
         if size < ENERGY_FLOOR:
             continue
         coef += kern.coef * (amp / size)

@@ -186,7 +186,9 @@ def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
 def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.ndarray:
     """Coefficients of -div(u theta) for theta given by coef, with blow-up check."""
     theta = SpectralField(grid, coef)
-    theta_p = theta.physical()
+    # physical() is the real part of a complex inverse: a copy of it lets
+    # that buffer go before the velocity transforms start
+    theta_p = theta.physical().copy()
     hi, lo = float(theta_p.max()), float(theta_p.min())
     peak = max(abs(hi), abs(lo))
     if not (math.isfinite(hi) and math.isfinite(lo)) or peak > BLOWUP_THRESHOLD:
@@ -203,12 +205,24 @@ def _etd2_step(
     step: int,
     t: float,
 ) -> np.ndarray:
-    """One step from coef, whose stage-1 advection is g0 (None: linear)."""
+    """One step from coef, whose stage-1 advection is g0 (None: linear).
+
+    The predictor S c + phi1 g0 and the corrector
+    S c + (phi1 - phi2) g0 + phi2 g1 are summed in that order, in place in
+    one array that becomes the result.  At most one product is a
+    temporary at a time, and none lives through the advection of the
+    predictor, which is the peak of the step.
+    """
+    new = np.multiply(tab.semigroup, coef)
     if g0 is None:
-        return tab.semigroup * coef
-    predictor = tab.semigroup * coef + tab.phi1_dt * g0
-    g1 = _advection_coef(grid, predictor, step, t + params.dt)
-    return tab.semigroup * coef + (tab.phi1_dt - tab.phi2_dt) * g0 + tab.phi2_dt * g1
+        return new
+    new += tab.phi1_dt * g0
+    g1 = _advection_coef(grid, new, step, t + params.dt)
+    np.multiply(tab.semigroup, coef, out=new)
+    new += (tab.phi1_dt - tab.phi2_dt) * g0
+    g1 *= tab.phi2_dt
+    new += g1
+    return new
 
 
 def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> SpectralField:

@@ -89,8 +89,9 @@ class Grid2:
         unit = 2.0 * math.pi / box_length
         if not math.isfinite(unit * n):
             raise ParameterError(f"box_length {box_length} is too small: wavenumbers overflow")
-        self.k1 = unit * self.index1
-        self.k2 = unit * self.index2
+        k = unit * idx
+        self.k1 = np.broadcast_to(k[:, None], (n, n))
+        self.k2 = np.broadcast_to(k[None, :], (n, n))
         self.kabs = np.hypot(self.k1, self.k2)
 
         x = box_length * np.arange(n) / n
@@ -346,25 +347,27 @@ def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
     """Coefficients of -div(u s), u the velocity of field and s grid values,
     each product u_i s truncated by the 2/3 rule as by dealiased_coef.
 
-    Two n-by-n buffers are reused within the call, so that a march pass
-    allocates little: the velocity component is transformed in place, and
-    the product goes into a complex buffer, which spares numpy a cast copy
-    before the forward transform.  The result is a fresh array.
+    One n-by-n buffer is reused within the call, so that a march pass
+    allocates little: the velocity component is transformed in place, the
+    product with s is formed in the same buffer (its real part times s,
+    and an imaginary part of +0.0, as a cast of the real product would
+    give), and that is transformed forward in place.  The result is a
+    fresh array.
     """
     grid = field.grid
     w = np.empty_like(field.coef)
-    p = np.empty_like(field.coef)
     out = None
     for axis in (0, 1):
         np.multiply(grid_symbol(grid, "riesz_perp", axis), field.coef, out=w)
         np.fft.ifft(w, axis=1, out=w)
         np.fft.ifft(w, axis=0, out=w)
-        np.multiply(w.real, scalar, out=p)
-        _forward(p, grid)
+        w.real *= scalar
+        w.imag = 0.0
+        _forward(w, grid)
         if out is None:
-            out = np.multiply(grid_symbol(grid, "gradient", axis), p)
+            out = np.multiply(grid_symbol(grid, "gradient", axis), w)
         else:
-            out += np.multiply(grid_symbol(grid, "gradient", axis), p, out=p)
+            out += np.multiply(grid_symbol(grid, "gradient", axis), w, out=w)
     return np.negative(out, out=out)
 
 
@@ -392,9 +395,11 @@ def lp_norm(field: SpectralField, p: float, band: int | None = None) -> float:
 
     On a periodic uniform grid the trapezoid rule collapses to the plain
     Riemann sum (L/n)^2 * sum |f|^p.  p = math.inf returns the grid max;
-    p = 2 is the same sum taken by Parseval over the coefficients.  A
-    band promises that every coefficient row |m1| > band is zero, which
-    the inverse transform then skips (see _grid_values).
+    p = 2 is the same sum taken by Parseval over the coefficients.  Where
+    the sum of |f|^p under- or overflows (a large finite p), it is taken
+    over (|f| / max |f|)^p and scaled back by max |f|.  A band promises
+    that every coefficient row |m1| > band is zero, which the inverse
+    transform then skips (see _grid_values).
     """
     return lp_norms(field, (p,), band)[0]
 
@@ -423,5 +428,15 @@ def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
         elif p == 1.0:
             out.append(float(w.sum() * grid.cell_area))
         else:
-            out.append(float((np.power(w, p).sum() * grid.cell_area) ** (1.0 / p)))
+            with np.errstate(over="ignore"):
+                total = np.power(w, p).sum()
+            peak = w.max() if total == 0.0 or total == math.inf else 0.0
+            if 0.0 < peak < math.inf:
+                # the plain sum under- or overflowed (large p): sum the
+                # p-th powers of w / max instead; a sum that did neither
+                # never comes here, so its result keeps its bits
+                total = np.power(w / peak, p).sum()
+                out.append(float((total * grid.cell_area) ** (1.0 / p) * peak))
+            else:
+                out.append(float((total * grid.cell_area) ** (1.0 / p)))
     return out

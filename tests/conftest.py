@@ -38,6 +38,11 @@ def ball_limited_field(grid: Grid2, rng, radius: float) -> SpectralField:
     return SpectralField(grid, coef)
 
 
+def whole_symbol(bank, j: int) -> np.ndarray:
+    """The symbol of bank level j (0 for psi) on every lattice point."""
+    return bank.add_symbol(j, np.zeros((bank.grid.n, bank.grid.n)))
+
+
 def pure_mode(grid: Grid2, m1: int, m2: int, amplitude=1.0) -> SpectralField:
     """Exact cosine mode amplitude * cos(k . x) built in coefficient space."""
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)

@@ -450,6 +450,14 @@ class TestSolveCommand:
 
 
 class TestVerifyLemmaCommand:
+    def test_bernstein_at_large_finite_p(self, tmp_path):
+        # its block L^1000 norms read 0.0 once the p-th powers underflowed,
+        # and the run exited 1 on a non-finite ratio
+        argv = ("verify-lemma", "bernstein", "--p", "1000", "--seed", "1", "--trials", "2")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        ratios = [float(r[2]) for r in read_csv(tmp_path / "bernstein.csv")[1:]]
+        assert ratios and all(0.0 < r < math.inf for r in ratios)
+
     def test_bernstein_rows_and_summary(self, tmp_path):
         code = run_cli(
             "verify-lemma", "bernstein", "--seed", "11", "--out", str(tmp_path)

@@ -264,7 +264,8 @@ def reference_filter_decomposition(f, g, m):
 
 
 class TestSharedCoupling:
-    """The self-correlation is computed once per node count and shared."""
+    """The self-correlation and the couplings of the magnitude series are
+    computed once per node count and shared."""
 
     def test_default_a1_run_computes_two_node_counts(self, tmp_path):
         counterexamples._self_correlation.cache_clear()
@@ -284,16 +285,17 @@ class TestSharedCoupling:
             assert np.array_equal(a, before)
 
     def test_correlation_peak_memory(self):
-        # one chunk of the coupling is 512 x 1024 floats at m = 32; the sum
-        # peaks near 5.8 chunks, and reads 6.8 or more when the node sums
-        # w + v of a chunk outlive the coupling built from them
+        # one chunk of the coupling is 128 x 1024 floats at m = 32; the sum
+        # peaks near 6.3 chunks, and reads 7.3 or more when the node sums
+        # w + v of a chunk outlive the coupling built from them (at the
+        # earlier default of 512-row chunks it peaked at 23 MiB)
         tracemalloc.start()
         try:
             counterexamples._self_correlation.__wrapped__(32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 512 * 1024 * 8
+        assert peak <= 6.5 * 128 * 1024 * 8
 
     @pytest.mark.parametrize("kind", ["single", "symmetrized"])
     def test_pairing_bits_match_uncached_reference(self, kind, monkeypatch):
@@ -320,6 +322,18 @@ class TestSharedCoupling:
         got = symmetrized_magnitude_series(f, g, m=m)
         want = reference_magnitude_series(f, g, m)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_magnitude_series_couplings_built_once(self):
+        # the chunks of chi(w + v) depend on m alone; a rerun reads them from
+        # the cache, bit for bit, and cannot write into them
+        f, g = build_counterexample_pair(-0.5, 12, "a1")
+        counterexamples._coupling_chunks.cache_clear()
+        first, second = (symmetrized_magnitude_series(f, g) for _ in range(2))
+        assert np.array_equal(first.view(np.int64), second.view(np.int64))
+        assert counterexamples._coupling_chunks.cache_info().misses == 1
+        for _, coupling in counterexamples._coupling_chunks(24, 256):
+            with pytest.raises(ValueError):
+                coupling[0, 0] = 1.0
 
     def test_filter_decomposition_bits_match_term_outer_loop(self):
         f, g = build_counterexample_pair(-0.5, 3, "a1")

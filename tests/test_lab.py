@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sqglab.lab
-from conftest import pure_mode, rel_err
+from conftest import pure_mode, rel_err, whole_symbol
 from sqglab.lab import (
     ENERGY_FLOOR,
     MAX_THREADS,
@@ -193,7 +193,7 @@ class TestBernstein:
 
     def test_single_mode_ratios_exact(self, bank256):
         # mode (11, 0) sits on the level-4 plateau: ratios are |k| / 2^j
-        assert bank256.phi_hat[3][11, 0] == 1.0
+        assert whole_symbol(bank256, 4)[11, 0] == 1.0
         f = pure_mode(bank256.grid, 11, 0)
         piece = block(f, bank256, 4)
         base = lp_norm(piece, 2)

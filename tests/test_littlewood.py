@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_limited_field, pure_mode, random_field, rel_err
+from conftest import ball_limited_field, pure_mode, random_field, rel_err, whole_symbol
 from sqglab import littlewood
 from sqglab.littlewood import (
+    ENERGY_FLOOR,
     BesovIndex,
     DyadicBank,
     annulus_profile,
@@ -31,7 +32,8 @@ from sqglab.littlewood import (
     smooth_step,
     time_lr,
 )
-from sqglab.spectral import Grid2, ParameterError, SpectralField, lp_norm
+from sqglab.lab import random_besov_field
+from sqglab.spectral import Grid2, ParameterError, SpectralField, dealiased_coef, lp_norm, mode_energy
 
 RNG = np.random.default_rng(20260819)
 
@@ -124,8 +126,8 @@ class TestBankConstruction:
 
     def test_symbols_in_unit_interval(self):
         bank = build_bank(Grid2(64))
-        assert np.all(bank.psi_hat >= 0.0) and np.all(bank.psi_hat <= 1.0)
-        for sym in bank.phi_hat:
+        for j in range(bank.j_max + 1):
+            sym = whole_symbol(bank, j)
             assert np.all(sym >= 0.0) and np.all(sym <= 1.0)
 
     @pytest.mark.parametrize(
@@ -265,27 +267,142 @@ class TestEmptyLevels:
         monkeypatch.undo()
         assert sampled == list(range(first, bank.j_max + 1))
         assert bank.j_max == max_feasible_level(grid)
-        full = [annulus_profile(j, grid.kabs) for j in bank.levels()]
-        assert len(bank.phi_hat) == len(full)
-        for got, want in zip(bank.phi_hat, full):
+        full = profile_symbols(bank)
+        for j, want in enumerate(full):
+            got = whole_symbol(bank, j)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         m1 = np.abs(grid.index1[:, 0])
         bands = []
-        for sym in (lowpass_profile(grid.kabs), *full):
+        for sym in full:
             rows = sym.any(axis=1)
             bands.append(int(m1[rows].max()) if rows.any() else None)
         assert bank.bands == bands
 
     def test_shared_empty_symbol_changes_no_value(self):
-        # the same bits as a bank that keeps the sampled symbol of every level
+        # the same bits as the symbols sampled on every lattice point, empty
+        # levels among them
         bank = build_bank(Grid2(32, box_length=1e-272))
-        sampled = build_bank(bank.grid)
-        sampled.phi_hat = [annulus_profile(j, bank.grid.kabs) for j in bank.levels()]
-        assert bank.partition_residual() == sampled.partition_residual()
+        full = profile_symbols(bank)
+        assert bank.partition_residual() == reference_partition_residual(bank, full)
         f = random_field(bank.grid, np.random.default_rng(7))
         for p in (1.0, 2.0, 4.0, math.inf):
-            got, want = block_norms(f, bank, p), block_norms(f, sampled, p)
+            got, want = block_norms(f, bank, p), reference_block_norms(f, full, p)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# References that sample every symbol on the whole lattice, as the profiles
+# define it, and apply it there: the bank's band squares must give the same
+# bits.
+
+
+def profile_symbols(bank) -> list:
+    """psi, phi_1, ..., phi_J sampled on every lattice point."""
+    r = bank.grid.kabs
+    return [lowpass_profile(r)] + [annulus_profile(j, r) for j in bank.levels()]
+
+
+def reference_partition_residual(bank, full) -> float:
+    total = full[0].copy()
+    for sym in full[1:]:
+        total = total + sym
+    admissible = bank.grid.kabs <= 0.75 * 2.0**bank.j_max
+    return float(np.abs(total[admissible] - 1.0).max())
+
+
+def reference_block_norms(f, full, p) -> np.ndarray:
+    if p == 2.0:
+        e = mode_energy(f)
+        scale = f.grid.cell_area / f.grid.n**2
+        return np.array([math.sqrt(scale * np.einsum("ij,ij,ij->", s, s, e)) for s in full])
+    return np.array([lp_norm(SpectralField(f.grid, f.coef * s), p) for s in full])
+
+
+def in_square(grid, band) -> np.ndarray:
+    if band is None:
+        return np.zeros((grid.n, grid.n), dtype=bool)
+    return (np.abs(grid.index1) <= band) & (np.abs(grid.index2) <= band)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBandSquareBank:
+    # every level is held on its band square alone, and every result read
+    # through it has the bits of the symbols sampled on the whole lattice
+    CASES = [(128, 2.0 * math.pi), (128, 0.5 * math.pi), (256, 2.0 * math.pi), (32, 1e-272)]
+
+    @pytest.fixture(scope="class", params=CASES, ids=["128-2pi", "128-pi/2", "256-2pi", "32-1e-272"])
+    def case(self, request):
+        n, box = request.param
+        bank = build_bank(Grid2(n, box_length=box))
+        f = random_field(bank.grid, np.random.default_rng(11))
+        return bank, profile_symbols(bank), f
+
+    def test_symbols_vanish_outside_their_squares(self, case):
+        bank, full, _ = case
+        for j, sym in enumerate(full):
+            assert not sym[~in_square(bank.grid, bank.bands[j])].any()
+
+    def test_blocks(self, case):
+        # inside its square a block is f.coef times the whole symbol, bit for
+        # bit; outside it is +0.0, where that product is a zero of either sign
+        bank, full, f = case
+        for j, sym in enumerate(full):
+            want = f.coef * sym
+            assert np.array_equal(band_block(f, bank, j).coef, want)
+            want[~in_square(bank.grid, bank.bands[j])] = 0.0
+            got = [band_block(f, bank, j)]
+            got.append(psi_block(f, bank) if j == 0 else block(f, bank, j))
+            for g in got:
+                assert same_bits(g.coef, want)
+
+    def test_partial_sums(self, case):
+        bank, full, f = case
+        sym = full[0].copy()
+        for j in range(bank.j_max + 1):
+            if j:
+                sym = sym + full[j]
+            assert same_bits(s_partial(f, bank, j).coef, f.coef * sym)
+        assert bank.partition_residual() == reference_partition_residual(bank, full)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
+    def test_block_norms(self, case, p):
+        bank, full, f = case
+        assert same_bits(block_norms(f, bank, p), reference_block_norms(f, full, p))
+
+    def test_random_besov_field(self, case):
+        # the construction of lab.random_besov_field, on whole symbols
+        bank, full, _ = case
+        grid = bank.grid
+        for s in (0.0, 0.25):
+            got = random_besov_field(bank, np.random.default_rng(3), s=s)
+            noise = np.random.default_rng(3).standard_normal((grid.n, grid.n))
+            white = SpectralField(grid, dealiased_coef(grid, noise))
+            norms = reference_block_norms(white, full, 2.0)
+            coef = np.zeros_like(white.coef)
+            if norms[0] > ENERGY_FLOOR:
+                coef += white.coef * full[0] / norms[0]
+            for j in bank.levels():
+                if norms[j] > ENERGY_FLOOR:
+                    coef += white.coef * full[j] * (2.0 ** (-s * j) / norms[j])
+            coef[0, 0] = 0.0
+            assert same_bits(got.coef, coef)
+
+
+class TestBankMemory:
+    def test_bank_holds_its_band_squares(self):
+        # (2 b_j + 1)^2 floats per occupied level: 1.2 MiB at n = 512, where
+        # an n-by-n symbol per level held 16.3 MiB
+        grid = Grid2(512)
+        tracemalloc.start()
+        try:
+            bank = build_bank(grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        squares = sum((2 * b + 1) ** 2 for b in bank.bands if b is not None)
+        assert held <= squares * 8 + 16 * 1024
 
 
 class TestBesovNorm:

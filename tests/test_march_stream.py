@@ -17,6 +17,7 @@ import pytest
 import sqglab.mild
 from conftest import random_field, smooth_profile
 from sqglab.cli import main
+from sqglab.lab import random_besov_field
 from sqglab.littlewood import build_bank
 from sqglab.mild import SolveParams, march, picard_solve, solve
 from sqglab.spectral import ParameterError, SpectralField, dealiased_advection, shared_grid
@@ -160,12 +161,40 @@ class TestMemoryFlatInHorizon:
 
 class TestAdvectionAllocation:
     # traced peak of one advection at n = 128, in units of one n-by-n
-    # complex128 array: 3.5 with two buffers reused inside the call, 6.5
-    # when every transform pass and product allocated its own array
+    # complex128 array: 2.5 with one buffer reused inside the call for the
+    # transforms and the products, 3.5 with a second buffer for the
+    # products, 6.5 when every transform pass and product allocated its
+    # own array
     def test_traced_peak(self):
         grid = shared_grid(128)
         f = random_field(grid, np.random.default_rng(3))
         scalar = f.physical()
         dealiased_advection(f, scalar)  # warm the symbol cache
         peak = traced_peak(lambda: dealiased_advection(f, scalar))
-        assert peak <= 4.5 * grid.n**2 * 16
+        assert peak <= 3.0 * grid.n**2 * 16
+
+
+class TestMarchWorkingSet:
+    # traced peak of a random-data n = 256 march above its start, in units
+    # of one n-by-n complex128 array: 5.6 (the yielded state and advection,
+    # the predictor, and the advection's grid values, buffer and result),
+    # 7.1 when the advection kept a second buffer and the grid values held
+    # their complex inverse, and the step kept a product through it
+    def test_traced_peak(self):
+        grid = shared_grid(256)
+        theta0 = random_besov_field(build_bank(grid), np.random.default_rng(1)) * 0.05
+        params = SolveParams(alpha=1.5, n=256, t_final=0.01, dt=0.0025)
+
+        def run():
+            for _ in march(theta0, params):
+                pass
+
+        run()  # warm the symbol and tableau caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 6.0 * grid.n**2 * 16

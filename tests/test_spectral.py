@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqglab.spectral
-from sqglab.littlewood import DyadicBank, block, block_norms, max_feasible_level, psi_block
+from sqglab.littlewood import (
+    DyadicBank,
+    block,
+    block_norms,
+    build_bank,
+    max_feasible_level,
+    psi_block,
+)
 from sqglab.spectral import (
     Grid2,
     ParameterError,
@@ -319,6 +326,37 @@ class TestLpNorm:
         f = random_field(g)
         for p in (1, 2, 4, math.inf):
             assert lp_norm(c * f, p) == pytest.approx(abs(c) * lp_norm(f, p), rel=1e-9, abs=1e-12)
+
+
+class TestLargeFiniteP:
+    # at p = 1000 the p-th powers of grid values near 0.04 underflow, and
+    # the plain sum read 0.0 for every annulus kernel of an n = 64 bank
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_annulus_kernels_are_not_zero(self, j):
+        bank = build_bank(shared_grid(64))
+        kernel = SpectralField(bank.grid, bank.add_symbol(j, np.zeros((64, 64))))
+        peak = lp_norm(kernel, math.inf)
+        assert 0.0 < peak < 1.0
+        # ||f||_p lies between max |f| times the p-th roots of one cell's
+        # area and of the box's area, and tends to max |f| as p grows
+        g = kernel.grid
+        got = lp_norm(kernel, 1000.0)
+        assert peak * g.cell_area ** 1e-3 <= got <= peak * g.box_length ** 2e-3
+        assert got == pytest.approx(lp_norm(kernel, 999.0), rel=1e-3)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_under_and_overflow_of_the_plain_sum(self, scale):
+        # ||c f||_p = |c| ||f||_p also where sum |c f|^p leaves the floats
+        f = random_field(Grid2(32))
+        want = scale * lp_norm(f, 8.0)
+        assert lp_norm(scale * f, 8.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0, 60.0])
+    def test_representable_sums_keep_their_bits(self, p):
+        f = random_field(Grid2(32))
+        w = np.abs(f.physical())
+        want = float((np.power(w, p).sum() * f.grid.cell_area) ** (1.0 / p))
+        assert lp_norm(f, p) == want
 
 
 def padded_product(f, g):
