@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -303,9 +304,13 @@ def _lemma_rows(report, levels, repeats: int = 1) -> list:
     return [(k, -1, float(r)) for k, r in enumerate(ratios)]
 
 
-def _some_trial_kept(report) -> bool:
-    """The default verdict: some trial survived and gave a positive ratio."""
-    return report.skipped < report.trials and report.sup_constant > 0.0
+def _some_trial_kept(report, per_trial: int = 1) -> bool:
+    """The default verdict: some trial survived and gave a positive ratio.
+
+    A trial can skip per_trial samples (one per probed level for the
+    block lemmas), and report.skipped counts them over all trials.
+    """
+    return report.skipped < report.trials * per_trial and report.sup_constant > 0.0
 
 
 def _whole_norm(report, lines, passed=None):
@@ -328,7 +333,10 @@ def _run_bernstein(bank, p, **args):
     # a gradient and an inverse-derivative ratio per level
     rows = _lemma_rows(report, probe, 2)
     if p == 2.0:
-        passed = report.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
+        # a gradient sup of 0.0 bounds nothing: some block must be kept
+        passed = _some_trial_kept(report, len(probe)) and (
+            report.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
+        )
     else:
         passed = level_spread([report], lo=2) < 3.0
     lines = [
@@ -694,6 +702,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# parse_args keeps no state on the parser, so one process builds it once
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqglab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

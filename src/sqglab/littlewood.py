@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid2, ParameterError, SpectralField, band_slices, lp_norm, mode_energy
+from .spectral import (
+    Grid2,
+    ParameterError,
+    SpectralField,
+    band_slices,
+    lp_norm,
+    mode_energy,
+    quadrature_root,
+)
 
 _PLATEAU = 3.0 / 4.0
 _EDGE = 4.0 / 3.0
@@ -290,14 +298,14 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
     out = np.zeros(bank.j_max + 1)
     if p == 2.0:
         e = mode_energy(f)
-        scale = f.grid.cell_area / f.grid.n**2
         # one whole symbol at a time, in an array local to the call: the
         # einsum over all n^2 entries fixes the order of the sum's terms
         sym = np.zeros(e.shape)
         for j, band in enumerate(bank.bands):
             if band is not None:
                 bank.add_symbol(j, sym)
-                out[j] = math.sqrt(scale * np.einsum("ij,ij,ij->", sym, sym, e))
+                total = np.einsum("ij,ij,ij->", sym, sym, e)
+                out[j] = quadrature_root(total, 2.0, f.grid, parseval=True)
                 for at, _ in _quadrants(f.grid.n, band):
                     sym[at] = 0.0
         return out

@@ -178,7 +178,10 @@ class _EtdTableau:
             a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=16)
+# one command's step sizes: uniqueness marches at dt (the ladder), 2 dt
+# (the twins) and dt/2 (the finer twin), so it builds each tableau once,
+# and a long-lived process holds no more than three (288 MiB at n = 2048)
+@functools.lru_cache(maxsize=3)
 def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
     return _EtdTableau(grid, alpha, dt)
 

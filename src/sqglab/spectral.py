@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class ParameterError(ValueError):
 # a larger grid is refused before any n-by-n array exists; one complex
 # n-by-n array takes 16 n^2 bytes, 64 MiB at n = 2048
 MAX_GRID_N = 2048
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def _check_alpha(alpha: float) -> float:
@@ -404,6 +406,31 @@ def lp_norm(field: SpectralField, p: float, band: int | None = None) -> float:
     return lp_norms(field, (p,), band)[0]
 
 
+def quadrature_root(total, p: float, grid: Grid2, parseval: bool = False) -> float:
+    """(scale * total)^(1/p), the L^p norm whose p-th powers sum to total.
+
+    The weight scale = side^2 is the cell area, side = L/n, for a sum over
+    grid values, and cell_area / n^2, side = L/n^2, for a Parseval sum
+    over coefficients.  Where scale is below the smallest normal float (a
+    box below about 1.5e-154 n, or 1.5e-154 n^2 for Parseval) it has lost
+    bits or reads 0.0, so the root is taken first, total^(1/p) side^(2/p),
+    and a representable norm stays so.  Any other scale keeps the bits of
+    the plain form.
+    """
+    side, scale = grid.box_length / grid.n, grid.cell_area
+    if parseval:
+        side, scale = side / grid.n, scale / grid.n**2
+    if scale < _SMALLEST_NORMAL:
+        # side^(1/p) twice: side^(2/p) itself underflows for p near 1
+        side_root = side ** (1.0 / p)
+        return float(total ** (1.0 / p) * side_root * side_root)
+    if p == 1.0:
+        return float(total * scale)
+    if p == 2.0:
+        return math.sqrt(scale * total)
+    return float((total * scale) ** (1.0 / p))
+
+
 def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
     """L^p norms of one field for each exponent in ps.
 
@@ -422,11 +449,11 @@ def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
     out = []
     for p in ps:
         if p == 2.0:
-            out.append(math.sqrt(grid.cell_area / grid.n**2 * mode_energy(field).sum()))
+            out.append(quadrature_root(mode_energy(field).sum(), p, grid, parseval=True))
         elif p == math.inf:
             out.append(float(w.max()))
         elif p == 1.0:
-            out.append(float(w.sum() * grid.cell_area))
+            out.append(quadrature_root(w.sum(), p, grid))
         else:
             with np.errstate(over="ignore"):
                 total = np.power(w, p).sum()
@@ -436,7 +463,7 @@ def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
                 # p-th powers of w / max instead; a sum that did neither
                 # never comes here, so its result keeps its bits
                 total = np.power(w / peak, p).sum()
-                out.append(float((total * grid.cell_area) ** (1.0 / p) * peak))
+                out.append(float(quadrature_root(total, p, grid) * peak))
             else:
-                out.append(float((total * grid.cell_area) ** (1.0 / p)))
+                out.append(quadrature_root(total, p, grid))
     return out

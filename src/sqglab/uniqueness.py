@@ -277,11 +277,11 @@ def contraction_ladder(
         duhamel_along(march(theta0, top), grid, top),
         duhamel_along(march(theta0, replace(top, nonlinear=False)), grid, top),
     ):
-        gap = SpectralField(grid, a) - SpectralField(grid, b)
-        image = SpectralField(grid, da) - SpectralField(grid, db)
+        # the difference fields are unnamed, so each goes once its norm
+        # parts are taken, not when the next step rebinds it
         times.append(t)
-        gaps.append(_norm_parts(gap, bank, spec))
-        images.append(_norm_parts(image, bank, spec))
+        gaps.append(_norm_parts(SpectralField(grid, a) - SpectralField(grid, b), bank, spec))
+        images.append(_norm_parts(SpectralField(grid, da) - SpectralField(grid, db), bank, spec))
     return [
         _ratio(
             _aggregate(images[:cut], times[:cut], spec),

@@ -458,6 +458,26 @@ class TestVerifyLemmaCommand:
         ratios = [float(r[2]) for r in read_csv(tmp_path / "bernstein.csv")[1:]]
         assert ratios and all(0.0 < r < math.inf for r in ratios)
 
+    def test_bernstein_fails_when_every_block_is_skipped(self, tmp_path):
+        # every block of a 1e-272 box lies below the energy floor, and the
+        # p = 2 verdict passed on gradient_sup = 0.0 <= 4/3 with no data
+        argv = ("verify-lemma", "bernstein", "--n", "32", "--box", "1e-272")
+        argv += ("--trials", "2", "--seed", "1", "--threads", "1")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        summary = (tmp_path / "bernstein-summary.txt").read_text(encoding="utf-8")
+        assert "sup_constant = 0.000000000000000e+00" in summary
+        assert summary.endswith("status = fail\n")
+
+    def test_bernstein_passes_with_empty_low_levels(self, tmp_path):
+        # levels 2 and 3 of a pi/8 box hold no lattice point: skipped
+        # counts blocks, and reads more than the trials while every other
+        # block is kept
+        argv = ("verify-lemma", "bernstein", "--n", "64", "--box", repr(math.pi / 8.0))
+        argv += ("--trials", "2", "--seed", "1", "--threads", "1")
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0
+        summary = (tmp_path / "bernstein-summary.txt").read_text(encoding="utf-8")
+        assert "skipped = 4\n" in summary
+
     def test_bernstein_rows_and_summary(self, tmp_path):
         code = run_cli(
             "verify-lemma", "bernstein", "--seed", "11", "--out", str(tmp_path)

@@ -33,7 +33,15 @@ from sqglab.littlewood import (
     time_lr,
 )
 from sqglab.lab import random_besov_field
-from sqglab.spectral import Grid2, ParameterError, SpectralField, dealiased_coef, lp_norm, mode_energy
+from sqglab.spectral import (
+    Grid2,
+    ParameterError,
+    SpectralField,
+    dealiased_coef,
+    lp_norm,
+    mode_energy,
+    quadrature_root,
+)
 
 RNG = np.random.default_rng(20260819)
 
@@ -311,9 +319,10 @@ def reference_partition_residual(bank, full) -> float:
 
 def reference_block_norms(f, full, p) -> np.ndarray:
     if p == 2.0:
+        # the Parseval sum of each whole symbol, under block_norms' weight
         e = mode_energy(f)
-        scale = f.grid.cell_area / f.grid.n**2
-        return np.array([math.sqrt(scale * np.einsum("ij,ij,ij->", s, s, e)) for s in full])
+        sums = [np.einsum("ij,ij,ij->", s, s, e) for s in full]
+        return np.array([quadrature_root(t, 2.0, f.grid, parseval=True) for t in sums])
     return np.array([lp_norm(SpectralField(f.grid, f.coef * s), p) for s in full])
 
 

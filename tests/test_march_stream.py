@@ -8,6 +8,7 @@ folds its table over it, so none of them holds a series and their memory
 does not grow with the horizon.
 """
 
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -157,6 +158,47 @@ class TestMemoryFlatInHorizon:
         run(self.HORIZONS[0])()
         short, long = (traced_peak(run(T)) for T in self.HORIZONS)
         assert long <= 1.5 * short
+
+
+class TestTableauCache:
+    # one uniqueness command marches at dt, 2 dt and dt/2; a long-lived
+    # process keeps the ETD tableaux of the last command alone
+    def run(self, case, out):
+        argv = ["uniqueness", case, "--n", "32", "--T", "0.04", "--out", str(out)]
+        assert main(argv) == 0
+        slug = f"uniqueness-{case}"
+        return (out / f"{slug}.csv").read_bytes(), (out / f"{slug}-summary.txt").read_bytes()
+
+    def test_three_commands_leave_three_tableaux(self, tmp_path, capsys):
+        for case in ("endpoint", "alpha1", "mid"):
+            self.run(case, tmp_path)
+        assert sqglab.mild._tableau.cache_info().currsize <= 3
+
+    def test_rebuilt_tableaux_write_the_same_bytes(self, tmp_path, capsys):
+        first = self.run("endpoint", tmp_path)
+        for case in ("alpha1", "mid"):
+            self.run(case, tmp_path)
+        misses = sqglab.mild._tableau.cache_info().misses
+        assert self.run("endpoint", tmp_path) == first
+        # its three tableaux were evicted and built again
+        assert sqglab.mild._tableau.cache_info().misses == misses + 3
+
+    def test_retained_memory(self, tmp_path, capsys):
+        # what three commands leave behind, in n-by-n float64 arrays: 10.2
+        # here (the last command's three tableaux of three arrays each,
+        # and small objects), 29.4 when every tableau was kept
+        sqglab.mild._tableau.cache_clear()  # no tableau built before
+        self.run("super", tmp_path)  # warm the grid, symbols and parser
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for case in ("endpoint", "alpha1", "mid"):
+                self.run(case, tmp_path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained <= 12 * 32**2 * 8
 
 
 class TestAdvectionAllocation:

@@ -37,6 +37,7 @@ from sqglab.spectral import (
     grid_velocity,
     inverse_lambda,
     lp_norm,
+    mode_energy,
     riesz_perp_velocity,
     semigroup_apply,
     shared_grid,
@@ -359,6 +360,53 @@ class TestLargeFiniteP:
         assert lp_norm(f, p) == want
 
 
+class TestTinyBox:
+    # the quadrature weight (L/n)^2 underflowed to 0.0 once L fell below
+    # about 2e-162 n, and the Parseval weight (L/n)^2 / n^2 before that:
+    # every finite-p norm and every p = 2 block norm then read 0.0
+    BOX = 1e-272
+
+    def test_norms_scale_with_the_box(self):
+        # the same grid values on a box of side L have L^p norm
+        # L^(2/p) times their norm on the unit box
+        values = RNG.standard_normal((32, 32))
+        unit, tiny = (
+            dealias(SpectralField.from_physical(Grid2(32, box), values))
+            for box in (1.0, self.BOX)
+        )
+        for p in (2.0, 4.0, 8.0):
+            want = lp_norm(unit, p) * self.BOX ** (2.0 / p)
+            assert lp_norm(tiny, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_block_norms_at_p2_match_the_grid_sum(self):
+        # Parseval against the Riemann sum of each block's grid values
+        grid = Grid2(32, self.BOX)
+        f = random_field(grid)
+        bank = build_bank(grid)
+        got = block_norms(f, bank, 2.0)
+        blocks = [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+        want = [
+            math.sqrt(float(np.square(b.physical()).sum())) * (grid.box_length / grid.n)
+            for b in blocks
+        ]
+        assert np.count_nonzero(got) >= 4
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_normal_weights_keep_their_bits(self, p):
+        # at L = 1e-150 both weights are normal floats: the plain forms
+        f = random_field(Grid2(32, 1e-150))
+        g = f.grid
+        w = np.abs(f.physical())
+        if p == 2.0:
+            want = math.sqrt(g.cell_area / g.n**2 * mode_energy(f).sum())
+        elif p == 1.0:
+            want = float(w.sum() * g.cell_area)
+        else:
+            want = float((np.power(w, p).sum() * g.cell_area) ** (1.0 / p))
+        assert lp_norm(f, p) == want
+
+
 def padded_product(f, g):
     """Product of two dealiased fields on a doubled grid: the alias-free oracle.
 
@@ -492,6 +540,22 @@ class TestGridProducts:
             path.name
             for path in sorted(package.glob("*.py"))
             if path.name != owner and pattern.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []
+
+    def test_every_cache_is_bounded(self):
+        # an unbounded cache keeps whatever a long-lived process builds,
+        # as the ETD tableaux of every (alpha, dt) once were kept: each
+        # cache is functools.lru_cache with a literal, finite maxsize
+        package = Path(sqglab.spectral.__file__).parent
+        unbounded = re.compile(
+            r"\bfunctools\.cache\b|\bimport\b[^\n]*\bcache\b"
+            r"|\blru_cache\b(?!\(maxsize=[1-9][0-9]*\))"
+        )
+        offenders = [
+            f"{path.name}: {match.group(0)}"
+            for path in sorted(package.glob("*.py"))
+            for match in unbounded.finditer(path.read_text(encoding="utf-8"))
         ]
         assert offenders == []
 
