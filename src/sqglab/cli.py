@@ -27,8 +27,7 @@ import numpy as np
 from .counterexamples import (
     a3_lower_sum,
     build_counterexample_pair,
-    lower_bound_sum,
-    pairing_quadrature,
+    prop_a1_pairings,
     prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
@@ -532,18 +531,15 @@ def _cmd_counterexample(config: RunConfig) -> int:
         ("ratio", "pairing / partial sum"),
     )
     if target == "a1":
-        rows = []
-        for n_terms in range(2, n_max + 1):
-            f, g = build_counterexample_pair(s, n_terms)
-            value = pairing_quadrature(f, g, "single")
-            lower = lower_bound_sum(s, n_terms)
-            rows.append((n_terms, value, lower, value / lower))
+        pairings, sym_value = prop_a1_pairings(s, n_max, n_min=2)
+        rows = [
+            (n_terms, value, lower, value / lower)
+            for n_terms, (value, lower) in enumerate(pairings, start=2)
+        ]
         ratios = [r[3] for r in rows]
         spread = max(ratios) / min(ratios)
         growth = [b[1] / a[1] for a, b in zip(rows, rows[1:])]
-        f, g = build_counterexample_pair(s, n_max)
-        sym_terms = symmetrized_magnitude_series(f, g)
-        sym_value = pairing_quadrature(f, g, "symmetrized")
+        sym_terms = symmetrized_magnitude_series(*build_counterexample_pair(s, n_max))
         increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
         passed = increasing and spread < 2.0
         lines = [

@@ -16,14 +16,21 @@ bump supports, in coordinates translated to each bump center, so the
 centers 2^n never enter a grid resolution budget.  Because every integrand
 is smooth and compactly supported inside the quadrature box, the tensor
 midpoint rule converges superalgebraically; a Richardson comparison
-between two node counts guards every returned value.  The costly part,
-the bump self-correlation and its chi(w + v) coupling, depends on the
-node count alone: it is computed once per node count (the correlation is
-memoized, the coupling is built once per chunk for all terms), and each
-term still sums its chunks in the same order, so no value changes.  The
-a3 table is one sweep over N: each term integral is computed once per node
-count, in a table that lives for that one call, and every N sums its own
-terms in order, so each row is the float a separate call would return.
+between two node counts guards every returned value.
+
+The costly parts depend on the node count m alone, so each is computed
+once per m and shared read-only: the bump self-correlation (memoized, its
+chi(w + v) coupling built chunk by chunk) and the support block of the
+magnitude series.  That block keeps the rows w with chi(w) > 0 and w2 >= 0
+and the columns v with chi(v) > 0 (224 x 448 floats, 0.8 MB, at m = 24):
+every other entry of the integrand is exactly 0, and the integrand is
+unchanged under (w2, v2) -> (-w2, -v2), so each row with w2 > 0 stands
+for its mirror row too.
+
+The a1 and a3 tables are each one sweep over N: each term integral is
+computed once per node count, in a table that lives for that one call and
+grows only as far as the N being refined, and every N sums its own terms
+in order, so each row is the float a separate call would return.
 
 Scale conventions: bump-norm units (the L^p norm of a single bump is the
 unit), and pairing values drop the overall factor i of the derivative
@@ -170,18 +177,6 @@ def _self_correlation(m: int, chunk: int = 128):
     return w1, w2, chi, da, corr
 
 
-@functools.lru_cache(maxsize=2)
-def _coupling_chunks(m: int, chunk: int) -> tuple:
-    """The (rows, chi(w + v)) chunks of _couplings on the m-node grid, all
-    at once.  They depend on m and chunk alone, so they are built once and
-    shared, and are read-only."""
-    w1, w2, _, _ = _bump_nodes(m)
-    chunks = tuple(_couplings(w1, w2, chunk))
-    for _, coupling in chunks:
-        coupling.flags.writeable = False
-    return chunks
-
-
 def _kernel_plus(n: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """(2^n + w1)/|2^n e1 + w|, the derivative symbol near the f bump."""
     c = 2.0**n
@@ -204,8 +199,9 @@ def _check_a1_pair(f: BumpPair, g: BumpPair) -> None:
         raise ParameterError("bump families must share s and n_terms")
 
 
-def _pairing_terms(f: BumpPair, g: BumpPair, kind: str, m: int) -> np.ndarray:
-    """Per-n pairing contributions at one node count.
+class _TermIntegrals:
+    """Per-term integrals I_i(m) = int kernel_i(w) chi(w) C(w) dw of one
+    pairing kind, for i = 1, 2, ... at each node count m.
 
     In coordinates translated to the bump centers the test-function weight
     couples the two integration variables through chi(w + v) only, so the
@@ -213,18 +209,50 @@ def _pairing_terms(f: BumpPair, g: BumpPair, kind: str, m: int) -> np.ndarray:
     is a 2D integral.  The dyadic filters drop out exactly: the active
     levels at radius about 2^n are {n, n+1} on both factors, every such
     (k, l) pair obeys |k - l| <= 1, and the four filter products sum to 1.
+
+    I_i depends on neither s nor N, so a table evaluates each one once and
+    grows per node count only as far as the deepest N asked for.  A table
+    lives for one call.
     """
-    _check_a1_pair(f, g)
-    w1, w2, chi, da, corr = _self_correlation(m)
-    weight = chi * corr * da
-    terms = np.empty(f.n_terms)
-    for i, c in enumerate(f.coefficients(), start=1):
-        if kind == "single":
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self._by_m = {}  # m -> (w1, w2, chi C da, [I_1, I_2, ...])
+
+    def __call__(self, m: int, n_terms: int) -> np.ndarray:
+        if m not in self._by_m:
+            w1, w2, chi, da, corr = _self_correlation(m)
+            self._by_m[m] = (w1, w2, chi * corr * da, [])
+        w1, w2, weight, done = self._by_m[m]
+        for i in range(len(done) + 1, n_terms + 1):
             kernel = _kernel_plus(i, w1, w2)
-        else:
-            kernel = _kernel_plus(i, w1, w2) - _kernel_minus(i, w1, w2)
-        terms[i - 1] = c * c * float(np.dot(kernel, weight))
-    return terms
+            if self.kind == "symmetrized":
+                kernel = kernel - _kernel_minus(i, w1, w2)
+            done.append(float(np.dot(kernel, weight)))
+        return np.array(done[:n_terms])
+
+
+def _pairing_terms(coef: np.ndarray, table: _TermIntegrals, m: int) -> np.ndarray:
+    """Per-n pairing contributions c_n^2 I_n at one node count."""
+    return coef * coef * table(m, coef.size)
+
+
+def _pairing_total(coef: np.ndarray, table: _TermIntegrals, m: int) -> float:
+    return float(_pairing_terms(coef, table, m).sum())
+
+
+def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int, rtol: float):
+    """The symmetrized pairing at the node count m where the single one
+    settled at ref.
+
+    The cancellation is exact on the symmetric node set, so the relative
+    Richardson test would compare one roundoff-sized value against
+    another; guard against the single-product scale instead.
+    """
+    value = _pairing_total(coef, table, m)
+    if abs(value) > rtol * abs(ref):
+        raise RefinementError(abs(value) / max(abs(ref), 1e-300), rtol)
+    return value
 
 
 def _richardson(evaluate, m0: int, max_m: int, rtol: float):
@@ -275,25 +303,62 @@ def pairing_quadrature(
         raise ParameterError(f"unknown pairing kind {kind!r}")
     if f.n_terms == 0:
         return (0.0, np.zeros(0), m0) if details else 0.0
-
-    def total(m: int) -> float:
-        return float(_pairing_terms(f, g, kind, m).sum())
-
+    _check_a1_pair(f, g)
+    # an overflow surfaces as a non-finite value, which _richardson reports
+    with np.errstate(over="ignore"):
+        coef = f.coefficients()
+    table = _TermIntegrals("single")
+    value, m_used = _richardson(lambda m: _pairing_total(coef, table, m), m0, max_m, rtol)
     if kind == "symmetrized":
-        # The cancellation is exact on the symmetric node set, so the
-        # relative Richardson test would compare one roundoff-sized value
-        # against another; guard against the single-product scale instead.
-        ref, m_used = _richardson(
-            lambda m: float(_pairing_terms(f, g, "single", m).sum()), m0, max_m, rtol
-        )
-        value = float(_pairing_terms(f, g, "symmetrized", m_used).sum())
-        if abs(value) > rtol * abs(ref):
-            raise RefinementError(abs(value) / max(abs(ref), 1e-300), rtol)
-    else:
-        value, m_used = _richardson(total, m0, max_m, rtol)
+        table = _TermIntegrals("symmetrized")
+        value = _symmetrized_pairing(coef, table, value, m_used, rtol)
     if details:
-        return value, _pairing_terms(f, g, kind, m_used), m_used
+        return value, _pairing_terms(coef, table, m_used), m_used
     return value
+
+
+def prop_a1_pairings(
+    s: float,
+    n_max: int,
+    n_min: int = 1,
+    m0: int = 16,
+    max_m: int = 64,
+    rtol: float = 0.01,
+) -> tuple[list[tuple[float, float]], float]:
+    """Single-product pairings and their lower-bound sums for every
+    N = n_min..n_max in one sweep, and the symmetrized pairing at n_max.
+
+    Row N is (pairing_quadrature value, sum_{n<=N} 2^(-2 s n) n^(-4)).
+    Each N runs its own Richardson refinement and sums its own terms, but
+    each term integral is evaluated once per node count in tables that
+    live for this call, so every row is the float a separate
+    pairing_quadrature call returns.  The symmetrized pairing reads the
+    node count at which row n_max settled, as its own call would.
+    """
+    BumpPair(s, n_max, "a1_plus")  # validates s and n_max
+    if not 1 <= n_min <= n_max:
+        raise ParameterError(f"need 1 <= n_min <= n_max, got {n_min} and {n_max}")
+    single = _TermIntegrals("single")
+    rows = []
+    for n_terms in range(n_min, n_max + 1):
+        # an overflow surfaces as a non-finite value, which _richardson reports
+        with np.errstate(over="ignore"):
+            coef = BumpPair(s, n_terms, "a1_plus").coefficients()
+        value, m_used = _richardson(
+            lambda m: _pairing_total(coef, single, m), m0, max_m, rtol
+        )
+        # 2^(-2 s n) overflows a few N before the squared coefficients do
+        with np.errstate(over="ignore"):
+            lower = lower_bound_sum(s, n_terms)
+        if not math.isfinite(lower):
+            raise ParameterError(
+                f"lower-bound sum {lower} at N = {n_terms}: 2^(-2 s n) overflows"
+            )
+        rows.append((value, lower))
+    symmetrized = _symmetrized_pairing(
+        coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used, rtol
+    )
+    return rows, symmetrized
 
 
 def pairing_filter_decomposition(
@@ -331,31 +396,58 @@ def pairing_filter_decomposition(
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def _magnitude_support(m: int):
+    """The block of the magnitude integrand that can be nonzero, folded by
+    its reflection symmetry: (row nodes, column nodes, weights).
+
+    Columns are the nodes v with chi(v) > 0.  Rows are the nodes w with
+    chi(w) > 0 on the upper half of the w2 axis, weighted 2 because each
+    stands for its mirror node (w1, -w2) too, and those on the w2 = 0 line
+    (odd m), weighted 1; nodes are mirrored by index, so every node of the
+    support is counted once.  The weight of a block entry is
+    fold(w) chi(w) chi(w + v) chi(v) da^2.  It depends on m alone, so it
+    is built once per node count and shared, and is read-only.
+    """
+    w1, w2, chi, da = _bump_nodes(m)
+    col = np.arange(w1.size) % m  # the w2 index of each node
+    rows = np.flatnonzero((chi > 0.0) & (2 * col >= m - 1))
+    cols = np.flatnonzero(chi > 0.0)
+    fold = np.where(2 * col[rows] > m - 1, 2.0, 1.0)
+    coupling = bump_profile(
+        np.hypot(w1[rows, None] + w1[None, cols], w2[rows, None] + w2[None, cols])
+    )
+    weight = (fold * chi[rows] * da)[:, None] * coupling * (chi[cols] * da)[None, :]
+    out = (w1[rows], w2[rows], w1[cols], w2[cols], weight)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.ndarray:
     """Per-n integrals of |kernel difference|, the size of what cancels.
 
     The signed symmetrized pairing vanishes; this series bounds each term
     before cancellation and decays like c_n^2 2^(-n), so its partial sums
-    converge for s >= -1/2 while the single-product series diverges.
+    converge for s >= -1/2 while the single-product series diverges.  Each
+    term sums |ka(w) - kb(v)| against the weights of _magnitude_support:
+    both kernels read w2 and v2 through hypot alone and chi is radial, so
+    the integrand is unchanged under (w2, v2) -> (-w2, -v2).
     """
     _check_a1_pair(f, g)
-    w1, w2, chi, da = _bump_nodes(m)
-    terms = range(1, f.n_terms + 1)
-    ka = [_kernel_plus(i, w1, w2) for i in terms]
-    kb = [_kernel_minus(i, w1, w2) for i in terms]
-    weight = chi * da
-    acc = [0.0] * f.n_terms
-    # every term's |ka - kb| * coupling is written into one chunk buffer
-    buf = np.empty((min(256, w1.size), w1.size))
-    for rows, coupling in _coupling_chunks(m, 256):
-        diff = buf[: coupling.shape[0]]
-        for t in range(f.n_terms):
-            np.subtract(ka[t][rows, None], kb[t][None, :], out=diff)
-            np.abs(diff, out=diff)
-            np.multiply(diff, coupling, out=diff)
-            acc[t] += float(weight[rows] @ (diff @ weight))
+    a1, a2, b1, b2, weight = _magnitude_support(m)
+    diff = np.empty(weight.shape)
+    acc = np.empty(f.n_terms)
+    for i in range(1, f.n_terms + 1):
+        np.subtract(
+            _kernel_plus(i, a1, a2)[:, None], _kernel_minus(i, b1, b2)[None, :], out=diff
+        )
+        np.abs(diff, out=diff)
+        # numpy's own sum, not a BLAS dot, whose order follows its thread count
+        np.multiply(diff, weight, out=diff)
+        acc[i - 1] = diff.sum()
     c = f.coefficients()
-    return c * c * np.array(acc)
+    return c * c * acc
 
 
 def _a3_term_integral(i: int, w1, w2, chi, da) -> float:
@@ -400,13 +492,14 @@ def prop_a3_product_norms(
     for n_terms in range(1, n_max + 1):
         # an overflow surfaces as a non-finite value, which _richardson reports
         with np.errstate(over="ignore"):
-            coef = BumpPair(s, n_terms, "a3_symmetric").coefficients()
+            coef = BumpPair(s, n_terms, "a3_symmetric").coefficients().tolist()
 
         def total(m: int) -> float:
+            # Python floats round as numpy scalars do, at a fraction of the cost
             chi_mass, j = term_integrals(m, n_terms)
             value = 0.0
-            for i, c in enumerate(coef, start=1):
-                value += 2.0 * c * c * chi_mass * j[i - 1]
+            for c, j_i in zip(coef, j):
+                value += 2.0 * c * c * chi_mass * j_i
             return value
 
         value, _ = _richardson(total, m0, max_m, rtol)

@@ -323,8 +323,10 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
     block norms realize the requested law up to adjacent-filter overlap.
     A level with zero amplitude carries no packet, and neither does a
     level whose annulus holds no lattice point (coarse frequency spacing
-    can leave a low annulus empty).  A parameter error is raised when some
-    amplitude is nonzero but every such level is empty.
+    can leave a low annulus empty), nor one whose kernel norm lies below
+    ENERGY_FLOOR.  A parameter error is raised when some amplitude is
+    nonzero but no level carries a packet; it names the floor when some
+    such level is nonempty.
     """
     grid = bank.grid
     if callable(amplitudes):
@@ -336,21 +338,25 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
                 f"need {bank.j_max} level amplitudes, got {len(amps)}"
             )
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    placed = 0
+    placed = floored = 0
     for j, amp in zip(bank.levels(), amps):
         if amp == 0.0 or bank.bands[j] is None:
             continue
         kern = SpectralField(grid, bank.add_symbol(j, np.zeros_like(coef)))
         size = lp_norm(kern, p, bank.bands[j])
         if size < ENERGY_FLOOR:
+            floored += 1
             continue
         coef += kern.coef * (amp / size)
         placed += 1
-    if placed == 0 and any(amps):
+    where = f"grid n={grid.n}, box_length={grid.box_length:g}"
+    if placed == 0 and floored:
         raise ParameterError(
-            f"every level with a nonzero amplitude is empty on grid n={grid.n}, "
-            f"box_length={grid.box_length:g}"
+            f"every nonempty level with a nonzero amplitude has a kernel L^{p:g} norm "
+            f"below the energy floor {ENERGY_FLOOR:g} on {where}"
         )
+    if placed == 0 and any(amps):
+        raise ParameterError(f"every level with a nonzero amplitude is empty on {where}")
     return SpectralField(grid, coef)
 
 

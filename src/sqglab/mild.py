@@ -144,25 +144,28 @@ class SolveParams:
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1)/z, series-evaluated near 0 to avoid cancellation."""
-    out = np.empty_like(z)
+    out = np.expm1(z)
+    # 0/0 at k = 0; every small entry is overwritten by its series
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, z, out=out)
     small = np.abs(z) < 1e-2
     zs = z[small]
     out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0 + zs**4 / 120.0 + zs**5 / 720.0
-    zl = z[~small]
-    out[~small] = np.expm1(zl) / zl
     return out
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z - 1 - z)/z^2, series-evaluated near 0."""
-    out = np.empty_like(z)
+    out = np.expm1(z)
+    np.subtract(out, z, out=out)
+    # 0/0 at k = 0; every small entry is overwritten by its series
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, np.square(z), out=out)
     small = np.abs(z) < 1e-2
     zs = z[small]
     out[small] = (
         0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0 + zs**4 / 720.0 + zs**5 / 5040.0
     )
-    zl = z[~small]
-    out[~small] = (np.expm1(zl) - zl) / zl**2
     return out
 
 

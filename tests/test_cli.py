@@ -234,6 +234,8 @@ class TestExitCodes:
             ("verify-lemma", "bernstein", "--seed", "-1", "--trials", "1", "--n", "32"),
             # a1 starts at 2 terms and reads the growth between two rows
             ("counterexample", "a1", "--trials", "2"),
+            # the lower-bound sum overflows at N = 43, one row before the pairing
+            ("counterexample", "a1", "--s", "-12", "--trials", "43"),
             # 1/p of a zero exponent
             ("verify-lemma", "bilinear-diagonal", *seeded, "--p", "0"),
             # the wavenumbers of so small a box overflow
@@ -344,6 +346,23 @@ class TestExitCodes:
         cfg.write_text("data = random\n", encoding="utf-8")
         argv = ("solve", "--n", "32", "--T", "0.005", "--seed", "3", "--config", str(cfg))
         assert run_cli(*argv, "--out", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize(
+        "argv, p",
+        [
+            (("continuity",), "2"),
+            (("verify-lemma", "duhamel-smoothing"), "4"),
+        ],
+    )
+    def test_packets_under_the_energy_floor_exit_one(self, tmp_path, capsys, argv, p):
+        # on a 1e-272 box every block norm lies below the absolute floor
+        # 1e-14, though no level is empty
+        assert run_cli_quietly(*argv, "--n", "32", "--box", "1e-272", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"parameter error: every nonempty level with a nonzero amplitude has a kernel "
+            f"L^{p} norm below the energy floor 1e-14 on grid n=32, box_length=1e-272\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_continuity_norm_exits_one(self, tmp_path, capsys):
         # 2^(150 j) is finite, but the squared norms of the packets are not

@@ -26,6 +26,7 @@ from sqglab.counterexamples import (
     lower_bound_sum,
     pairing_filter_decomposition,
     pairing_quadrature,
+    prop_a1_pairings,
     prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
@@ -163,11 +164,9 @@ class TestFilterDecomposition:
         split = pairing_filter_decomposition(f, g, m=24)
         assert set(split) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert all(v > 0.0 for v in split.values())
-        _, terms, _ = pairing_quadrature(f, g, "single", m0=24, max_m=24 * 4, details=True)
         # force the same node count for an exact comparison
-        from sqglab.counterexamples import _pairing_terms
-
-        filterless = float(_pairing_terms(f, g, "single", 24).sum())
+        table = counterexamples._TermIntegrals("single")
+        filterless = counterexamples._pairing_total(f.coefficients(), table, 24)
         total = sum(split.values())
         assert abs(total - filterless) / filterless < 1e-12
 
@@ -220,8 +219,9 @@ class TestSymmetrizedPairing:
 
 
 def reference_magnitude_series(f, g, m):
-    """symmetrized_magnitude_series as a term-outer loop that rebuilds the
-    chi(w + v) coupling of every chunk for every term."""
+    """symmetrized_magnitude_series as a dense term-outer loop over every
+    node pair, rebuilding the chi(w + v) coupling of every chunk for every
+    term."""
     w1, w2, chi, da = counterexamples._bump_nodes(m)
     out = np.empty(f.n_terms)
     for i, c in enumerate(f.coefficients(), start=1):
@@ -315,25 +315,54 @@ class TestSharedCoupling:
             assert np.array_equal(got_terms.view(np.int64), terms.view(np.int64))
             assert got_m == m_used
 
-    # several chunks of 256 nodes each, so the order of their sums shows
-    @pytest.mark.parametrize("m", [24, 32])
-    def test_magnitude_series_bits_match_term_outer_loop(self, m):
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
+    # the folded sum adds the mirror rows as doubled upper rows, a different
+    # set of roundings than the dense loop, so it matches to a tolerance;
+    # m = 25 has a w2 = 0 line of nodes, counted once
+    @pytest.mark.parametrize("s", [-0.5, -0.75])
+    @pytest.mark.parametrize("m", [24, 25, 32])
+    def test_magnitude_series_matches_dense_oracle(self, m, s):
+        f, g = build_counterexample_pair(s, 12, "a1")
         got = symmetrized_magnitude_series(f, g, m=m)
         want = reference_magnitude_series(f, g, m)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("m", [24, 25])
+    def test_magnitude_integrand_vanishes_off_the_support(self, m):
+        # the dense integrand is exactly 0.0 on every row and column where
+        # chi vanishes, and a row and its mirror (w1, -w2) carry the same
+        # sum.  The nodes are mirror images only to 1e-17, which the bump's
+        # flat edge amplifies to rel 5e-13 on rows of 1e-28, so each row is
+        # held to 1e-15 of the whole term (6.6e-18 measured)
+        w1, w2, chi, da = counterexamples._bump_nodes(m)
+        coupling = bump_profile(np.hypot(w1[:, None] + w1[None, :], w2[:, None] + w2[None, :]))
+        mirror = (np.arange(w1.size) // m) * m + (m - 1 - np.arange(w1.size) % m)
+        for i in (1, 4, 12):
+            ka = counterexamples._kernel_plus(i, w1, w2)
+            kb = counterexamples._kernel_minus(i, w1, w2)
+            dense = (chi * da)[:, None] * np.abs(ka[:, None] - kb[None, :]) * coupling
+            dense *= (chi * da)[None, :]
+            assert np.all(dense[chi == 0.0] == 0.0)
+            assert np.all(dense[:, chi == 0.0] == 0.0)
+            rows = np.array([math.fsum(row) for row in dense])
+            assert np.all(np.abs(rows - rows[mirror]) <= 1e-15 * math.fsum(rows))
+        a1, _, b1, _, weight = counterexamples._magnitude_support(m)
+        upper = (chi > 0.0) & (2 * (np.arange(w1.size) % m) >= m - 1)
+        assert weight.shape == (a1.size, b1.size) == (upper.sum(), (chi > 0.0).sum())
 
     def test_magnitude_series_couplings_built_once(self):
-        # the chunks of chi(w + v) depend on m alone; a rerun reads them from
-        # the cache, bit for bit, and cannot write into them
+        # the support block of chi(w) chi(w + v) chi(v) depends on m alone; a
+        # rerun reads it from the cache, bit for bit, and cannot write into it
         f, g = build_counterexample_pair(-0.5, 12, "a1")
-        counterexamples._coupling_chunks.cache_clear()
+        counterexamples._magnitude_support.cache_clear()
         first, second = (symmetrized_magnitude_series(f, g) for _ in range(2))
         assert np.array_equal(first.view(np.int64), second.view(np.int64))
-        assert counterexamples._coupling_chunks.cache_info().misses == 1
-        for _, coupling in counterexamples._coupling_chunks(24, 256):
+        assert counterexamples._magnitude_support.cache_info().misses == 1
+        support = counterexamples._magnitude_support(24)
+        # 224 x 448 weights at m = 24: 0.8 MB
+        assert support[-1].shape == (224, 448)
+        for a in support:
             with pytest.raises(ValueError):
-                coupling[0, 0] = 1.0
+                a[0] = 1.0
 
     def test_filter_decomposition_bits_match_term_outer_loop(self):
         f, g = build_counterexample_pair(-0.5, 3, "a1")
@@ -341,6 +370,122 @@ class TestSharedCoupling:
         want = reference_filter_decomposition(f, g, 32)
         assert {k: float(v).hex() for k, v in got.items()} == {
             k: float(v).hex() for k, v in want.items()
+        }
+
+
+def reference_pairing_terms(f, g, kind, m):
+    """Per-n pairing contributions at one node count, every term kernel
+    rebuilt at every call."""
+    w1, w2, chi, da, corr = counterexamples._self_correlation(m)
+    weight = chi * corr * da
+    terms = np.empty(f.n_terms)
+    for i, c in enumerate(f.coefficients(), start=1):
+        kernel = counterexamples._kernel_plus(i, w1, w2)
+        if kind == "symmetrized":
+            kernel = kernel - counterexamples._kernel_minus(i, w1, w2)
+        terms[i - 1] = c * c * float(np.dot(kernel, weight))
+    return terms
+
+
+def reference_pairing(f, g, kind, m0=16, max_m=64, rtol=0.01):
+    """(value, terms, node count) of pairing_quadrature(details=True) for
+    one N alone: every node count evaluates all N term integrals."""
+    single, m_used = counterexamples._richardson(
+        lambda m: float(reference_pairing_terms(f, g, "single", m).sum()), m0, max_m, rtol
+    )
+    terms = reference_pairing_terms(f, g, kind, m_used)
+    value = single if kind == "single" else float(terms.sum())
+    return value, terms, m_used
+
+
+class TestPairingSweep:
+    """The a1 table is one sweep over N whose rows, and both pairing kinds,
+    are the floats of one call per N."""
+
+    @pytest.mark.parametrize("s", [-0.5, -0.75])
+    def test_rows_match_per_n_reference_bits(self, s):
+        rows, symmetrized = prop_a1_pairings(s, 40)
+        assert len(rows) == 40
+        for n_terms, (value, lower) in enumerate(rows, start=1):
+            f, g = build_counterexample_pair(s, n_terms, "a1")
+            assert value.hex() == reference_pairing(f, g, "single")[0].hex(), n_terms
+            assert lower.hex() == lower_bound_sum(s, n_terms).hex(), n_terms
+        f, g = build_counterexample_pair(s, 40, "a1")
+        assert symmetrized.hex() == reference_pairing(f, g, "symmetrized")[0].hex()
+        tail, tail_sym = prop_a1_pairings(s, 40, n_min=38)
+        assert tail == rows[37:] and tail_sym.hex() == symmetrized.hex()
+
+    @pytest.mark.parametrize("kind", ["single", "symmetrized"])
+    @pytest.mark.parametrize("s", [-0.5, -0.75])
+    def test_pairing_quadrature_matches_per_n_reference_bits(self, s, kind):
+        for n_terms in (1, 5, 12, 25):
+            f, g = build_counterexample_pair(s, n_terms, "a1")
+            value, terms, m_used = pairing_quadrature(f, g, kind, details=True)
+            want_value, want_terms, want_m = reference_pairing(f, g, kind)
+            assert value.hex() == want_value.hex()
+            assert np.array_equal(terms.view(np.int64), want_terms.view(np.int64))
+            assert m_used == want_m
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            prop_a1_pairings(0.25, 3)
+        with pytest.raises(ParameterError):
+            prop_a1_pairings(-0.5, 3, n_min=4)
+        with pytest.raises(ParameterError):
+            prop_a1_pairings(-0.5, 3, n_min=0)
+
+    def test_overflow_raises_at_the_same_n(self):
+        # at s = -12 the squared coefficients 2^(24 n) n^(-4) overflow by N = 50
+        s = -12.0
+        first_bad = None
+        for n_terms in range(1, 51):
+            try:
+                pairing_quadrature(*build_counterexample_pair(s, n_terms, "a1"))
+            except ParameterError as exc:
+                first_bad, message = n_terms, str(exc)
+                break
+        assert first_bad is not None
+        with pytest.raises(ParameterError) as info:
+            prop_a1_pairings(s, first_bad, n_min=first_bad)
+        assert str(info.value) == message
+        # 2^(-2 s n) of the lower-bound sum overflows a row earlier
+        with pytest.raises(ParameterError) as info:
+            prop_a1_pairings(s, first_bad)
+        assert str(info.value) == (
+            f"lower-bound sum inf at N = {first_bad - 1}: 2^(-2 s n) overflows"
+        )
+
+    def test_default_run_evaluates_each_kernel_once_per_node_count(
+        self, tmp_path, monkeypatch
+    ):
+        plus, minus = collections.Counter(), collections.Counter()
+        kernel_plus = counterexamples._kernel_plus
+        kernel_minus = counterexamples._kernel_minus
+
+        def counted_plus(n, w1, w2):
+            plus[n, w1.size] += 1
+            return kernel_plus(n, w1, w2)
+
+        def counted_minus(n, w1, w2):
+            minus[n, w1.size] += 1
+            return kernel_minus(n, w1, w2)
+
+        monkeypatch.setattr(counterexamples, "_kernel_plus", counted_plus)
+        monkeypatch.setattr(counterexamples, "_kernel_minus", counted_minus)
+        assert main(["counterexample", "a1", "--out", str(tmp_path)]) == 0
+        # every N settles at m = 32: the single table evaluates each term once
+        # at m = 16 and at 32 (a call per N evaluated term n again for every
+        # N >= n), the symmetrized one at m = 32, and the magnitude series on
+        # the 224 rows and 448 columns of its m = 24 support
+        terms = range(1, 13)
+        assert plus == {
+            **{(n, 16 * 16): 1 for n in terms},
+            **{(n, 32 * 32): 2 for n in terms},
+            **{(n, 224): 1 for n in terms},
+        }
+        assert minus == {
+            **{(n, 32 * 32): 1 for n in terms},
+            **{(n, 448): 1 for n in terms},
         }
 
 

@@ -84,7 +84,36 @@ class TestSolveParams:
         assert params.n_steps() == 20
 
 
+def masked_phi(z, series, closed):
+    """A phi function evaluated on copies of its small and large entries."""
+    out = np.empty_like(z)
+    small = np.abs(z) < 1e-2
+    out[small] = series(z[small])
+    out[~small] = closed(z[~small])
+    return out
+
+
 class TestTableau:
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_in_place_phi_match_masked_copies_bit_for_bit(self, n):
+        from sqglab.mild import _phi1, _phi2
+
+        phi1 = (
+            lambda z: 1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0 + z**5 / 720.0,
+            lambda z: np.expm1(z) / z,
+        )
+        phi2 = (
+            lambda z: 0.5 + z / 6.0 + z**2 / 24.0 + z**3 / 120.0 + z**4 / 720.0 + z**5 / 5040.0,
+            lambda z: (np.expm1(z) - z) / z**2,
+        )
+        grid = Grid2(n)
+        for alpha in (2.0, 1.5, 1.25, 1.0, 0.75):
+            for dt in (0.00125, 0.0025, 0.005):
+                z = -dt * grid.kabs**alpha
+                for phi, (series, closed) in ((_phi1, phi1), (_phi2, phi2)):
+                    want = masked_phi(z, series, closed)
+                    assert np.array_equal(phi(z).view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("name", ["semigroup", "phi1_dt", "phi2_dt"])
     def test_cached_weights_are_read_only(self, name):
         # one tableau per (grid, alpha, dt) serves every march

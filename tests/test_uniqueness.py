@@ -309,6 +309,32 @@ class TestContractionFactor:
             contraction_ladder(theta0, params, bank128, [0.0, 0.1])
 
 
+class TestAmplitudeLinearity:
+    """The ladder's factor is C(T) eps + O(eps^2) in the data size eps.
+
+    An oracle that holds for any faithful march, whatever the order of its
+    arithmetic: factor/eps is flat in eps, and its change halves with each
+    halving of eps.  Measured at n = 64: factor/eps at eps = 0.05 and 0.025
+    agrees to rel 3.3e-5, 2.2e-4 and 7.8e-4 at alpha = 2, 1.25 and 0.75,
+    and the ratio of successive changes reads 0.49-0.51.
+    """
+
+    EPS = (0.05, 0.025, 0.0125)
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.25, 0.75])
+    def test_factor_over_eps_converges_linearly(self, alpha):
+        grid = shared_grid(64)
+        bank = build_bank(grid)
+        params = SolveParams(alpha=alpha, n=64, t_final=0.4, dt=0.0025)
+        per_eps = []
+        for eps in self.EPS:
+            ladder = contraction_ladder(smooth_profile(grid, eps), params, bank, HORIZONS)
+            per_eps.append([res.factor / eps for res in ladder])
+        for big, mid, small in zip(*per_eps):
+            assert rel_err(big, mid) < 1e-3
+            assert abs(small - mid) < 0.6 * abs(mid - big)
+
+
 def twin_gaps(a, b, bank, spec, k=1):
     """Contraction quantity of a(t) - b(t) at the samples of a; a and b are
     the fields of two runs, b at dt/k, so its every k-th sample shares a
