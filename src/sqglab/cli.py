@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .counterexamples import (
+    A1_FIRST_TERMS,
     a3_lower_sum,
     build_counterexample_pair,
     prop_a1_pairings,
@@ -519,9 +520,9 @@ def _cmd_counterexample(config: RunConfig) -> int:
     s, n_max = args["s"], args["trials"]
     if not s < 0.0:
         raise ParameterError(f"the bump families need s < 0, got {s}")
-    # a1 tabulates from 2 terms, a3 from 1; each reads a growth ratio
-    # between its last two rows
-    fewest = 3 if target == "a1" else 2
+    # a1 tabulates from A1_FIRST_TERMS terms, a3 from 1; each reads a
+    # growth ratio between its last two rows
+    fewest = A1_FIRST_TERMS + 1 if target == "a1" else 2
     if n_max < fewest:
         raise ParameterError(f"need at least {fewest} terms, got {n_max}")
     columns = (
@@ -531,10 +532,10 @@ def _cmd_counterexample(config: RunConfig) -> int:
         ("ratio", "pairing / partial sum"),
     )
     if target == "a1":
-        pairings, sym_value = prop_a1_pairings(s, n_max, n_min=2)
+        pairings, sym_value = prop_a1_pairings(s, n_max)
         rows = [
             (n_terms, value, lower, value / lower)
-            for n_terms, (value, lower) in enumerate(pairings, start=2)
+            for n_terms, (value, lower) in enumerate(pairings, start=A1_FIRST_TERMS)
         ]
         ratios = [r[3] for r in rows]
         spread = max(ratios) / min(ratios)

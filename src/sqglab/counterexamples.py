@@ -53,6 +53,15 @@ BUMP_PLATEAU = 0.05
 
 _VARIANTS = ("a1_plus", "a1_minus", "a3_symmetric")
 
+# Richardson refinement: node counts double from M0 up to MAX_M until two
+# evaluations agree to RTOL
+RICHARDSON_M0 = 16
+RICHARDSON_MAX_M = 64
+RICHARDSON_RTOL = 0.01
+
+# the a1 table's first row; each row's growth ratio compares it with the last
+A1_FIRST_TERMS = 2
+
 
 class RefinementError(RuntimeError):
     """Quadrature failed its Richardson convergence check."""
@@ -282,9 +291,9 @@ def pairing_quadrature(
     f: BumpPair,
     g: BumpPair,
     kind: str = "single",
-    m0: int = 16,
-    max_m: int = 64,
-    rtol: float = 0.01,
+    m0: int = RICHARDSON_M0,
+    max_m: int = RICHARDSON_MAX_M,
+    rtol: float = RICHARDSON_RTOL,
     details: bool = False,
 ):
     """Pairing of the level-diagonal product sum against the low-pass test.
@@ -317,16 +326,10 @@ def pairing_quadrature(
     return value
 
 
-def prop_a1_pairings(
-    s: float,
-    n_max: int,
-    n_min: int = 1,
-    m0: int = 16,
-    max_m: int = 64,
-    rtol: float = 0.01,
-) -> tuple[list[tuple[float, float]], float]:
+def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], float]:
     """Single-product pairings and their lower-bound sums for every
-    N = n_min..n_max in one sweep, and the symmetrized pairing at n_max.
+    N = A1_FIRST_TERMS..n_max in one sweep, and the symmetrized pairing
+    at n_max.
 
     Row N is (pairing_quadrature value, sum_{n<=N} 2^(-2 s n) n^(-4)).
     Each N runs its own Richardson refinement and sums its own terms, but
@@ -336,16 +339,19 @@ def prop_a1_pairings(
     node count at which row n_max settled, as its own call would.
     """
     BumpPair(s, n_max, "a1_plus")  # validates s and n_max
-    if not 1 <= n_min <= n_max:
-        raise ParameterError(f"need 1 <= n_min <= n_max, got {n_min} and {n_max}")
+    if n_max < A1_FIRST_TERMS:
+        raise ParameterError(f"need at least {A1_FIRST_TERMS} terms, got {n_max}")
     single = _TermIntegrals("single")
     rows = []
-    for n_terms in range(n_min, n_max + 1):
+    for n_terms in range(A1_FIRST_TERMS, n_max + 1):
         # an overflow surfaces as a non-finite value, which _richardson reports
         with np.errstate(over="ignore"):
             coef = BumpPair(s, n_terms, "a1_plus").coefficients()
         value, m_used = _richardson(
-            lambda m: _pairing_total(coef, single, m), m0, max_m, rtol
+            lambda m: _pairing_total(coef, single, m),
+            RICHARDSON_M0,
+            RICHARDSON_MAX_M,
+            RICHARDSON_RTOL,
         )
         # 2^(-2 s n) overflows a few N before the squared coefficients do
         with np.errstate(over="ignore"):
@@ -356,7 +362,7 @@ def prop_a1_pairings(
             )
         rows.append((value, lower))
     symmetrized = _symmetrized_pairing(
-        coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used, rtol
+        coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used, RICHARDSON_RTOL
     )
     return rows, symmetrized
 
@@ -456,7 +462,11 @@ def _a3_term_integral(i: int, w1, w2, chi, da) -> float:
 
 
 def prop_a3_product_norms(
-    s: float, n_max: int, m0: int = 16, max_m: int = 64, rtol: float = 0.01
+    s: float,
+    n_max: int,
+    m0: int = RICHARDSON_M0,
+    max_m: int = RICHARDSON_MAX_M,
+    rtol: float = RICHARDSON_RTOL,
 ) -> list[tuple[float, float]]:
     """Low-pass pairing of (Lambda^(-1) f_N) g_N and its lower-bound sum
     for every N = 1..n_max, in one sweep.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sqglab import counterexamples
 from sqglab.cli import main
 from sqglab.counterexamples import (
+    A1_FIRST_TERMS,
     BUMP_PLATEAU,
     BUMP_SUPPORT,
     BumpPair,
@@ -387,11 +388,11 @@ def reference_pairing_terms(f, g, kind, m):
     return terms
 
 
-def reference_pairing(f, g, kind, m0=16, max_m=64, rtol=0.01):
+def reference_pairing(f, g, kind):
     """(value, terms, node count) of pairing_quadrature(details=True) for
     one N alone: every node count evaluates all N term integrals."""
     single, m_used = counterexamples._richardson(
-        lambda m: float(reference_pairing_terms(f, g, "single", m).sum()), m0, max_m, rtol
+        lambda m: float(reference_pairing_terms(f, g, "single", m).sum()), 16, 64, 0.01
     )
     terms = reference_pairing_terms(f, g, kind, m_used)
     value = single if kind == "single" else float(terms.sum())
@@ -405,15 +406,13 @@ class TestPairingSweep:
     @pytest.mark.parametrize("s", [-0.5, -0.75])
     def test_rows_match_per_n_reference_bits(self, s):
         rows, symmetrized = prop_a1_pairings(s, 40)
-        assert len(rows) == 40
-        for n_terms, (value, lower) in enumerate(rows, start=1):
+        assert len(rows) == 40 - A1_FIRST_TERMS + 1
+        for n_terms, (value, lower) in enumerate(rows, start=A1_FIRST_TERMS):
             f, g = build_counterexample_pair(s, n_terms, "a1")
             assert value.hex() == reference_pairing(f, g, "single")[0].hex(), n_terms
             assert lower.hex() == lower_bound_sum(s, n_terms).hex(), n_terms
         f, g = build_counterexample_pair(s, 40, "a1")
         assert symmetrized.hex() == reference_pairing(f, g, "symmetrized")[0].hex()
-        tail, tail_sym = prop_a1_pairings(s, 40, n_min=38)
-        assert tail == rows[37:] and tail_sym.hex() == symmetrized.hex()
 
     @pytest.mark.parametrize("kind", ["single", "symmetrized"])
     @pytest.mark.parametrize("s", [-0.5, -0.75])
@@ -430,9 +429,7 @@ class TestPairingSweep:
         with pytest.raises(ParameterError):
             prop_a1_pairings(0.25, 3)
         with pytest.raises(ParameterError):
-            prop_a1_pairings(-0.5, 3, n_min=4)
-        with pytest.raises(ParameterError):
-            prop_a1_pairings(-0.5, 3, n_min=0)
+            prop_a1_pairings(-0.5, A1_FIRST_TERMS - 1)
 
     def test_overflow_raises_at_the_same_n(self):
         # at s = -12 the squared coefficients 2^(24 n) n^(-4) overflow by N = 50
@@ -445,15 +442,20 @@ class TestPairingSweep:
                 first_bad, message = n_terms, str(exc)
                 break
         assert first_bad is not None
-        with pytest.raises(ParameterError) as info:
-            prop_a1_pairings(s, first_bad, n_min=first_bad)
-        assert str(info.value) == message
         # 2^(-2 s n) of the lower-bound sum overflows a row earlier
         with pytest.raises(ParameterError) as info:
             prop_a1_pairings(s, first_bad)
         assert str(info.value) == (
             f"lower-bound sum inf at N = {first_bad - 1}: 2^(-2 s n) overflows"
         )
+        # at s = -300 both overflow on the first row, and the pairing is first
+        f, g = build_counterexample_pair(-300.0, A1_FIRST_TERMS, "a1")
+        with pytest.raises(ParameterError) as info:
+            pairing_quadrature(f, g)
+        message = str(info.value)
+        with pytest.raises(ParameterError) as info:
+            prop_a1_pairings(-300.0, A1_FIRST_TERMS)
+        assert str(info.value) == message
 
     def test_default_run_evaluates_each_kernel_once_per_node_count(
         self, tmp_path, monkeypatch
