@@ -36,12 +36,12 @@ from .lab import (
     MAX_THREADS,
     MAX_TRIALS,
     duhamel_test_datum,
-    level_spread,
     random_besov_field,
     verify_bernstein,
     verify_bilinear,
     verify_commutator_advection,
     verify_commutator_riesz,
+    verify_commutators,
     verify_duhamel_bound,
     verify_multiplier_bound,
     verify_paraproduct,
@@ -291,193 +291,54 @@ def _cmd_solve(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lemma_rows(report, levels, repeats: int = 1) -> list:
-    """(trial, j, ratio) rows; each trial holds `repeats` ratios per level."""
-    ratios = list(report.ratios)
-    per_trial = len(levels) * repeats
-    if per_trial > 0 and len(ratios) == report.trials * per_trial:
-        return [
-            (k // per_trial, levels[k % per_trial // repeats], float(r))
-            for k, r in enumerate(ratios)
-        ]
-    # skipped degenerate draws break the rectangular layout
-    return [(k, -1, float(r)) for k, r in enumerate(ratios)]
-
-
-def _some_trial_kept(report, per_trial: int = 1) -> bool:
-    """The default verdict: some trial survived and gave a positive ratio.
-
-    A trial can skip per_trial samples (one per probed level for the
-    block lemmas), and report.skipped counts them over all trials.
-    """
-    return report.skipped < report.trials * per_trial and report.sup_constant > 0.0
-
-
-def _whole_norm(report, lines, passed=None):
-    """The output of a lemma that measures one whole-norm ratio per trial."""
-    rows = _lemma_rows(report, [0])
-    if passed is None:
-        passed = _some_trial_kept(report)
-    return rows, "0 = whole-norm ratio", passed, lines
-
-
-# Each runner takes the bank and its lemma's merged parameters and returns
-# (rows, j unit, verdict, summary lines).  It calls the public verifier by
-# its module-level name, so a wrapper installed on this module sees the call.
-
-
-def _run_bernstein(bank, p, **args):
-    # level 1 of a pi/2 box carries no lattice points; start at 2
-    probe = list(range(2, bank.j_max + 1))
-    report = verify_bernstein(bank, p, levels=probe, **args)
-    # a gradient and an inverse-derivative ratio per level
-    rows = _lemma_rows(report, probe, 2)
-    if p == 2.0:
-        # a gradient sup of 0.0 bounds nothing: some block must be kept
-        passed = _some_trial_kept(report, len(probe)) and (
-            report.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
-        )
-    else:
-        passed = level_spread([report], lo=2) < 3.0
-    lines = [
-        ("p", p),
-        ("gradient_sup", report.params["gradient_sup"]),
-        ("inverse_sup", report.params["inverse_sup"]),
-        ("sup_constant", report.sup_constant),
-        ("skipped", report.skipped),
-    ]
-    return rows, "dyadic level", passed, lines
-
-
-def _run_semigroup_decay(bank, alpha, p, **args):
-    probe = list(range(2, bank.j_max + 1))
-    report = verify_semigroup_decay(bank, alpha, p, levels=probe, **args)
-    # one ratio per level and decay time
-    rows = _lemma_rows(report, probe, len(report.params["taus"]))
-    fits = report.params["c_fit"]
-    floor = report.params["c_floor"]
-    ceiling = report.params["c_ceiling"]
-    # no fit when every probed block fell below the energy floor
-    passed = bool(fits) and report.sup_constant <= 1.0 + 1e-12 and all(
-        floor < c < ceiling for c in fits.values()
-    )
-    lines = [
-        ("alpha", alpha),
-        ("sup_constant", report.sup_constant),
-        ("c_floor", floor),
-        ("c_ceiling", ceiling),
-        ("c_fit_min", min(fits.values(), default=math.nan)),
-        ("c_fit_max", max(fits.values(), default=math.nan)),
-    ]
-    return rows, "dyadic level", passed, lines
-
-
-def _run_paraproduct(bank, s, eps, p, q, **args):
-    report = verify_paraproduct(bank, s, eps, p, q, **args)
-    lines = [
-        ("s", s),
-        ("eps", eps),
-        ("sup_constant", report.sup_constant),
-        ("level_spread", level_spread([report], lo=2)),
-    ]
-    return _whole_norm(report, lines)
-
-
-def _run_bilinear_diagonal(bank, s, s_prime, p, q, **args):
-    report = verify_bilinear(bank, s, s_prime, p, 2.0 * p, 2.0 * p, q=q, **args)
-    lines = [
-        ("s", s),
-        ("s_prime", s_prime),
-        ("sup_constant", report.sup_constant),
-    ]
-    return _whole_norm(report, lines)
-
-
-def _commutator_lines(report):
-    return [("sup_constant", report.sup_constant), ("skipped", report.skipped)]
-
-
-def _run_advection_commutator(bank, **args):
-    report = verify_commutator_advection(bank, **args)
-    return _whole_norm(report, _commutator_lines(report))
-
-
-def _run_riesz_commutator(bank, **args):
-    report = verify_commutator_riesz(bank, **args)
-    return _whole_norm(report, _commutator_lines(report))
-
-
-def _run_commutators(bank, **args):
-    # both families on the same seed; each family's rows and verdict come
-    # from its own report, so a skipped trial mislabels nothing
-    families = (verify_commutator_advection(bank, **args), verify_commutator_riesz(bank, **args))
-    rows = [(k, j, float(r)) for j, rep in enumerate(families) for k, r in enumerate(rep.ratios)]
-    lines = [
-        ("sup_constant", max(rep.sup_constant for rep in families)),
-        ("skipped", sum(rep.skipped for rep in families)),
-    ]
-    passed = all(_some_trial_kept(rep) for rep in families)
-    return rows, "0 = advection family, 1 = riesz family", passed, lines
-
-
-def _run_velocity_multiplier(bank, s, q, **args):
-    report = verify_multiplier_bound(bank, s, q, **args)
-    spread = level_spread([report], lo=2)
-    lines = [
-        ("s", s),
-        ("sup_constant", report.sup_constant),
-        ("level_spread", spread),
-    ]
-    return _whole_norm(report, lines, report.skipped < report.trials and spread < 3.0)
-
-
-def _run_duhamel_smoothing(bank, alpha, p, q):
+# the Duhamel verifier takes its datum: packets normalized in L^p, L^4 when p is unset
+def _duhamel_smoothing(bank, alpha, p, q):
     datum = duhamel_test_datum(bank, 4.0 if p is None else p)
-    report = verify_duhamel_bound(alpha, datum, bank, p=p, q=q)
-    horizons = report.params["horizons"]
-    rows = [(0, k, float(r)) for k, r in enumerate(report.ratios)]
-    gap = abs(report.params["slope"] - report.params["target_exponent"])
-    lines = [
-        ("alpha", alpha),
-        ("slope", report.params["slope"]),
-        ("target_exponent", report.params["target_exponent"]),
-        ("slope_gap", gap),
-        ("horizon_lo", horizons[0]),
-        ("horizon_hi", horizons[-1]),
-    ]
-    return rows, "horizon index", gap <= 0.2, lines
+    return verify_duhamel_bound(alpha, datum, bank, p=p, q=q)
 
 
-# id -> (runner, defaults).  The defaults name every key the lemma reads,
-# and a key set outside them is an error.  The quarter box packs in two
-# extra dyadic levels, but suites probing the low-pass filter or the
-# default horizon ladder need the full box where the coarse levels hold
-# modes.  Unset p and q for duhamel-smoothing select the critical space.
+# id -> (verifier, j unit, defaults): the verifier takes the bank and the
+# merged defaults, and its report holds the rows, summary and verdict.  The
+# defaults name every key the lemma reads, and a key set outside them is an
+# error.  The quarter box packs in two extra dyadic levels, but suites
+# probing the low-pass filter or the default horizon ladder need the full
+# box where the coarse levels hold modes.  Unset p and q for
+# duhamel-smoothing select the critical space.
 _QUARTER_BOX = dict(n=128, box=0.5 * math.pi)
 _FULL_BOX = dict(n=128, box=2.0 * math.pi)
+_WHOLE_NORM = "0 = whole-norm ratio"
 _LEMMAS = {
-    "bernstein": (_run_bernstein, dict(_QUARTER_BOX, trials=20, p=2.0)),
+    "bernstein": (verify_bernstein, "dyadic level", dict(_QUARTER_BOX, trials=20, p=2.0)),
     "semigroup-decay": (
-        _run_semigroup_decay,
+        verify_semigroup_decay,
+        "dyadic level",
         dict(_QUARTER_BOX, trials=10, alpha=1.0, p=2.0),
     ),
     "paraproduct": (
-        _run_paraproduct,
+        verify_paraproduct,
+        _WHOLE_NORM,
         dict(_QUARTER_BOX, trials=30, s=-0.5, eps=0.25, p=4.0, q=2.0),
     ),
     "bilinear-diagonal": (
-        _run_bilinear_diagonal,
+        verify_bilinear,
+        _WHOLE_NORM,
         dict(_QUARTER_BOX, trials=30, s=-0.5, s_prime=-0.5, p=4.0, q=2.0),
     ),
-    "advection-commutator": (_run_advection_commutator, dict(_FULL_BOX, trials=20)),
-    "riesz-commutator": (_run_riesz_commutator, dict(_FULL_BOX, trials=20)),
-    "commutators": (_run_commutators, dict(_FULL_BOX, trials=20)),
+    "advection-commutator": (verify_commutator_advection, _WHOLE_NORM, dict(_FULL_BOX, trials=20)),
+    "riesz-commutator": (verify_commutator_riesz, _WHOLE_NORM, dict(_FULL_BOX, trials=20)),
+    "commutators": (
+        verify_commutators,
+        "0 = advection family, 1 = riesz family",
+        dict(_FULL_BOX, trials=20),
+    ),
     "velocity-multiplier": (
-        _run_velocity_multiplier,
+        verify_multiplier_bound,
+        _WHOLE_NORM,
         dict(_QUARTER_BOX, trials=50, s=-0.5, q=math.inf),
     ),
     "duhamel-smoothing": (
-        _run_duhamel_smoothing,
+        _duhamel_smoothing,
+        "horizon index",
         dict(n=256, box=2.0 * math.pi, alpha=2.0, p=None, q=None),
     ),
 }
@@ -492,7 +353,7 @@ def _cmd_verify_lemma(config: RunConfig) -> int:
     target = config.target
     if target not in _LEMMAS:
         raise ParameterError(f"unknown lemma id {target!r}")
-    runner, defaults = _LEMMAS[target]
+    verify, j_unit, defaults = _LEMMAS[target]
     randomized = target in _RANDOMIZED_LEMMAS
     args = _merged(
         config, f"verify-lemma {target}", defaults, ("seed",) if randomized else ()
@@ -501,9 +362,11 @@ def _cmd_verify_lemma(config: RunConfig) -> int:
     if randomized:
         args["seed"] = config.require_seed("randomized verification")
         args["threads"] = config.threads
-    rows, j_unit, passed, lines = runner(build_bank(grid), **args)
+    # looked up by name at call time, so a wrapper installed on this
+    # module sees the call
+    report = globals()[verify.__name__](build_bank(grid), **args)
     columns = (("trial", "count"), ("j", j_unit), ("ratio", "dimensionless"))
-    return _emit(config, target, columns, rows, lines, bool(passed))
+    return _emit(config, target, columns, report.rows, report.summary.items(), report.passed)
 
 
 # ---------------------------------------------------------------------------

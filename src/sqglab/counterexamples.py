@@ -461,13 +461,7 @@ def _a3_term_integral(i: int, w1, w2, chi, da) -> float:
     return float((chi / np.hypot(2.0**i + w1, w2)).sum() * da)
 
 
-def prop_a3_product_norms(
-    s: float,
-    n_max: int,
-    m0: int = RICHARDSON_M0,
-    max_m: int = RICHARDSON_MAX_M,
-    rtol: float = RICHARDSON_RTOL,
-) -> list[tuple[float, float]]:
+def prop_a3_product_norms(s: float, n_max: int) -> list[tuple[float, float]]:
     """Low-pass pairing of (Lambda^(-1) f_N) g_N and its lower-bound sum
     for every N = 1..n_max, in one sweep.
 
@@ -476,8 +470,8 @@ def prop_a3_product_norms(
     there, and the integral factorizes into (int chi) * int chi / |center + w|.
     Row N is (quadrature value, sum_{n<=N} 2^((-2s-1) n) n^(-4)).
 
-    Each N runs its own Richardson refinement and sums its terms in the
-    same order, but the nodes, the chi mass and each term integral
+    Each N runs its own Richardson refinement at the RICHARDSON_* settings
+    and sums its terms in the same order, but the nodes, the chi mass and each term integral
     J_i(m) = int chi / |2^i e1 + w| are evaluated once per node count m in
     a table that lives for this call alone.  A row is therefore the same
     float as a separate call for that N would return.
@@ -512,7 +506,7 @@ def prop_a3_product_norms(
                 value += 2.0 * c * c * chi_mass * j_i
             return value
 
-        value, _ = _richardson(total, m0, max_m, rtol)
+        value, _ = _richardson(total, RICHARDSON_M0, RICHARDSON_MAX_M, RICHARDSON_RTOL)
         rows.append((value, a3_lower_sum(s, n_terms)))
     return rows
 

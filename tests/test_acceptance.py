@@ -138,7 +138,7 @@ def test_criterion_3_bernstein_suite():
             bank, 2.0, levels=range(2, bank.j_max + 1), trials=20, seed=3
         )
         assert report.skipped == 0
-        assert report.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
+        assert report.summary["gradient_sup"] <= 4.0 / 3.0 + 1e-9
 
     for p in (4.0, math.inf):
         reports = [
@@ -325,7 +325,7 @@ def test_criterion_9_duhamel_scaling():
         datum = duhamel_test_datum(bank, p, s=s)
         report = verify_duhamel_bound(alpha, datum, bank)
         target = min(1.0, 1.0 / (2.0 * alpha))
-        assert abs(report.params["slope"] - target) <= 0.2
+        assert abs(report.summary["slope"] - target) <= 0.2
     _passed(9, "Duhamel smoothing scaling", t0, 120.0)
 
 

@@ -6,6 +6,7 @@ whole CSV files byte for byte.
 """
 
 import csv
+import inspect
 import math
 import shutil
 import tempfile
@@ -24,15 +25,20 @@ import sqglab.uniqueness
 from sqglab.cli import (
     _ALL_KEYS,
     _KEY_TYPES,
+    _LEMMAS,
+    _RANDOMIZED_LEMMAS,
+    LEMMA_IDS,
     UNIQUENESS_CASES,
     RunConfig,
     build_config,
     build_parser,
+    _fmt_cell,
     load_config_file,
     main,
 )
+from sqglab.littlewood import build_bank
 from sqglab.mild import march
-from sqglab.spectral import ParameterError
+from sqglab.spectral import ParameterError, shared_grid
 
 
 # committed outputs of the benchmark's march workload; read, never written
@@ -580,6 +586,30 @@ class TestVerifyLemmaCommand:
         rows = read_csv(tmp_path / "riesz-commutator.csv")
         assert len(rows) == 1 + 20
         assert all(float(r[2]) > 0.0 for r in rows[1:])
+
+
+class TestOneLemmaPath:
+    # verify-lemma writes what its verifier's report carries, and nothing
+    # else: the rows, the summary lines in order and the verdict
+    @pytest.mark.parametrize("lemma", LEMMA_IDS)
+    def test_outputs_are_the_report(self, tmp_path, lemma):
+        verify, _, defaults = _LEMMAS[lemma]
+        args = {k: v for k, v in defaults.items() if k not in ("n", "box")}
+        assert args.keys() <= inspect.signature(verify).parameters.keys()
+        n, box = defaults["n"], defaults["box"]
+        argv = ("verify-lemma", lemma, "--threads", "1", "--out", str(tmp_path))
+        if lemma in _RANDOMIZED_LEMMAS:
+            n = 32
+            args.update(trials=2, seed=1, threads=1)
+            argv += ("--n", "32", "--trials", "2", "--seed", "1")
+        report = verify(build_bank(shared_grid(n, box)), **args)
+        assert run_cli(*argv) == (0 if report.passed else 2)
+        assert report.rows
+        rows = read_csv(tmp_path / f"{lemma}.csv")[1:]
+        assert rows == [[_fmt_cell(v) for v in row] for row in report.rows]
+        summary = (tmp_path / f"{lemma}-summary.txt").read_text(encoding="utf-8")
+        lines = [f"{key} = {_fmt_cell(v)}" for key, v in report.summary.items()]
+        assert summary.splitlines()[1:-1] == lines
 
 
 class TestVerifyGoldens:

@@ -89,7 +89,7 @@ class TestEstimateReport:
             ratios=np.array([0.5, 1.5, 1.0]),
             sup_constant=1.5,
             per_level_sup={2: 1.5},
-            params={"p": 2},
+            summary={"p": 2},
             skipped=1,
             seed=7,
         )
@@ -152,7 +152,7 @@ def bernstein_reports(bank128h, bank256h):
 class TestBernstein:
     def test_p2_gradient_below_annulus_top(self, bernstein_reports):
         for r in bernstein_reports[2.0]:
-            assert r.params["gradient_sup"] <= 4.0 / 3.0 + 1e-9
+            assert r.summary["gradient_sup"] <= 4.0 / 3.0 + 1e-9
 
     def test_frozen_sups(self, bernstein_reports):
         frozen = {
@@ -165,10 +165,10 @@ class TestBernstein:
         }
         for p, (g128, g256, i128, i256) in frozen.items():
             r128, r256 = bernstein_reports[p]
-            assert rel_err(r128.params["gradient_sup"], g128) < RTOL
-            assert rel_err(r256.params["gradient_sup"], g256) < RTOL
-            assert rel_err(r128.params["inverse_sup"], i128) < RTOL
-            assert rel_err(r256.params["inverse_sup"], i256) < RTOL
+            assert rel_err(r128.summary["gradient_sup"], g128) < RTOL
+            assert rel_err(r256.summary["gradient_sup"], g256) < RTOL
+            assert rel_err(r128.summary["inverse_sup"], i128) < RTOL
+            assert rel_err(r256.summary["inverse_sup"], i256) < RTOL
 
     def test_spread_across_levels_and_resolutions(self, bernstein_reports):
         frozen = {2.0: 1.597758855070309, 4.0: 1.591474004791900,
@@ -212,7 +212,7 @@ class TestBernstein:
 def semigroup_reports(bank128, bank256):
     return {
         alpha: [
-            verify_semigroup_decay(bank, alpha, 2.0, trials=10, seed=7)
+            verify_semigroup_decay(bank, alpha, 2.0, levels=bank.levels(), trials=10, seed=7)
             for bank in (bank128, bank256)
         ]
         for alpha in (1.0, 2.0)
@@ -240,11 +240,12 @@ class TestSemigroupDecay:
         }
         for alpha, reports in semigroup_reports.items():
             floor = (3.0 / 8.0) ** alpha
-            fits = [v for r in reports for v in r.params["c_fit"].values()]
-            assert min(fits) > floor
-            assert max(fits) < 1.0
-            assert rel_err(min(fits), frozen[alpha][0]) < RTOL
-            assert rel_err(max(fits), frozen[alpha][1]) < RTOL
+            fit_min = min(r.summary["c_fit_min"] for r in reports)
+            fit_max = max(r.summary["c_fit_max"] for r in reports)
+            assert fit_min > floor
+            assert fit_max < 1.0
+            assert rel_err(fit_min, frozen[alpha][0]) < RTOL
+            assert rel_err(fit_max, frozen[alpha][1]) < RTOL
 
     def test_spread_near_one(self, semigroup_reports):
         frozen = {1.0: 1.021721110726247, 2.0: 1.030334495762912}
@@ -333,6 +334,24 @@ class TestParaproduct:
             verify_paraproduct(bank128, s=-0.5, eps=0.0, p=4.0, q=2.0, trials=1, seed=0)
 
 
+class TestNoPerLevelData:
+    # every block of a 1e-272 box lies below the energy floor, so a verdict
+    # read from the per-level spread has nothing to read
+    @pytest.mark.parametrize(
+        "verify, args",
+        [
+            (verify_paraproduct, dict(s=-0.5, eps=0.25, p=4.0, q=2.0)),
+            (verify_multiplier_bound, dict(s=-0.5, q=math.inf)),
+            (verify_bernstein, dict(p=4.0)),
+        ],
+        ids=["paraproduct", "velocity-multiplier", "bernstein-p4"],
+    )
+    def test_verifier_refuses(self, verify, args):
+        bank = build_bank(Grid2(32, 1e-272))
+        with pytest.raises(ParameterError, match="no per-level data"):
+            verify(bank, **args, trials=2, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Level-diagonal bilinear sum
 # ---------------------------------------------------------------------------
@@ -341,8 +360,7 @@ class TestParaproduct:
 @pytest.fixture(scope="module")
 def bilinear_reports(bank128, bank256):
     return [
-        verify_bilinear(bank, s=-0.5, s_prime=-0.5, p=4.0, p1=8.0, p2=8.0,
-                        q=2.0, trials=30, seed=5)
+        verify_bilinear(bank, s=-0.5, s_prime=-0.5, p=4.0, q=2.0, trials=30, seed=5)
         for bank in (bank128, bank256)
     ]
 
@@ -357,18 +375,15 @@ class TestBilinear:
         assert rel_err(spread, 1.241629798559340) < RTOL
 
     def test_endpoint_variant_frozen(self, bank128):
-        r = verify_bilinear(bank128, s=-0.5, s_prime=-0.5, p=4.0, p1=8.0, p2=8.0,
-                            q=2.0, trials=10, seed=5, endpoint=True)
+        r = verify_bilinear(bank128, s=-0.5, s_prime=-0.5, p=4.0, q=2.0,
+                            trials=10, seed=5, endpoint=True)
         assert rel_err(r.sup_constant, 0.04019974065777535) < RTOL
-        assert r.params["endpoint"] is True
 
     def test_exponent_validation(self, bank128):
         with pytest.raises(ParameterError):
-            verify_bilinear(bank128, s=-0.5, s_prime=-0.5, p=4.0, p1=4.0, p2=4.0,
-                            trials=1, seed=0)
+            verify_bilinear(bank128, s=-0.5, s_prime=-0.5, p=0.5, trials=1, seed=0)
         with pytest.raises(ParameterError):
-            verify_bilinear(bank128, s=-2.0, s_prime=-0.5, p=4.0, p1=8.0, p2=8.0,
-                            trials=1, seed=0)
+            verify_bilinear(bank128, s=-2.0, s_prime=-0.5, p=4.0, trials=1, seed=0)
 
     def test_disjoint_shells_annihilate(self, bank256h):
         # f lives on shell 3 (blocks 2..4), g on shell 8 (blocks 7..8):
@@ -514,7 +529,7 @@ class TestDuhamelScaling:
             p, q, s = endpoint_norm_indices(alpha)
             theta = duhamel_test_datum(bank256, p, s=s)
             r = verify_duhamel_bound(alpha, theta, bank256)
-            slope = r.params["slope"]
+            slope = r.summary["slope"]
             assert rel_err(slope, anchor) < RTOL
             assert abs(slope - duhamel_exponent(alpha)) < 0.2
 
@@ -533,8 +548,8 @@ class TestDuhamelScaling:
         bank512 = build_bank(Grid2(512))
         theta = duhamel_test_datum(bank512, 4.0, s=-0.5)
         r = verify_duhamel_bound(2.0, theta, bank512)
-        assert rel_err(r.params["slope"], 0.2767656405448415) < RTOL
-        assert abs(r.params["slope"] - 0.2906770718212571) < 0.05
+        assert rel_err(r.summary["slope"], 0.2767656405448415) < RTOL
+        assert abs(r.summary["slope"] - 0.2906770718212571) < 0.05
 
     def test_zero_data_zero_ratios(self, bank256):
         zero = SpectralField(bank256.grid, np.zeros((256, 256), complex))
