@@ -469,8 +469,11 @@ def _cmd_uniqueness(config: RunConfig) -> int:
     horizons = [t_top / 8.0, t_top / 4.0, t_top / 2.0, t_top]
     try:
         ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec)
-        twin = replace(params, t_final=t_top / 4.0, dt=2.0 * dt)
-        ident_max, order, amplification = twin_experiments(theta0, twin, bank, spec)
+        # the twins run to T/4 at 2 dt, so their dt/2 refinement is the
+        # ladder's own march to that horizon
+        twin = replace(params, t_final=horizons[1], dt=2.0 * dt)
+        fine = ladder[1].state
+        ident_max, order, amplification = twin_experiments(theta0, twin, bank, spec, fine)
     except BlowUpError as exc:
         sys.stderr.write(f"run blew up: {exc}\n")
         return 2

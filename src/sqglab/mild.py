@@ -314,8 +314,9 @@ def duhamel_along(steps, grid: Grid2, params: SolveParams):
             acc = np.zeros_like(coef)
         else:
             acc = tab.semigroup * acc + w1 * g_prev + tab.phi2_dt * g
-        yield t, coef, acc
+        # let G_{k-1} go before the yield, not hold it while the consumer works
         g_prev = g
+        yield t, coef, acc
 
 
 def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]:

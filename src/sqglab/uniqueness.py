@@ -22,7 +22,7 @@ vanishing of the weighted block-norm tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,15 +169,19 @@ def riesz_low_max(f: SpectralField, bank: DyadicBank) -> float:
 
 def instant_norm(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> float:
     """Single-time contraction quantity: Besov norm plus optional Riesz part."""
-    value = besov_norm(f, bank, spec.index)
-    if spec.riesz_low:
-        value += riesz_low_max(f, bank)
-    return value
+    return sum(_norm_parts(f, bank, spec))
 
 
 def _norm_parts(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> tuple:
     """The per-time parts of the contraction norm at one sample: the Besov
-    value and, when spec.riesz_low, the Riesz low-pass max (else 0)."""
+    value and, when spec.riesz_low, the Riesz low-pass max (else 0).
+
+    An all-zero field, such as the gap of identical twins, reads
+    (0.0, 0.0) with no transform: its norms are 0.0, and adding 0.0 to a
+    norm, which is never -0.0, leaves its bits as they are.
+    """
+    if not f.coef.any():
+        return 0.0, 0.0
     riesz = riesz_low_max(f, bank) if spec.riesz_low else 0.0
     return besov_norm(f, bank, spec.index), riesz
 
@@ -203,22 +207,27 @@ def difference_norm(fields, times, bank: DyadicBank, spec: ContractionNorm) -> f
 
 @dataclass(frozen=True)
 class ContractionResult:
-    """Lipschitz ratio of the Duhamel map on a pair of trial series."""
+    """Lipschitz ratio of the Duhamel map on a pair of trial series.
+
+    state holds the coefficients of the marched solution at the horizon
+    when contraction_ladder measured the ratio along its march, else None.
+    """
 
     factor: float
     numerator: float
     denominator: float
     degenerate: bool
+    state: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __float__(self) -> float:
         return self.factor
 
 
-def _ratio(numerator: float, denominator: float) -> ContractionResult:
+def _ratio(numerator: float, denominator: float, state=None) -> ContractionResult:
     # identical inputs: report a degenerate zero rather than divide
     if denominator < 1e-14:
-        return ContractionResult(0.0, 0.0, denominator, True)
-    return ContractionResult(numerator / denominator, numerator, denominator, False)
+        return ContractionResult(0.0, 0.0, denominator, True, state)
+    return ContractionResult(numerator / denominator, numerator, denominator, False, state)
 
 
 def contraction_factor(
@@ -263,7 +272,10 @@ def contraction_ladder(
     stage-1 advection, and keeps only the per-time norm parts of the
     difference and of its image.  Each horizon aggregates a prefix of
     them, with the same bits as contraction_factor on the pair cut at
-    that horizon.
+    that horizon.  Each result's state is the solution's coefficients at
+    its horizon, the same bits as the last state of a march of params
+    to that horizon; the march never writes a yielded array again, so
+    they are held, not copied.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0.0:
@@ -272,7 +284,10 @@ def contraction_ladder(
     cuts = [replace(params, t_final=t).n_steps() + 1 for t in horizons]
     top = replace(params, t_final=horizons[-1])
     grid = theta0.grid
-    times, gaps, images = [], [], []
+    times, gaps, images, states = [], [], [], {}
+    # a bare zip, and the step's names dropped at its end: an enumerate
+    # tuple or the loop names would hold this step's fields through the
+    # next step's advections, the peak of the march
     for (t, a, da), (_, b, db) in zip(
         duhamel_along(march(theta0, top), grid, top),
         duhamel_along(march(theta0, replace(top, nonlinear=False)), grid, top),
@@ -282,10 +297,14 @@ def contraction_ladder(
         times.append(t)
         gaps.append(_norm_parts(SpectralField(grid, a) - SpectralField(grid, b), bank, spec))
         images.append(_norm_parts(SpectralField(grid, da) - SpectralField(grid, db), bank, spec))
+        if len(times) in cuts:
+            states[len(times)] = a
+        del a, da, b, db
     return [
         _ratio(
             _aggregate(images[:cut], times[:cut], spec),
             _aggregate(gaps[:cut], times[:cut], spec),
+            states[cut],
         )
         for cut in cuts
     ]
@@ -321,9 +340,17 @@ def _final(steps) -> np.ndarray:
 
 
 def twin_experiments(
-    theta0: SpectralField, params: SolveParams, bank: DyadicBank, spec: ContractionNorm
+    theta0: SpectralField,
+    params: SolveParams,
+    bank: DyadicBank,
+    spec: ContractionNorm,
+    fine: np.ndarray,
 ) -> tuple[float, float, float]:
     """The three twin-run readings of one configuration, folded over its marches.
+
+    fine is the final coefficients of the march of params at dt/2 from
+    theta0, which the caller has in hand: the uniqueness command reads
+    it from its contraction ladder, which marches at that step.
 
     Returns (identical_gap, order, amplification), each read through the
     contraction quantity of a difference:
@@ -337,8 +364,8 @@ def twin_experiments(
     - amplification: the final gap between the run from theta0 and the
       run from perturbed_datum, over DELTA.
 
-    The twin marches step side by side; of the others only the final
-    state is kept, so no series is held.
+    The twin marches step side by side; of the dt/4 and perturbed runs
+    only the final state is kept, so no series is held.
     """
     grid = theta0.grid
 
@@ -349,7 +376,7 @@ def twin_experiments(
     for (_, a, _), (_, b, _) in zip(march(theta0, params), march(theta0, params)):
         identical_gap = max(identical_gap, gap(a, b))
     run = a
-    fine, finer = (_final(march(theta0, replace(params, dt=params.dt / k))) for k in (2, 4))
+    finer = _final(march(theta0, replace(params, dt=params.dt / 4)))
     perturbed = _final(march(perturbed_datum(theta0, bank, spec), params))
     bottom = gap(fine, finer)
     if bottom <= 0.0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -309,7 +310,8 @@ def test_criterion_8_contraction_uniqueness():
         gaps = [instant_norm(fa - fb, bank, spec) for fa, fb in zip(run, rerun)]
         assert max(gaps) == 0.0
 
-        identical_gap, order, _ = twin_experiments(theta0, twin_params, bank, spec)
+        fine = solve(theta0, replace(twin_params, dt=twin_params.dt / 2))[1][-1].coef
+        identical_gap, order, _ = twin_experiments(theta0, twin_params, bank, spec, fine)
         assert identical_gap == 0.0
         assert abs(order - 2.0) <= 0.3
 

@@ -713,7 +713,9 @@ class TestUniquenessCommand:
         # only the twin configuration (T/4, 2 dt) from theta0 is solved
         # twice: the second solve is the determinism check.  Every solve
         # is one march; the ladder marches the solution and, beside it,
-        # the linear evolution of the same datum
+        # the linear evolution of the same datum.  The twins' dt/2
+        # refinement (T/4, dt) is the ladder's own march, not a sixth
+        # nonlinear one
         calls = []
 
         def counting_march(theta0, params):
@@ -727,8 +729,9 @@ class TestUniquenessCommand:
         linear = [params for _, params in calls if not params.nonlinear]
         assert [params.n_steps() for params in linear] == [16]
         calls = [(datum, params) for datum, params in calls if params.nonlinear]
-        assert len(calls) == 6
-        assert sum(params.n_steps() for _, params in calls) == 34
+        assert len(calls) == 5
+        assert sum(params.n_steps() for _, params in calls) == 30
+        assert not any((params.t_final, params.dt) == (0.01, 0.0025) for _, params in calls)
         theta0 = calls[0][0]  # the ladder's march from the command's datum
         twins = [
             datum

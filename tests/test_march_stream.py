@@ -111,6 +111,32 @@ class TestLadderReusesTheStepper:
         assert PARAMS.n_steps() == 16
         assert len(calls) == 50
 
+    def test_state_at_each_horizon_is_the_march_to_it(self, grid64, bank64):
+        theta0 = smooth_profile(grid64)
+        horizons = (0.005, 0.01, 0.02, 0.04)
+        ladder = contraction_ladder(theta0, PARAMS, bank64, horizons)
+        for t, result in zip(horizons, ladder):
+            alone = solve(theta0, replace(PARAMS, t_final=t))[1][-1]
+            assert np.array_equal(result.state, alone.coef)
+
+    def test_uniqueness_command_reads_the_fine_twin_from_the_ladder(
+        self, tmp_path, monkeypatch
+    ):
+        # the ladder's 3 N + 2 = 50, then 4 for each of the three runs
+        # at 2 dt and 16 for the dt/2 refinement: 78, where marching the
+        # dt refinement again would add its 8 and make 86
+        calls = []
+        advection = sqglab.mild._advection_coef
+
+        def counting(*args):
+            calls.append(args[2])
+            return advection(*args)
+
+        monkeypatch.setattr(sqglab.mild, "_advection_coef", counting)
+        argv = ["uniqueness", "alpha1", "--n", "32", "--T", "0.04", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 78
+
 
 def traced_peak(run) -> int:
     tracemalloc.start()

@@ -13,7 +13,9 @@ of a quarter-turned field are the quarter-turned vectors.  The bilinear
 forms the estimates are verified on (the diagonal sum, the low-high
 paraproduct and the filter-advection commutators) are built from those
 norms' radial symbols, the velocity, the gradient and pointwise products,
-so they move with grid shifts and quarter turns of their factors.
+so they move with grid shifts and quarter turns of their factors; the
+vector-valued Riesz low-pass commutator also turns as a vector, and the
+velocity gradient as a tensor.
 These hold for the equation, not for one way of computing it, so the
 tolerance is a rounding bound (rel 1e-12) that any arithmetic of the
 march or of the spectral layer must meet.
@@ -25,7 +27,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqglab.lab import bilinear_diagonal_sum, low_high_paraproduct, lowpass_commutator_family
+from sqglab.lab import (
+    bilinear_diagonal_sum,
+    low_high_paraproduct,
+    lowpass_commutator_family,
+    riesz_lowpass_commutator,
+    velocity_gradient_components,
+)
 from sqglab.littlewood import BesovIndex, besov_norm, block_norms, build_bank
 from sqglab.mild import SolveParams, solve
 from sqglab.spectral import (
@@ -217,3 +225,44 @@ def test_commutator_family_moves_with_its_factors(shape, seed, move):
     scale = max(np.abs(m).max() for m in family)
     for got, want in zip(moved_family, family):
         assert np.abs(got.physical() - MOVES[move](want)).max() <= REL * scale
+
+
+def dealiased_pair(grid, seed, move):
+    """Two dealiased white-noise fields and the fields of their moved grid
+    values.  Full white noise fills the Nyquist row, which a quarter turn
+    maps onto a column with no partner of the same symbol."""
+    fields = [dealias(SpectralField.from_physical(grid, noise(grid, seed + i))) for i in (0, 1)]
+    return fields, [moved(grid, f, MOVES[move]) for f in fields]
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=grids, seed=st.integers(0, 2**32 - 2), move=st.sampled_from(PLANE_MOVES))
+def test_riesz_commutator_moves_as_a_vector(shape, seed, move):
+    # a shift moves each component; a quarter turn of both factors also
+    # turns the vector, (c1, c2) -> (-c2, c1) at the turned points
+    grid = shared_grid(*shape)
+    bank = build_bank(grid)
+    (f, g), (fh, gh) = dealiased_pair(grid, seed, move)
+    c1, c2 = (c.physical() for c in riesz_lowpass_commutator(f, g, bank))
+    m = MOVES[move]
+    want = (-m(c2), m(c1)) if move == "rot90" else (m(c1), m(c2))
+    for got, component in zip(riesz_lowpass_commutator(fh, gh, bank), want):
+        assert_close(got.physical(), component)
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=grids, seed=st.integers(0, 2**32 - 2), move=st.sampled_from(PLANE_MOVES))
+def test_velocity_gradient_moves_as_a_tensor(shape, seed, move):
+    # the components are (d0 u1, d1 u1, d0 u2, d1 u2); for the turned
+    # field h(x) = theta(R x), grad w = R^T (grad u)(R x) R, which is
+    # (d1 u2, -d0 u2, -d1 u1, d0 u1) at the turned points
+    grid = shared_grid(*shape)
+    (f, _), (fh, _) = dealiased_pair(grid, seed, move)
+    d0u1, d1u1, d0u2, d1u2 = (c.physical() for c in velocity_gradient_components(f))
+    m = MOVES[move]
+    if move == "rot90":
+        want = (m(d1u2), -m(d0u2), -m(d1u1), m(d0u1))
+    else:
+        want = (m(d0u1), m(d1u1), m(d0u2), m(d1u2))
+    for got, component in zip(velocity_gradient_components(fh), want):
+        assert_close(got.physical(), component)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pure_mode, rel_err, smooth_profile
+import sqglab.spectral
+from conftest import pure_mode, random_field, rel_err, smooth_profile
+from sqglab.cli import _UNIQUENESS_CASES
 from sqglab.littlewood import (
     BesovIndex,
     besov_norm,
@@ -37,6 +39,7 @@ from sqglab.spectral import (
 from sqglab.uniqueness import (
     DELTA,
     ContractionNorm,
+    _norm_parts,
     contraction_factor,
     contraction_ladder,
     contraction_norm_spec,
@@ -233,6 +236,27 @@ class TestNormEvaluators:
         times, fields = [0.0, 0.1, 0.2], [zero, zero, zero]
         assert difference_norm(fields, times, bank128, contraction_norm_spec(1.5)) == 0.0
 
+    def test_zero_field_takes_no_transform(self, grid128, bank128, monkeypatch):
+        # every identical-twin gap and the ladder's first sample are zero;
+        # their norm parts are read without one inverse transform
+        def no_transform(*args):
+            raise AssertionError("a zero field was transformed")
+
+        monkeypatch.setattr(sqglab.spectral, "_grid_values", no_transform)
+        zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
+        for alpha, _, _ in _UNIQUENESS_CASES.values():
+            parts = _norm_parts(zero, bank128, contraction_norm_spec(alpha))
+            assert parts == (0.0, 0.0)
+            assert all(math.copysign(1.0, part) == 1.0 for part in parts)
+
+    def test_instant_norm_is_the_sum_of_the_parts(self, grid128, bank128):
+        rng = np.random.default_rng(23)
+        for alpha in (2.0, 1.5, 1.25, 1.0, 0.75):
+            spec = contraction_norm_spec(alpha)
+            for _ in range(2):
+                f = random_field(grid128, rng)
+                assert instant_norm(f, bank128, spec) == sum(_norm_parts(f, bank128, spec))
+
     def test_difference_norm_includes_riesz_sup(self, grid128, bank128):
         f = pure_mode(grid128, 1, 0)
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
@@ -335,6 +359,11 @@ class TestAmplitudeLinearity:
             assert abs(small - mid) < 0.6 * abs(mid - big)
 
 
+def fine_run(theta0, params):
+    """Final coefficients of the march of params at dt/2: the fine twin."""
+    return solve(theta0, replace(params, dt=params.dt / 2))[1][-1].coef
+
+
 def twin_gaps(a, b, bank, spec, k=1):
     """Contraction quantity of a(t) - b(t) at the samples of a; a and b are
     the fields of two runs, b at dt/k, so its every k-th sample shares a
@@ -367,7 +396,8 @@ class TestTwinRuns:
     def test_temporal_order_near_two(self, theta0, bank128):
         def twins_at(alpha):
             params = SolveParams(alpha=alpha, n=128, t_final=0.1, dt=0.005)
-            return twin_experiments(theta0, params, bank128, contraction_norm_spec(alpha))
+            spec = contraction_norm_spec(alpha)
+            return twin_experiments(theta0, params, bank128, spec, fine_run(theta0, params))
 
         gap, order, amplification = twins_at(1.5)
         assert rel_err(order, 2.000252016772492) < RTOL
@@ -412,12 +442,26 @@ class TestTwinRuns:
         # vanished-refinement-gap check, so zero data fails there
         params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
         with pytest.raises(ParameterError, match="nonzero initial data"):
-            twin_experiments(zero, params, bank128, spec)
+            twin_experiments(zero, params, bank128, spec, fine_run(zero, params))
+
+    def test_fine_run_must_match_the_datum(self, theta0, bank128):
+        params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
+        with pytest.raises(ParameterError, match="does not match grid"):
+            twin_experiments(
+                theta0, params, bank128, contraction_norm_spec(1.5), np.zeros((64, 64))
+            )
 
     def test_blow_up_propagates(self, theta0, bank128):
+        # the twins blow up before the fine run is read, so it is not marched
         params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
         with pytest.raises(BlowUpError):
-            twin_experiments(theta0 * 1e13, params, bank128, contraction_norm_spec(1.5))
+            twin_experiments(
+                theta0 * 1e13,
+                params,
+                bank128,
+                contraction_norm_spec(1.5),
+                np.zeros_like(theta0.coef),
+            )
 
 
 class TestContinuityCriterion:
