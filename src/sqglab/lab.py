@@ -9,10 +9,12 @@ sups must stay within a fixed factor across levels and across grid
 resolutions.  No specific constant value is ever asserted.
 
 Each verifier is the one definition of its lemma: its report carries the
-(trial, j, ratio) rows, the summary in output order and the verdict.  The
-block lemmas probe levels 2..j_max unless given levels; the bilinear
-factors are measured in L^(2p) each, the even split of L^p, and
-verify_commutators runs the advection and Riesz families on one seed.
+(trial, j, ratio) rows, the summary in output order and the verdict.  A
+trial returns its own (j, ratio) samples, so every row names the trial and
+level it came from, also after a skipped sample.  The block lemmas probe
+levels 2..j_max unless given levels; the bilinear factors are measured in
+L^(2p) each, the even split of L^p, and verify_commutators runs the
+advection and Riesz families on one seed.
 
 Infinite exponents are inner approximations: p = infinity is the grid max
 and q = infinity the sup over levels.  Norms of vector fields are the max
@@ -65,40 +67,39 @@ MAX_THREADS = 256
 class EstimateReport:
     """Outcome of one inequality experiment.
 
-    ratios holds LHS/(RHS without constant) per sample; sup_constant is
-    their max; per_level_sup maps dyadic level to the max ratio seen
+    rows holds the (trial, j, ratio) table, each ratio LHS/(RHS without
+    constant); ratios is its last column and sup_constant their max (0.0
+    with no row).  per_level_sup maps dyadic level to the max ratio seen
     there; skipped counts degenerate samples (block energy below the
     floor) that were excluded rather than silently dropped.  summary maps
-    each headline name to its value in output order, rows holds the
-    (trial, j, ratio) table and passed the lemma's verdict.
+    each headline name to its value in output order and passed is the
+    lemma's verdict.
     """
 
     lemma_id: str
     trials: int
-    ratios: np.ndarray
-    sup_constant: float
+    rows: tuple
     per_level_sup: dict[int, float]
     summary: dict
-    rows: tuple = ()
     passed: bool = False
     skipped: int = 0
-    seed: int | None = None
 
     def __post_init__(self):
-        ratios = np.asarray(self.ratios, dtype=np.float64)
+        object.__setattr__(self, "rows", tuple(self.rows))
+        ratios = self.ratios
         if ratios.size and not np.all(np.isfinite(ratios)):
             raise ParameterError(f"{self.lemma_id}: non-finite ratio in report")
         if ratios.size and ratios.min() < 0.0:
             raise ParameterError(f"{self.lemma_id}: negative ratio in report")
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "rows", tuple(self.rows))
 
+    @property
+    def ratios(self) -> np.ndarray:
+        return np.array([row[-1] for row in self.rows], dtype=np.float64)
 
-def _make_report(lemma_id, ratios, per_level, skipped, seed, trials):
-    ratios = np.asarray(ratios, dtype=np.float64)
-    sup = float(ratios.max()) if ratios.size else 0.0
-    per_level = {int(j): float(v) for j, v in sorted(per_level.items())}
-    return EstimateReport(lemma_id, trials, ratios, sup, per_level, {}, skipped=skipped, seed=seed)
+    @property
+    def sup_constant(self) -> float:
+        ratios = self.ratios
+        return float(ratios.max()) if ratios.size else 0.0
 
 
 def level_spread(reports, lo: int = 2, hi: int | None = None) -> float:
@@ -163,51 +164,41 @@ def _run_trials(trials: int, seed: int, worker, threads: int = 1):
         return list(pool.map(guarded, rngs))
 
 
-def _collect_trials(lemma_id, worker, trials, seed, threads):
-    """Run the seeded trials and fold them into one report.
+def _collect_trials(lemma_id, results):
+    """Fold the trials' results, in trial order, into one report.
 
-    worker(rng) returns (row, nskip): row is (ratios, {level: ratio}), or
-    None for a degenerate draw, and nskip counts what the trial skipped
-    (that draw, or its empty blocks).  Ratios keep trial order; each level
-    keeps the max ratio seen there.
+    Each result starts (samples, levels, nskip): samples the trial's
+    (j, ratio) pairs in the order it computed them, levels its
+    {level: ratio} and nskip what it skipped (a degenerate draw, or its
+    empty blocks).  Each sample becomes a (trial, j, ratio) row; each level
+    keeps the max ratio seen there.  The default verdict, some trial kept,
+    reads sup_constant > 0.0: no ratio is negative and a skip gives none.
     """
-    ratios, per_level, skipped = [], {}, 0
-    for row, nskip in _run_trials(trials, seed, worker, threads):
+    rows, per_level, skipped = [], {}, 0
+    for trial, (samples, levels, nskip, *_) in enumerate(results):
+        rows.extend((trial, j, float(r)) for j, r in samples)
         skipped += nskip
-        if row is None:
-            continue
-        row_ratios, levels = row
-        ratios.extend(row_ratios)
         for j, v in levels.items():
             per_level[j] = max(per_level.get(j, 0.0), v)
-    return _make_report(lemma_id, ratios, per_level, skipped, seed, trials)
+    per_level = {int(j): float(v) for j, v in sorted(per_level.items())}
+    return EstimateReport(lemma_id, len(results), rows, per_level, {}, skipped=skipped)
 
 
-def _lemma_rows(report, levels, repeats: int = 1) -> list:
-    """(trial, j, ratio) rows; each trial holds `repeats` ratios per level."""
-    ratios = list(report.ratios)
-    per_trial = len(levels) * repeats
-    if per_trial > 0 and len(ratios) == report.trials * per_trial:
-        return [
-            (k // per_trial, levels[k % per_trial // repeats], float(r))
-            for k, r in enumerate(ratios)
-        ]
-    # skipped degenerate draws break the rectangular layout
-    return [(k, -1, float(r)) for k, r in enumerate(ratios)]
+def _probe_levels(bank, levels) -> list:
+    """The block lemmas' levels: 2..j_max unless given, each in [1, j_max]."""
+    levels = list(range(2, bank.j_max + 1)) if levels is None else list(levels)
+    if any(j < 1 or j > bank.j_max for j in levels):
+        raise ParameterError(f"levels must lie in [1, {bank.j_max}]")
+    return levels
 
 
-def _some_trial_kept(report, per_trial: int = 1) -> bool:
-    """The default verdict: some trial survived and gave a positive ratio.
-    A trial can skip per_trial samples (one per probed level for the block
-    lemmas), and report.skipped counts them over all trials."""
-    return report.skipped < report.trials * per_trial and report.sup_constant > 0.0
-
-
-def _whole_norm(report, summary, passed=None):
-    """A one-ratio-per-trial lemma's report: rows at j = 0, and by default _some_trial_kept."""
-    if passed is None:
-        passed = _some_trial_kept(report)
-    return replace(report, summary=summary, rows=_lemma_rows(report, [0]), passed=passed)
+def _graded_ratio(norms, idx: BesovIndex, rhs):
+    """A trial's result when its LHS is the idx-norm of the block norms in
+    hand: the one sample (0, LHS/RHS), and each level's 2^(s j)-weighted
+    block norm over the RHS."""
+    weights = 2.0 ** (idx.s * np.arange(1, len(norms)))
+    levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
+    return [(0, besov_from_norms(norms, idx) / rhs)], levels, 0
 
 
 def _besov(f, bank, s, p, q):
@@ -251,13 +242,11 @@ def verify_bernstein(
     for that with some block kept; at other p it asks for a per-level
     spread below 3 from level 2 on.
     """
-    levels = list(range(2, bank.j_max + 1)) if levels is None else list(levels)
-    if any(j < 1 or j > bank.j_max for j in levels):
-        raise ParameterError(f"levels must lie in [1, {bank.j_max}]")
+    levels = _probe_levels(bank, levels)
 
     def worker(rng):
         f = random_besov_field(bank, rng)
-        ratios, per_level = [], {}
+        samples, per_level = [], {}
         skipped = 0
         for j in levels:
             piece = block(f, bank, j)
@@ -270,18 +259,18 @@ def verify_bernstein(
             inv_norm = lp_norm(inverse_lambda(piece), p)
             # the gradient ratio, then the inverse-derivative ratio
             pair = (grad_norm / (2.0**j * base), 2.0**j * inv_norm / base)
-            ratios.extend(pair)
+            samples += [(j, pair[0]), (j, pair[1])]
             per_level[j] = max(pair)
-        return (ratios, per_level), skipped
+        return samples, per_level, skipped
 
-    report = _collect_trials("bernstein", worker, trials, seed, threads)
+    report = _collect_trials("bernstein", _run_trials(trials, seed, worker, threads))
     # the ratios alternate gradient, inverse; both sups are 0.0 when
     # every block was skipped
     gradient, inverse = report.ratios[0::2], report.ratios[1::2]
     gradient_sup = float(gradient.max()) if gradient.size else 0.0
     if p == 2.0:
         # a gradient sup of 0.0 bounds nothing: some block must be kept
-        passed = _some_trial_kept(report, len(levels)) and gradient_sup <= 4.0 / 3.0 + 1e-9
+        passed = report.sup_constant > 0.0 and gradient_sup <= 4.0 / 3.0 + 1e-9
     else:
         passed = level_spread([report], lo=2) < 3.0
     summary = {
@@ -291,8 +280,7 @@ def verify_bernstein(
         "sup_constant": report.sup_constant,
         "skipped": report.skipped,
     }
-    # a gradient and an inverse-derivative ratio per level
-    return replace(report, summary=summary, rows=_lemma_rows(report, levels, 2), passed=passed)
+    return replace(report, summary=summary, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +314,14 @@ def verify_semigroup_decay(
     """
     if not 0.0 < alpha <= 2.0:
         raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
-    levels = list(range(2, bank.j_max + 1)) if levels is None else list(levels)
-    if any(j < 1 or j > bank.j_max for j in levels):
-        raise ParameterError(f"levels must lie in [1, {bank.j_max}]")
+    levels = _probe_levels(bank, levels)
     taus = tuple(taus)
     c_floor = (3.0 / 8.0) ** alpha
     c_ceiling = (4.0 / 3.0) ** alpha
 
     def worker(rng):
         f = random_besov_field(bank, rng)
-        rows = []
+        samples, per_level, c_fits = [], {}, {}
         skipped = 0
         for j in levels:
             piece = block(f, bank, j)
@@ -353,21 +339,14 @@ def verify_semigroup_decay(
                 logs.append(math.log(max(decayed, 1e-300)))
             ts = np.asarray(ts)
             logs = np.asarray(logs)
-            c_fit = -float(np.dot(ts, logs) / np.dot(ts, ts)) / scale
-            rows.append((j, rats, c_fit))
-        return rows, skipped
+            c_fits[j] = -float(np.dot(ts, logs) / np.dot(ts, ts)) / scale
+            samples += [(j, r) for r in rats]
+            per_level[j] = max(rats)
+        return samples, per_level, skipped, c_fits
 
     results = _run_trials(trials, seed, worker, threads)
-    ratios, per_level, skipped = [], {}, 0
-    c_fits: dict[int, list] = {}
-    for rows, nskip in results:
-        skipped += nskip
-        for j, rats, c_fit in rows:
-            ratios.extend(rats)
-            per_level[j] = max(per_level.get(j, 0.0), *rats)
-            c_fits.setdefault(j, []).append(c_fit)
-    fits = [float(np.min(v)) for v in c_fits.values()]
-    report = _make_report("semigroup-decay", ratios, per_level, skipped, seed, trials)
+    report = _collect_trials("semigroup-decay", results)
+    fits = [min(fit[j] for *_, fit in results if j in fit) for j in report.per_level_sup]
     # no fit when every probed block fell below the energy floor
     passed = bool(fits) and report.sup_constant <= 1.0 + 1e-12 and all(
         c_floor < c < c_ceiling for c in fits
@@ -380,9 +359,7 @@ def verify_semigroup_decay(
         "c_fit_min": min(fits, default=math.nan),
         "c_fit_max": max(fits, default=math.nan),
     }
-    # one ratio per level and decay time
-    rows = _lemma_rows(report, levels, len(taus))
-    return replace(report, summary=summary, rows=rows, passed=passed)
+    return replace(report, summary=summary, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +418,17 @@ def verify_paraproduct(
         para = low_high_paraproduct(f, g, bank)
         rhs = _besov(f, bank, -eps, math.inf, q1) * _besov(g, bank, s, p, q2)
         if rhs < ENERGY_FLOOR:
-            return None, 1
-        norms = block_norms(para, bank, p)
-        weights = 2.0 ** ((s - eps) * np.arange(1, bank.j_max + 1))
-        lhs = besov_from_norms(norms, BesovIndex(s - eps, p, q))
-        levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
-        return ([lhs / rhs], levels), 0
+            return [], {}, 1
+        return _graded_ratio(block_norms(para, bank, p), BesovIndex(s - eps, p, q), rhs)
 
-    report = _collect_trials("paraproduct", worker, trials, seed, threads)
+    report = _collect_trials("paraproduct", _run_trials(trials, seed, worker, threads))
     summary = {
         "s": s,
         "eps": eps,
         "sup_constant": report.sup_constant,
         "level_spread": level_spread([report], lo=2),
     }
-    return _whole_norm(report, summary)
+    return replace(report, summary=summary, passed=report.sup_constant > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +494,12 @@ def verify_bilinear(
         total = bilinear_diagonal_sum(f, g, bank)
         rhs = _besov(f, bank, s_prime, 2.0 * p, q1) * _besov(g, bank, s_g, 2.0 * p, q2)
         if rhs < ENERGY_FLOOR:
-            return None, 1
-        norms = block_norms(total, bank, p)
-        weights = 2.0 ** (s_lhs * np.arange(1, bank.j_max + 1))
-        lhs = besov_from_norms(norms, BesovIndex(s_lhs, p, q_lhs))
-        levels = {j: w * norms[j] / rhs for j, w in enumerate(weights, start=1)}
-        return ([lhs / rhs], levels), 0
+            return [], {}, 1
+        return _graded_ratio(block_norms(total, bank, p), BesovIndex(s_lhs, p, q_lhs), rhs)
 
-    report = _collect_trials("bilinear-diagonal", worker, trials, seed, threads)
+    report = _collect_trials("bilinear-diagonal", _run_trials(trials, seed, worker, threads))
     summary = {"s": s, "s_prime": s_prime, "sup_constant": report.sup_constant}
-    return _whole_norm(report, summary)
+    return replace(report, summary=summary, passed=report.sup_constant > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +550,7 @@ def verify_commutator_advection(
             dtheta, bank, s + eps - 1.0, p, q2
         )
         if rhs < ENERGY_FLOOR:
-            return None, 1
+            return [], {}, 1
         norms = [lp_norm(piece, p) for piece in family]
         weighted = [
             2.0 ** (s * j) * norms[j] for j in range(1, len(family))
@@ -589,10 +558,11 @@ def verify_commutator_advection(
         lhs = norms[0] + lq_sum(weighted, q)
         levels = {j: weighted[j - 1] / rhs for j in range(1, len(family))}
         levels[0] = norms[0] / rhs
-        return ([lhs / rhs], levels), 0
+        return [(0, lhs / rhs)], levels, 0
 
-    report = _collect_trials("advection-commutator", worker, trials, seed, threads)
-    return _whole_norm(report, {"sup_constant": report.sup_constant, "skipped": report.skipped})
+    report = _collect_trials("advection-commutator", _run_trials(trials, seed, worker, threads))
+    summary = {"sup_constant": report.sup_constant, "skipped": report.skipped}
+    return replace(report, summary=summary, passed=report.sup_constant > 0.0)
 
 
 def riesz_lowpass_commutator(f, g, bank):
@@ -649,11 +619,12 @@ def verify_commutator_riesz(
         lhs = max(lp_norm(c1, math.inf), lp_norm(c2, math.inf))
         rhs = sum(riesz_commutator_rhs_terms(f, g, bank).values())
         if rhs < ENERGY_FLOOR:
-            return None, 1
-        return ([lhs / rhs], {0: lhs / rhs}), 0
+            return [], {}, 1
+        return [(0, lhs / rhs)], {0: lhs / rhs}, 0
 
-    report = _collect_trials("riesz-commutator", worker, trials, seed, threads)
-    return _whole_norm(report, {"sup_constant": report.sup_constant, "skipped": report.skipped})
+    report = _collect_trials("riesz-commutator", _run_trials(trials, seed, worker, threads))
+    summary = {"sup_constant": report.sup_constant, "skipped": report.skipped}
+    return replace(report, summary=summary, passed=report.sup_constant > 0.0)
 
 
 def verify_commutators(
@@ -665,22 +636,20 @@ def verify_commutators(
     """The advection and Riesz commutator families on the same seed.
 
     Rows are (trial, family, ratio), family 0 the advection and 1 the
-    Riesz commutator, each from its family's own report, so a skipped
-    trial mislabels nothing; per_level_sup holds each family's sup.  The
-    verdict passes when each family keeps some trial.
+    Riesz commutator, each row from its family's own report;
+    per_level_sup holds each family's sup.  The verdict passes when each
+    family keeps some trial.
     """
     families = (
         verify_commutator_advection(bank, trials, seed, threads),
         verify_commutator_riesz(bank, trials, seed, threads),
     )
-    ratios = np.concatenate([rep.ratios for rep in families])
+    rows = [(k, j, r) for j, rep in enumerate(families) for k, _, r in rep.rows]
     per_family = {j: rep.sup_constant for j, rep in enumerate(families)}
     skipped = sum(rep.skipped for rep in families)
-    report = _make_report("commutators", ratios, per_family, skipped, seed, trials)
-    rows = [(k, j, float(r)) for j, rep in enumerate(families) for k, r in enumerate(rep.ratios)]
-    summary = {"sup_constant": report.sup_constant, "skipped": skipped}
-    passed = all(_some_trial_kept(rep) for rep in families)
-    return replace(report, summary=summary, rows=rows, passed=passed)
+    summary = {"sup_constant": max(per_family.values()), "skipped": skipped}
+    passed = all(rep.sup_constant > 0.0 for rep in families)
+    return EstimateReport("commutators", trials, rows, per_family, summary, passed, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +683,7 @@ def verify_multiplier_bound(
         f = random_besov_field(bank, rng, s=s)
         rhs = _besov(f, bank, s, math.inf, q)
         if rhs < ENERGY_FLOOR:
-            return None, 1
+            return [], {}, 1
         comps = velocity_gradient_components(f)
         norm_rows = np.array([block_norms(c, bank, math.inf) for c in comps])
         lhs_index = BesovIndex(s - 1.0, math.inf, q)
@@ -724,12 +693,13 @@ def verify_multiplier_bound(
             j: weights[j - 1] * norm_rows[:, j].max() / rhs
             for j in range(1, bank.j_max + 1)
         }
-        return ([lhs / rhs], levels), 0
+        return [(0, lhs / rhs)], levels, 0
 
-    report = _collect_trials("velocity-multiplier", worker, trials, seed, threads)
+    report = _collect_trials("velocity-multiplier", _run_trials(trials, seed, worker, threads))
+    # level_spread raises when no trial was kept
     spread = level_spread([report], lo=2)
     summary = {"s": s, "sup_constant": report.sup_constant, "level_spread": spread}
-    return _whole_norm(report, summary, report.skipped < report.trials and spread < 3.0)
+    return replace(report, summary=summary, passed=spread < 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +825,6 @@ def verify_duhamel_bound(
     logs_t = np.log(np.asarray(horizons))
     logs_d = np.log(np.maximum(sups, 1e-300))
     slope = float(np.polyfit(logs_t, logs_d, 1)[0])
-    per_level = {i: float(r) for i, r in enumerate(ratios)}
-    report = _make_report("duhamel-smoothing", ratios, per_level, 0, None, len(horizons))
     target = duhamel_exponent(alpha)
     gap = abs(slope - target)
     summary = {
@@ -867,5 +835,6 @@ def verify_duhamel_bound(
         "horizon_lo": horizons[0],
         "horizon_hi": horizons[-1],
     }
-    rows = [(0, k, float(r)) for k, r in enumerate(report.ratios)]
-    return replace(report, summary=summary, rows=rows, passed=gap <= 0.2)
+    rows = [(0, k, float(r)) for k, r in enumerate(ratios)]
+    per_level = {k: float(r) for k, r in enumerate(ratios)}
+    return EstimateReport("duhamel-smoothing", len(horizons), rows, per_level, summary, gap <= 0.2)

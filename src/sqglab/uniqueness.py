@@ -390,6 +390,9 @@ def twin_experiments(
 # ---------------------------------------------------------------------------
 
 
+CONTINUITY_DROP = 0.1
+
+
 @dataclass(frozen=True)
 class ContinuityReport:
     """Semigroup continuity at t = 0 against the block-norm tail.
@@ -397,7 +400,7 @@ class ContinuityReport:
     curve[k] = || exp(-t_k Lambda^alpha) theta0 - theta0 || in
     B^s_{p,infty}; tail is the sup of 2^(s j) block norms over the top
     two bank levels.  converged records whether the curve dropped by at
-    least the requested factor from the largest to the smallest time.
+    least CONTINUITY_DROP from the largest to the smallest time.
     """
 
     times: tuple
@@ -414,7 +417,6 @@ def continuity_criterion_test(
     p: float,
     alpha: float,
     times=(1e-1, 1e-2, 1e-3, 1e-4),
-    drop_factor: float = 0.1,
 ) -> ContinuityReport:
     """Measure semigroup continuity at t = 0 next to the weighted tail.
 
@@ -442,7 +444,7 @@ def continuity_criterion_test(
     }
     top = [j for j in bank.levels() if j >= bank.j_max - 1]
     tail = max(weighted[j] for j in top)
-    converged = bool(curve[-1] <= drop_factor * curve[0]) if curve[0] > 0.0 else True
+    converged = bool(curve[-1] <= CONTINUITY_DROP * curve[0]) if curve[0] > 0.0 else True
     return ContinuityReport(
         times=times,
         curve=curve,

@@ -102,8 +102,8 @@ GOLDEN_CASES = [(lemma, (lemma, *_SEEDED), "") for lemma in _RANDOMIZED] + [
         ("bilinear-diagonal", *_SEEDED),
         "s_prime = -0.25\n",
     ),
-    # exits 2: each family skips one trial, and every kept riesz ratio
-    # is 0; the rows keep each family's own ratios under its own label
+    # exits 2: each family skips trial 1, and every kept riesz ratio is 0;
+    # each row keeps its own trial under its own family's label
     (
         "commutators-skip",
         ("commutators", "--n", "32", "--box", "5.5e-14", "--trials", "8", "--seed", "1"),
@@ -603,6 +603,8 @@ class TestOneLemmaPath:
             args.update(trials=2, seed=1, threads=1)
             argv += ("--n", "32", "--trials", "2", "--seed", "1")
         report = verify(build_bank(shared_grid(n, box)), **args)
+        # the traced benchmark pass counts these two from every report
+        assert type(report.trials) is int and type(report.skipped) is int
         assert run_cli(*argv) == (0 if report.passed else 2)
         assert report.rows
         rows = read_csv(tmp_path / f"{lemma}.csv")[1:]

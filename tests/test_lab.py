@@ -86,34 +86,35 @@ class TestEstimateReport:
         r = EstimateReport(
             lemma_id="demo",
             trials=3,
-            ratios=np.array([0.5, 1.5, 1.0]),
-            sup_constant=1.5,
+            rows=[(0, 2, 0.5), (1, 2, 1.5), (2, 2, 1.0)],
             per_level_sup={2: 1.5},
             summary={"p": 2},
             skipped=1,
-            seed=7,
         )
+        # sup_constant and ratios are read from the rows' last column
         assert r.sup_constant == 1.5
         assert r.skipped == 1
         assert r.ratios.dtype == np.float64
+        assert list(r.ratios) == [0.5, 1.5, 1.0]
+        assert EstimateReport("demo", 1, [], {}, {}).sup_constant == 0.0
 
     def test_rejects_nonfinite_ratio(self):
         with pytest.raises(ParameterError):
-            EstimateReport("demo", 1, np.array([np.nan]), 0.0, {}, {})
+            EstimateReport("demo", 1, [(0, 0, np.nan)], {}, {})
 
     def test_rejects_negative_ratio(self):
         with pytest.raises(ParameterError):
-            EstimateReport("demo", 1, np.array([-0.1]), 0.0, {}, {})
+            EstimateReport("demo", 1, [(0, 0, -0.1)], {}, {})
 
     def test_level_spread(self):
-        a = EstimateReport("x", 1, np.array([1.0]), 1.0, {2: 1.0, 3: 2.0}, {})
-        b = EstimateReport("y", 1, np.array([1.0]), 1.0, {2: 4.0}, {})
+        a = EstimateReport("x", 1, [(0, 0, 1.0)], {2: 1.0, 3: 2.0}, {})
+        b = EstimateReport("y", 1, [(0, 0, 1.0)], {2: 4.0}, {})
         assert level_spread([a, b]) == 4.0
         assert level_spread([a, b], lo=3) == 1.0
         assert level_spread([a], lo=2, hi=2) == 1.0
 
     def test_level_spread_empty_range(self):
-        a = EstimateReport("x", 1, np.array([1.0]), 1.0, {2: 1.0}, {})
+        a = EstimateReport("x", 1, [(0, 0, 1.0)], {2: 1.0}, {})
         with pytest.raises(ParameterError):
             level_spread([a], lo=10)
 
@@ -418,6 +419,14 @@ class TestCommutators:
         for bank in (bank128, bank256):
             r = verify_commutator_riesz(bank, trials=20, seed=9)
             assert rel_err(r.sup_constant, frozen[bank.grid.n]) < RTOL
+
+    def test_skipped_trial_keeps_row_labels(self):
+        # on a 5.5e-14 box seed 1 draws one trial under the energy floor;
+        # every kept row still names its own trial and level 0
+        r = verify_commutator_advection(build_bank(Grid2(32, 5.5e-14)), trials=8, seed=1)
+        assert r.skipped == 1
+        assert [j for _, j, _ in r.rows] == [0] * 7
+        assert [k for k, _, _ in r.rows] == [0, 2, 3, 4, 5, 6, 7]
 
     def test_constant_velocity_commutes_with_filters(self, bank128):
         grid = bank128.grid
