@@ -48,8 +48,8 @@ from .lab import (
     verify_semigroup_decay,
 )
 from .littlewood import build_bank
-from .mild import BlowUpError, SolveParams, march
-from .spectral import ParameterError, SpectralField, lp_norms, shared_grid
+from .mild import BlowUpError, SolveParams, march_states
+from .spectral import ParameterError, SpectralField, grid_lp_norms, lp_norm, shared_grid
 from .uniqueness import (
     contraction_ladder,
     contraction_norm_spec,
@@ -252,7 +252,7 @@ def _solve_march(config: RunConfig, args: dict, grid):
     params = SolveParams(
         alpha=args["alpha"], n=n, t_final=args["T"], dt=args["dt"], box_length=args["box"]
     )
-    return march(theta0, params)
+    return march_states(theta0, params)
 
 
 def _cmd_solve(config: RunConfig) -> int:
@@ -263,9 +263,15 @@ def _cmd_solve(config: RunConfig) -> int:
     grid = shared_grid(n, args["box"])
     rows = []
     try:
-        for t, coef, _ in _solve_march(config, args, grid):
-            f = SpectralField(grid, coef)
-            rows.append((t, *lp_norms(f, (2, 4, math.inf)), f.mean()))
+        # l4 and linf read the grid values the step's advection took; only
+        # the final state, which no advection reads, is inverted here
+        for t, theta, _, values in _solve_march(config, args, grid):
+            if values is None:
+                values = theta.physical()
+            norms = grid_lp_norms(grid, values, (4, math.inf))
+            # not held through the next step's advections
+            del values
+            rows.append((t, lp_norm(theta, 2), *norms, theta.mean()))
     except BlowUpError as exc:
         sys.stderr.write(f"run blew up: {exc}\n")
         return 2

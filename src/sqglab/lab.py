@@ -38,7 +38,6 @@ from .littlewood import (
     besov_norm,
     block,
     block_norms,
-    lq_sum,
     packet_profile,
     psi_block,
 )
@@ -46,6 +45,7 @@ from .spectral import (
     ParameterError,
     SpectralField,
     dealiased_coef,
+    dealiased_field,
     gradient,
     grid_gradient,
     grid_velocity,
@@ -70,10 +70,13 @@ class EstimateReport:
     rows holds the (trial, j, ratio) table, each ratio LHS/(RHS without
     constant); ratios is its last column and sup_constant their max (0.0
     with no row).  per_level_sup maps dyadic level to the max ratio seen
-    there; skipped counts degenerate samples (block energy below the
-    floor) that were excluded rather than silently dropped.  summary maps
-    each headline name to its value in output order and passed is the
-    lemma's verdict.
+    there.  skipped counts what was excluded rather than silently
+    dropped, and what that is depends on the verifier: probed blocks
+    whose norm fell below the energy floor for bernstein and
+    semigroup-decay, trials whose RHS fell below it for the other
+    randomized verifiers, and the sum of both families' skipped trials
+    for commutators.  summary maps each headline name to its value in
+    output order and passed is the lemma's verdict.
     """
 
     lemma_id: str
@@ -124,23 +127,26 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     Gaussian white noise is decomposed through the bank and each block is
     rescaled to the target dyadic law (the low block to 1).  Overlap of
     adjacent filters perturbs the final block norms by an O(1) factor
-    only, which is irrelevant for uniformity-of-ratio experiments.
+    only, which is irrelevant for uniformity-of-ratio experiments.  The
+    field has the band of the top level it placed (0 with none).
     """
     grid = bank.grid
     noise = rng.standard_normal((grid.n, grid.n))
-    white = SpectralField(grid, dealiased_coef(grid, noise))
+    white = dealiased_field(grid, noise)
     norms = block_norms(white, bank, 2)
     coef = np.zeros_like(white.coef)
+    top = 0
     if norms[0] > ENERGY_FLOOR:
         coef += psi_block(white, bank).coef / norms[0]
+        top = bank.bands[0]
     # coef starts at +0.0 and never holds -0.0, so each level's scaled block
     # is added on its band square alone
     for j in bank.levels():
         if norms[j] > ENERGY_FLOOR:
             add_block(coef, white, bank, j, 2.0 ** (-s * j) / norms[j])
-    out = SpectralField(grid, coef)
-    out.coef[0, 0] = 0.0
-    return out
+            top = bank.bands[j]
+    coef[0, 0] = 0.0
+    return SpectralField(grid, coef, top)
 
 
 def _run_trials(trials: int, seed: int, worker, threads: int = 1):
@@ -216,7 +222,7 @@ def _grad_pair(f):
 def _advect(v1, v2, h):
     """u . grad h, product dealiased, for u given by its grid values (v1, v2)."""
     g1, g2 = grid_gradient(h)
-    return SpectralField(h.grid, dealiased_coef(h.grid, v1 * g1 + v2 * g2))
+    return dealiased_field(h.grid, v1 * g1 + v2 * g2)
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +377,27 @@ def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
     """sum_{l>=2} (low part of f below l-2) * (phi_l * g), dealiased.
 
     The symbol of S_{l-2} is the one before it plus phi_{l-2}: the chain of
-    sums s_partial builds, so the same array.  A level whose annulus holds
-    no lattice point has a zero product and is skipped; adding that zero
-    would move no bit.
+    sums s_partial builds, so the same array.  The low part has the band
+    of the top nonempty level in that sum (f finite).  A level whose
+    annulus holds no lattice point has a zero product and is skipped;
+    adding that zero would move no bit.
     """
     grid = bank.grid
     if f.grid != grid:
         raise ParameterError("field and bank live on different grids")
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
     low_sym = bank.add_symbol(0, np.zeros(coef.shape))  # the symbol of S_0
+    low_band = bank.bands[0]
     for l in range(2, bank.j_max + 1):
         if l > 2:
             bank.add_symbol(l - 2, low_sym)
+            low_band = max(low_band, bank.bands[l - 2] or 0)
         if bank.bands[l] is None:
             continue
-        low = SpectralField(grid, f.coef * low_sym)
+        low = SpectralField(grid, f.coef * low_sym, low_band)
         high = block(g, bank, l)
         coef += dealiased_coef(grid, low.physical() * high.physical())
-    return SpectralField(grid, coef)
+    return SpectralField(grid, coef, grid.n // 3)
 
 
 def verify_paraproduct(
@@ -441,20 +450,23 @@ def bilinear_diagonal_sum(f: SpectralField, g: SpectralField, bank: DyadicBank):
 
     Regrouped by bilinearity (Bony's paraproduct bookkeeping): level k of
     each factor advects the other factor's levels k-1..k+1, taken as one
-    multiplier phi_{k-1} + phi_k + phi_{k+1}.  The products accumulate on
-    the grid, and the total is transformed and dealiased once.
+    multiplier phi_{k-1} + phi_k + phi_{k+1}, with the band of the top
+    nonempty level in it (the factors finite).  The products accumulate
+    on the grid, and the total is transformed and dealiased once.
     """
     grid = bank.grid
     total = 0.0
     for k in range(bank.j_max):
         near = np.zeros((grid.n, grid.n))
+        near_band = 0
         for level in range(max(1, k), min(k + 2, bank.j_max) + 1):
             bank.add_symbol(level, near)
+            near_band = max(near_band, bank.bands[level] or 0)
         for a, b in ((f, g), (g, f)):
             v1, v2 = grid_velocity(block(a, bank, k + 1))
-            g1, g2 = grid_gradient(SpectralField(grid, b.coef * near))
+            g1, g2 = grid_gradient(SpectralField(grid, b.coef * near, near_band))
             total = total + (v1 * g1 + v2 * g2)
-    return SpectralField(grid, dealiased_coef(grid, total))
+    return dealiased_field(grid, total)
 
 
 def verify_bilinear(
@@ -552,13 +564,9 @@ def verify_commutator_advection(
         if rhs < ENERGY_FLOOR:
             return [], {}, 1
         norms = [lp_norm(piece, p) for piece in family]
-        weighted = [
-            2.0 ** (s * j) * norms[j] for j in range(1, len(family))
-        ]
-        lhs = norms[0] + lq_sum(weighted, q)
-        levels = {j: weighted[j - 1] / rhs for j in range(1, len(family))}
+        samples, levels, nskip = _graded_ratio(norms, BesovIndex(s, p, q), rhs)
         levels[0] = norms[0] / rhs
-        return [(0, lhs / rhs)], levels, 0
+        return samples, levels, nskip
 
     report = _collect_trials("advection-commutator", _run_trials(trials, seed, worker, threads))
     summary = {"sup_constant": report.sup_constant, "skipped": report.skipped}
@@ -756,14 +764,14 @@ def _steady_duhamel_norms(theta, alpha, horizons, p):
     """
     grid = theta.grid
     phys = theta.physical()
-    products = [dealiased_coef(grid, v * phys) for v in grid_velocity(theta)]
+    products = [dealiased_field(grid, v * phys) for v in grid_velocity(theta)]
     symbol = np.asarray(grid.kabs, dtype=np.float64) ** alpha
     out = []
     for horizon in horizons:
         with np.errstate(divide="ignore", invalid="ignore"):
             mult = -np.expm1(-horizon * symbol) / symbol
         mult[0, 0] = horizon
-        norms = [lp_norm(SpectralField(grid, c * mult), p) for c in products]
+        norms = [lp_norm(SpectralField(grid, c.coef * mult, c.band), p) for c in products]
         out.append(max(0.0, *norms))
     return out
 

@@ -20,7 +20,6 @@ mild.solve returns.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,9 +29,10 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
-    band_slices,
+    _mode_energy,
+    _quadrants,
+    _square,
     lp_norm,
-    mode_energy,
     quadrature_root,
 )
 
@@ -78,28 +78,6 @@ def max_feasible_level(grid: Grid2) -> int:
     while _EDGE * 2.0 ** (j + 1) <= grid.dealias_cutoff:
         j += 1
     return j
-
-
-@functools.lru_cache(maxsize=64)
-def _quadrants(n: int, band: int) -> tuple:
-    """The square |m1|, |m2| <= band of an fft-ordered n-by-n array as four
-    (at, of) pairs of index tuples: at in the n-by-n array, of in its
-    (2 band + 1)-square copy, which keeps the fft order (0..band, then
-    -band..-1) along each axis."""
-    full, copy = band_slices(n, band), band_slices(2 * band + 1, band)
-    return tuple(
-        ((rows, cols), (copy_rows, copy_cols))
-        for rows, copy_rows in zip(full, copy)
-        for cols, copy_cols in zip(full, copy)
-    )
-
-
-def _square(a: np.ndarray, band: int) -> np.ndarray:
-    """The square |m1|, |m2| <= band of the fft-ordered square array a, as
-    a (2 band + 1)-square copy (see _quadrants)."""
-    n = a.shape[0]
-    idx = np.r_[0 : band + 1, n - band : n]
-    return a[np.ix_(idx, idx)]
 
 
 class DyadicBank:
@@ -213,15 +191,17 @@ def psi_block(f: SpectralField, bank: DyadicBank) -> SpectralField:
 
 def band_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     """Block j of f (0 for psi), unchecked: the symbol times f on the
-    level's band square alone, and zero elsewhere.  Inside the square
-    these are the floats of f.coef times the whole symbol; outside it
-    that product is a zero too, possibly of the other sign."""
+    level's band square alone, and zero elsewhere, with the level's band
+    (0 for an empty level).  Inside the square these are the floats of
+    f.coef times the whole symbol; outside it that product is a zero too,
+    possibly of the other sign."""
     coef = np.zeros(f.coef.shape, dtype=np.complex128)
-    sym = bank._squares[j]
-    if sym is not None:
-        for at, of in _quadrants(f.grid.n, bank.bands[j]):
-            np.multiply(f.coef[at], sym[of], out=coef[at])
-    return SpectralField(f.grid, coef)
+    sym, band = bank._squares[j], bank.bands[j]
+    if sym is None:
+        return SpectralField(f.grid, coef, 0)
+    for at, of in _quadrants(f.grid.n, band):
+        np.multiply(f.coef[at], sym[of], out=coef[at])
+    return SpectralField(f.grid, coef, band)
 
 
 def add_block(out: np.ndarray, f: SpectralField, bank: DyadicBank, j: int, scale: float) -> None:
@@ -288,16 +268,20 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
 
     At p = 2 no block is formed: the symbols are radial, so each block
     norm is the Parseval sum of the symbol squared against the per-mode
-    energy of f, taken once for all levels.  At other p each block is
-    formed and inverted on its band rows alone (see band_block), which
-    gives the same floats as lp_norm(block(f, bank, j), p).  An empty
-    level reads 0.0, as the transform of its zero block would, and costs
-    no multiply and no transform.
+    energy of f, taken once for all levels.  That energy is formed on the
+    top occupied level's square alone (and within the band of f): every
+    symbol is +0.0 outside it, so for finite coefficients the energy there
+    added only +0.0 terms to each sum.  At other p each block is formed
+    and inverted on its band rows alone (see band_block), which gives the
+    same floats as lp_norm(block(f, bank, j), p).  An empty level reads
+    0.0, as the transform of its zero block would, and costs no multiply
+    and no transform.
     """
     _check_bank_field(f, bank)
     out = np.zeros(bank.j_max + 1)
     if p == 2.0:
-        e = mode_energy(f)
+        top = max(band for band in bank.bands if band is not None)
+        e = _mode_energy(f.coef, top if f.band is None else min(top, f.band))
         # one whole symbol at a time, in an array local to the call: the
         # einsum over all n^2 entries fixes the order of the sum's terms
         sym = np.zeros(e.shape)
@@ -311,7 +295,7 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
         return out
     for j, band in enumerate(bank.bands):
         if band is not None:
-            out[j] = lp_norm(band_block(f, bank, j), p, band)
+            out[j] = lp_norm(band_block(f, bank, j), p)
     return out
 
 
@@ -326,7 +310,8 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
     can leave a low annulus empty), nor one whose kernel norm lies below
     ENERGY_FLOOR.  A parameter error is raised when some amplitude is
     nonzero but no level carries a packet; it names the floor when some
-    such level is nonempty.
+    such level is nonempty.  The field has the band of the top level
+    placed (0 with none).
     """
     grid = bank.grid
     if callable(amplitudes):
@@ -338,17 +323,22 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
                 f"need {bank.j_max} level amplitudes, got {len(amps)}"
             )
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    placed = floored = 0
+    placed = floored = top = 0
     for j, amp in zip(bank.levels(), amps):
         if amp == 0.0 or bank.bands[j] is None:
             continue
-        kern = SpectralField(grid, bank.add_symbol(j, np.zeros_like(coef)))
-        size = lp_norm(kern, p, bank.bands[j])
+        kern = SpectralField(grid, bank.add_symbol(j, np.zeros_like(coef)), bank.bands[j])
+        size = lp_norm(kern, p)
         if size < ENERGY_FLOOR:
             floored += 1
             continue
-        coef += kern.coef * (amp / size)
+        scale = amp / size
+        # on the band square alone: outside it coef stays +0.0, which
+        # adding the kernel's zero times scale there would leave as it is
+        for at, _ in _quadrants(grid.n, bank.bands[j]):
+            coef[at] += kern.coef[at] * scale
         placed += 1
+        top = bank.bands[j]
     where = f"grid n={grid.n}, box_length={grid.box_length:g}"
     if placed == 0 and floored:
         raise ParameterError(
@@ -357,7 +347,7 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
         )
     if placed == 0 and any(amps):
         raise ParameterError(f"every level with a nonzero amplitude is empty on {where}")
-    return SpectralField(grid, coef)
+    return SpectralField(grid, coef, top)
 
 
 def besov_norm(f: SpectralField, bank: DyadicBank, idx: BesovIndex) -> float:

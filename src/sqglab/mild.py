@@ -15,12 +15,13 @@ interpolation of the nonlinear integrand (ETD2).  The divergence is applied
 spectrally after the product, so each step is the weak form tested against
 gradients and the mean mode is conserved to rounding.
 
-The steps are taken in one place, the generator march.  solve collects
-every step of it for library callers as (times, fields), the march's own
-times and a list of SpectralField; duhamel_along runs the Duhamel
-recurrence along it with the stepper's own advections as the integrand.
-The CLI folds over march (the solve table, the contraction ladder and the
-uniqueness twin runs), so no command holds a series.
+The steps are taken in one place, the generator march_states; march
+yields its coefficients.  solve collects every step of it for library
+callers as (times, fields), the march's own times and a list of
+SpectralField; duhamel_along runs the Duhamel recurrence along it with
+the stepper's own advections as the integrand.  The CLI folds over it
+(the solve table, the contraction ladder and the uniqueness twin runs),
+so no command holds a series.
 
 The same exponential quadrature drives the global Picard iteration: iterate
 m+1 solves the linear-plus-Duhamel recurrence with the nonlinearity frozen
@@ -189,9 +190,12 @@ def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
     return _EtdTableau(grid, alpha, dt)
 
 
-def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.ndarray:
-    """Coefficients of -div(u theta) for theta given by coef, with blow-up check."""
-    theta = SpectralField(grid, coef)
+def _advection_coef(
+    grid: Grid2, coef: np.ndarray, step: int, t: float, band: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, v): g the coefficients of -div(u theta) for theta given by coef
+    and band, with blow-up check, and v the grid values of theta it read."""
+    theta = SpectralField(grid, coef, band)
     # physical() is the real part of a complex inverse: a copy of it lets
     # that buffer go before the velocity transforms start
     theta_p = theta.physical().copy()
@@ -199,7 +203,7 @@ def _advection_coef(grid: Grid2, coef: np.ndarray, step: int, t: float) -> np.nd
     peak = max(abs(hi), abs(lo))
     if not (math.isfinite(hi) and math.isfinite(lo)) or peak > BLOWUP_THRESHOLD:
         raise BlowUpError(step, t, peak)
-    return dealiased_advection(theta, theta_p)
+    return dealiased_advection(theta, theta_p), theta_p
 
 
 def _etd2_step(
@@ -210,6 +214,7 @@ def _etd2_step(
     params: SolveParams,
     step: int,
     t: float,
+    band: int | None = None,
 ) -> np.ndarray:
     """One step from coef, whose stage-1 advection is g0 (None: linear).
 
@@ -223,7 +228,7 @@ def _etd2_step(
     if g0 is None:
         return new
     new += tab.phi1_dt * g0
-    g1 = _advection_coef(grid, new, step, t + params.dt)
+    g1 = _advection_coef(grid, new, step, t + params.dt, band)[0]
     np.multiply(tab.semigroup, coef, out=new)
     new += (tab.phi1_dt - tab.phi2_dt) * g0
     g1 *= tab.phi2_dt
@@ -237,7 +242,7 @@ def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> S
     _check_params_grid(grid, params)
     tab = _tableau(grid, params.alpha, params.dt)
     step = int(round(t / params.dt))
-    g0 = _advection_coef(grid, theta.coef, step, t) if params.nonlinear else None
+    g0 = _advection_coef(grid, theta.coef, step, t)[0] if params.nonlinear else None
     coef = _etd2_step(grid, tab, theta.coef, g0, params, step, t)
     return SpectralField(grid, coef)
 
@@ -276,21 +281,50 @@ def march(theta0: SpectralField, params: SolveParams):
     integrand at t_k; g_k is None at k = N and on a linear march.  The
     march owns every array it yields and never writes to one again.
     """
+    return _coefficients(march_states(theta0, params))
+
+
+def _coefficients(states):
+    for t, theta, g, values in states:
+        # not held through the next step's advections
+        del values
+        yield t, theta.coef, g
+
+
+def march_states(theta0: SpectralField, params: SolveParams):
+    """The march as fields: checks theta0 as march does, then yields
+    (t_k, theta_k, g_k, v_k) for k = 0..N.
+
+    theta_k is the SpectralField of coef_k, g_k as in march, and v_k the
+    grid values of theta_k that its stage-1 advection read, the floats of
+    theta_k.physical(), or None where g_k is None.  A datum of band b
+    marches with band max(b, n//3): every advection is truncated to the
+    square of n//3 and the semigroup keeps a zero a zero, so every state
+    and predictor is zero outside that square, and each inverse transform
+    of the march skips the rows past it.  A datum with no band marches
+    with none.  A consumer that lets v_k go before it asks for the next
+    step does not hold it through that step's advections.
+    """
     _check_datum(theta0, params)
-    return _steps(theta0.grid, theta0.coef.copy(), params)
+    grid = theta0.grid
+    band = None if theta0.band is None else max(theta0.band, grid.n // 3)
+    return _steps(grid, theta0.coef.copy(), params, band)
 
 
-def _steps(grid: Grid2, coef: np.ndarray, params: SolveParams):
+def _steps(grid: Grid2, coef: np.ndarray, params: SolveParams, band: int | None):
     tab = _tableau(grid, params.alpha, params.dt)
     n_steps = params.n_steps()
     for step in range(n_steps):
         t = step * params.dt
-        g0 = _advection_coef(grid, coef, step, t) if params.nonlinear else None
-        yield t, coef, g0
-        coef = _etd2_step(grid, tab, coef, g0, params, step, t)
+        g0 = values = None
+        if params.nonlinear:
+            g0, values = _advection_coef(grid, coef, step, t, band)
+        yield t, SpectralField(grid, coef, band), g0, values
+        values = None
+        coef = _etd2_step(grid, tab, coef, g0, params, step, t, band)
         if not np.all(np.isfinite(coef)):
             raise BlowUpError(step + 1, t + params.dt, math.inf)
-    yield n_steps * params.dt, coef, None
+    yield n_steps * params.dt, SpectralField(grid, coef, band), None, None
 
 
 def duhamel_along(steps, grid: Grid2, params: SolveParams):
@@ -309,7 +343,7 @@ def duhamel_along(steps, grid: Grid2, params: SolveParams):
     w1 = tab.phi1_dt - tab.phi2_dt
     for k, (t, coef, g) in enumerate(steps):
         if g is None:
-            g = _advection_coef(grid, coef, k, t)
+            g = _advection_coef(grid, coef, k, t)[0]
         if k == 0:
             acc = np.zeros_like(coef)
         else:
@@ -323,12 +357,13 @@ def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]
     """March theta0 over [0, t_final], keeping every step.
 
     Returns (times, fields): the march's own times t_k as a float64 array
-    and the fields theta(t_k), k = 0..N.
+    and the fields theta(t_k), k = 0..N, with the band of the march.
     """
     times, fields = [], []
-    for t, coef, _ in march(theta0, params):
+    for t, theta, _, values in march_states(theta0, params):
+        del values
         times.append(t)
-        fields.append(SpectralField(theta0.grid, coef))
+        fields.append(theta)
     return np.array(times), fields
 
 

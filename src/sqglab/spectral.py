@@ -18,13 +18,14 @@ L^p norm reads the inverse transform.
 Every 2-D transform is two 1-D passes in numpy's own ``fft2`` order, axis 1
 then axis 0, which equals ``np.fft.fft2``/``ifft2`` byte for byte.  Two
 kinds of pass are skipped, and neither moves a bit of a result that is
-kept.  An inverse told a row band (the caller's symbol vanishes on every
-row |m1| > band: dyadic blocks and their Riesz velocities) transforms only
-the band rows in pass 1; the other rows are zero and so is their
-transform.  A forward transform truncated by the 2/3 rule runs pass 2 only
-on the kept columns |m2| <= n//3, since the others are multiplied by zero.
-March states get no band: their coefficients carry roundoff outside the
-retained square, and dropping it would change bits.
+kept.  A field may carry a band b (see SpectralField): every coefficient
+with max(|m1|, |m2|) > b is a zero.  Its inverse transforms run pass 1 on
+the band rows alone, since the transform of a zero row is zero, and its
+Parseval sums form the energy on the band square alone.  A forward
+transform truncated by the 2/3 rule runs pass 2 only on the kept columns
+|m2| <= n//3, since the others are multiplied by zero, and its field has
+band n//3.  A march keeps the band of its datum, widened to n//3 (see
+mild.march_states); a datum given by grid values has none.
 
 Conventions kept throughout the package:
 
@@ -137,6 +138,29 @@ def band_slices(n: int, band: int) -> tuple[slice, slice]:
     return slice(0, band + 1), slice(n - band, n)
 
 
+@functools.lru_cache(maxsize=64)
+def _quadrants(n: int, band: int) -> tuple:
+    """The square |m1|, |m2| <= band of an fft-ordered n-by-n array as four
+    (at, of) pairs of index tuples: at in the n-by-n array, of in its
+    (2 band + 1)-square copy, which keeps the fft order (0..band, then
+    -band..-1) along each axis."""
+    full, copy = band_slices(n, band), band_slices(2 * band + 1, band)
+    return tuple(
+        ((rows, cols), (copy_rows, copy_cols))
+        for rows, copy_rows in zip(full, copy)
+        for cols, copy_cols in zip(full, copy)
+    )
+
+
+def _square(a: np.ndarray, band: int) -> np.ndarray:
+    """The square |m1|, |m2| <= band of the fft-ordered square array a, as
+    a (2 band + 1)-square copy (see _quadrants)."""
+    out = np.empty((2 * band + 1, 2 * band + 1), dtype=a.dtype)
+    for at, of in _quadrants(a.shape[0], band):
+        out[of] = a[at]
+    return out
+
+
 def _grid_values(coef: np.ndarray, band: int | None = None) -> np.ndarray:
     """Real part of the inverse transform of coef.
 
@@ -151,6 +175,18 @@ def _grid_values(coef: np.ndarray, band: int | None = None) -> np.ndarray:
             np.fft.ifft(coef[rows], axis=1, out=w[rows])
     np.fft.ifft(w, axis=0, out=w)
     return w.real
+
+
+def _inverse(w: np.ndarray, band: int | None = None) -> np.ndarray:
+    """Inverse transform of the complex array w, in place.  With band,
+    every row |m1| > band of w must be zero, and pass 1 runs on the band
+    rows alone (see _grid_values)."""
+    if band is None:
+        np.fft.ifft(w, axis=1, out=w)
+    else:
+        for rows in band_slices(w.shape[0], band):
+            np.fft.ifft(w[rows], axis=1, out=w[rows])
+    return np.fft.ifft(w, axis=0, out=w)
 
 
 def _forward(w: np.ndarray, grid: Grid2 | None = None) -> np.ndarray:
@@ -173,22 +209,44 @@ def _mirror(coef: np.ndarray) -> np.ndarray:
     return np.roll(coef[::-1, ::-1], 1, axis=(0, 1))
 
 
+def _joint_band(a: int | None, b: int | None) -> int | None:
+    """The band of a sum: the wider of two known bands, else unknown."""
+    return None if a is None or b is None else max(a, b)
+
+
 class SpectralField:
     """Real scalar field on a :class:`Grid2`, stored by its fft2 coefficients.
 
     A coefficient array need not be conjugate-symmetric; the field is the
     real part of its inverse transform all the same (see mode_energy).
+
+    band is a promise about coef: every coefficient with
+    max(|m1|, |m2|) > band is a zero, +0.0 or -0.0.  None promises nothing,
+    and so does a band of n//2 or more, which is stored as None.  The
+    inverse transforms and Parseval sums of the field read only the band
+    square, which moves no bit: the work skipped only ever added zeros.
+    A raw coefficient array and from_physical give None; the dyadic blocks
+    and dealiased_field give theirs.  Diagonal multipliers,
+    negation and a finite real scalar keep the band, and a sum or
+    difference takes the wider of two known bands.  Whoever writes into
+    coef outside the band square must drop the band.
     """
 
-    __slots__ = ("grid", "coef")
+    __slots__ = ("grid", "coef", "band")
 
-    def __init__(self, grid: Grid2, coef: np.ndarray):
+    def __init__(self, grid: Grid2, coef: np.ndarray, band: int | None = None):
         if coef.shape != (grid.n, grid.n):
             raise ParameterError(
                 f"coefficient array shape {coef.shape} does not match grid n={grid.n}"
             )
+        if band is not None:
+            band = int(band)
+            if band < 0:
+                raise ParameterError(f"band must be nonnegative, got {band}")
         self.grid = grid
         self.coef = np.asarray(coef, dtype=np.complex128)
+        # a square of n//2 or more holds every index: nothing to skip
+        self.band = band if band is None or band < grid.n // 2 else None
 
     @classmethod
     def from_physical(cls, grid: Grid2, values: np.ndarray) -> "SpectralField":
@@ -200,10 +258,10 @@ class SpectralField:
         return cls(grid, _forward(values.astype(np.complex128)))
 
     def physical(self) -> np.ndarray:
-        return _grid_values(self.coef)
+        return _grid_values(self.coef, self.band)
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coef.copy())
+        return SpectralField(self.grid, self.coef.copy(), self.band)
 
     def mean(self) -> float:
         """Average of the field over the box (the k = 0 amplitude)."""
@@ -221,21 +279,27 @@ class SpectralField:
     # Linear-space arithmetic; products belong to physical space.
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(self.grid, self.coef + other.coef)
+        return SpectralField(
+            self.grid, self.coef + other.coef, _joint_band(self.band, other.band)
+        )
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField(self.grid, self.coef - other.coef)
+        return SpectralField(
+            self.grid, self.coef - other.coef, _joint_band(self.band, other.band)
+        )
 
     def __mul__(self, scalar: float) -> "SpectralField":
         if np.iscomplexobj(scalar):
             raise ParameterError(f"a field scales by a real number, got {scalar!r}")
-        return SpectralField(self.grid, self.coef * scalar)
+        # an infinite or nan scalar makes a nan of every zero
+        band = self.band if math.isfinite(scalar) else None
+        return SpectralField(self.grid, self.coef * scalar, band)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coef)
+        return SpectralField(self.grid, -self.coef, self.band)
 
     def _check_same_grid(self, other: "SpectralField") -> None:
         if self.grid != other.grid:
@@ -274,7 +338,8 @@ def grid_symbol(grid: Grid2, kind: str, axis: int | None = None) -> np.ndarray:
 
 
 def _apply(field: SpectralField, symbol: np.ndarray) -> SpectralField:
-    return SpectralField(field.grid, symbol * field.coef)
+    """The finite symbol times field; a zero stays a zero, so the band holds."""
+    return SpectralField(field.grid, symbol * field.coef, field.band)
 
 
 def fractional_laplacian(field: SpectralField, alpha: float) -> SpectralField:
@@ -306,12 +371,24 @@ def riesz_perp_velocity(field: SpectralField) -> tuple[SpectralField, SpectralFi
 
 
 def semigroup_apply(field: SpectralField, alpha: float, t: float) -> SpectralField:
-    """Apply the dissipative semigroup exp(-t Lambda^alpha), finite t >= 0."""
+    """Apply the dissipative semigroup exp(-t Lambda^alpha), finite t >= 0.
+
+    On a field with a band the symbol is formed and applied on the band
+    square alone, and the result is +0.0 outside it.
+    """
     alpha = _check_alpha(alpha)
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ParameterError(f"semigroup time must be finite and nonnegative, got {t}")
-    return _apply(field, np.exp(-t * field.grid.kabs**alpha))
+    band = field.band
+    if band is None:
+        return _apply(field, np.exp(-t * field.grid.kabs**alpha))
+    # the symbol on the band square alone, where the field can be nonzero
+    sym = np.exp(-t * _square(field.grid.kabs, band) ** alpha)
+    coef = np.zeros_like(field.coef)
+    for at, of in _quadrants(field.grid.n, band):
+        np.multiply(sym[of], field.coef[at], out=coef[at])
+    return SpectralField(field.grid, coef, band)
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -321,13 +398,15 @@ def dealias(field: SpectralField) -> SpectralField:
     square, aliasing from the product lands entirely outside it, so
     truncating the product reproduces the exact truncated convolution.
     """
-    return SpectralField(field.grid, field.coef * field.grid.dealias_keep)
+    m = field.grid.n // 3
+    band = m if field.band is None else min(field.band, m)
+    return SpectralField(field.grid, field.coef * field.grid.dealias_keep, band)
 
 
 def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of the velocity perp-grad Lambda^(-1) field (see riesz_perp_velocity)."""
     return tuple(
-        _grid_values(grid_symbol(field.grid, "riesz_perp", axis) * field.coef)
+        _grid_values(grid_symbol(field.grid, "riesz_perp", axis) * field.coef, field.band)
         for axis in (0, 1)
     )
 
@@ -335,7 +414,7 @@ def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 def grid_gradient(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of the two partial derivatives of field."""
     return tuple(
-        _grid_values(grid_symbol(field.grid, "gradient", axis) * field.coef)
+        _grid_values(grid_symbol(field.grid, "gradient", axis) * field.coef, field.band)
         for axis in (0, 1)
     )
 
@@ -343,6 +422,11 @@ def grid_gradient(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 def dealiased_coef(grid: Grid2, values: np.ndarray) -> np.ndarray:
     """Coefficients of a grid product, truncated by the 2/3 rule (see dealias)."""
     return _forward(values.astype(np.complex128), grid)
+
+
+def dealiased_field(grid: Grid2, values: np.ndarray) -> SpectralField:
+    """The field of dealiased_coef(grid, values), with its band n//3."""
+    return SpectralField(grid, dealiased_coef(grid, values), grid.n // 3)
 
 
 def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
@@ -354,15 +438,15 @@ def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
     product with s is formed in the same buffer (its real part times s,
     and an imaginary part of +0.0, as a cast of the real product would
     give), and that is transformed forward in place.  The result is a
-    fresh array.
+    fresh array.  The velocity inverses skip the rows outside the band of
+    field.
     """
     grid = field.grid
     w = np.empty_like(field.coef)
     out = None
     for axis in (0, 1):
         np.multiply(grid_symbol(grid, "riesz_perp", axis), field.coef, out=w)
-        np.fft.ifft(w, axis=1, out=w)
-        np.fft.ifft(w, axis=0, out=w)
+        _inverse(w, field.band)
         w.real *= scalar
         w.imag = 0.0
         _forward(w, grid)
@@ -380,30 +464,47 @@ def mode_energy(field: SpectralField) -> np.ndarray:
     the transform of the Hermitian part h(k) = (c(k) + conj(c(-k)))/2.
     By Parseval the L^2 norm of any diagonal
     multiplier m applied to the field is sqrt(cell_area/n^2 * sum m^2 e)
-    whenever m(k) = m(-k), as for every radial symbol.
+    whenever m(k) = m(-k), as for every radial symbol.  With a band the
+    energy is formed on the band square alone (see _mode_energy).
     """
-    c = field.coef
+    return _mode_energy(field.coef, field.band)
+
+
+def _mode_energy(coef: np.ndarray, band: int | None = None) -> np.ndarray:
+    """mode_energy of the coefficients coef, on the square |m1|, |m2| <= band
+    alone when band is given.
+
+    That square is its own mirror, so its Hermitian part takes the same
+    floats as on the whole array.  It is written into an n-by-n array of
+    +0.0, the energy of every zero outside it, so a sum over the result
+    reads the same array as without the band.
+    """
+    c = coef if band is None else _square(coef, band)
     h = _mirror(c)
     np.conjugate(h, out=h)
     h += c
     h *= 0.5
     e = np.square(h.real)
     e += np.square(h.imag)
-    return e
+    if band is None:
+        return e
+    out = np.zeros(coef.shape)
+    for at, of in _quadrants(coef.shape[0], band):
+        out[at] = e[of]
+    return out
 
 
-def lp_norm(field: SpectralField, p: float, band: int | None = None) -> float:
+def lp_norm(field: SpectralField, p: float) -> float:
     """L^p norm over the box via the uniform-grid quadrature.
 
     On a periodic uniform grid the trapezoid rule collapses to the plain
     Riemann sum (L/n)^2 * sum |f|^p.  p = math.inf returns the grid max;
     p = 2 is the same sum taken by Parseval over the coefficients.  Where
     the sum of |f|^p under- or overflows (a large finite p), it is taken
-    over (|f| / max |f|)^p and scaled back by max |f|.  A band promises
-    that every coefficient row |m1| > band is zero, which the inverse
-    transform then skips (see _grid_values).
+    over (|f| / max |f|)^p and scaled back by max |f|.  The transform and
+    the Parseval sum read the band square of the field alone.
     """
-    return lp_norms(field, (p,), band)[0]
+    return lp_norms(field, (p,))[0]
 
 
 def quadrature_root(total, p: float, grid: Grid2, parseval: bool = False) -> float:
@@ -431,26 +532,38 @@ def quadrature_root(total, p: float, grid: Grid2, parseval: bool = False) -> flo
     return float((total * scale) ** (1.0 / p))
 
 
-def lp_norms(field: SpectralField, ps, band: int | None = None) -> list[float]:
+def lp_norms(field: SpectralField, ps) -> list[float]:
     """L^p norms of one field for each exponent in ps.
 
     p = 2 is a Parseval sum over the coefficients (see mode_energy); the
     other exponents share one inverse transform, taken only when some
-    exponent differs from 2.  Each entry equals lp_norm(field, p) bit for
-    bit.
+    exponent differs from 2, and read its grid values as grid_lp_norms
+    does.  Both read the band square of the field alone.  Each entry
+    equals lp_norm(field, p) bit for bit.
+    """
+    grid = field.grid
+    rest = [p for p in ps if p != 2.0]
+    found = iter(grid_lp_norms(grid, field.physical(), rest)) if rest else None
+    return [
+        quadrature_root(mode_energy(field).sum(), p, grid, parseval=True)
+        if p == 2.0
+        else next(found)
+        for p in ps
+    ]
+
+
+def grid_lp_norms(grid: Grid2, values: np.ndarray, ps) -> list[float]:
+    """L^p norms of the grid values of a field on grid, for each exponent
+    in ps, by the quadrature of lp_norm; p = 2 too is the sum over the
+    grid here, where lp_norms takes it by Parseval.
     """
     for p in ps:
         if p != math.inf and not p >= 1.0:
             raise ParameterError(f"exponent p must satisfy p >= 1 (or math.inf), got {p}")
-    grid = field.grid
-    w = None
-    if any(p != 2.0 for p in ps):
-        w = np.abs(_grid_values(field.coef, band))
+    w = np.abs(values)
     out = []
     for p in ps:
-        if p == 2.0:
-            out.append(quadrature_root(mode_energy(field).sum(), p, grid, parseval=True))
-        elif p == math.inf:
+        if p == math.inf:
             out.append(float(w.max()))
         elif p == 1.0:
             out.append(quadrature_root(w.sum(), p, grid))

@@ -162,9 +162,8 @@ def contraction_norm_spec(alpha: float, s: float | None = None) -> ContractionNo
 
 def riesz_low_max(f: SpectralField, bank: DyadicBank) -> float:
     """Grid max over both components of the Riesz velocity of the low block."""
-    band = bank.bands[0]
     u1, u2 = riesz_perp_velocity(band_block(f, bank, 0))
-    return max(lp_norm(u1, math.inf, band), lp_norm(u2, math.inf, band))
+    return max(lp_norm(u1, math.inf), lp_norm(u2, math.inf))
 
 
 def instant_norm(f: SpectralField, bank: DyadicBank, spec: ContractionNorm) -> float:

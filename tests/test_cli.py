@@ -724,7 +724,9 @@ class TestUniquenessCommand:
             calls.append((theta0, params))
             return march(theta0, params)
 
-        for module in (sqglab.mild, sqglab.cli, sqglab.uniqueness):
+        # every module that binds march; the cli binds only the solve
+        # command's march_states
+        for module in (sqglab.mild, sqglab.uniqueness):
             monkeypatch.setattr(module, "march", counting_march)
         argv = ("uniqueness", "endpoint", "--T", "0.04", "--threads", "1")
         assert run_cli(*argv, "--out", str(tmp_path)) == 0

@@ -232,7 +232,7 @@ class TestEmptyLevels:
         spent = len(calls)
         calls.clear()
         for j in occupied:
-            lp_norm(band_block(f, bank, j), p, bank.bands[j])
+            lp_norm(band_block(f, bank, j), p)
         assert spent == len(calls)
         empty = np.ones(bank.j_max + 1, dtype=bool)
         empty[occupied] = False
