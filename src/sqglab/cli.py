@@ -473,6 +473,14 @@ def _cmd_uniqueness(config: RunConfig) -> int:
     spec = contraction_norm_spec(alpha, s=args["s"])
     params = SolveParams(alpha=alpha, n=n, t_final=t_top, dt=dt, box_length=box)
     horizons = [t_top / 8.0, t_top / 4.0, t_top / 2.0, t_top]
+    # params passed every rule at T, so at T/8 only the step rule can fail
+    try:
+        replace(params, t_final=horizons[0])
+    except ParameterError:
+        raise ParameterError(
+            f"uniqueness marches to T/8, T/4, T/2 and T, so T/8 must be a whole "
+            f"number of steps dt, at least one: got T={t_top}, dt={dt}"
+        ) from None
     try:
         ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec)
         # the twins run to T/4 at 2 dt, so their dt/2 refinement is the

@@ -30,7 +30,7 @@ for its mirror row too.
 The a1 and a3 tables are each one sweep over N: each term integral is
 computed once per node count, in a table that lives for that one call and
 grows only as far as the N being refined, and every N sums its own terms
-in order, so each row is the float a separate call would return.
+in order, so each row is the float an evaluation of that N alone gives.
 
 Scale conventions: bump-norm units (the L^p norm of a single bump is the
 unit), and pairing values drop the overall factor i of the derivative
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .littlewood import annulus_profile, lowpass_profile, smooth_step
+from .littlewood import lowpass_profile, smooth_step
 from .spectral import ParameterError
 
 BUMP_SUPPORT = 0.1
@@ -153,21 +153,6 @@ def _bump_nodes(m: int):
     return w1, w2, chi, h * h
 
 
-def _couplings(w1: np.ndarray, w2: np.ndarray, chunk: int):
-    """Yield (rows, chi(w + v)) over consecutive chunks of w nodes.
-
-    The coupling of the test-function weight depends on the node count
-    alone, so every caller builds each chunk once and applies it to all
-    of its terms before moving on.  The node sums are temporaries, so a
-    suspended generator holds no chunk-sized array.
-    """
-    for start in range(0, w1.size, chunk):
-        rows = slice(start, min(start + chunk, w1.size))
-        yield rows, bump_profile(
-            np.hypot(w1[rows, None] + w1[None, :], w2[rows, None] + w2[None, :])
-        )
-
-
 @functools.lru_cache(maxsize=4)
 def _self_correlation(m: int, chunk: int = 128):
     """C(w) = int chi(v) chi(w + v) dv on the midpoint nodes, plus nodes.
@@ -175,11 +160,17 @@ def _self_correlation(m: int, chunk: int = 128):
     The O(m^4) sum depends on m alone: it is computed once per node count
     and shared, so the returned arrays are read-only.  Each entry sums its
     own row of couplings over all m^2 nodes, so the chunk (rows per block)
-    bounds the working set at chunk x m^2 floats and moves no bit.
+    bounds the working set at chunk x m^2 floats and moves no bit.  The
+    node sums w + v of a chunk are temporaries, dropped once its coupling
+    chi(w + v) is built.
     """
     w1, w2, chi, da = _bump_nodes(m)
     corr = np.empty(w1.size)
-    for rows, coupling in _couplings(w1, w2, chunk):
+    for start in range(0, w1.size, chunk):
+        rows = slice(start, min(start + chunk, w1.size))
+        coupling = bump_profile(
+            np.hypot(w1[rows, None] + w1[None, :], w2[rows, None] + w2[None, :])
+        )
         corr[rows] = (coupling * chi[None, :]).sum(axis=1) * da
     for a in (w1, w2, chi, corr):
         a.flags.writeable = False
@@ -241,13 +232,9 @@ class _TermIntegrals:
         return np.array(done[:n_terms])
 
 
-def _pairing_terms(coef: np.ndarray, table: _TermIntegrals, m: int) -> np.ndarray:
-    """Per-n pairing contributions c_n^2 I_n at one node count."""
-    return coef * coef * table(m, coef.size)
-
-
 def _pairing_total(coef: np.ndarray, table: _TermIntegrals, m: int) -> float:
-    return float(_pairing_terms(coef, table, m).sum())
+    """sum_n c_n^2 I_n at one node count."""
+    return float((coef * coef * table(m, coef.size)).sum())
 
 
 def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int, rtol: float):
@@ -287,56 +274,23 @@ def _richardson(evaluate, m0: int, max_m: int, rtol: float):
             coarse = fine
 
 
-def pairing_quadrature(
-    f: BumpPair,
-    g: BumpPair,
-    kind: str = "single",
-    m0: int = RICHARDSON_M0,
-    max_m: int = RICHARDSON_MAX_M,
-    rtol: float = RICHARDSON_RTOL,
-    details: bool = False,
-):
-    """Pairing of the level-diagonal product sum against the low-pass test.
-
-    kind "single" evaluates sum_{|k-l|<=1} of the single product
-    (d/dx1 Lambda^(-1) (phi_k * f)) (phi_l * g) tested against the inverse
-    transform of the bump; its value accumulates the divergent series
-    c_n^2 * I_n.  kind "symmetrized" adds the mirror-image term
-    (d/dx1 Lambda^(-1) (phi_l * g)) (phi_k * f), whose kernel is odd under
-    the reflection (w, v) -> (-v, -w), so the terms cancel.
-
-    The value is Richardson-guarded: node counts double from m0 until two
-    consecutive evaluations agree to rtol, else a refinement error.
-    """
-    if kind not in ("single", "symmetrized"):
-        raise ParameterError(f"unknown pairing kind {kind!r}")
-    if f.n_terms == 0:
-        return (0.0, np.zeros(0), m0) if details else 0.0
-    _check_a1_pair(f, g)
-    # an overflow surfaces as a non-finite value, which _richardson reports
-    with np.errstate(over="ignore"):
-        coef = f.coefficients()
-    table = _TermIntegrals("single")
-    value, m_used = _richardson(lambda m: _pairing_total(coef, table, m), m0, max_m, rtol)
-    if kind == "symmetrized":
-        table = _TermIntegrals("symmetrized")
-        value = _symmetrized_pairing(coef, table, value, m_used, rtol)
-    if details:
-        return value, _pairing_terms(coef, table, m_used), m_used
-    return value
-
-
 def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], float]:
     """Single-product pairings and their lower-bound sums for every
     N = A1_FIRST_TERMS..n_max in one sweep, and the symmetrized pairing
     at n_max.
 
-    Row N is (pairing_quadrature value, sum_{n<=N} 2^(-2 s n) n^(-4)).
-    Each N runs its own Richardson refinement and sums its own terms, but
-    each term integral is evaluated once per node count in tables that
-    live for this call, so every row is the float a separate
-    pairing_quadrature call returns.  The symmetrized pairing reads the
-    node count at which row n_max settled, as its own call would.
+    The single pairing is sum_{|k-l|<=1} of the product
+    (d/dx1 Lambda^(-1) (phi_k * f_N)) (phi_l * g_N) tested against the
+    inverse transform of the bump; it accumulates the divergent series
+    c_n^2 * I_n.  The symmetrized pairing adds the mirror-image term
+    (d/dx1 Lambda^(-1) (phi_l * g_N)) (phi_k * f_N), whose kernel is odd
+    under the reflection (w, v) -> (-v, -w), so the terms cancel.
+
+    Row N is (single pairing, sum_{n<=N} 2^(-2 s n) n^(-4)).  Each N runs
+    its own Richardson refinement and sums its own terms; each term
+    integral is evaluated once per node count in tables that live for
+    this call, so every row is the float an evaluation of that N alone
+    gives.  The symmetrized pairing is taken where row n_max settled.
     """
     BumpPair(s, n_max, "a1_plus")  # validates s and n_max
     if n_max < A1_FIRST_TERMS:
@@ -365,41 +319,6 @@ def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], f
         coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used, RICHARDSON_RTOL
     )
     return rows, symmetrized
-
-
-def pairing_filter_decomposition(
-    f: BumpPair, g: BumpPair, m: int = 32
-) -> dict[tuple[int, int], float]:
-    """Single-product pairing split by filter-level offsets (k-n, l-n).
-
-    Independent route for the filterless reduction: with the filters kept
-    explicitly, only offsets in {0, 1}^2 contribute, and their sum must
-    reproduce the filterless value because the four filter products
-    telescope to 1 on the bump supports.
-    """
-    _check_a1_pair(f, g)
-    w1, w2, chi, da = _bump_nodes(m)
-    terms = range(1, f.n_terms + 1)
-    left, right = {}, {}
-    for i in terms:
-        cc = 2.0**i
-        rad_f = np.hypot(cc + w1, w2)
-        rad_g = np.hypot(cc - w1, w2)
-        kern = _kernel_plus(i, w1, w2)
-        for d in (0, 1):
-            left[d, i] = kern * annulus_profile(i + d, rad_f) * chi * da
-            right[d, i] = annulus_profile(i + d, rad_g) * chi * da
-    # couple through chi(w + v), chunked over w nodes; each (offset, term)
-    # sums its chunks in order
-    acc = {(dk, dl, i): 0.0 for dk in (0, 1) for dl in (0, 1) for i in terms}
-    for rows, coupling in _couplings(w1, w2, 256):
-        for dk, dl, i in acc:
-            acc[dk, dl, i] += float(left[dk, i][rows] @ coupling @ right[dl, i])
-    c = f.coefficients()
-    out: dict[tuple[int, int], float] = {}
-    for (dk, dl, i), a in acc.items():
-        out[dk, dl] = out.get((dk, dl), 0.0) + c[i - 1] * c[i - 1] * a
-    return out
 
 
 @functools.lru_cache(maxsize=2)

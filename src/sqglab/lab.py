@@ -376,8 +376,8 @@ def verify_semigroup_decay(
 def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
     """sum_{l>=2} (low part of f below l-2) * (phi_l * g), dealiased.
 
-    The symbol of S_{l-2} is the one before it plus phi_{l-2}: the chain of
-    sums s_partial builds, so the same array.  The low part has the band
+    The symbol of S_{l-2} is the one before it plus phi_{l-2}, so one array
+    accumulates the whole chain of partial sums.  The low part has the band
     of the top nonempty level in that sum (f finite).  A level whose
     annulus holds no lattice point has a zero product and is skipped;
     adding that zero would move no bit.
@@ -803,8 +803,11 @@ def verify_duhamel_bound(
         t_lo = 2.0 * 2.0 ** (-alpha * (bank.j_max - 2))
         t_hi = 0.5 * 2.0 ** (-2.0 * alpha)
         if t_lo >= t_hi:
+            # t_lo / t_hi = 2^(2 - alpha (j_max - 4))
             raise ParameterError(
-                "bank too shallow for the default horizon ladder; pass horizons"
+                f"the default horizon ladder needs alpha * (j_max - 4) > 2, got "
+                f"alpha={alpha} with j_max={bank.j_max} (n={bank.grid.n}, "
+                f"box={bank.grid.box_length:g})"
             )
         horizons = tuple(np.geomspace(t_lo, t_hi, 12))
     horizons = tuple(float(t) for t in horizons)

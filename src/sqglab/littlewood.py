@@ -133,15 +133,6 @@ class DyadicBank:
                 out[at] += sym[of]
         return out
 
-    def partition_residual(self) -> float:
-        """max |psi + sum_j phi_j - 1| over admissible lattice frequencies."""
-        r = self.grid.kabs
-        total = np.zeros(r.shape)
-        for j in range(self.j_max + 1):
-            self.add_symbol(j, total)
-        admissible = r <= _PLATEAU * 2.0**self.j_max
-        return float(np.abs(total[admissible] - 1.0).max())
-
     def levels(self) -> range:
         return range(1, self.j_max + 1)
 
@@ -214,17 +205,6 @@ def add_block(out: np.ndarray, f: SpectralField, bank: DyadicBank, j: int, scale
             piece = f.coef[at] * sym[of]
             piece *= scale
             out[at] += piece
-
-
-def s_partial(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    """Partial sum S_j f = psi * f + sum_{1 <= k <= j} phi_k * f."""
-    _check_bank_field(f, bank)
-    if not 0 <= j <= bank.j_max:
-        raise ParameterError(f"level {j} outside 0..{bank.j_max}")
-    sym = np.zeros(f.coef.shape)
-    for k in range(j + 1):
-        bank.add_symbol(k, sym)
-    return SpectralField(f.grid, f.coef * sym)
 
 
 def _check_exponent(value: float, name: str) -> float:

@@ -260,9 +260,6 @@ class SpectralField:
     def physical(self) -> np.ndarray:
         return _grid_values(self.coef, self.band)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coef.copy(), self.band)
-
     def mean(self) -> float:
         """Average of the field over the box (the k = 0 amplitude)."""
         return (self.coef[0, 0] / self.grid.n**2).real

@@ -405,7 +405,6 @@ class ContinuityReport:
     times: tuple
     curve: np.ndarray
     tail: float
-    tail_per_level: dict[int, float]
     converged: bool
 
 
@@ -438,16 +437,11 @@ def continuity_criterion_test(
         ]
     )
     norms = block_norms(theta0, bank, p)
-    weighted = {
-        j: float(2.0 ** (s * j) * norms[j]) for j in bank.levels()
-    }
-    top = [j for j in bank.levels() if j >= bank.j_max - 1]
-    tail = max(weighted[j] for j in top)
+    tail = max(float(2.0 ** (s * j) * norms[j]) for j in (bank.j_max - 1, bank.j_max))
     converged = bool(curve[-1] <= CONTINUITY_DROP * curve[0]) if curve[0] > 0.0 else True
     return ContinuityReport(
         times=times,
         curve=curve,
         tail=tail,
-        tail_per_level=weighted,
         converged=converged,
     )

@@ -43,6 +43,14 @@ def whole_symbol(bank, j: int) -> np.ndarray:
     return bank.add_symbol(j, np.zeros((bank.grid.n, bank.grid.n)))
 
 
+def partition_residual(bank) -> float:
+    """max |psi + sum_j phi_j - 1| over the admissible ball |k| <= (3/4) 2^J,
+    summed from the bank's own symbols."""
+    total = sum(whole_symbol(bank, j) for j in range(bank.j_max + 1))
+    admissible = bank.grid.kabs <= 0.75 * 2.0**bank.j_max
+    return float(np.abs(total[admissible] - 1.0).max())
+
+
 def pure_mode(grid: Grid2, m1: int, m2: int, amplitude=1.0) -> SpectralField:
     """Exact cosine mode amplitude * cos(k . x) built in coefficient space."""
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)

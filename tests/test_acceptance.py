@@ -19,12 +19,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import pure_mode, random_field, rel_err, smooth_profile
+from conftest import partition_residual, pure_mode, random_field, rel_err, smooth_profile
 from sqglab.counterexamples import (
     a3_lower_sum,
     build_counterexample_pair,
     lower_bound_sum,
-    pairing_quadrature,
+    prop_a1_pairings,
     prop_a3_product_norms,
     symmetrized_magnitude_series,
 )
@@ -110,7 +110,7 @@ def test_criterion_2_partition_and_almost_orthogonality():
     rng = np.random.default_rng(2)
     for n, box in ((256, TWO_PI), (128, PI_HALF), (128, TWO_PI)):
         bank = build_bank(shared_grid(n, box))
-        assert bank.partition_residual() <= 1e-12
+        assert partition_residual(bank) <= 1e-12
 
         f = random_field(bank.grid, rng)
         fnorm = lp_norm(f, 2.0)
@@ -190,12 +190,9 @@ def test_criterion_5_counterexample_dichotomy():
     t0 = time.perf_counter()
 
     s = -0.5
-    singles = {}
-    oracle = {}
-    for n in range(2, 13):
-        f, g = build_counterexample_pair(s, n, "a1")
-        singles[n] = pairing_quadrature(f, g, "single")
-        oracle[n] = lower_bound_sum(s, n)
+    rows, _ = prop_a1_pairings(s, 12)
+    singles = {n: value for n, (value, _) in enumerate(rows, start=2)}
+    oracle = {n: lower for n, (_, lower) in enumerate(rows, start=2)}
 
     for n in range(3, 13):
         assert singles[n] > singles[n - 1]
@@ -216,8 +213,7 @@ def test_criterion_5_counterexample_dichotomy():
     for n in range(4, 13):
         assert 0.5 * base <= partial[n - 1] <= 2.0 * base
     for n in (4, 8, 12):
-        fn, gn = build_counterexample_pair(s, n, "a1")
-        symmetrized = pairing_quadrature(fn, gn, "symmetrized")
+        _, symmetrized = prop_a1_pairings(s, n)
         assert abs(symmetrized) <= 0.01 * singles[n]
 
     s_div = -0.75

@@ -136,7 +136,6 @@ class TestBandCarries:
     def test_scalars_and_negation(self, fields):
         f = fields[0]
         assert (f * 2.5).band == 5 and (-3.0 * f).band == 5 and (-f).band == 5
-        assert f.copy().band == 5
         # an infinite scalar turns the zeros outside the square into nan
         with np.errstate(invalid="ignore"):
             assert (f * math.inf).band is None

@@ -270,6 +270,24 @@ class TestExitCodes:
             == 1
         )
 
+    # T/8 is half a step of the default dt, then a step and a half
+    @pytest.mark.parametrize("T", ["0.01", "0.03"])
+    def test_uniqueness_step_rule_names_t_and_dt(self, tmp_path, capsys, T):
+        assert run_cli("uniqueness", "endpoint", "--T", T, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "parameter error: uniqueness marches to T/8, T/4, T/2 and T, so T/8 must "
+            f"be a whole number of steps dt, at least one: got T={T}, dt=0.0025\n"
+        )
+
+    def test_duhamel_ladder_rule_names_alpha_and_depth(self, tmp_path, capsys):
+        # alpha * (j_max - 4) = 2 at the default n = 256 leaves the ladder empty
+        argv = ("verify-lemma", "duhamel-smoothing", "--alpha", "1", "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            "parameter error: the default horizon ladder needs alpha * (j_max - 4) > 2, "
+            "got alpha=1.0 with j_max=6 (n=256, box=6.28319)\n"
+        )
+
     @pytest.mark.parametrize(
         "horizon",
         [

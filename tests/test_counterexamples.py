@@ -25,8 +25,6 @@ from sqglab.counterexamples import (
     build_counterexample_pair,
     bump_profile,
     lower_bound_sum,
-    pairing_filter_decomposition,
-    pairing_quadrature,
     prop_a1_pairings,
     prop_a3_product_norms,
     symmetrized_magnitude_series,
@@ -106,27 +104,22 @@ class TestLowerBoundSums:
 
 
 class TestSinglePairing:
-    def test_empty_family_is_zero(self):
-        f, g = build_counterexample_pair(-0.5, 0, "a1")
-        assert pairing_quadrature(f, g) == 0.0
-
     def test_frozen_value(self):
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        value = pairing_quadrature(f, g, "single")
+        value, _ = prop_a1_pairings(-0.5, 12)[0][-1]
         assert abs(value - 5.706510472145511e-04) / 5.7065e-04 < 1e-10
 
     def test_increments_match_summation_oracle(self):
         # the quadrature increments are c_n^2 I_n with I_n nearly constant,
         # so dividing by the oracle increments c_n^2 must flatten them
         f, g = build_counterexample_pair(-0.5, 12, "a1")
-        _, terms, _ = pairing_quadrature(f, g, "single", details=True)
+        _, terms, _ = reference_pairing(f, g, "single")
         flattened = terms / f.coefficients() ** 2
         spread = flattened.max() / flattened.min() - 1.0
         assert spread < 1e-3
 
     def test_successive_ratios_match_oracle(self):
         f, g = build_counterexample_pair(-0.5, 12, "a1")
-        _, terms, _ = pairing_quadrature(f, g, "single", details=True)
+        _, terms, _ = reference_pairing(f, g, "single")
         partial = np.cumsum(terms)
         oracle = np.array([lower_bound_sum(-0.5, k) for k in range(1, 13)])
         q_ratio = partial[1:] / partial[:-1]
@@ -136,33 +129,38 @@ class TestSinglePairing:
     def test_increments_grow_past_the_dip(self):
         # terms c_n^2 I_n dip near n = 5 then grow geometrically
         f, g = build_counterexample_pair(-0.5, 12, "a1")
-        _, terms, _ = pairing_quadrature(f, g, "single", details=True)
+        _, terms, _ = reference_pairing(f, g, "single")
         assert np.all(terms > 0.0)
         assert np.all(np.diff(terms[5:]) > 0.0)
 
     def test_pair_validation(self):
         f, g = build_counterexample_pair(-0.5, 4, "a1")
         with pytest.raises(ParameterError):
-            pairing_quadrature(g, f)
+            symmetrized_magnitude_series(g, f)
         with pytest.raises(ParameterError):
-            pairing_quadrature(f, BumpPair(-0.5, 5, "a1_minus"))
+            symmetrized_magnitude_series(f, BumpPair(-0.5, 5, "a1_minus"))
         with pytest.raises(ParameterError):
-            pairing_quadrature(f, BumpPair(-0.75, 4, "a1_minus"))
-        with pytest.raises(ParameterError):
-            pairing_quadrature(f, g, kind="double")
+            symmetrized_magnitude_series(f, BumpPair(-0.75, 4, "a1_minus"))
 
     def test_refinement_error_when_budget_too_tight(self):
-        f, g = build_counterexample_pair(-0.5, 4, "a1")
+        # evaluations that never settle exhaust the node budget
         with pytest.raises(RefinementError) as info:
-            pairing_quadrature(f, g, m0=8, max_m=16, rtol=1e-14)
-        assert info.value.tolerance == 1e-14
-        assert info.value.estimate > 1e-14
+            counterexamples._richardson(lambda m: float(m), 16, 64, 0.01)
+        assert info.value.tolerance == 0.01
+        assert info.value.estimate > 0.01
+
+    def test_overflow_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="overflow"):
+            counterexamples._richardson(lambda m: math.inf, 16, 64, 0.01)
 
 
 class TestFilterDecomposition:
+    # with the filters kept explicitly only offsets in {0, 1}^2 contribute,
+    # and their sum reproduces the filterless value _TermIntegrals computes,
+    # because the four filter products telescope to 1 on the bump supports
     def test_offsets_sum_to_filterless(self):
         f, g = build_counterexample_pair(-0.5, 4, "a1")
-        split = pairing_filter_decomposition(f, g, m=24)
+        split = reference_filter_decomposition(f, g, 24)
         assert set(split) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert all(v > 0.0 for v in split.values())
         # force the same node count for an exact comparison
@@ -173,28 +171,22 @@ class TestFilterDecomposition:
 
     def test_mirror_offsets_agree(self):
         f, g = build_counterexample_pair(-0.5, 3, "a1")
-        split = pairing_filter_decomposition(f, g, m=24)
+        split = reference_filter_decomposition(f, g, 24)
         assert abs(split[(0, 1)] - split[(1, 0)]) / split[(0, 1)] < 1e-3
 
 
 class TestSymmetrizedPairing:
     def test_cancellation_is_exact(self):
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        single = pairing_quadrature(f, g, "single")
-        sym = pairing_quadrature(f, g, "symmetrized")
-        assert abs(sym) < 1e-18 * single
+        rows, sym = prop_a1_pairings(-0.5, 12)
+        assert abs(sym) < 1e-18 * rows[-1][0]
 
     def test_bounded_across_depths(self):
-        singles = {}
-        syms = {}
-        for n_terms in (2, 4, 8, 12):
-            f, g = build_counterexample_pair(-0.5, n_terms, "a1")
-            singles[n_terms] = pairing_quadrature(f, g, "single")
-            syms[n_terms] = pairing_quadrature(f, g, "symmetrized")
+        rows, _ = prop_a1_pairings(-0.5, 25)
+        singles = {n: value for n, (value, _) in enumerate(rows, start=A1_FIRST_TERMS)}
+        syms = {n_terms: prop_a1_pairings(-0.5, n_terms)[1] for n_terms in (2, 4, 8, 12)}
         # the single product grows without bound, the symmetrized sum does not
         assert singles[12] > singles[2] * 1.3
-        deep = pairing_quadrature(*build_counterexample_pair(-0.5, 25, "a1"))
-        assert deep > singles[12] * 25.0
+        assert singles[25] > singles[12] * 25.0
         floor = 1e-12 * singles[12]
         reference = max(abs(syms[4]), floor)
         for n_terms in (2, 4, 8, 12):
@@ -208,7 +200,7 @@ class TestSymmetrizedPairing:
         assert np.all(mags > 0.0)
         mag_sums = np.cumsum(mags)
         assert (mag_sums[-1] - mag_sums[5]) / mag_sums[5] < 1e-4
-        _, terms, _ = pairing_quadrature(f, g, "single", details=True)
+        _, terms, _ = reference_pairing(f, g, "single")
         single_sums = np.cumsum(terms)
         assert (single_sums[-1] - single_sums[5]) / single_sums[5] > 0.2
 
@@ -241,7 +233,8 @@ def reference_magnitude_series(f, g, m):
 
 
 def reference_filter_decomposition(f, g, m):
-    """pairing_filter_decomposition with the coupling rebuilt per (offset, term)."""
+    """The single pairing split by filter-level offsets (k-n, l-n), the
+    filters kept explicitly and the coupling rebuilt per (offset, term)."""
     w1, w2, chi, da = counterexamples._bump_nodes(m)
     out = {}
     for dk in (0, 1):
@@ -300,21 +293,23 @@ class TestSharedCoupling:
 
     @pytest.mark.parametrize("kind", ["single", "symmetrized"])
     def test_pairing_bits_match_uncached_reference(self, kind, monkeypatch):
-        # each call recomputes the correlation from scratch in the reference
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
+        # the a1 rows (single) or the symmetrized pairing, from the cache and
+        # with the correlation recomputed at every call
+        def pairing():
+            rows, symmetrized = prop_a1_pairings(-0.5, 12)
+            return [value for value, _ in rows] if kind == "single" else [symmetrized]
+
         counterexamples._self_correlation.cache_clear()
-        got = [pairing_quadrature(f, g, kind, details=True) for _ in range(2)]
+        got = [pairing() for _ in range(2)]
         with monkeypatch.context() as patch:
             patch.setattr(
                 counterexamples,
                 "_self_correlation",
                 counterexamples._self_correlation.__wrapped__,
             )
-            value, terms, m_used = pairing_quadrature(f, g, kind, details=True)
-        for got_value, got_terms, got_m in got:
-            assert got_value.hex() == value.hex()
-            assert np.array_equal(got_terms.view(np.int64), terms.view(np.int64))
-            assert got_m == m_used
+            want = pairing()
+        for values in got:
+            assert [v.hex() for v in values] == [v.hex() for v in want]
 
     # the folded sum adds the mirror rows as doubled upper rows, a different
     # set of roundings than the dense loop, so it matches to a tolerance;
@@ -365,14 +360,6 @@ class TestSharedCoupling:
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
-    def test_filter_decomposition_bits_match_term_outer_loop(self):
-        f, g = build_counterexample_pair(-0.5, 3, "a1")
-        got = pairing_filter_decomposition(f, g, m=32)
-        want = reference_filter_decomposition(f, g, 32)
-        assert {k: float(v).hex() for k, v in got.items()} == {
-            k: float(v).hex() for k, v in want.items()
-        }
-
 
 def reference_pairing_terms(f, g, kind, m):
     """Per-n pairing contributions at one node count, every term kernel
@@ -389,8 +376,10 @@ def reference_pairing_terms(f, g, kind, m):
 
 
 def reference_pairing(f, g, kind):
-    """(value, terms, node count) of pairing_quadrature(details=True) for
-    one N alone: every node count evaluates all N term integrals."""
+    """(value, per-n terms c_n^2 I_n, node count) of one pairing kind for
+    one N alone, every node count evaluating all N term integrals: the
+    floats of prop_a1_pairings' row N (single) and of its symmetrized
+    pairing at n_max = N."""
     single, m_used = counterexamples._richardson(
         lambda m: float(reference_pairing_terms(f, g, "single", m).sum()), 16, 64, 0.01
     )
@@ -414,17 +403,6 @@ class TestPairingSweep:
         f, g = build_counterexample_pair(s, 40, "a1")
         assert symmetrized.hex() == reference_pairing(f, g, "symmetrized")[0].hex()
 
-    @pytest.mark.parametrize("kind", ["single", "symmetrized"])
-    @pytest.mark.parametrize("s", [-0.5, -0.75])
-    def test_pairing_quadrature_matches_per_n_reference_bits(self, s, kind):
-        for n_terms in (1, 5, 12, 25):
-            f, g = build_counterexample_pair(s, n_terms, "a1")
-            value, terms, m_used = pairing_quadrature(f, g, kind, details=True)
-            want_value, want_terms, want_m = reference_pairing(f, g, kind)
-            assert value.hex() == want_value.hex()
-            assert np.array_equal(terms.view(np.int64), want_terms.view(np.int64))
-            assert m_used == want_m
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             prop_a1_pairings(0.25, 3)
@@ -437,7 +415,7 @@ class TestPairingSweep:
         first_bad = None
         for n_terms in range(1, 51):
             try:
-                pairing_quadrature(*build_counterexample_pair(s, n_terms, "a1"))
+                reference_pairing(*build_counterexample_pair(s, n_terms, "a1"), "single")
             except ParameterError as exc:
                 first_bad, message = n_terms, str(exc)
                 break
@@ -451,7 +429,7 @@ class TestPairingSweep:
         # at s = -300 both overflow on the first row, and the pairing is first
         f, g = build_counterexample_pair(-300.0, A1_FIRST_TERMS, "a1")
         with pytest.raises(ParameterError) as info:
-            pairing_quadrature(f, g)
+            reference_pairing(f, g, "single")
         message = str(info.value)
         with pytest.raises(ParameterError) as info:
             prop_a1_pairings(-300.0, A1_FIRST_TERMS)
@@ -618,12 +596,10 @@ class TestProductNormSweep:
 @settings(max_examples=12, deadline=None)
 @given(
     s=st.floats(min_value=-1.25, max_value=-0.25),
-    n_terms=st.integers(min_value=1, max_value=6),
+    n_max=st.integers(min_value=A1_FIRST_TERMS, max_value=6),
 )
-def test_pairing_positive_and_monotone(s, n_terms):
-    f, g = build_counterexample_pair(s, n_terms, "a1")
-    _, terms, _ = pairing_quadrature(f, g, "single", details=True)
-    assert np.all(terms > 0.0)
-    if n_terms >= 2:
-        shallower = pairing_quadrature(*build_counterexample_pair(s, n_terms - 1, "a1"))
-        assert pairing_quadrature(f, g) > shallower
+def test_pairing_positive_and_monotone(s, n_max):
+    rows, _ = prop_a1_pairings(s, n_max)
+    values = np.array([value for value, _ in rows])
+    assert values[0] > 0.0
+    assert np.all(np.diff(values) > 0.0)

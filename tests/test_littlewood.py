@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_limited_field, pure_mode, random_field, rel_err, whole_symbol
+from conftest import (
+    ball_limited_field,
+    partition_residual,
+    pure_mode,
+    random_field,
+    rel_err,
+    whole_symbol,
+)
 from sqglab import littlewood
 from sqglab.littlewood import (
     ENERGY_FLOOR,
@@ -27,7 +34,6 @@ from sqglab.littlewood import (
     max_feasible_level,
     packet_profile,
     psi_block,
-    s_partial,
     series_block_norms,
     smooth_step,
     time_lr,
@@ -144,7 +150,7 @@ class TestBankConstruction:
     )
     def test_partition_residual(self, n, box):
         bank = build_bank(Grid2(n, box_length=box))
-        assert bank.partition_residual() < 1e-12
+        assert partition_residual(bank) < 1e-12
 
 
 class TestBlocks:
@@ -179,14 +185,6 @@ class TestBlocks:
             total = total + block(f, bank, j)
         scale = np.abs(f.coef).max()
         assert np.abs(total.coef - f.coef).max() < 1e-12 * scale
-        assert np.abs(s_partial(f, bank, bank.j_max).coef - f.coef).max() < 1e-12 * scale
-
-    def test_partial_sum_endpoints(self):
-        grid = Grid2(64)
-        bank = build_bank(grid)
-        f = random_field(grid, RNG)
-        s0 = s_partial(f, bank, 0)
-        assert np.abs(s0.coef - psi_block(f, bank).coef).max() == 0.0
 
     def test_level_bounds_checked(self):
         grid = Grid2(64)
@@ -196,8 +194,6 @@ class TestBlocks:
             block(f, bank, 0)
         with pytest.raises(ParameterError):
             block(f, bank, bank.j_max + 1)
-        with pytest.raises(ParameterError):
-            s_partial(f, bank, -1)
 
     def test_grid_mismatch_rejected(self):
         bank = build_bank(Grid2(64))
@@ -291,7 +287,7 @@ class TestEmptyLevels:
         # levels among them
         bank = build_bank(Grid2(32, box_length=1e-272))
         full = profile_symbols(bank)
-        assert bank.partition_residual() == reference_partition_residual(bank, full)
+        assert partition_residual(bank) == reference_partition_residual(bank, full)
         f = random_field(bank.grid, np.random.default_rng(7))
         for p in (1.0, 2.0, 4.0, math.inf):
             got, want = block_norms(f, bank, p), reference_block_norms(f, full, p)
@@ -367,13 +363,16 @@ class TestBandSquareBank:
                 assert same_bits(g.coef, want)
 
     def test_partial_sums(self, case):
-        bank, full, f = case
+        # the chain of sums low_high_paraproduct accumulates with add_symbol
+        bank, full, _ = case
         sym = full[0].copy()
+        chain = whole_symbol(bank, 0)
         for j in range(bank.j_max + 1):
             if j:
                 sym = sym + full[j]
-            assert same_bits(s_partial(f, bank, j).coef, f.coef * sym)
-        assert bank.partition_residual() == reference_partition_residual(bank, full)
+                bank.add_symbol(j, chain)
+            assert same_bits(chain, sym)
+        assert partition_residual(bank) == reference_partition_residual(bank, full)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_block_norms(self, case, p):
