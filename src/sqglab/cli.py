@@ -9,7 +9,8 @@ dichotomy.  Every command writes one RFC-4180 CSV (floats in scientific
 notation with 16 significant digits, CRLF rows, no timestamps, so a rerun
 with the same configuration is byte-identical) plus a plaintext summary
 mirroring the headline numbers.  Exit status: 0 on success, 1 on a
-parameter problem, 2 when a verification predicate fails.
+parameter problem, 2 when a verification predicate fails or a march
+blows up.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .lab import (
     verify_semigroup_decay,
 )
 from .littlewood import build_bank
-from .mild import BlowUpError, SolveParams, march_states
+from .mild import BlowUpError, SolveParams, march
 from .spectral import ParameterError, SpectralField, grid_lp_norms, lp_norm, shared_grid
 from .uniqueness import (
     contraction_ladder,
@@ -252,7 +253,7 @@ def _solve_march(config: RunConfig, args: dict, grid):
     params = SolveParams(
         alpha=args["alpha"], n=n, t_final=args["T"], dt=args["dt"], box_length=args["box"]
     )
-    return march_states(theta0, params)
+    return march(theta0, params)
 
 
 def _cmd_solve(config: RunConfig) -> int:
@@ -262,19 +263,15 @@ def _cmd_solve(config: RunConfig) -> int:
     alpha, n = args["alpha"], args["n"]
     grid = shared_grid(n, args["box"])
     rows = []
-    try:
-        # l4 and linf read the grid values the step's advection took; only
-        # the final state, which no advection reads, is inverted here
-        for t, theta, _, values in _solve_march(config, args, grid):
-            if values is None:
-                values = theta.physical()
-            norms = grid_lp_norms(grid, values, (4, math.inf))
-            # not held through the next step's advections
-            del values
-            rows.append((t, lp_norm(theta, 2), *norms, theta.mean()))
-    except BlowUpError as exc:
-        sys.stderr.write(f"run blew up: {exc}\n")
-        return 2
+    # l4 and linf read the grid values the step's advection took; only
+    # the final state, which no advection reads, is inverted here
+    for t, theta, _, values in _solve_march(config, args, grid):
+        if values is None:
+            values = theta.physical()
+        norms = grid_lp_norms(grid, values, (4, math.inf))
+        # not held through the next step's advections
+        del values
+        rows.append((t, lp_norm(theta, 2), *norms, theta.mean()))
     columns = (
         ("time", "box time"),
         ("l2", "amplitude"),
@@ -481,16 +478,12 @@ def _cmd_uniqueness(config: RunConfig) -> int:
             f"uniqueness marches to T/8, T/4, T/2 and T, so T/8 must be a whole "
             f"number of steps dt, at least one: got T={t_top}, dt={dt}"
         ) from None
-    try:
-        ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec)
-        # the twins run to T/4 at 2 dt, so their dt/2 refinement is the
-        # ladder's own march to that horizon
-        twin = replace(params, t_final=horizons[1], dt=2.0 * dt)
-        fine = ladder[1].state
-        ident_max, order, amplification = twin_experiments(theta0, twin, bank, spec, fine)
-    except BlowUpError as exc:
-        sys.stderr.write(f"run blew up: {exc}\n")
-        return 2
+    ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec)
+    # the twins run to T/4 at 2 dt, so their dt/2 refinement is the
+    # ladder's own march to that horizon
+    twin = replace(params, t_final=horizons[1], dt=2.0 * dt)
+    fine = ladder[1].state
+    ident_max, order, amplification = twin_experiments(theta0, twin, bank, spec, fine)
     rows = [
         (t, res.factor, res.numerator, res.denominator)
         for t, res in zip(horizons, ladder)
@@ -632,6 +625,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 1
+    except BlowUpError as exc:
+        sys.stderr.write(f"run blew up: {exc}\n")
+        return 2
     except OverflowError as exc:
         # a power such as 2^(-s j) that the parameters push past the float range
         sys.stderr.write(f"parameter error: a value leaves the float range: {exc}\n")

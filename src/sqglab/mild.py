@@ -15,13 +15,13 @@ interpolation of the nonlinear integrand (ETD2).  The divergence is applied
 spectrally after the product, so each step is the weak form tested against
 gradients and the mean mode is conserved to rounding.
 
-The steps are taken in one place, the generator march_states; march
-yields its coefficients.  solve collects every step of it for library
-callers as (times, fields), the march's own times and a list of
-SpectralField; duhamel_along runs the Duhamel recurrence along it with
-the stepper's own advections as the integrand.  The CLI folds over it
-(the solve table, the contraction ladder and the uniqueness twin runs),
-so no command holds a series.
+The steps are taken in one place, the generator march, which yields
+each state as a SpectralField with its advection.  solve collects every
+step of it for library callers as (times, fields), the march's own times
+and a list of SpectralField; duhamel_along runs the Duhamel recurrence
+along it with the stepper's own advections as the integrand.  The CLI
+folds over it (the solve table, the contraction ladder and the
+uniqueness twin runs), so no command holds a series.
 
 The same exponential quadrature drives the global Picard iteration: iterate
 m+1 solves the linear-plus-Duhamel recurrence with the nonlinearity frozen
@@ -89,7 +89,7 @@ class SolveParams:
     The exponential integrator is unconditionally stable for the linear
     part; the step-size bound dt * k_max^alpha <= 40 only caps the
     quadrature error of the nonlinear integral on the stiffest retained
-    mode.
+    mode.  t_final is the horizon T, and the messages name it so.
     """
 
     alpha: float
@@ -101,8 +101,7 @@ class SolveParams:
     nonlinear: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "t_final", "dt"):
-            value = getattr(self, name)
+        for name, value in (("alpha", self.alpha), ("T", self.t_final), ("dt", self.dt)):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha <= 2.0:
@@ -111,23 +110,17 @@ class SolveParams:
             raise ParameterError(f"dt must be positive, got {self.dt}")
         if not self.t_final >= self.dt:
             raise ParameterError(
-                f"horizon t_final={self.t_final} must be at least one step dt={self.dt}"
+                f"horizon T={self.t_final} must be at least one step dt={self.dt}"
             )
         if self.picard_depth < 1:
             raise ParameterError(f"picard_depth must be >= 1, got {self.picard_depth}")
         steps = self.t_final / self.dt
         if not math.isfinite(steps):
-            raise ParameterError(
-                f"step count t_final/dt = {self.t_final}/{self.dt} overflows"
-            )
+            raise ParameterError(f"step count T/dt = {self.t_final}/{self.dt} overflows")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ParameterError(
-                f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
-            )
+            raise ParameterError(f"T={self.t_final} is not an integer multiple of dt={self.dt}")
         if self.n_steps() > MAX_STEPS:
-            raise ParameterError(
-                f"step count t_final/dt = {steps:.3g} exceeds {MAX_STEPS}"
-            )
+            raise ParameterError(f"step count T/dt = {steps:.3g} exceeds {MAX_STEPS}")
         grid = self.grid()
         k_max = float(grid.kabs[grid.dealias_keep].max())
         if self.dt * k_max**self.alpha > 40.0:
@@ -143,30 +136,18 @@ class SolveParams:
         return int(round(self.t_final / self.dt))
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z, series-evaluated near 0 to avoid cancellation."""
+def _phi(z: np.ndarray, k: int) -> np.ndarray:
+    """phi_k(z) for k = 1, 2: (e^z - 1)/z and (e^z - 1 - z)/z^2,
+    series-evaluated near 0 to avoid cancellation."""
     out = np.expm1(z)
+    if k == 2:
+        np.subtract(out, z, out=out)
     # 0/0 at k = 0; every small entry is overwritten by its series
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, z, out=out)
+        np.divide(out, z if k == 1 else np.square(z), out=out)
     small = np.abs(z) < 1e-2
     zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0 + zs**4 / 120.0 + zs**5 / 720.0
-    return out
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1 - z)/z^2, series-evaluated near 0."""
-    out = np.expm1(z)
-    np.subtract(out, z, out=out)
-    # 0/0 at k = 0; every small entry is overwritten by its series
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, np.square(z), out=out)
-    small = np.abs(z) < 1e-2
-    zs = z[small]
-    out[small] = (
-        0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0 + zs**4 / 720.0 + zs**5 / 5040.0
-    )
+    out[small] = sum(zs**i / math.factorial(i + k) for i in range(6))
     return out
 
 
@@ -176,8 +157,8 @@ class _EtdTableau:
     def __init__(self, grid: Grid2, alpha: float, dt: float):
         z = -dt * grid.kabs**alpha
         self.semigroup = np.exp(z)
-        self.phi1_dt = dt * _phi1(z)
-        self.phi2_dt = dt * _phi2(z)
+        self.phi1_dt = dt * _phi(z, 1)
+        self.phi2_dt = dt * _phi(z, 2)
         for a in (self.semigroup, self.phi1_dt, self.phi2_dt):
             a.flags.writeable = False
 
@@ -190,12 +171,9 @@ def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
     return _EtdTableau(grid, alpha, dt)
 
 
-def _advection_coef(
-    grid: Grid2, coef: np.ndarray, step: int, t: float, band: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(g, v): g the coefficients of -div(u theta) for theta given by coef
-    and band, with blow-up check, and v the grid values of theta it read."""
-    theta = SpectralField(grid, coef, band)
+def _advection(theta: SpectralField, step: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g, v): g the coefficients of -div(u theta), with blow-up check,
+    and v the grid values of theta it read."""
     # physical() is the real part of a complex inverse: a copy of it lets
     # that buffer go before the velocity transforms start
     theta_p = theta.physical().copy()
@@ -207,16 +185,15 @@ def _advection_coef(
 
 
 def _etd2_step(
-    grid: Grid2,
     tab: _EtdTableau,
-    coef: np.ndarray,
+    theta: SpectralField,
     g0: np.ndarray | None,
-    params: SolveParams,
+    dt: float,
     step: int,
     t: float,
-    band: int | None = None,
-) -> np.ndarray:
-    """One step from coef, whose stage-1 advection is g0 (None: linear).
+) -> SpectralField:
+    """One step from theta, whose stage-1 advection is g0 (None: linear),
+    to a field with the band of theta.
 
     The predictor S c + phi1 g0 and the corrector
     S c + (phi1 - phi2) g0 + phi2 g1 are summed in that order, in place in
@@ -224,27 +201,27 @@ def _etd2_step(
     temporary at a time, and none lives through the advection of the
     predictor, which is the peak of the step.
     """
-    new = np.multiply(tab.semigroup, coef)
-    if g0 is None:
-        return new
-    new += tab.phi1_dt * g0
-    g1 = _advection_coef(grid, new, step, t + params.dt, band)[0]
-    np.multiply(tab.semigroup, coef, out=new)
-    new += (tab.phi1_dt - tab.phi2_dt) * g0
-    g1 *= tab.phi2_dt
-    new += g1
-    return new
+    new = np.multiply(tab.semigroup, theta.coef)
+    if g0 is not None:
+        new += tab.phi1_dt * g0
+        g1 = _advection(SpectralField(theta.grid, new, theta.band), step, t + dt)[0]
+        np.multiply(tab.semigroup, theta.coef, out=new)
+        new += (tab.phi1_dt - tab.phi2_dt) * g0
+        g1 *= tab.phi2_dt
+        new += g1
+    return SpectralField(theta.grid, new, theta.band)
 
 
 def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> SpectralField:
     """Advance theta by one dt of the mild formulation."""
-    grid = theta.grid
-    _check_params_grid(grid, params)
-    tab = _tableau(grid, params.alpha, params.dt)
+    _check_params_grid(theta.grid, params)
+    tab = _tableau(theta.grid, params.alpha, params.dt)
     step = int(round(t / params.dt))
-    g0 = _advection_coef(grid, theta.coef, step, t)[0] if params.nonlinear else None
-    coef = _etd2_step(grid, tab, theta.coef, g0, params, step, t)
-    return SpectralField(grid, coef)
+    # no band is passed on: a nonlinear step fills the n//3 square, which
+    # a narrower band of the datum would misstate
+    theta = SpectralField(theta.grid, theta.coef)
+    g0 = _advection(theta, step, t)[0] if params.nonlinear else None
+    return _etd2_step(tab, theta, g0, params.dt, step, t)
 
 
 def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
@@ -275,82 +252,75 @@ def _check_datum(theta: SpectralField, params: SolveParams) -> None:
 def march(theta0: SpectralField, params: SolveParams):
     """The ETD2 march over [0, t_final], one step at a time.
 
-    Checks theta0 against params on entry, then yields (t_k, coef_k, g_k)
-    for k = 0..N: the coefficients of theta(t_k) and the stage-1 advection
-    G(theta(t_k)) of the step from t_k, which is also the Duhamel
-    integrand at t_k; g_k is None at k = N and on a linear march.  The
-    march owns every array it yields and never writes to one again.
-    """
-    return _coefficients(march_states(theta0, params))
+    Checks theta0 against params on entry, then yields (t_k, theta_k,
+    g_k, v_k) for k = 0..N:
 
+    - t_k = k dt;
+    - theta_k, the SpectralField of theta(t_k);
+    - g_k, the coefficients of the stage-1 advection G(theta_k) of the
+      step from t_k, which is also the Duhamel integrand at t_k;
+    - v_k, the grid values of theta_k that advection read, the floats of
+      theta_k.physical().
 
-def _coefficients(states):
-    for t, theta, g, values in states:
-        # not held through the next step's advections
-        del values
-        yield t, theta.coef, g
-
-
-def march_states(theta0: SpectralField, params: SolveParams):
-    """The march as fields: checks theta0 as march does, then yields
-    (t_k, theta_k, g_k, v_k) for k = 0..N.
-
-    theta_k is the SpectralField of coef_k, g_k as in march, and v_k the
-    grid values of theta_k that its stage-1 advection read, the floats of
-    theta_k.physical(), or None where g_k is None.  A datum of band b
-    marches with band max(b, n//3): every advection is truncated to the
+    g_k and v_k are None at k = N and on a linear march.  A datum of band
+    b marches with band max(b, n//3): every advection is truncated to the
     square of n//3 and the semigroup keeps a zero a zero, so every state
     and predictor is zero outside that square, and each inverse transform
     of the march skips the rows past it.  A datum with no band marches
-    with none.  A consumer that lets v_k go before it asks for the next
-    step does not hold it through that step's advections.
+    with none.  The march owns every array it yields and never writes to
+    one again.  A consumer that keeps v_k holds it through the next
+    step's advections, the peak of the march.
     """
     _check_datum(theta0, params)
     grid = theta0.grid
     band = None if theta0.band is None else max(theta0.band, grid.n // 3)
-    return _steps(grid, theta0.coef.copy(), params, band)
+    return _steps(SpectralField(grid, theta0.coef.copy(), band), params)
 
 
-def _steps(grid: Grid2, coef: np.ndarray, params: SolveParams, band: int | None):
-    tab = _tableau(grid, params.alpha, params.dt)
+def _steps(theta: SpectralField, params: SolveParams):
+    tab = _tableau(theta.grid, params.alpha, params.dt)
     n_steps = params.n_steps()
     for step in range(n_steps):
         t = step * params.dt
         g0 = values = None
         if params.nonlinear:
-            g0, values = _advection_coef(grid, coef, step, t, band)
-        yield t, SpectralField(grid, coef, band), g0, values
+            g0, values = _advection(theta, step, t)
+        yield t, theta, g0, values
         values = None
-        coef = _etd2_step(grid, tab, coef, g0, params, step, t, band)
-        if not np.all(np.isfinite(coef)):
+        theta = _etd2_step(tab, theta, g0, params.dt, step, t)
+        if not np.all(np.isfinite(theta.coef)):
             raise BlowUpError(step + 1, t + params.dt, math.inf)
-    yield n_steps * params.dt, SpectralField(grid, coef, band), None, None
+    yield n_steps * params.dt, theta, None, None
 
 
-def duhamel_along(steps, grid: Grid2, params: SolveParams):
-    """Pass march-shaped (t_k, coef_k, g_k) on as (t_k, coef_k, D_k).
+def duhamel_along(states, params: SolveParams):
+    """Pass the march's (t_k, theta_k, g_k, v_k) on as (t_k, theta_k, D_k).
 
-    D is the Duhamel integral of -div(u theta) along the stepped series:
-    D_0 = 0 and
+    D_k is the field, with no band, of the Duhamel integral of
+    -div(u theta) along the states: D_0 = 0 and
 
         D_{k+1} = e^{-dt Lambda^alpha} D_k
                   + dt [ (phi1 - phi2) G_k + phi2 G_{k+1} ],
 
     the same exponential-trapezoid quadrature the stepper uses.  G_k is
-    g_k when given and is evaluated from coef_k when g_k is None.
+    g_k when given and is evaluated from theta_k when g_k is None.  v_k
+    is let go on arrival.
     """
-    tab = _tableau(grid, params.alpha, params.dt)
+    tab = _tableau(params.grid(), params.alpha, params.dt)
     w1 = tab.phi1_dt - tab.phi2_dt
-    for k, (t, coef, g) in enumerate(steps):
+    g_prev = None
+    # no enumerate: its cached tuple would hold v_k through the next step
+    for t, theta, g, values in states:
+        del values
         if g is None:
-            g = _advection_coef(grid, coef, k, t)[0]
-        if k == 0:
-            acc = np.zeros_like(coef)
+            g = _advection(theta, int(round(t / params.dt)), t)[0]
+        if g_prev is None:
+            acc = np.zeros_like(theta.coef)
         else:
             acc = tab.semigroup * acc + w1 * g_prev + tab.phi2_dt * g
         # let G_{k-1} go before the yield, not hold it while the consumer works
         g_prev = g
-        yield t, coef, acc
+        yield t, theta, SpectralField(theta.grid, acc)
 
 
 def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]:
@@ -360,7 +330,7 @@ def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]
     and the fields theta(t_k), k = 0..N, with the band of the march.
     """
     times, fields = [], []
-    for t, theta, _, values in march_states(theta0, params):
+    for t, theta, _, values in march(theta0, params):
         del values
         times.append(t)
         fields.append(theta)
@@ -372,10 +342,9 @@ def duhamel_series(fields, params: SolveParams) -> list:
     sample every step of the horizon, one field per step."""
     if len(fields) != params.n_steps() + 1:
         raise ParameterError("source series does not cover every step of the horizon")
-    grid = fields[0].grid
-    _check_params_grid(grid, params)
-    steps = ((k * params.dt, f.coef, None) for k, f in enumerate(fields))
-    return [SpectralField(grid, d) for _, _, d in duhamel_along(steps, grid, params)]
+    _check_params_grid(fields[0].grid, params)
+    states = ((k * params.dt, f, None, None) for k, f in enumerate(fields))
+    return [d for _, _, d in duhamel_along(states, params)]
 
 
 def _require_mean_free(f: SpectralField, name: str) -> None:

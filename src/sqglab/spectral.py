@@ -25,7 +25,7 @@ Parseval sums form the energy on the band square alone.  A forward
 transform truncated by the 2/3 rule runs pass 2 only on the kept columns
 |m2| <= n//3, since the others are multiplied by zero, and its field has
 band n//3.  A march keeps the band of its datum, widened to n//3 (see
-mild.march_states); a datum given by grid values has none.
+mild.march); a datum given by grid values has none.
 
 Conventions kept throughout the package:
 

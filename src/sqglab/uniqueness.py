@@ -208,15 +208,15 @@ def difference_norm(fields, times, bank: DyadicBank, spec: ContractionNorm) -> f
 class ContractionResult:
     """Lipschitz ratio of the Duhamel map on a pair of trial series.
 
-    state holds the coefficients of the marched solution at the horizon
-    when contraction_ladder measured the ratio along its march, else None.
+    state holds the marched solution at the horizon when
+    contraction_ladder measured the ratio along its march, else None.
     """
 
     factor: float
     numerator: float
     denominator: float
     degenerate: bool
-    state: np.ndarray | None = field(default=None, compare=False, repr=False)
+    state: SpectralField | None = field(default=None, compare=False, repr=False)
 
     def __float__(self) -> float:
         return self.factor
@@ -271,10 +271,10 @@ def contraction_ladder(
     stage-1 advection, and keeps only the per-time norm parts of the
     difference and of its image.  Each horizon aggregates a prefix of
     them, with the same bits as contraction_factor on the pair cut at
-    that horizon.  Each result's state is the solution's coefficients at
-    its horizon, the same bits as the last state of a march of params
-    to that horizon; the march never writes a yielded array again, so
-    they are held, not copied.
+    that horizon.  Each result's state is the solution at its horizon,
+    the same bits as the last state of a march of params to that
+    horizon; the march never writes a yielded array again, so it is
+    held, not copied.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0.0:
@@ -282,20 +282,19 @@ def contraction_ladder(
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
     cuts = [replace(params, t_final=t).n_steps() + 1 for t in horizons]
     top = replace(params, t_final=horizons[-1])
-    grid = theta0.grid
     times, gaps, images, states = [], [], [], {}
     # a bare zip, and the step's names dropped at its end: an enumerate
     # tuple or the loop names would hold this step's fields through the
     # next step's advections, the peak of the march
     for (t, a, da), (_, b, db) in zip(
-        duhamel_along(march(theta0, top), grid, top),
-        duhamel_along(march(theta0, replace(top, nonlinear=False)), grid, top),
+        duhamel_along(march(theta0, top), top),
+        duhamel_along(march(theta0, replace(top, nonlinear=False)), top),
     ):
         # the difference fields are unnamed, so each goes once its norm
         # parts are taken, not when the next step rebinds it
         times.append(t)
-        gaps.append(_norm_parts(SpectralField(grid, a) - SpectralField(grid, b), bank, spec))
-        images.append(_norm_parts(SpectralField(grid, da) - SpectralField(grid, db), bank, spec))
+        gaps.append(_norm_parts(a - b, bank, spec))
+        images.append(_norm_parts(da - db, bank, spec))
         if len(times) in cuts:
             states[len(times)] = a
         del a, da, b, db
@@ -331,11 +330,12 @@ def perturbed_datum(
     return SpectralField(theta0.grid, theta0.coef * (1.0 + DELTA / scale))
 
 
-def _final(steps) -> np.ndarray:
-    """The coefficients of the last state of a march."""
-    for _, coef, _ in steps:
-        pass
-    return coef
+def _final(states) -> SpectralField:
+    """The last state of a march."""
+    for _, theta, _, values in states:
+        # not held through the next step's advections
+        del values
+    return theta
 
 
 def twin_experiments(
@@ -343,12 +343,12 @@ def twin_experiments(
     params: SolveParams,
     bank: DyadicBank,
     spec: ContractionNorm,
-    fine: np.ndarray,
+    fine: SpectralField,
 ) -> tuple[float, float, float]:
     """The three twin-run readings of one configuration, folded over its marches.
 
-    fine is the final coefficients of the march of params at dt/2 from
-    theta0, which the caller has in hand: the uniqueness command reads
+    fine is the final state of the march of params at dt/2 from theta0,
+    which the caller has in hand: the uniqueness command reads
     it from its contraction ladder, which marches at that step.
 
     Returns (identical_gap, order, amplification), each read through the
@@ -366,22 +366,17 @@ def twin_experiments(
     The twin marches step side by side; of the dt/4 and perturbed runs
     only the final state is kept, so no series is held.
     """
-    grid = theta0.grid
-
-    def gap(a: np.ndarray, b: np.ndarray) -> float:
-        return instant_norm(SpectralField(grid, a) - SpectralField(grid, b), bank, spec)
-
     identical_gap = 0.0
-    for (_, a, _), (_, b, _) in zip(march(theta0, params), march(theta0, params)):
-        identical_gap = max(identical_gap, gap(a, b))
+    for (_, a, _, _), (_, b, _, _) in zip(march(theta0, params), march(theta0, params)):
+        identical_gap = max(identical_gap, instant_norm(a - b, bank, spec))
     run = a
     finer = _final(march(theta0, replace(params, dt=params.dt / 4)))
     perturbed = _final(march(perturbed_datum(theta0, bank, spec), params))
-    bottom = gap(fine, finer)
+    bottom = instant_norm(fine - finer, bank, spec)
     if bottom <= 0.0:
         raise ParameterError("refinement gap vanished; data too small to resolve")
-    order = float(np.log2(gap(run, fine) / bottom))
-    return identical_gap, order, gap(run, perturbed) / DELTA
+    order = float(np.log2(instant_norm(run - fine, bank, spec) / bottom))
+    return identical_gap, order, instant_norm(run - perturbed, bank, spec) / DELTA
 
 
 # ---------------------------------------------------------------------------

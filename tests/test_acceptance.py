@@ -306,7 +306,7 @@ def test_criterion_8_contraction_uniqueness():
         gaps = [instant_norm(fa - fb, bank, spec) for fa, fb in zip(run, rerun)]
         assert max(gaps) == 0.0
 
-        fine = solve(theta0, replace(twin_params, dt=twin_params.dt / 2))[1][-1].coef
+        fine = solve(theta0, replace(twin_params, dt=twin_params.dt / 2))[1][-1]
         identical_gap, order, _ = twin_experiments(theta0, twin_params, bank, spec, fine)
         assert identical_gap == 0.0
         assert abs(order - 2.0) <= 0.3

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sqglab.mild
 from conftest import smooth_profile
 from sqglab.cli import main
 from sqglab.lab import random_besov_field
@@ -25,7 +26,7 @@ from sqglab.littlewood import (
     packet_profile,
     psi_block,
 )
-from sqglab.mild import SolveParams, march, march_states, solve
+from sqglab.mild import SolveParams, march, solve
 from sqglab.spectral import (
     ParameterError,
     SpectralField,
@@ -40,6 +41,7 @@ from sqglab.spectral import (
     semigroup_apply,
     shared_grid,
 )
+from sqglab.uniqueness import contraction_ladder
 
 QUARTER_BOX = 0.5 * math.pi
 
@@ -109,8 +111,9 @@ class TestBandedReadsMoveNoBit:
         banded = march(theta0, params)
         bare = march(SpectralField(grid, theta0.coef), params)
         steps = 0
-        for (_, a, ga), (_, b, gb) in zip(banded, bare):
-            assert np.array_equal(bits(a), bits(b))
+        for (_, a, ga, _), (_, b, gb, _) in zip(banded, bare):
+            assert (a.band, b.band) == (n // 3, None)
+            assert np.array_equal(bits(a.coef), bits(b.coef))
             assert (ga is None) == (gb is None)
             if ga is not None:
                 assert np.array_equal(bits(ga), bits(gb))
@@ -185,10 +188,40 @@ class TestBandCarries:
         bank = build_bank(grid)
         theta0 = block(random_besov_field(bank, np.random.default_rng(1)), bank, 2) * 0.05
         assert theta0.band == bank.bands[2] < 32 // 3
-        states = [theta for _, theta, _, _ in march_states(theta0, params)]
+        states = [theta for _, theta, _, _ in march(theta0, params)]
         assert [theta.band for theta in states] == [32 // 3] * 3
         assert all(f.band == 32 // 3 for f in solve(theta0, params)[1])
         assert all(f.band is None for f in solve(smooth_profile(grid), params)[1])
+
+
+class TestLadderReadsTheMarchBand:
+    @pytest.mark.parametrize("alpha", (2.0, 1.25))
+    def test_every_advection_reads_it_and_no_bit_moves(self, alpha, monkeypatch):
+        # the solution's two stages per step, the linear series' integrand
+        # at each state and G at the solution's last: 3 N + 2 advections,
+        # each of a field with the march band, the integrands of the
+        # linear series included
+        grid = shared_grid(64)
+        bank = build_bank(grid)
+        theta0 = random_besov_field(bank, np.random.default_rng(64)) * 0.05
+        params = SolveParams(alpha=alpha, n=64, t_final=8 * 0.0025, dt=0.0025)
+        horizons = (0.005, 0.01, 0.02)
+        bands = []
+        advection = sqglab.mild._advection
+
+        def recording(theta, *args):
+            bands.append(theta.band)
+            return advection(theta, *args)
+
+        monkeypatch.setattr(sqglab.mild, "_advection", recording)
+        banded = contraction_ladder(theta0, params, bank, horizons)
+        assert bands == [64 // 3] * (3 * 8 + 2)
+        bare = contraction_ladder(SpectralField(grid, theta0.coef), params, bank, horizons)
+        assert bands[26:] == [None] * 26
+        for a, b in zip(banded, bare):
+            got = (a.factor, a.numerator, a.denominator)
+            assert np.array_equal(bits(got), bits((b.factor, b.numerator, b.denominator)))
+            assert np.array_equal(bits(a.state.coef), bits(b.state.coef))
 
 
 class InverseCounter:

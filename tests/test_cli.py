@@ -300,6 +300,35 @@ class TestExitCodes:
         assert run_cli("solve", *horizon, "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err.startswith("parameter error: ")
 
+    # the step rules name the horizon by its key, T
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--T", "0.001"), "horizon T=0.001 must be at least one step dt=0.0025"),
+            (
+                ("uniqueness", "mid", "--T", "0.001"),
+                "horizon T=0.001 must be at least one step dt=0.0025",
+            ),
+            (
+                ("solve", "--n", "32", "--T", "0.0101"),
+                "T=0.0101 is not an integer multiple of dt=0.0025",
+            ),
+            (
+                ("solve", "--T", "1e300", "--dt", "1e-300"),
+                "step count T/dt = 1e+300/1e-300 overflows",
+            ),
+        ],
+    )
+    def test_step_rules_name_t(self, tmp_path, capsys, argv, message):
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+    def test_blow_up_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        argv = ("solve", "--alpha", "0.5", "--box", "1e-6", "--n", "64", "--data", "random")
+        assert run_cli(*argv, "--seed", "1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("run blew up: ")
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_depth_flag_removed(self, tmp_path, capsys):
         # the ETD2 march has no Picard depth to set
         assert run_cli("solve", "--depth", "3", "--out", str(tmp_path)) == 1
@@ -742,8 +771,8 @@ class TestUniquenessCommand:
             calls.append((theta0, params))
             return march(theta0, params)
 
-        # every module that binds march; the cli binds only the solve
-        # command's march_states
+        # every module that binds march; the cli's binding serves only
+        # the solve command
         for module in (sqglab.mild, sqglab.uniqueness):
             monkeypatch.setattr(module, "march", counting_march)
         argv = ("uniqueness", "endpoint", "--T", "0.04", "--threads", "1")

@@ -1,7 +1,8 @@
 """The march as a stream: what it yields, who folds over it, what it holds.
 
-`mild.march` yields (t_k, coef_k, g_k) for k = 0..N, where g_k is the
-stage-1 advection of the step from t_k.  `solve` collects it, the
+`mild.march` yields (t_k, theta_k, g_k, v_k) for k = 0..N, where theta_k
+is the state as a field, g_k the stage-1 advection of the step from t_k
+and v_k the grid values that advection read.  `solve` collects it, the
 contraction ladder reads its advections as the Duhamel integrand, the
 uniqueness twin runs fold their gaps over it, and the `solve` command
 folds its table over it, so none of them holds a series and their memory
@@ -40,22 +41,24 @@ def bank64(grid64):
 class TestMarch:
     def test_yields_every_step_with_its_advection(self, grid64):
         steps = list(march(smooth_profile(grid64), PARAMS))
-        assert [t for t, _, _ in steps] == [k * PARAMS.dt for k in range(17)]
-        assert all(g is not None for _, _, g in steps[:-1])
-        assert steps[-1][2] is None
+        assert [t for t, _, _, _ in steps] == [k * PARAMS.dt for k in range(17)]
+        assert all(g is not None and v is not None for _, _, g, v in steps[:-1])
+        assert steps[-1][2:] == (None, None)
         linear = march(smooth_profile(grid64), replace(PARAMS, nonlinear=False))
-        assert all(g is None for _, _, g in linear)
+        assert all((g, v) == (None, None) for _, _, g, v in linear)
 
     def test_stage_one_advection_is_the_integrand_at_t_k(self, grid64):
-        for k, (t, coef, g) in enumerate(march(smooth_profile(grid64), PARAMS)):
+        for k, (t, theta, g, v) in enumerate(march(smooth_profile(grid64), PARAMS)):
             if g is not None:
-                assert np.array_equal(g, sqglab.mild._advection_coef(grid64, coef, k, t)[0])
+                want_g, want_v = sqglab.mild._advection(theta, k, t)
+                assert np.array_equal(g, want_g)
+                assert np.array_equal(v, want_v)
 
     def test_yielded_arrays_are_never_written_again(self, grid64):
         theta0 = smooth_profile(grid64)
         kept = [
-            (coef, coef.copy(), g, None if g is None else g.copy())
-            for _, coef, g in march(theta0, PARAMS)
+            (theta.coef, theta.coef.copy(), g, None if g is None else g.copy())
+            for _, theta, g, _ in march(theta0, PARAMS)
         ]
         for coef, coef_then, g, g_then in kept:
             assert np.array_equal(coef, coef_then)
@@ -66,9 +69,9 @@ class TestMarch:
         theta0 = smooth_profile(grid64)
         steps = list(march(theta0, PARAMS))
         times, fields = solve(theta0, PARAMS)
-        assert list(times) == [t for t, _, _ in steps]
-        for f, (_, coef, _) in zip(fields, steps):
-            assert np.array_equal(f.coef, coef)
+        assert list(times) == [t for t, _, _, _ in steps]
+        for f, (_, theta, _, _) in zip(fields, steps):
+            assert np.array_equal(f.coef, theta.coef)
 
     def test_checks_run_on_entry(self, grid64):
         # no step is taken before a bad datum is rejected
@@ -99,13 +102,13 @@ class TestLadderReusesTheStepper:
         # integrand; plus G at the end of both, 3 N + 2 in all, where
         # re-deriving the solution's integrands would make 4 N + 2
         calls = []
-        advection = sqglab.mild._advection_coef
+        advection = sqglab.mild._advection
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             return advection(*args)
 
-        monkeypatch.setattr(sqglab.mild, "_advection_coef", counting)
+        monkeypatch.setattr(sqglab.mild, "_advection", counting)
         horizons = (0.005, 0.01, 0.02, 0.04)
         contraction_ladder(smooth_profile(grid64), PARAMS, bank64, horizons)
         assert PARAMS.n_steps() == 16
@@ -117,7 +120,7 @@ class TestLadderReusesTheStepper:
         ladder = contraction_ladder(theta0, PARAMS, bank64, horizons)
         for t, result in zip(horizons, ladder):
             alone = solve(theta0, replace(PARAMS, t_final=t))[1][-1]
-            assert np.array_equal(result.state, alone.coef)
+            assert np.array_equal(result.state.coef, alone.coef)
 
     def test_uniqueness_command_reads_the_fine_twin_from_the_ladder(
         self, tmp_path, monkeypatch
@@ -126,13 +129,13 @@ class TestLadderReusesTheStepper:
         # at 2 dt and 16 for the dt/2 refinement: 78, where marching the
         # dt refinement again would add its 8 and make 86
         calls = []
-        advection = sqglab.mild._advection_coef
+        advection = sqglab.mild._advection
 
         def counting(*args):
-            calls.append(args[2])
+            calls.append(args[1])
             return advection(*args)
 
-        monkeypatch.setattr(sqglab.mild, "_advection_coef", counting)
+        monkeypatch.setattr(sqglab.mild, "_advection", counting)
         argv = ["uniqueness", "alpha1", "--n", "32", "--T", "0.04", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert len(calls) == 78
@@ -244,18 +247,20 @@ class TestAdvectionAllocation:
 
 class TestMarchWorkingSet:
     # traced peak of a random-data n = 256 march above its start, in units
-    # of one n-by-n complex128 array: 5.6 (the yielded state and advection,
-    # the predictor, and the advection's grid values, buffer and result),
-    # 7.1 when the advection kept a second buffer and the grid values held
-    # their complex inverse, and the step kept a product through it
+    # of one n-by-n complex128 array, for a consumer that drops v_k on
+    # arrival: 5.6 (the yielded state and advection, the predictor, and
+    # the advection's grid values, buffer and result), 6.1 when it holds
+    # the tuple, 7.1 when the advection kept a second buffer and the grid
+    # values held their complex inverse, and the step kept a product
+    # through it
     def test_traced_peak(self):
         grid = shared_grid(256)
         theta0 = random_besov_field(build_bank(grid), np.random.default_rng(1)) * 0.05
         params = SolveParams(alpha=1.5, n=256, t_final=0.01, dt=0.0025)
 
         def run():
-            for _ in march(theta0, params):
-                pass
+            for _, _, _, values in march(theta0, params):
+                del values
 
         run()  # warm the symbol and tableau caches
         tracemalloc.start()

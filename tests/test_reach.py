@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 UNREACHED = {
-    "mild.solve": "keeps every step: the reference of march_states and of criteria 6, 8 and 10",
+    "mild.solve": "keeps every step: the reference of march and of criteria 6, 8 and 10",
     "mild.duhamel_series": "Duhamel integral of a stored series, the ladder's reference image",
     "mild.duhamel_step": "imported by perfbench/setup_probe.py, which the benchmark runs",
     "mild.picard_solve": "the fixed point acceptance criterion 10 compares the march with",

@@ -313,7 +313,7 @@ class TestContractionFactor:
         params = SolveParams(alpha=2.0, n=128, t_final=0.05, dt=0.0025)
         _, sol = solve(theta0, params)
         _, lin = solve(theta0, replace(params, nonlinear=False))
-        marched = [SpectralField(theta0.grid, c) for _, c, _ in march(theta0, params)]
+        marched = [theta for _, theta, _, _ in march(theta0, params)]
         via_solution = contraction_factor(sol, lin, params, bank128)
         via_series = contraction_factor(marched, lin, params, bank128)
         assert via_solution.factor == via_series.factor
@@ -360,8 +360,8 @@ class TestAmplitudeLinearity:
 
 
 def fine_run(theta0, params):
-    """Final coefficients of the march of params at dt/2: the fine twin."""
-    return solve(theta0, replace(params, dt=params.dt / 2))[1][-1].coef
+    """Final state of the march of params at dt/2: the fine twin."""
+    return solve(theta0, replace(params, dt=params.dt / 2))[1][-1]
 
 
 def twin_gaps(a, b, bank, spec, k=1):
@@ -446,10 +446,9 @@ class TestTwinRuns:
 
     def test_fine_run_must_match_the_datum(self, theta0, bank128):
         params = SolveParams(alpha=1.5, n=128, t_final=0.01, dt=0.005)
-        with pytest.raises(ParameterError, match="does not match grid"):
-            twin_experiments(
-                theta0, params, bank128, contraction_norm_spec(1.5), np.zeros((64, 64))
-            )
+        other = SpectralField(shared_grid(64), np.zeros((64, 64), dtype=complex))
+        with pytest.raises(ParameterError, match="different grids"):
+            twin_experiments(theta0, params, bank128, contraction_norm_spec(1.5), other)
 
     def test_blow_up_propagates(self, theta0, bank128):
         # the twins blow up before the fine run is read, so it is not marched
@@ -460,7 +459,7 @@ class TestTwinRuns:
                 params,
                 bank128,
                 contraction_norm_spec(1.5),
-                np.zeros_like(theta0.coef),
+                theta0,
             )
 
 
