@@ -20,6 +20,7 @@ import csv
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -187,24 +188,16 @@ def write_csv(path: str, reference: str, columns, rows) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
-def write_summary(path: str, reference: str, lines, passed: bool) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"reference: {reference}\n")
-        for key, value in lines:
-            fh.write(f"{key} = {_fmt_cell(value)}\n")
-        fh.write(f"status = {'pass' if passed else 'fail'}\n")
-
-
 def _emit(config: RunConfig, slug: str, columns, rows, lines, passed: bool) -> int:
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, f"{slug}.csv")
     txt_path = os.path.join(config.out, f"{slug}-summary.txt")
     write_csv(csv_path, slug, columns, rows)
-    write_summary(txt_path, slug, lines, passed)
-    sys.stdout.write(f"wrote {csv_path}\nwrote {txt_path}\n")
-    for key, value in lines:
-        sys.stdout.write(f"{key} = {_fmt_cell(value)}\n")
-    sys.stdout.write(f"status = {'pass' if passed else 'fail'}\n")
+    summary = "".join(f"{key} = {_fmt_cell(value)}\n" for key, value in lines)
+    summary += f"status = {'pass' if passed else 'fail'}\n"
+    with open(txt_path, "w", encoding="utf-8") as fh:
+        fh.write(f"reference: {slug}\n{summary}")
+    sys.stdout.write(f"wrote {csv_path}\nwrote {txt_path}\n{summary}")
     return 0 if passed else 2
 
 
@@ -567,6 +560,11 @@ def _cmd_continuity(config: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-1 and -inf, as the CSVs print negative floats, are values, not options
+        self._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[-+]?\d+)?|inf|nan)$", re.I)
+
     # parameter problems exit 1, not argparse's default 2
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -178,15 +178,10 @@ def _self_correlation(m: int, chunk: int = 128):
 
 
 def _kernel_plus(n: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """(2^n + w1)/|2^n e1 + w|, the derivative symbol near the f bump."""
+    """(2^n + w1)/|2^n e1 + w|, the derivative symbol near the f bump; at
+    -w1 it is the mirrored symbol (2^n - w1)/|2^n e1 - w| near the g bump."""
     c = 2.0**n
     return (c + w1) / np.hypot(c + w1, w2)
-
-
-def _kernel_minus(n: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """(2^n - w1)/|2^n e1 - w|, the mirrored symbol near the g bump."""
-    c = 2.0**n
-    return (c - w1) / np.hypot(c - w1, w2)
 
 
 def _check_a1_pair(f: BumpPair, g: BumpPair) -> None:
@@ -227,7 +222,7 @@ class _TermIntegrals:
         for i in range(len(done) + 1, n_terms + 1):
             kernel = _kernel_plus(i, w1, w2)
             if self.kind == "symmetrized":
-                kernel = kernel - _kernel_minus(i, w1, w2)
+                kernel = kernel - _kernel_plus(i, -w1, w2)
             done.append(float(np.dot(kernel, weight)))
         return np.array(done[:n_terms])
 
@@ -237,7 +232,7 @@ def _pairing_total(coef: np.ndarray, table: _TermIntegrals, m: int) -> float:
     return float((coef * coef * table(m, coef.size)).sum())
 
 
-def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int, rtol: float):
+def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int):
     """The symmetrized pairing at the node count m where the single one
     settled at ref.
 
@@ -246,14 +241,15 @@ def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int, rtol: 
     another; guard against the single-product scale instead.
     """
     value = _pairing_total(coef, table, m)
-    if abs(value) > rtol * abs(ref):
-        raise RefinementError(abs(value) / max(abs(ref), 1e-300), rtol)
+    if abs(value) > RICHARDSON_RTOL * abs(ref):
+        raise RefinementError(abs(value) / max(abs(ref), 1e-300), RICHARDSON_RTOL)
     return value
 
 
-def _richardson(evaluate, m0: int, max_m: int, rtol: float):
-    """Run evaluate(m) at doubling node counts until two agree to rtol."""
-    m = m0
+def _richardson(evaluate):
+    """Run evaluate(m) at node counts doubling from RICHARDSON_M0 until two
+    agree to RICHARDSON_RTOL."""
+    m = RICHARDSON_M0
     # an overflow surfaces as a non-finite value, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         coarse = evaluate(m)
@@ -267,10 +263,10 @@ def _richardson(evaluate, m0: int, max_m: int, rtol: float):
                 )
             scale = max(abs(fine), 1e-300)
             estimate = abs(fine - coarse) / scale
-            if estimate <= rtol:
+            if estimate <= RICHARDSON_RTOL:
                 return fine, m
-            if m >= max_m:
-                raise RefinementError(estimate, rtol)
+            if m >= RICHARDSON_MAX_M:
+                raise RefinementError(estimate, RICHARDSON_RTOL)
             coarse = fine
 
 
@@ -301,12 +297,7 @@ def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], f
         # an overflow surfaces as a non-finite value, which _richardson reports
         with np.errstate(over="ignore"):
             coef = BumpPair(s, n_terms, "a1_plus").coefficients()
-        value, m_used = _richardson(
-            lambda m: _pairing_total(coef, single, m),
-            RICHARDSON_M0,
-            RICHARDSON_MAX_M,
-            RICHARDSON_RTOL,
-        )
+        value, m_used = _richardson(lambda m: _pairing_total(coef, single, m))
         # 2^(-2 s n) overflows a few N before the squared coefficients do
         with np.errstate(over="ignore"):
             lower = lower_bound_sum(s, n_terms)
@@ -315,9 +306,7 @@ def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], f
                 f"lower-bound sum {lower} at N = {n_terms}: 2^(-2 s n) overflows"
             )
         rows.append((value, lower))
-    symmetrized = _symmetrized_pairing(
-        coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used, RICHARDSON_RTOL
-    )
+    symmetrized = _symmetrized_pairing(coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used)
     return rows, symmetrized
 
 
@@ -361,11 +350,12 @@ def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.nd
     """
     _check_a1_pair(f, g)
     a1, a2, b1, b2, weight = _magnitude_support(m)
+    b1 = -b1  # the g bump's kernel is the f bump's at mirrored w1
     diff = np.empty(weight.shape)
     acc = np.empty(f.n_terms)
     for i in range(1, f.n_terms + 1):
         np.subtract(
-            _kernel_plus(i, a1, a2)[:, None], _kernel_minus(i, b1, b2)[None, :], out=diff
+            _kernel_plus(i, a1, a2)[:, None], _kernel_plus(i, b1, b2)[None, :], out=diff
         )
         np.abs(diff, out=diff)
         # numpy's own sum, not a BLAS dot, whose order follows its thread count
@@ -425,7 +415,7 @@ def prop_a3_product_norms(s: float, n_max: int) -> list[tuple[float, float]]:
                 value += 2.0 * c * c * chi_mass * j_i
             return value
 
-        value, _ = _richardson(total, RICHARDSON_M0, RICHARDSON_MAX_M, RICHARDSON_RTOL)
+        value, _ = _richardson(total)
         rows.append((value, a3_lower_sum(s, n_terms)))
     return rows
 

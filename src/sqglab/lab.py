@@ -39,7 +39,6 @@ from .littlewood import (
     block,
     block_norms,
     packet_profile,
-    psi_block,
 )
 from .spectral import (
     ParameterError,
@@ -137,7 +136,7 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     coef = np.zeros_like(white.coef)
     top = 0
     if norms[0] > ENERGY_FLOOR:
-        coef += psi_block(white, bank).coef / norms[0]
+        coef += block(white, bank, 0).coef / norms[0]
         top = bank.bands[0]
     # coef starts at +0.0 and never holds -0.0, so each level's scaled block
     # is added on its band square alone
@@ -523,13 +522,12 @@ def lowpass_commutator_family(u1, u2, theta, bank):
     """[filter*, u] . grad theta for the low-pass and every annulus filter."""
     v1, v2 = u1.physical(), u2.physical()
     advection = _advect(v1, v2, theta)
-    filters = [psi_block] + [lambda f, b, j=j: block(f, b, j) for j in bank.levels()]
     return [
         SpectralField(
             bank.grid,
-            filt(advection, bank).coef - _advect(v1, v2, filt(theta, bank)).coef,
+            block(advection, bank, j).coef - _advect(v1, v2, block(theta, bank, j)).coef,
         )
-        for filt in filters
+        for j in range(bank.j_max + 1)
     ]
 
 
@@ -580,8 +578,8 @@ def riesz_lowpass_commutator(f, g, bank):
     the vector R psi* g, componentwise; returns the two components.
     """
     v1, v2 = grid_velocity(f)
-    first = riesz_perp_velocity(psi_block(_advect(v1, v2, g), bank))
-    low_g = riesz_perp_velocity(psi_block(g, bank))
+    first = riesz_perp_velocity(block(_advect(v1, v2, g), bank, 0))
+    low_g = riesz_perp_velocity(block(g, bank, 0))
     return tuple(
         SpectralField(bank.grid, a.coef - _advect(v1, v2, b).coef)
         for a, b in zip(first, low_g)

@@ -167,25 +167,17 @@ def _check_bank_field(f: SpectralField, bank: DyadicBank) -> None:
 
 
 def block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    """Dyadic block f_j = phi_j * f (spectral multiplication by the symbol)."""
+    """Dyadic block j of f, the symbol of level j (psi at j = 0) times f,
+    with the level's band (0 for an empty level).
+
+    The product is formed on the level's band square alone and is zero
+    elsewhere.  Inside the square these are the floats of f.coef times the
+    whole symbol; outside it that product is a zero too, possibly of the
+    other sign.
+    """
     _check_bank_field(f, bank)
-    if not 1 <= j <= bank.j_max:
-        raise ParameterError(f"level {j} outside 1..{bank.j_max}")
-    return band_block(f, bank, j)
-
-
-def psi_block(f: SpectralField, bank: DyadicBank) -> SpectralField:
-    """Low-pass part psi * f."""
-    _check_bank_field(f, bank)
-    return band_block(f, bank, 0)
-
-
-def band_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    """Block j of f (0 for psi), unchecked: the symbol times f on the
-    level's band square alone, and zero elsewhere, with the level's band
-    (0 for an empty level).  Inside the square these are the floats of
-    f.coef times the whole symbol; outside it that product is a zero too,
-    possibly of the other sign."""
+    if not 0 <= j <= bank.j_max:
+        raise ParameterError(f"level {j} outside 0..{bank.j_max}")
     coef = np.zeros(f.coef.shape, dtype=np.complex128)
     sym, band = bank._squares[j], bank.bands[j]
     if sym is None:
@@ -252,10 +244,9 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
     top occupied level's square alone (and within the band of f): every
     symbol is +0.0 outside it, so for finite coefficients the energy there
     added only +0.0 terms to each sum.  At other p each block is formed
-    and inverted on its band rows alone (see band_block), which gives the
-    same floats as lp_norm(block(f, bank, j), p).  An empty level reads
-    0.0, as the transform of its zero block would, and costs no multiply
-    and no transform.
+    on its band square and inverted on its band rows alone (see block).
+    An empty level reads 0.0, as the transform of its zero block would,
+    and costs no multiply and no transform.
     """
     _check_bank_field(f, bank)
     out = np.zeros(bank.j_max + 1)
@@ -275,7 +266,7 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
         return out
     for j, band in enumerate(bank.bands):
         if band is not None:
-            out[j] = lp_norm(band_block(f, bank, j), p)
+            out[j] = lp_norm(block(f, bank, j), p)
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .littlewood import DyadicBank, block, psi_block
+from .littlewood import DyadicBank, block
 from .spectral import (
     Grid2,
     ParameterError,
@@ -389,10 +389,6 @@ def picard_solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _level_block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
-    return psi_block(f, bank) if j == 0 else block(f, bank, j)
-
-
 def divergence_form_check(
     f: SpectralField, g: SpectralField, bank: DyadicBank, k: int, l: int
 ) -> float:
@@ -418,8 +414,8 @@ def divergence_form_check(
     grid = f.grid
     if g.grid != grid:
         raise ParameterError("fields live on different grids")
-    fk = _level_block(f, bank, k)
-    gl = _level_block(g, bank, l)
+    fk = block(f, bank, k)
+    gl = block(g, bank, l)
 
     ufk1, ufk2 = grid_velocity(fk)
     ugl1, ugl2 = grid_velocity(gl)

@@ -23,8 +23,9 @@ with max(|m1|, |m2|) > b is a zero.  Its inverse transforms run pass 1 on
 the band rows alone, since the transform of a zero row is zero, and its
 Parseval sums form the energy on the band square alone.  A forward
 transform truncated by the 2/3 rule runs pass 2 only on the kept columns
-|m2| <= n//3, since the others are multiplied by zero, and its field has
-band n//3.  A march keeps the band of its datum, widened to n//3 (see
+|m2| <= n//3 and writes +0.0 outside the kept square: equal in value to
+``fft2(v) * dealias_keep``; zeros outside it may differ in sign.  Its field
+has band n//3.  A march keeps the band of its datum, widened to n//3 (see
 mild.march); a datum given by grid values has none.
 
 Conventions kept throughout the package:
@@ -82,7 +83,7 @@ class Grid2:
             raise ParameterError(f"grid size {n} exceeds the budget {MAX_GRID_N}")
         box_length = float(box_length)
         if not box_length > 0.0 or not math.isfinite(box_length):
-            raise ParameterError(f"box_length must be positive, got {box_length}")
+            raise ParameterError(f"box_length must be positive and finite, got {box_length}")
         self.n = n
         self.box_length = box_length
 
@@ -161,38 +162,28 @@ def _square(a: np.ndarray, band: int) -> np.ndarray:
     return out
 
 
-def _grid_values(coef: np.ndarray, band: int | None = None) -> np.ndarray:
-    """Real part of the inverse transform of coef.
+def _inverse(coef: np.ndarray, band: int | None = None, w: np.ndarray | None = None) -> np.ndarray:
+    """Inverse transform of the complex array coef, written into w and
+    returned.  Without w a fresh array is made; w may be coef itself.
 
-    With band, every row |m1| > band of coef must be zero; those rows are
-    not read and their pass-1 transform is skipped.
+    With band, every row |m1| > band of coef must be zero; pass 1 reads
+    only the band rows, and the other rows of a fresh w are zeros.
     """
+    if w is None:
+        w = np.empty_like(coef) if band is None else np.zeros_like(coef)
     if band is None:
-        w = np.fft.ifft(coef, axis=1)
+        np.fft.ifft(coef, axis=1, out=w)
     else:
-        w = np.zeros_like(coef)
         for rows in band_slices(coef.shape[0], band):
             np.fft.ifft(coef[rows], axis=1, out=w[rows])
-    np.fft.ifft(w, axis=0, out=w)
-    return w.real
-
-
-def _inverse(w: np.ndarray, band: int | None = None) -> np.ndarray:
-    """Inverse transform of the complex array w, in place.  With band,
-    every row |m1| > band of w must be zero, and pass 1 runs on the band
-    rows alone (see _grid_values)."""
-    if band is None:
-        np.fft.ifft(w, axis=1, out=w)
-    else:
-        for rows in band_slices(w.shape[0], band):
-            np.fft.ifft(w[rows], axis=1, out=w[rows])
     return np.fft.ifft(w, axis=0, out=w)
 
 
 def _forward(w: np.ndarray, grid: Grid2 | None = None) -> np.ndarray:
     """Forward transform of the complex array w, in place.  Given the grid,
     the result is truncated by the 2/3 rule: pass 2 runs only on the kept
-    columns |m2| <= n//3, and the others are zeroed before the mask."""
+    columns |m2| <= n//3, and the rows and columns outside the kept square
+    are set to +0.0."""
     np.fft.fft(w, axis=1, out=w)
     if grid is None:
         return np.fft.fft(w, axis=0, out=w)
@@ -200,7 +191,7 @@ def _forward(w: np.ndarray, grid: Grid2 | None = None) -> np.ndarray:
     for cols in band_slices(n, m):
         np.fft.fft(w[:, cols], axis=0, out=w[:, cols])
     w[:, m + 1 : n - m] = 0.0
-    w *= grid.dealias_keep
+    w[m + 1 : n - m, :] = 0.0
     return w
 
 
@@ -258,7 +249,7 @@ class SpectralField:
         return cls(grid, _forward(values.astype(np.complex128)))
 
     def physical(self) -> np.ndarray:
-        return _grid_values(self.coef, self.band)
+        return _inverse(self.coef, self.band).real
 
     def mean(self) -> float:
         """Average of the field over the box (the k = 0 amplitude)."""
@@ -403,7 +394,7 @@ def dealias(field: SpectralField) -> SpectralField:
 def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of the velocity perp-grad Lambda^(-1) field (see riesz_perp_velocity)."""
     return tuple(
-        _grid_values(grid_symbol(field.grid, "riesz_perp", axis) * field.coef, field.band)
+        _inverse(grid_symbol(field.grid, "riesz_perp", axis) * field.coef, field.band).real
         for axis in (0, 1)
     )
 
@@ -411,7 +402,7 @@ def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
 def grid_gradient(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of the two partial derivatives of field."""
     return tuple(
-        _grid_values(grid_symbol(field.grid, "gradient", axis) * field.coef, field.band)
+        _inverse(grid_symbol(field.grid, "gradient", axis) * field.coef, field.band).real
         for axis in (0, 1)
     )
 
@@ -443,7 +434,7 @@ def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
     out = None
     for axis in (0, 1):
         np.multiply(grid_symbol(grid, "riesz_perp", axis), field.coef, out=w)
-        _inverse(w, field.band)
+        _inverse(w, field.band, w)
         w.real *= scalar
         w.imag = 0.0
         _forward(w, grid)

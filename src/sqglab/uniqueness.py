@@ -27,10 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .littlewood import (
+    ENERGY_FLOOR,
     BesovIndex,
     DyadicBank,
-    band_block,
     besov_norm,
+    block,
     block_norms,
     packet_profile,
     time_lr,
@@ -162,7 +163,7 @@ def contraction_norm_spec(alpha: float, s: float | None = None) -> ContractionNo
 
 def riesz_low_max(f: SpectralField, bank: DyadicBank) -> float:
     """Grid max over both components of the Riesz velocity of the low block."""
-    u1, u2 = riesz_perp_velocity(band_block(f, bank, 0))
+    u1, u2 = riesz_perp_velocity(block(f, bank, 0))
     return max(lp_norm(u1, math.inf), lp_norm(u2, math.inf))
 
 
@@ -224,7 +225,7 @@ class ContractionResult:
 
 def _ratio(numerator: float, denominator: float, state=None) -> ContractionResult:
     # identical inputs: report a degenerate zero rather than divide
-    if denominator < 1e-14:
+    if denominator < ENERGY_FLOOR:
         return ContractionResult(0.0, 0.0, denominator, True, state)
     return ContractionResult(numerator / denominator, numerator, denominator, False, state)
 
@@ -241,8 +242,8 @@ def contraction_factor(
     fields1 and fields2 sample theta1 and theta2 at every step k dt of the
     horizon, as solve returns them.  The linear parts of the solution map
     cancel in the difference, so the data term never enters.  Identical
-    inputs (denominator below 1e-14) return a degenerate zero rather than
-    dividing by it.  The ratio is exactly symmetric in its two arguments.
+    inputs (denominator below ENERGY_FLOOR) give a degenerate zero rather
+    than a division.  The ratio is exactly symmetric in its arguments.
     """
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
     times = params.dt * np.arange(params.n_steps() + 1)

@@ -19,12 +19,10 @@ from conftest import smooth_profile
 from sqglab.cli import main
 from sqglab.lab import random_besov_field
 from sqglab.littlewood import (
-    band_block,
     block,
     block_norms,
     build_bank,
     packet_profile,
-    psi_block,
 )
 from sqglab.mild import SolveParams, march, solve
 from sqglab.spectral import (
@@ -176,8 +174,8 @@ class TestBandCarries:
         bank = build_bank(grid)
         f = random_besov_field(bank, np.random.default_rng(0))
         assert f.band == bank.bands[bank.j_max]
-        assert psi_block(f, bank).band == bank.bands[0]
-        assert block(f, bank, 3).band == band_block(f, bank, 3).band == bank.bands[3]
+        assert block(f, bank, 0).band == bank.bands[0]
+        assert block(f, bank, 3).band == bank.bands[3]
         assert dealiased_field(grid, np.ones((64, 64))).band == 64 // 3
         packets = packet_profile(bank, 2.0, lambda j: 1.0 if j <= 3 else 0.0)
         assert packets.band == bank.bands[3]

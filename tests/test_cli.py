@@ -443,6 +443,37 @@ class TestExitCodes:
         assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("counterexample", "a3", "--s", "-1e-1", "--trials", "3"), 0),
+            # the continuity verdict at s = -1/2 on n = 64 is a fail
+            (("continuity", "--n", "64", "--s", "-5e-1"), 2),
+        ],
+    )
+    def test_negative_float_in_scientific_notation_is_a_value(self, tmp_path, capsys, argv, code):
+        # argparse takes a token such as -1e-1 for an option unless told
+        # otherwise, and the CSVs and summaries print negative floats so
+        at = argv.index("--s")
+        joined = (*argv[:at], f"--s={argv[at + 1]}", *argv[at + 2 :])
+        outputs = []
+        for name, args in (("spaced", argv), ("joined", joined)):
+            out = tmp_path / name
+            assert run_cli(*args, "--out", str(out)) == code
+            captured = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            outputs.append((captured.out.replace(str(out), "OUT"), captured.err, files))
+        assert outputs[0] == outputs[1]
+
+    def test_infinite_values_are_values(self, tmp_path, capsys):
+        assert run_cli("continuity", "--n", "64", "--s", "-inf", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == "parameter error: regularity s must be finite, got -inf\n"
+        assert run_cli("solve", "--n", "32", "--box", "inf", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "parameter error: box_length must be positive and finite, got inf\n"
+        )
+
     def test_unresolvable_divergence_exits_two(self, tmp_path):
         # just past the divergence threshold the growth per term is too
         # slow to certify at this truncation, and the command says so

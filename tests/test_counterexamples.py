@@ -145,13 +145,13 @@ class TestSinglePairing:
     def test_refinement_error_when_budget_too_tight(self):
         # evaluations that never settle exhaust the node budget
         with pytest.raises(RefinementError) as info:
-            counterexamples._richardson(lambda m: float(m), 16, 64, 0.01)
+            counterexamples._richardson(lambda m: float(m))
         assert info.value.tolerance == 0.01
         assert info.value.estimate > 0.01
 
     def test_overflow_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="overflow"):
-            counterexamples._richardson(lambda m: math.inf, 16, 64, 0.01)
+            counterexamples._richardson(lambda m: math.inf)
 
 
 class TestFilterDecomposition:
@@ -211,6 +211,21 @@ class TestSymmetrizedPairing:
         assert np.all(ratios < 0.5)
 
 
+def kernel_minus(n, w1, w2):
+    """(2^n - w1)/|2^n e1 - w|, the mirrored symbol near the g bump."""
+    c = 2.0**n
+    return (c - w1) / np.hypot(c - w1, w2)
+
+
+@pytest.mark.parametrize("m", [16, 24, 32, 64])
+def test_mirrored_kernel_is_the_plus_kernel_at_minus_w1(m):
+    # the package forms the g bump's kernel as _kernel_plus(i, -w1, w2)
+    w1, w2, _, _ = counterexamples._bump_nodes(m)
+    for i in range(1, 60):
+        got = counterexamples._kernel_plus(i, -w1, w2)
+        assert np.array_equal(got.view(np.int64), kernel_minus(i, w1, w2).view(np.int64))
+
+
 def reference_magnitude_series(f, g, m):
     """symmetrized_magnitude_series as a dense term-outer loop over every
     node pair, rebuilding the chi(w + v) coupling of every chunk for every
@@ -225,7 +240,7 @@ def reference_magnitude_series(f, g, m):
             s1 = w1[start:stop, None] + w1[None, :]
             s2 = w2[start:stop, None] + w2[None, :]
             coupling = bump_profile(np.hypot(s1, s2))
-            kb = counterexamples._kernel_minus(i, w1, w2)
+            kb = kernel_minus(i, w1, w2)
             diff = np.abs(ka[start:stop, None] - kb[None, :])
             acc += float((chi[start:stop] * da) @ ((diff * coupling) @ (chi * da)))
         out[i - 1] = c * c * acc
@@ -334,7 +349,7 @@ class TestSharedCoupling:
         mirror = (np.arange(w1.size) // m) * m + (m - 1 - np.arange(w1.size) % m)
         for i in (1, 4, 12):
             ka = counterexamples._kernel_plus(i, w1, w2)
-            kb = counterexamples._kernel_minus(i, w1, w2)
+            kb = kernel_minus(i, w1, w2)
             dense = (chi * da)[:, None] * np.abs(ka[:, None] - kb[None, :]) * coupling
             dense *= (chi * da)[None, :]
             assert np.all(dense[chi == 0.0] == 0.0)
@@ -370,7 +385,7 @@ def reference_pairing_terms(f, g, kind, m):
     for i, c in enumerate(f.coefficients(), start=1):
         kernel = counterexamples._kernel_plus(i, w1, w2)
         if kind == "symmetrized":
-            kernel = kernel - counterexamples._kernel_minus(i, w1, w2)
+            kernel = kernel - kernel_minus(i, w1, w2)
         terms[i - 1] = c * c * float(np.dot(kernel, weight))
     return terms
 
@@ -381,7 +396,7 @@ def reference_pairing(f, g, kind):
     floats of prop_a1_pairings' row N (single) and of its symmetrized
     pairing at n_max = N."""
     single, m_used = counterexamples._richardson(
-        lambda m: float(reference_pairing_terms(f, g, "single", m).sum()), 16, 64, 0.01
+        lambda m: float(reference_pairing_terms(f, g, "single", m).sum())
     )
     terms = reference_pairing_terms(f, g, kind, m_used)
     value = single if kind == "single" else float(terms.sum())
@@ -440,18 +455,14 @@ class TestPairingSweep:
     ):
         plus, minus = collections.Counter(), collections.Counter()
         kernel_plus = counterexamples._kernel_plus
-        kernel_minus = counterexamples._kernel_minus
 
         def counted_plus(n, w1, w2):
-            plus[n, w1.size] += 1
+            # the mirrored kernel is this one at -w1: every node array starts
+            # at its most negative w1, so a first node above 0 is mirrored
+            (minus if w1[0] > 0.0 else plus)[n, w1.size] += 1
             return kernel_plus(n, w1, w2)
 
-        def counted_minus(n, w1, w2):
-            minus[n, w1.size] += 1
-            return kernel_minus(n, w1, w2)
-
         monkeypatch.setattr(counterexamples, "_kernel_plus", counted_plus)
-        monkeypatch.setattr(counterexamples, "_kernel_minus", counted_minus)
         assert main(["counterexample", "a1", "--out", str(tmp_path)]) == 0
         # every N settles at m = 32: the single table evaluates each term once
         # at m = 16 and at 32 (a call per N evaluated term n again for every
@@ -499,7 +510,7 @@ class TestProductNormA3:
         assert a3_lower_sum(-0.5, 1000) < target * (1.0 + 1e-12)
 
 
-def reference_a3_value(s, n_terms, m0=16, max_m=64, rtol=0.01):
+def reference_a3_value(s, n_terms):
     """Row N of prop_a3_product_norms computed for that N alone: every node
     count rebuilds its nodes and evaluates all N term integrals."""
 
@@ -512,7 +523,7 @@ def reference_a3_value(s, n_terms, m0=16, max_m=64, rtol=0.01):
             value += 2.0 * c * c * chi_mass * j_n
         return value
 
-    return counterexamples._richardson(total, m0, max_m, rtol)[0]
+    return counterexamples._richardson(total)[0]
 
 
 class TestProductNormSweep:

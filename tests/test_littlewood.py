@@ -22,7 +22,6 @@ from sqglab.littlewood import (
     BesovIndex,
     DyadicBank,
     annulus_profile,
-    band_block,
     besov_norm,
     besov_time_norm,
     block,
@@ -33,7 +32,6 @@ from sqglab.littlewood import (
     lq_sum,
     max_feasible_level,
     packet_profile,
-    psi_block,
     series_block_norms,
     smooth_step,
     time_lr,
@@ -163,7 +161,7 @@ class TestBlocks:
         assert np.abs(b3.coef - f.coef).max() < 1e-15 * np.abs(f.coef).max()
         for j in [1, 2, 4]:
             assert np.abs(block(f, bank, j).coef).max() == 0.0
-        assert np.abs(psi_block(f, bank).coef).max() == 0.0
+        assert np.abs(block(f, bank, 0).coef).max() == 0.0
 
     def test_almost_orthogonality_exact(self):
         grid = Grid2(64)
@@ -174,13 +172,13 @@ class TestBlocks:
                 if abs(j - k) >= 2:
                     assert np.abs(block(block(f, bank, j), bank, k).coef).max() == 0.0
             if j >= 2:
-                assert np.abs(block(psi_block(f, bank), bank, j).coef).max() == 0.0
+                assert np.abs(block(block(f, bank, 0), bank, j).coef).max() == 0.0
 
     def test_reconstruction_on_admissible_ball(self):
         grid = Grid2(64)
         bank = build_bank(grid)
         f = ball_limited_field(grid, RNG, 0.75 * 2.0**bank.j_max)
-        total = psi_block(f, bank)
+        total = block(f, bank, 0)
         for j in bank.levels():
             total = total + block(f, bank, j)
         scale = np.abs(f.coef).max()
@@ -190,10 +188,15 @@ class TestBlocks:
         grid = Grid2(64)
         bank = build_bank(grid)
         f = random_field(grid, RNG)
-        with pytest.raises(ParameterError):
-            block(f, bank, 0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="level -1 outside 0..4"):
+            block(f, bank, -1)
+        with pytest.raises(ParameterError, match="level 5 outside 0..4"):
             block(f, bank, bank.j_max + 1)
+        # level 0 is psi: f.coef times the whole symbol inside the band
+        # square, bit for bit, and zero outside it
+        want = f.coef * whole_symbol(bank, 0)
+        want[~in_square(grid, bank.bands[0])] = 0.0
+        assert same_bits(block(f, bank, 0).coef, want)
 
     def test_grid_mismatch_rejected(self):
         bank = build_bank(Grid2(64))
@@ -228,14 +231,13 @@ class TestEmptyLevels:
         spent = len(calls)
         calls.clear()
         for j in occupied:
-            lp_norm(band_block(f, bank, j), p)
+            lp_norm(block(f, bank, j), p)
         assert spent == len(calls)
         empty = np.ones(bank.j_max + 1, dtype=bool)
         empty[occupied] = False
         assert np.array_equal(norms[empty].view(np.int64), np.zeros(empty.sum(), np.int64))
         monkeypatch.undo()
-        want = [lp_norm(psi_block(f, bank), p)]
-        want += [lp_norm(block(f, bank, j), p) for j in occupied[1:]]
+        want = [lp_norm(block(f, bank, j), p) for j in occupied]
         assert list(norms[occupied]) == want
 
     def test_bank_holds_only_its_occupied_levels(self):
@@ -355,12 +357,10 @@ class TestBandSquareBank:
         bank, full, f = case
         for j, sym in enumerate(full):
             want = f.coef * sym
-            assert np.array_equal(band_block(f, bank, j).coef, want)
+            got = block(f, bank, j).coef
+            assert np.array_equal(got, want)
             want[~in_square(bank.grid, bank.bands[j])] = 0.0
-            got = [band_block(f, bank, j)]
-            got.append(psi_block(f, bank) if j == 0 else block(f, bank, j))
-            for g in got:
-                assert same_bits(g.coef, want)
+            assert same_bits(got, want)
 
     def test_partial_sums(self, case):
         # the chain of sums low_high_paraproduct accumulates with add_symbol

@@ -21,7 +21,6 @@ from sqglab.littlewood import (
     block_norms,
     build_bank,
     max_feasible_level,
-    psi_block,
 )
 from sqglab.spectral import (
     Grid2,
@@ -40,7 +39,7 @@ def physical_l2(f: SpectralField) -> float:
 
 
 def physical_block_norms(f, bank) -> np.ndarray:
-    pieces = [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+    pieces = [block(f, bank, j) for j in range(bank.j_max + 1)]
     return np.array([physical_l2(piece) for piece in pieces])
 
 

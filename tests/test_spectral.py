@@ -21,7 +21,6 @@ from sqglab.littlewood import (
     block_norms,
     build_bank,
     max_feasible_level,
-    psi_block,
 )
 from sqglab.spectral import (
     Grid2,
@@ -172,7 +171,7 @@ class TestSpectralField:
         images += riesz_perp_velocity(f)
         if max_feasible_level(grid) >= 1:
             bank = DyadicBank(grid, max_feasible_level(grid))
-            images += [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+            images += [block(f, bank, j) for j in range(bank.j_max + 1)]
         for image in images:
             assert not hasattr(image, "real")
             values = image.physical()
@@ -384,7 +383,7 @@ class TestTinyBox:
         f = random_field(grid)
         bank = build_bank(grid)
         got = block_norms(f, bank, 2.0)
-        blocks = [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+        blocks = [block(f, bank, j) for j in range(bank.j_max + 1)]
         want = [
             math.sqrt(float(np.square(b.physical()).sum())) * (grid.box_length / grid.n)
             for b in blocks
@@ -563,18 +562,38 @@ class TestGridProducts:
 def reference_block_norms(f, bank, p):
     """block_norms as one full transform per block: the oracle that the
     banded transforms and the skipped empty levels must match."""
-    blocks = [psi_block(f, bank)] + [block(f, bank, j) for j in bank.levels()]
+    blocks = [block(f, bank, j) for j in range(bank.j_max + 1)]
     return np.array([lp_norm(b, p) for b in blocks])
 
 
 def reference_riesz_low_max(f, bank):
-    u1, u2 = riesz_perp_velocity(psi_block(f, bank))
+    u1, u2 = riesz_perp_velocity(block(f, bank, 0))
     return max(lp_norm(u1, math.inf), lp_norm(u2, math.inf))
 
 
 class TestPrunedTransforms:
     # each 2-D transform is two 1-D passes in fft2 order that skip rows
     # known to be zero or columns the 2/3 rule discards; no kept bit moves
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_n=st.integers(4, 8),
+        band=st.one_of(st.none(), st.integers(0, 127)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_inverse_is_the_fresh_one(self, log_n, band, seed):
+        # dealiased_advection inverts its buffer in place; physical() and
+        # the grid helpers invert into a fresh array: the same bits
+        n = 2**log_n
+        band = None if band is None else band % (n // 2)
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if band is not None:
+            coef[np.abs(Grid2(n).index1) > band] = 0.0
+        fresh = sqglab.spectral._inverse(coef, band)
+        c = coef.copy()
+        assert sqglab.spectral._inverse(c, band, c) is c
+        assert np.array_equal(c.view(np.int64), fresh.view(np.int64))
+
     @settings(max_examples=25, deadline=None)
     @given(
         log_n=st.integers(4, 8),
@@ -590,7 +609,7 @@ class TestPrunedTransforms:
         coef = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         coef[np.abs(grid.index1) > band] = 0.0
 
-        got = sqglab.spectral._grid_values(coef, band)
+        got = sqglab.spectral._inverse(coef, band).real
         assert np.array_equal(got.view(np.int64), np.fft.ifft2(coef).real.view(np.int64))
 
         values = rng.standard_normal((n, n))

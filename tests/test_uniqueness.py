@@ -242,7 +242,7 @@ class TestNormEvaluators:
         def no_transform(*args):
             raise AssertionError("a zero field was transformed")
 
-        monkeypatch.setattr(sqglab.spectral, "_grid_values", no_transform)
+        monkeypatch.setattr(sqglab.spectral, "_inverse", no_transform)
         zero = SpectralField(grid128, np.zeros((128, 128), dtype=complex))
         for alpha, _, _ in _UNIQUENESS_CASES.values():
             parts = _norm_parts(zero, bank128, contraction_norm_spec(alpha))
