@@ -112,7 +112,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.n is not None and self.n < 16:
             raise ParameterError(f"grid size must be at least 16, got {self.n}")
-        for name in ("box", "T", "dt"):
+        # the box is checked where every command builds its grid, by Grid2
+        for name in ("T", "dt"):
             v = getattr(self, name)
             if v is not None and not v > 0.0:
                 raise ParameterError(f"{name} must be positive, got {v}")
@@ -471,7 +472,7 @@ def _cmd_uniqueness(config: RunConfig) -> int:
             f"uniqueness marches to T/8, T/4, T/2 and T, so T/8 must be a whole "
             f"number of steps dt, at least one: got T={t_top}, dt={dt}"
         ) from None
-    ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec)
+    ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec, state_at=horizons[1])
     # the twins run to T/4 at 2 dt, so their dt/2 refinement is the
     # ladder's own march to that horizon
     twin = replace(params, t_final=horizons[1], dt=2.0 * dt)

@@ -16,10 +16,14 @@ spectrally after the product, so each step is the weak form tested against
 gradients and the mean mode is conserved to rounding.
 
 The steps are taken in one place, the generator march, which yields
-each state as a SpectralField with its advection.  solve collects every
-step of it for library callers as (times, fields), the march's own times
-and a list of SpectralField; duhamel_along runs the Duhamel recurrence
-along it with the stepper's own advections as the integrand.  The CLI
+each state as an n-by-n SpectralField with the march's band, beside its
+advection g_k on the layout of that band (see spectral._square): the
+(2b + 1)-square of a band b, where a banded march takes its steps, or the
+whole array of no band.  solve collects every step of it for library
+callers as (times, fields), the march's own times and a list of
+SpectralField; duhamel_along runs the Duhamel recurrence along it on the
+same layout, with the stepper's own advections as the integrand, and
+passes each integral D_k on as a field that carries the band.  The CLI
 folds over it (the solve table, the contraction ladder and the
 uniqueness twin runs), so no command holds a series.
 
@@ -43,6 +47,9 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    _embed,
+    _inverse,
+    _square,
     dealiased_advection,
     dealiased_coef,
     grid_gradient,
@@ -152,10 +159,11 @@ def _phi(z: np.ndarray, k: int) -> np.ndarray:
 
 
 class _EtdTableau:
-    """Cached exponential-integrator weights for one (grid, alpha, dt)."""
+    """Cached exponential-integrator weights for one (grid, alpha, dt), on
+    the layout of one band (see spectral._square)."""
 
-    def __init__(self, grid: Grid2, alpha: float, dt: float):
-        z = -dt * grid.kabs**alpha
+    def __init__(self, grid: Grid2, alpha: float, dt: float, band: int | None):
+        z = -dt * _square(grid.kabs, band) ** alpha
         self.semigroup = np.exp(z)
         self.phi1_dt = dt * _phi(z, 1)
         self.phi2_dt = dt * _phi(z, 2)
@@ -165,35 +173,45 @@ class _EtdTableau:
 
 # one command's step sizes: uniqueness marches at dt (the ladder), 2 dt
 # (the twins) and dt/2 (the finer twin), so it builds each tableau once,
-# and a long-lived process holds no more than three (288 MiB at n = 2048)
+# and a long-lived process holds no more than three: 288 MiB at n = 2048
+# with no band, 128 MiB on the band square of n//3
 @functools.lru_cache(maxsize=3)
-def _tableau(grid: Grid2, alpha: float, dt: float) -> _EtdTableau:
-    return _EtdTableau(grid, alpha, dt)
+def _tableau(grid: Grid2, alpha: float, dt: float, band: int | None) -> _EtdTableau:
+    return _EtdTableau(grid, alpha, dt, band)
 
 
-def _advection(theta: SpectralField, step: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(g, v): g the coefficients of -div(u theta), with blow-up check,
-    and v the grid values of theta it read."""
-    # physical() is the real part of a complex inverse: a copy of it lets
-    # that buffer go before the velocity transforms start
-    theta_p = theta.physical().copy()
+def _advection(
+    grid: Grid2, c: np.ndarray, band: int | None, step: int, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, v) of the field whose layout array of band is c: g the
+    coefficients of -div(u theta) on that layout, with blow-up check, and
+    v the grid values of theta it read."""
+    # the square is embedded in one buffer and inverted in place, and the
+    # whole array of no band into a fresh one; a copy of the real part
+    # lets that buffer go before the velocity transforms start
+    w = _embed(c, grid.n, band)
+    theta_p = _inverse(w, band, None if w is c else w).real.copy()
+    del w
     hi, lo = float(theta_p.max()), float(theta_p.min())
     peak = max(abs(hi), abs(lo))
     if not (math.isfinite(hi) and math.isfinite(lo)) or peak > BLOWUP_THRESHOLD:
         raise BlowUpError(step, t, peak)
-    return dealiased_advection(theta, theta_p), theta_p
+    return dealiased_advection(grid, c, theta_p, band), theta_p
 
 
 def _etd2_step(
     tab: _EtdTableau,
-    theta: SpectralField,
+    grid: Grid2,
+    c: np.ndarray,
+    band: int | None,
     g0: np.ndarray | None,
     dt: float,
     step: int,
     t: float,
-) -> SpectralField:
-    """One step from theta, whose stage-1 advection is g0 (None: linear),
-    to a field with the band of theta.
+) -> np.ndarray:
+    """One step from the state whose layout array of band is c, and whose
+    stage-1 advection is g0 (None: linear), to the layout array of the
+    next state.
 
     The predictor S c + phi1 g0 and the corrector
     S c + (phi1 - phi2) g0 + phi2 g1 are summed in that order, in place in
@@ -201,27 +219,27 @@ def _etd2_step(
     temporary at a time, and none lives through the advection of the
     predictor, which is the peak of the step.
     """
-    new = np.multiply(tab.semigroup, theta.coef)
+    new = np.multiply(tab.semigroup, c)
     if g0 is not None:
         new += tab.phi1_dt * g0
-        g1 = _advection(SpectralField(theta.grid, new, theta.band), step, t + dt)[0]
-        np.multiply(tab.semigroup, theta.coef, out=new)
+        g1 = _advection(grid, new, band, step, t + dt)[0]
+        np.multiply(tab.semigroup, c, out=new)
         new += (tab.phi1_dt - tab.phi2_dt) * g0
         g1 *= tab.phi2_dt
         new += g1
-    return SpectralField(theta.grid, new, theta.band)
+    return new
 
 
 def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> SpectralField:
     """Advance theta by one dt of the mild formulation."""
     _check_params_grid(theta.grid, params)
-    tab = _tableau(theta.grid, params.alpha, params.dt)
+    grid = theta.grid
+    tab = _tableau(grid, params.alpha, params.dt, None)
     step = int(round(t / params.dt))
     # no band is passed on: a nonlinear step fills the n//3 square, which
     # a narrower band of the datum would misstate
-    theta = SpectralField(theta.grid, theta.coef)
-    g0 = _advection(theta, step, t)[0] if params.nonlinear else None
-    return _etd2_step(tab, theta, g0, params.dt, step, t)
+    g0 = _advection(grid, theta.coef, None, step, t)[0] if params.nonlinear else None
+    return SpectralField(grid, _etd2_step(tab, grid, theta.coef, None, g0, params.dt, step, t))
 
 
 def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
@@ -256,71 +274,84 @@ def march(theta0: SpectralField, params: SolveParams):
     g_k, v_k) for k = 0..N:
 
     - t_k = k dt;
-    - theta_k, the SpectralField of theta(t_k);
+    - theta_k, the SpectralField of theta(t_k), with the band of the
+      march;
     - g_k, the coefficients of the stage-1 advection G(theta_k) of the
-      step from t_k, which is also the Duhamel integrand at t_k;
+      step from t_k, which is also the Duhamel integrand at t_k, on the
+      layout of the band (see spectral._square);
     - v_k, the grid values of theta_k that advection read, the floats of
       theta_k.physical().
 
     g_k and v_k are None at k = N and on a linear march.  A datum of band
     b marches with band max(b, n//3): every advection is truncated to the
     square of n//3 and the semigroup keeps a zero a zero, so every state
-    and predictor is zero outside that square, and each inverse transform
-    of the march skips the rows past it.  A datum with no band marches
-    with none.  The march owns every array it yields and never writes to
-    one again.  A consumer that keeps v_k holds it through the next
-    step's advections, the peak of the march.
+    and predictor is zero outside that square.  The step then holds its
+    states, advections and ETD tableau on the (2 band + 1)-square layout
+    alone, each inverse transform skips the rows past the band, and each
+    theta_k is that square embedded in an n-by-n array of +0.0.  A datum
+    with no band marches with none, on the whole array, by the same code.
+    Either way the floats inside the square are those of the whole-array
+    march.  The march owns every array it yields and never writes to one
+    again.  A consumer that keeps v_k holds it through the next step's
+    advections, the peak of the march.
     """
     _check_datum(theta0, params)
     grid = theta0.grid
     band = None if theta0.band is None else max(theta0.band, grid.n // 3)
-    return _steps(SpectralField(grid, theta0.coef.copy(), band), params)
+    c = _square(theta0.coef, band)
+    return _steps(grid, c.copy() if c is theta0.coef else c, band, params)
 
 
-def _steps(theta: SpectralField, params: SolveParams):
-    tab = _tableau(theta.grid, params.alpha, params.dt)
+def _steps(grid: Grid2, c: np.ndarray, band: int | None, params: SolveParams):
+    tab = _tableau(grid, params.alpha, params.dt, band)
     n_steps = params.n_steps()
     for step in range(n_steps):
         t = step * params.dt
         g0 = values = None
         if params.nonlinear:
-            g0, values = _advection(theta, step, t)
-        yield t, theta, g0, values
+            g0, values = _advection(grid, c, band, step, t)
+        yield t, SpectralField(grid, _embed(c, grid.n, band), band), g0, values
         values = None
-        theta = _etd2_step(tab, theta, g0, params.dt, step, t)
-        if not np.all(np.isfinite(theta.coef)):
+        c = _etd2_step(tab, grid, c, band, g0, params.dt, step, t)
+        if not np.all(np.isfinite(c)):
             raise BlowUpError(step + 1, t + params.dt, math.inf)
-    yield n_steps * params.dt, theta, None, None
+    yield n_steps * params.dt, SpectralField(grid, _embed(c, grid.n, band), band), None, None
 
 
 def duhamel_along(states, params: SolveParams):
     """Pass the march's (t_k, theta_k, g_k, v_k) on as (t_k, theta_k, D_k).
 
-    D_k is the field, with no band, of the Duhamel integral of
-    -div(u theta) along the states: D_0 = 0 and
+    D_k is the field of the Duhamel integral of -div(u theta) along the
+    states, with their band: D_0 = 0 and
 
         D_{k+1} = e^{-dt Lambda^alpha} D_k
                   + dt [ (phi1 - phi2) G_k + phi2 G_{k+1} ],
 
-    the same exponential-trapezoid quadrature the stepper uses.  G_k is
-    g_k when given and is evaluated from theta_k when g_k is None.  v_k
-    is let go on arrival.
+    the same exponential-trapezoid quadrature the stepper uses, run on
+    the layout of the band as the march runs its steps.  The band is that
+    of the first state widened to n//3, as march widens it, and no later
+    state may carry a wider one; the states of one march share theirs.
+    G_k is g_k, on that layout, when given and is evaluated from theta_k
+    when g_k is None.  v_k is let go on arrival.
     """
-    tab = _tableau(params.grid(), params.alpha, params.dt)
-    w1 = tab.phi1_dt - tab.phi2_dt
     g_prev = None
     # no enumerate: its cached tuple would hold v_k through the next step
     for t, theta, g, values in states:
         del values
-        if g is None:
-            g = _advection(theta, int(round(t / params.dt)), t)[0]
         if g_prev is None:
-            acc = np.zeros_like(theta.coef)
+            grid = theta.grid
+            band = None if theta.band is None else max(theta.band, grid.n // 3)
+            tab = _tableau(grid, params.alpha, params.dt, band)
+            w1 = tab.phi1_dt - tab.phi2_dt
+        if g is None:
+            g = _advection(grid, _square(theta.coef, band), band, int(round(t / params.dt)), t)[0]
+        if g_prev is None:
+            acc = np.zeros_like(g)
         else:
             acc = tab.semigroup * acc + w1 * g_prev + tab.phi2_dt * g
         # let G_{k-1} go before the yield, not hold it while the consumer works
         g_prev = g
-        yield t, theta, SpectralField(theta.grid, acc)
+        yield t, theta, SpectralField(grid, _embed(acc, grid.n, band), band)
 
 
 def solve(theta0: SpectralField, params: SolveParams) -> tuple[np.ndarray, list]:
@@ -343,7 +374,13 @@ def duhamel_series(fields, params: SolveParams) -> list:
     if len(fields) != params.n_steps() + 1:
         raise ParameterError("source series does not cover every step of the horizon")
     _check_params_grid(fields[0].grid, params)
-    states = ((k * params.dt, f, None, None) for k, f in enumerate(fields))
+    # the widest band of the series for every field, as duhamel_along reads it
+    bands = {f.band for f in fields}
+    band = None if None in bands else max(bands)
+    states = (
+        (k * params.dt, SpectralField(f.grid, f.coef, band), None, None)
+        for k, f in enumerate(fields)
+    )
     return [d for _, _, d in duhamel_along(states, params)]
 
 

@@ -28,6 +28,16 @@ transform truncated by the 2/3 rule runs pass 2 only on the kept columns
 has band n//3.  A march keeps the band of its datum, widened to n//3 (see
 mild.march); a datum given by grid values has none.
 
+The layout of a band b is the (2b + 1)-square copy of the square
+|m1|, |m2| <= b, in fft order along each axis (0..b, then -b..-1):
+_square cuts it from an n-by-n array and _embed writes it back into one
+of +0.0.  The layout of no band is the whole array, where both are the
+identity, so code written on layouts serves both by one path.  An
+elementwise operation on the layout gives the floats it gives on the
+square of the whole array.  A banded march holds its states, advections
+and ETD weights on its layout, and grid_symbol and dealiased_advection
+take a band to build their symbols and result there.
+
 Conventions kept throughout the package:
 
 * axis 0 of an array is the x1 direction, axis 1 is x2,
@@ -140,11 +150,15 @@ def band_slices(n: int, band: int) -> tuple[slice, slice]:
 
 
 @functools.lru_cache(maxsize=64)
-def _quadrants(n: int, band: int) -> tuple:
+def _quadrants(n: int, band: int | None) -> tuple:
     """The square |m1|, |m2| <= band of an fft-ordered n-by-n array as four
     (at, of) pairs of index tuples: at in the n-by-n array, of in its
-    (2 band + 1)-square copy, which keeps the fft order (0..band, then
-    -band..-1) along each axis."""
+    layout, the (2 band + 1)-square copy, which keeps the fft order
+    (0..band, then -band..-1) along each axis.  At band None the layout is
+    the whole array, one pair of whole slices."""
+    if band is None:
+        whole = (slice(None), slice(None))
+        return ((whole, whole),)
     full, copy = band_slices(n, band), band_slices(2 * band + 1, band)
     return tuple(
         ((rows, cols), (copy_rows, copy_cols))
@@ -153,12 +167,25 @@ def _quadrants(n: int, band: int) -> tuple:
     )
 
 
-def _square(a: np.ndarray, band: int) -> np.ndarray:
-    """The square |m1|, |m2| <= band of the fft-ordered square array a, as
-    a (2 band + 1)-square copy (see _quadrants)."""
+def _square(a: np.ndarray, band: int | None) -> np.ndarray:
+    """The layout of band of the fft-ordered square array a: a copy of the
+    square |m1|, |m2| <= band (see _quadrants), or a itself at band None."""
+    if band is None:
+        return a
     out = np.empty((2 * band + 1, 2 * band + 1), dtype=a.dtype)
     for at, of in _quadrants(a.shape[0], band):
         out[of] = a[at]
+    return out
+
+
+def _embed(s: np.ndarray, n: int, band: int | None) -> np.ndarray:
+    """The inverse of _square: the layout array s of band written into an
+    n-by-n array of +0.0, or s itself at band None."""
+    if band is None:
+        return s
+    out = np.zeros((n, n), dtype=s.dtype)
+    for at, of in _quadrants(n, band):
+        out[at] = s[of]
     return out
 
 
@@ -294,27 +321,40 @@ class SpectralField:
             raise ParameterError("fields live on different grids")
 
 
-@functools.lru_cache(maxsize=16)
-def grid_symbol(grid: Grid2, kind: str, axis: int | None = None) -> np.ndarray:
-    """The shared, read-only symbol of a kind that depends on the grid alone.
+def grid_symbol(
+    grid: Grid2, kind: str, axis: int | None = None, band: int | None = None
+) -> np.ndarray:
+    """The shared, read-only symbol of a kind that depends on the grid
+    alone, on the layout of band (the whole array at band None, see
+    _square).
 
     ``inverse_lambda``  1/|k|, 0 at k = 0                  (axis None)
-    ``gradient``        i*k_axis, one row or column broadcast against
-                        the coefficients                   (axis 0 or 1)
+    ``gradient``        i*k_axis, one row or column broadcast to
+                        the layout's square                (axis 0 or 1)
     ``riesz_perp``      i*kperp_axis/|k|, 0 at k = 0        (axis 0 or 1)
 
     Negative-order symbols send the mean mode to zero; that is the only
     sane convention on the torus, where Lambda annihilates constants.
-    Each symbol is built once per grid and axis.
+    Each symbol is built once per grid, axis and band, on its layout
+    alone, with the floats its entries have on the whole array.
     """
-    kabs = grid.kabs
+    # one cache key however the caller spells the arguments
+    return _symbol(grid, kind, axis, band)
+
+
+@functools.lru_cache(maxsize=16)
+def _symbol(grid: Grid2, kind: str, axis: int | None, band: int | None) -> np.ndarray:
+    kabs = _square(grid.kabs, band)
     if kind == "inverse_lambda" and axis is None:
         with np.errstate(divide="ignore"):
             sym = np.where(kabs > 0.0, 1.0 / np.where(kabs > 0.0, kabs, 1.0), 0.0)
     elif kind == "gradient" and axis in (0, 1):
-        sym = 1j * (grid.k1[:, :1] if axis == 0 else grid.k2[:1, :])
+        # one row or column, viewed as the layout's square so that it can
+        # be cut into quadrants like the other symbols
+        k = _square(grid.k1 if axis == 0 else grid.k2, band)
+        sym = np.broadcast_to(1j * (k[:, :1] if axis == 0 else k[:1, :]), kabs.shape)
     elif kind == "riesz_perp" and axis in (0, 1):
-        kperp = -grid.k2 if axis == 0 else grid.k1
+        kperp = -_square(grid.k2, band) if axis == 0 else _square(grid.k1, band)
         safe = np.where(kabs > 0.0, kabs, 1.0)
         sym = np.where(kabs > 0.0, 1j * kperp / safe, 0.0)
     elif kind in ("inverse_lambda", "gradient", "riesz_perp"):
@@ -369,11 +409,9 @@ def semigroup_apply(field: SpectralField, alpha: float, t: float) -> SpectralFie
     if not 0.0 <= t < math.inf:
         raise ParameterError(f"semigroup time must be finite and nonnegative, got {t}")
     band = field.band
-    if band is None:
-        return _apply(field, np.exp(-t * field.grid.kabs**alpha))
-    # the symbol on the band square alone, where the field can be nonzero
+    # the symbol on the layout of the band, where the field can be nonzero
     sym = np.exp(-t * _square(field.grid.kabs, band) ** alpha)
-    coef = np.zeros_like(field.coef)
+    coef = np.empty_like(field.coef) if band is None else np.zeros_like(field.coef)
     for at, of in _quadrants(field.grid.n, band):
         np.multiply(sym[of], field.coef[at], out=coef[at])
     return SpectralField(field.grid, coef, band)
@@ -417,31 +455,45 @@ def dealiased_field(grid: Grid2, values: np.ndarray) -> SpectralField:
     return SpectralField(grid, dealiased_coef(grid, values), grid.n // 3)
 
 
-def dealiased_advection(field: SpectralField, scalar: np.ndarray) -> np.ndarray:
-    """Coefficients of -div(u s), u the velocity of field and s grid values,
-    each product u_i s truncated by the 2/3 rule as by dealiased_coef.
+def dealiased_advection(
+    grid: Grid2, c: np.ndarray, scalar: np.ndarray, band: int | None = None
+) -> np.ndarray:
+    """Coefficients of -div(u s) on the layout of band (see _square), u the
+    velocity of the field whose layout array is c and s grid values, each
+    product u_i s truncated by the 2/3 rule as by dealiased_coef.
 
-    One n-by-n buffer is reused within the call, so that a march pass
-    allocates little: the velocity component is transformed in place, the
-    product with s is formed in the same buffer (its real part times s,
-    and an imaginary part of +0.0, as a cast of the real product would
-    give), and that is transformed forward in place.  The result is a
-    fresh array.  The velocity inverses skip the rows outside the band of
-    field.
+    A band, when given, is at least n//3, so that the truncated products
+    lie inside its square.  The Riesz and gradient symbols are read on the
+    layout alone.  One n-by-n buffer is reused within the call, so that a
+    march pass allocates little: symbol times c is written into the
+    quadrants of the square, the buffer being +0.0 outside it both when
+    made and after each truncated forward transform; the velocity
+    component is transformed in place, skipping the rows outside the
+    band; the product with s is formed in the same buffer (its real part
+    times s, and an imaginary part of +0.0, as a cast of the real product
+    would give), and that is transformed forward in place.  The result is
+    a fresh array on the layout.
     """
-    grid = field.grid
-    w = np.empty_like(field.coef)
-    out = None
+    n = grid.n
+    if band is not None and not n // 3 <= band < n // 2:
+        raise ParameterError(f"advection band must lie in [n//3, n/2), got {band} at n={n}")
+    w = np.empty((n, n), dtype=np.complex128) if band is None else np.zeros((n, n), np.complex128)
+    quadrants = _quadrants(n, band)
+    out = np.empty_like(c)
     for axis in (0, 1):
-        np.multiply(grid_symbol(grid, "riesz_perp", axis), field.coef, out=w)
-        _inverse(w, field.band, w)
+        riesz = grid_symbol(grid, "riesz_perp", axis, band)
+        for at, of in quadrants:
+            np.multiply(riesz[of], c[of], out=w[at])
+        _inverse(w, band, w)
         w.real *= scalar
         w.imag = 0.0
         _forward(w, grid)
-        if out is None:
-            out = np.multiply(grid_symbol(grid, "gradient", axis), w)
-        else:
-            out += np.multiply(grid_symbol(grid, "gradient", axis), w, out=w)
+        grad = grid_symbol(grid, "gradient", axis, band)
+        for at, of in quadrants:
+            if axis == 0:
+                np.multiply(grad[of], w[at], out=out[of])
+            else:
+                out[of] += np.multiply(grad[of], w[at], out=w[at])
     return np.negative(out, out=out)
 
 
@@ -467,19 +519,14 @@ def _mode_energy(coef: np.ndarray, band: int | None = None) -> np.ndarray:
     +0.0, the energy of every zero outside it, so a sum over the result
     reads the same array as without the band.
     """
-    c = coef if band is None else _square(coef, band)
+    c = _square(coef, band)
     h = _mirror(c)
     np.conjugate(h, out=h)
     h += c
     h *= 0.5
     e = np.square(h.real)
     e += np.square(h.imag)
-    if band is None:
-        return e
-    out = np.zeros(coef.shape)
-    for at, of in _quadrants(coef.shape[0], band):
-        out[at] = e[of]
-    return out
+    return _embed(e, coef.shape[0], band)
 
 
 def lp_norm(field: SpectralField, p: float) -> float:

@@ -210,7 +210,8 @@ class ContractionResult:
     """Lipschitz ratio of the Duhamel map on a pair of trial series.
 
     state holds the marched solution at the horizon when
-    contraction_ladder measured the ratio along its march, else None.
+    contraction_ladder measured the ratio along its march and was asked
+    to keep the state there, else None.
     """
 
     factor: float
@@ -261,6 +262,7 @@ def contraction_ladder(
     bank: DyadicBank,
     horizons,
     spec: ContractionNorm | None = None,
+    state_at: float | None = None,
 ) -> list[ContractionResult]:
     """Contraction factor at each horizon, folded over one march.
 
@@ -272,18 +274,22 @@ def contraction_ladder(
     stage-1 advection, and keeps only the per-time norm parts of the
     difference and of its image.  Each horizon aggregates a prefix of
     them, with the same bits as contraction_factor on the pair cut at
-    that horizon.  Each result's state is the solution at its horizon,
-    the same bits as the last state of a march of params to that
-    horizon; the march never writes a yielded array again, so it is
-    held, not copied.
+    that horizon.  The result at the horizon state_at, one of horizons,
+    holds the solution there as its state, the same bits as the last
+    state of a march of params to that horizon; the march never writes a
+    yielded array again, so it is held, not copied.  No other state is
+    kept, and none when state_at is None.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0.0:
         raise ParameterError("horizons must be positive")
+    if state_at is not None and float(state_at) not in horizons:
+        raise ParameterError(f"state_at {state_at} is not one of the horizons")
     spec = contraction_norm_spec(params.alpha) if spec is None else spec
     cuts = [replace(params, t_final=t).n_steps() + 1 for t in horizons]
+    keep = None if state_at is None else cuts[horizons.index(float(state_at))]
     top = replace(params, t_final=horizons[-1])
-    times, gaps, images, states = [], [], [], {}
+    times, gaps, images, state = [], [], [], None
     # a bare zip, and the step's names dropped at its end: an enumerate
     # tuple or the loop names would hold this step's fields through the
     # next step's advections, the peak of the march
@@ -296,14 +302,14 @@ def contraction_ladder(
         times.append(t)
         gaps.append(_norm_parts(a - b, bank, spec))
         images.append(_norm_parts(da - db, bank, spec))
-        if len(times) in cuts:
-            states[len(times)] = a
+        if len(times) == keep:
+            state = a
         del a, da, b, db
     return [
         _ratio(
             _aggregate(images[:cut], times[:cut], spec),
             _aggregate(gaps[:cut], times[:cut], spec),
-            states[cut],
+            state if cut == keep else None,
         )
         for cut in cuts
     ]

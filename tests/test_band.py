@@ -28,6 +28,8 @@ from sqglab.mild import SolveParams, march, solve
 from sqglab.spectral import (
     ParameterError,
     SpectralField,
+    _embed,
+    _square,
     dealias,
     dealiased_field,
     fractional_laplacian,
@@ -100,23 +102,54 @@ class TestBandedReadsMoveNoBit:
             want.append(math.sqrt(grid.cell_area / grid.n**2 * total))
         assert np.array_equal(bits(block_norms(f, bank, 2)), bits(want))
 
-    @pytest.mark.parametrize("n", (32, 64))
+    @pytest.mark.parametrize("n", (32, 64, 128))
     def test_random_datum_marches_the_bits_of_the_unbanded_array(self, n):
+        # the banded march steps on its square, the unbanded one on the
+        # whole array: the same bits on the square, and zeros outside it,
+        # of either sign in the unbanded march and +0.0 in the banded one
         grid = shared_grid(n)
         theta0 = random_besov_field(build_bank(grid), np.random.default_rng(n)) * 0.05
         assert theta0.band is not None
         params = SolveParams(alpha=1.5, n=n, t_final=8 * 0.0025, dt=0.0025)
+        band = n // 3
+        outside = np.maximum(np.abs(grid.index1), np.abs(grid.index2)) > band
         banded = march(theta0, params)
         bare = march(SpectralField(grid, theta0.coef), params)
         steps = 0
         for (_, a, ga, _), (_, b, gb, _) in zip(banded, bare):
-            assert (a.band, b.band) == (n // 3, None)
-            assert np.array_equal(bits(a.coef), bits(b.coef))
+            assert (a.band, b.band) == (band, None)
+            assert np.array_equal(bits(_square(a.coef, band)), bits(_square(b.coef, band)))
+            assert not bits(a.coef[outside]).any()
+            assert not b.coef[outside].any()
             assert (ga is None) == (gb is None)
             if ga is not None:
-                assert np.array_equal(bits(ga), bits(gb))
+                assert ga.shape == (2 * band + 1,) * 2 and gb.shape == (n, n)
+                assert np.array_equal(bits(ga), bits(_square(gb, band)))
+                assert not gb[outside].any()
             steps += 1
         assert steps == 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from((16, 32, 64, 128, 256, 512)),
+        band_frac=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_embed_inverts_square(self, n, band_frac, seed):
+        # the layout of band b and back: the square's bits, and +0.0
+        # outside it whatever the sign of the zeros there
+        band = int(band_frac * (n // 2))
+        grid = shared_grid(n)
+        coef = square_field(grid, band, seed)
+        layout = _square(coef, band)
+        assert layout.shape == (2 * band + 1,) * 2
+        back = _embed(layout, n, band)
+        inside = np.maximum(np.abs(grid.index1), np.abs(grid.index2)) <= band
+        assert np.array_equal(bits(back[inside]), bits(coef[inside]))
+        assert not bits(back[~inside]).any()
+        assert np.array_equal(bits(_square(back, band)), bits(layout))
+        # no band: the whole array is its own layout
+        assert _square(coef, None) is coef and _embed(coef, n, None) is coef
 
 
 class TestBandCarries:
@@ -207,19 +240,25 @@ class TestLadderReadsTheMarchBand:
         bands = []
         advection = sqglab.mild._advection
 
-        def recording(theta, *args):
-            bands.append(theta.band)
-            return advection(theta, *args)
+        def recording(grid, c, band, *args):
+            bands.append((band, c.shape))
+            return advection(grid, c, band, *args)
 
         monkeypatch.setattr(sqglab.mild, "_advection", recording)
-        banded = contraction_ladder(theta0, params, bank, horizons)
-        assert bands == [64 // 3] * (3 * 8 + 2)
-        bare = contraction_ladder(SpectralField(grid, theta0.coef), params, bank, horizons)
-        assert bands[26:] == [None] * 26
+        banded = contraction_ladder(theta0, params, bank, horizons, state_at=0.01)
+        band = 64 // 3
+        assert bands == [(band, (2 * band + 1,) * 2)] * (3 * 8 + 2)
+        bare = contraction_ladder(
+            SpectralField(grid, theta0.coef), params, bank, horizons, state_at=0.01
+        )
+        assert bands[26:] == [(None, (64, 64))] * 26
         for a, b in zip(banded, bare):
             got = (a.factor, a.numerator, a.denominator)
             assert np.array_equal(bits(got), bits((b.factor, b.numerator, b.denominator)))
-            assert np.array_equal(bits(a.state.coef), bits(b.state.coef))
+        # the state on the square has the bits of the unbanded one
+        a, b = banded[1].state, bare[1].state
+        assert np.array_equal(bits(_square(a.coef, band)), bits(_square(b.coef, band)))
+        assert np.array_equal(a.coef, b.coef)
 
 
 class InverseCounter:

@@ -474,6 +474,16 @@ class TestExitCodes:
             "parameter error: box_length must be positive and finite, got inf\n"
         )
 
+    @pytest.mark.parametrize("box", ("0", "-inf", "inf", "nan"))
+    def test_box_is_refused_in_one_place_with_one_wording(self, tmp_path, capsys, box):
+        # Grid2 checks the box for every command that builds a grid; no
+        # earlier check words it otherwise
+        for argv in (("solve", "--n", "32"), ("verify-lemma", "bernstein", "--seed", "1")):
+            assert run_cli(*argv, "--box", box, "--out", str(tmp_path)) == 1
+            assert capsys.readouterr().err == (
+                f"parameter error: box_length must be positive and finite, got {float(box)}\n"
+            )
+
     def test_unresolvable_divergence_exits_two(self, tmp_path):
         # just past the divergence threshold the growth per term is too
         # slow to certify at this truncation, and the command says so

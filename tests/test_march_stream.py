@@ -17,12 +17,20 @@ import numpy as np
 import pytest
 
 import sqglab.mild
+import sqglab.spectral
 from conftest import random_field, smooth_profile
 from sqglab.cli import main
 from sqglab.lab import random_besov_field
 from sqglab.littlewood import build_bank
 from sqglab.mild import SolveParams, march, picard_solve, solve
-from sqglab.spectral import ParameterError, SpectralField, dealiased_advection, shared_grid
+from sqglab.spectral import (
+    ParameterError,
+    SpectralField,
+    _square,
+    dealiased_advection,
+    grid_symbol,
+    shared_grid,
+)
 from sqglab.uniqueness import contraction_ladder
 
 PARAMS = SolveParams(alpha=1.5, n=64, t_final=0.04, dt=0.0025)
@@ -47,12 +55,17 @@ class TestMarch:
         linear = march(smooth_profile(grid64), replace(PARAMS, nonlinear=False))
         assert all((g, v) == (None, None) for _, _, g, v in linear)
 
-    def test_stage_one_advection_is_the_integrand_at_t_k(self, grid64):
-        for k, (t, theta, g, v) in enumerate(march(smooth_profile(grid64), PARAMS)):
-            if g is not None:
-                want_g, want_v = sqglab.mild._advection(theta, k, t)
-                assert np.array_equal(g, want_g)
-                assert np.array_equal(v, want_v)
+    def test_stage_one_advection_is_the_integrand_at_t_k(self, grid64, bank64):
+        # on the layout of the march band: the whole array of smooth data,
+        # the square of n//3 of random data
+        random = random_besov_field(bank64, np.random.default_rng(5)) * 0.05
+        for theta0 in (smooth_profile(grid64), random):
+            for k, (t, theta, g, v) in enumerate(march(theta0, PARAMS)):
+                if g is not None:
+                    layout = _square(theta.coef, theta.band)
+                    want_g, want_v = sqglab.mild._advection(grid64, layout, theta.band, k, t)
+                    assert np.array_equal(g, want_g)
+                    assert np.array_equal(v, want_v)
 
     def test_yielded_arrays_are_never_written_again(self, grid64):
         theta0 = smooth_profile(grid64)
@@ -115,12 +128,25 @@ class TestLadderReusesTheStepper:
         assert len(calls) == 50
 
     def test_state_at_each_horizon_is_the_march_to_it(self, grid64, bank64):
+        # the ladder keeps the state at the one horizon it is asked for
+        theta0 = smooth_profile(grid64)
+        horizons = (0.005, 0.01, 0.02, 0.04)
+        for at in horizons:
+            ladder = contraction_ladder(theta0, PARAMS, bank64, horizons, state_at=at)
+            for t, result in zip(horizons, ladder):
+                if t == at:
+                    alone = solve(theta0, replace(PARAMS, t_final=t))[1][-1]
+                    assert np.array_equal(result.state.coef, alone.coef)
+                else:
+                    assert result.state is None
+
+    def test_no_state_is_kept_unless_named(self, grid64, bank64):
         theta0 = smooth_profile(grid64)
         horizons = (0.005, 0.01, 0.02, 0.04)
         ladder = contraction_ladder(theta0, PARAMS, bank64, horizons)
-        for t, result in zip(horizons, ladder):
-            alone = solve(theta0, replace(PARAMS, t_final=t))[1][-1]
-            assert np.array_equal(result.state.coef, alone.coef)
+        assert [r.state for r in ladder] == [None] * 4
+        with pytest.raises(ParameterError, match="state_at"):
+            contraction_ladder(theta0, PARAMS, bank64, horizons, state_at=0.03)
 
     def test_uniqueness_command_reads_the_fine_twin_from_the_ladder(
         self, tmp_path, monkeypatch
@@ -240,19 +266,21 @@ class TestAdvectionAllocation:
         grid = shared_grid(128)
         f = random_field(grid, np.random.default_rng(3))
         scalar = f.physical()
-        dealiased_advection(f, scalar)  # warm the symbol cache
-        peak = traced_peak(lambda: dealiased_advection(f, scalar))
+        dealiased_advection(grid, f.coef, scalar)  # warm the symbol cache
+        peak = traced_peak(lambda: dealiased_advection(grid, f.coef, scalar))
         assert peak <= 3.0 * grid.n**2 * 16
 
 
 class TestMarchWorkingSet:
     # traced peak of a random-data n = 256 march above its start, in units
     # of one n-by-n complex128 array, for a consumer that drops v_k on
-    # arrival: 5.6 (the yielded state and advection, the predictor, and
-    # the advection's grid values, buffer and result), 6.1 when it holds
-    # the tuple, 7.1 when the advection kept a second buffer and the grid
-    # values held their complex inverse, and the step kept a product
-    # through it
+    # arrival: 3.6 (the advection's buffer and grid values, and the state,
+    # its advection, the predictor and the predictor's advection on the
+    # band square of n//3, 0.44 each), 4.6 when the advection held its
+    # embedded inverse through the velocity transforms, 5.6 when the step
+    # held them all on the whole array, 7.1 when the advection kept a
+    # second buffer and the grid values held their complex inverse, and
+    # the step kept a product through it
     def test_traced_peak(self):
         grid = shared_grid(256)
         theta0 = random_besov_field(build_bank(grid), np.random.default_rng(1)) * 0.05
@@ -270,4 +298,30 @@ class TestMarchWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 6.0 * grid.n**2 * 16
+        assert peak - start <= 4.0 * grid.n**2 * 16
+
+
+class TestBandedMarchLayout:
+    def test_tableau_and_symbols_are_band_squares(self):
+        # a banded march builds its ETD weights and its Riesz and gradient
+        # symbols on the (2b + 1)-square alone, and no n-by-n Riesz symbol
+        n, band = 64, 64 // 3
+        grid = shared_grid(n, 3.0)
+        theta0 = random_besov_field(build_bank(grid), np.random.default_rng(2)) * 0.05
+        params = SolveParams(alpha=1.5, n=n, t_final=0.01, dt=0.0025, box_length=3.0)
+        symbols, tableaux = sqglab.spectral._symbol, sqglab.mild._tableau
+        symbols.cache_clear()
+        tableaux.cache_clear()
+        for _ in march(theta0, params):
+            pass
+        assert (symbols.cache_info().currsize, tableaux.cache_info().currsize) == (4, 1)
+        square = (2 * band + 1,) * 2
+        tab = tableaux(grid, 1.5, 0.0025, band)
+        assert [a.shape for a in (tab.semigroup, tab.phi1_dt, tab.phi2_dt)] == [square] * 3
+        for axis in (0, 1):
+            for kind in ("riesz_perp", "gradient"):
+                assert grid_symbol(grid, kind, axis, band).shape == square
+        assert symbols.cache_info().misses == 4 and tableaux.cache_info().misses == 1
+        # the whole-array Riesz symbol is built only now, on demand
+        assert grid_symbol(grid, "riesz_perp", 0).shape == (n, n)
+        assert symbols.cache_info().misses == 5

@@ -116,16 +116,17 @@ class TestTableau:
 
     @pytest.mark.parametrize("name", ["semigroup", "phi1_dt", "phi2_dt"])
     def test_cached_weights_are_read_only(self, name):
-        # one tableau per (grid, alpha, dt) serves every march
+        # one tableau per (grid, alpha, dt, band) serves every march
         from sqglab.mild import _tableau
 
-        a = getattr(_tableau(Grid2(32), 1.5, 0.01), name)
-        before = a.copy()
-        with pytest.raises(ValueError):
-            a[1, 1] = 0.0
-        with pytest.raises(ValueError):
-            a *= 2.0
-        assert np.array_equal(a, before)
+        for band in (None, 10):
+            a = getattr(_tableau(Grid2(32), 1.5, 0.01, band), name)
+            before = a.copy()
+            with pytest.raises(ValueError):
+                a[1, 1] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+            assert np.array_equal(a, before)
 
 
 class TestDuhamelStep:

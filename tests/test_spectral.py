@@ -26,6 +26,7 @@ from sqglab.spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    _square,
     dealias,
     dealiased_advection,
     dealiased_coef,
@@ -517,7 +518,13 @@ class TestGridProducts:
         assert np.array_equal(dealiased_coef(g, values), want)
         p1, p2 = (dealiased_coef(g, u * values) for u in grid_velocity(f))
         want = -(1j * g.k1 * p1 + 1j * g.k2 * p2)
-        assert np.array_equal(dealiased_advection(f, values), want)
+        assert np.array_equal(dealiased_advection(g, f.coef, values), want)
+        # on the layout of the band n//3 of f: the square of the same array
+        band = f.band
+        got = dealiased_advection(g, _square(f.coef, band), values, band)
+        assert np.array_equal(got, _square(want, band))
+        with pytest.raises(ParameterError, match="advection band"):
+            dealiased_advection(g, _square(f.coef, band - 1), values, band - 1)
 
     @pytest.mark.parametrize(
         "pattern, owner",
