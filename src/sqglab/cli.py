@@ -29,7 +29,6 @@ import numpy as np
 from .counterexamples import (
     A1_FIRST_TERMS,
     a3_lower_sum,
-    build_counterexample_pair,
     prop_a1_pairings,
     prop_a3_product_norms,
     symmetrized_magnitude_series,
@@ -378,13 +377,11 @@ def _cmd_counterexample(config: RunConfig) -> int:
     defaults = dict(s=-0.5, trials=_COUNTEREXAMPLE_TERMS[target])
     args = _merged(config, f"counterexample {target}", defaults)
     s, n_max = args["s"], args["trials"]
-    if not s < 0.0:
-        raise ParameterError(f"the bump families need s < 0, got {s}")
     # a1 tabulates from A1_FIRST_TERMS terms, a3 from 1; each reads a
     # growth ratio between its last two rows
-    fewest = A1_FIRST_TERMS + 1 if target == "a1" else 2
-    if n_max < fewest:
-        raise ParameterError(f"need at least {fewest} terms, got {n_max}")
+    first = A1_FIRST_TERMS if target == "a1" else 1
+    if n_max < first + 1:
+        raise ParameterError(f"need at least {first + 1} terms, got {n_max}")
     columns = (
         ("N", "number of bump terms"),
         ("pairing", "pairing value"),
@@ -392,15 +389,18 @@ def _cmd_counterexample(config: RunConfig) -> int:
         ("ratio", "pairing / partial sum"),
     )
     if target == "a1":
-        pairings, sym_value = prop_a1_pairings(s, n_max)
-        rows = [
-            (n_terms, value, lower, value / lower)
-            for n_terms, (value, lower) in enumerate(pairings, start=A1_FIRST_TERMS)
-        ]
-        ratios = [r[3] for r in rows]
-        spread = max(ratios) / min(ratios)
+        sums, sym_value = prop_a1_pairings(s, n_max)
+    else:
+        sums = prop_a3_product_norms(s, n_max)
+    rows = [
+        (n_terms, value, lower, value / lower)
+        for n_terms, (value, lower) in enumerate(sums, start=first)
+    ]
+    ratios = [r[3] for r in rows]
+    spread = max(ratios) / min(ratios)
+    if target == "a1":
         growth = [b[1] / a[1] for a, b in zip(rows, rows[1:])]
-        sym_terms = symmetrized_magnitude_series(*build_counterexample_pair(s, n_max))
+        sym_terms = symmetrized_magnitude_series(s, n_max)
         increasing = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
         passed = increasing and spread < 2.0
         lines = [
@@ -412,15 +412,7 @@ def _cmd_counterexample(config: RunConfig) -> int:
             ("symmetrized_pairing", sym_value),
             ("symmetrized_magnitude_sum", float(sym_terms.sum())),
         ]
-        slug = "counterexample-a1"
     else:
-        norms = prop_a3_product_norms(s, n_max)
-        rows = [
-            (n_terms, value, lower, value / lower if lower else 0.0)
-            for n_terms, (value, lower) in enumerate(norms, start=1)
-        ]
-        ratios = [r[3] for r in rows]
-        spread = max(ratios) / min(ratios)
         exponent = -2.0 * s - 1.0
         if exponent > 0.0:
             growth = rows[-1][2] / rows[-2][2]
@@ -440,8 +432,7 @@ def _cmd_counterexample(config: RunConfig) -> int:
             detail,
             ("oracle_ratio_spread", spread),
         ]
-        slug = "counterexample-a3"
-    return _emit(config, slug, columns, rows, lines, passed)
+    return _emit(config, f"counterexample-{target}", columns, rows, lines, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +463,14 @@ def _cmd_uniqueness(config: RunConfig) -> int:
             f"uniqueness marches to T/8, T/4, T/2 and T, so T/8 must be a whole "
             f"number of steps dt, at least one: got T={t_top}, dt={dt}"
         ) from None
-    ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec, state_at=horizons[1])
     # the twins run to T/4 at 2 dt, so their dt/2 refinement is the
-    # ladder's own march to that horizon
-    twin = replace(params, t_final=horizons[1], dt=2.0 * dt)
+    # ladder's own march to that horizon; 2 dt alone can fail a rule that
+    # params passed, so it is checked before the first march
+    try:
+        twin = replace(params, t_final=horizons[1], dt=2.0 * dt)
+    except ParameterError as exc:
+        raise ParameterError(f"the twin runs march to T/4 at 2*dt = {2.0 * dt}: {exc}") from None
+    ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec, state_at=horizons[1])
     fine = ladder[1].state
     ident_max, order, amplification = twin_experiments(theta0, twin, bank, spec, fine)
     rows = [

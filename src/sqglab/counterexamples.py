@@ -1,15 +1,16 @@
 """Frequency-bump constructions showing when dyadic products diverge.
 
-The data are finite sums of smooth frequency bumps
+The data are finite sums of smooth frequency bumps with the coefficients
+c_n = 2^(-s n) n^(-2) of bump_coefficients,
 
-    f_N = sum_{n=1..N} 2^(-s n) n^(-2) * (bump of radius 1/10 at +2^n e1),
+    f_N = sum_{n=1..N} c_n * (bump of radius 1/10 at +2^n e1),
 
-paired against a mirror family at -2^n e1 (or the symmetric sum of both,
-for the product variant).  Tested against the low-pass test function, the
-single product (d/dx1 Lambda^(-1) f) g produces the divergent series
-sum 2^(-2 s n) n^(-4) for s < 0, while the symmetrized sum of two products
-cancels; the Lambda^(-1)-weighted product diverges exactly when the
-exponent -2s-1 is positive.
+paired in a1 against g_N, the same sum at -2^n e1; the a3 family puts
+bump n at both +2^n e1 and -2^n e1.  Tested against the low-pass test
+function, the single product (d/dx1 Lambda^(-1) f) g produces the
+divergent series sum 2^(-2 s n) n^(-4) for s < 0, while the symmetrized
+sum of two products cancels; the Lambda^(-1)-weighted product diverges
+exactly when the exponent -2s-1 is positive.
 
 All pairings are evaluated as frequency-domain integrals over the compact
 bump supports, in coordinates translated to each bump center, so the
@@ -27,10 +28,10 @@ every other entry of the integrand is exactly 0, and the integrand is
 unchanged under (w2, v2) -> (-w2, -v2), so each row with w2 > 0 stands
 for its mirror row too.
 
-The a1 and a3 tables are each one sweep over N: each term integral is
-computed once per node count, in a table that lives for that one call and
-grows only as far as the N being refined, and every N sums its own terms
-in order, so each row is the float an evaluation of that N alone gives.
+Both tables run through one sweep over N: each term integral is computed
+once per node count, in a table that lives for that one call and grows
+only as far as the N being refined, and every N sums its own terms in
+order, so each row is the float an evaluation of that N alone gives.
 
 Scale conventions: bump-norm units (the L^p norm of a single bump is the
 unit), and pairing values drop the overall factor i of the derivative
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ from .spectral import ParameterError
 
 BUMP_SUPPORT = 0.1
 BUMP_PLATEAU = 0.05
-
-_VARIANTS = ("a1_plus", "a1_minus", "a3_symmetric")
 
 # Richardson refinement: node counts double from M0 up to MAX_M until two
 # evaluations agree to RTOL
@@ -81,45 +79,14 @@ def bump_profile(r):
     return smooth_step((BUMP_SUPPORT - r) / (BUMP_SUPPORT - BUMP_PLATEAU))
 
 
-@dataclass(frozen=True)
-class BumpPair:
-    """One family of frequency bumps with coefficients 2^(-s n) n^(-2).
-
-    variant selects the centers: "a1_plus" puts bump n at +2^n e1,
-    "a1_minus" at -2^n e1, and "a3_symmetric" at both.
-    """
-
-    s: float
-    n_terms: int
-    variant: str
-
-    def __post_init__(self):
-        if not self.s < 0.0:
-            raise ParameterError(f"bump construction requires s < 0, got {self.s}")
-        if self.n_terms < 0:
-            raise ParameterError(f"n_terms must be nonnegative, got {self.n_terms}")
-        if self.variant not in _VARIANTS:
-            raise ParameterError(f"unknown variant {self.variant!r}")
-
-    def coefficients(self) -> np.ndarray:
-        n = np.arange(1, self.n_terms + 1, dtype=np.float64)
-        return 2.0 ** (-self.s * n) * n**-2.0
-
-
-def build_counterexample_pair(
-    s: float, n_terms: int, variant: str = "a1"
-) -> tuple[BumpPair, BumpPair]:
-    """The (f_N, g_N) bump families of the divergence propositions.
-
-    variant "a1": f has bumps at +2^n e1 and g at -2^n e1.
-    variant "a3": f = g with symmetric bumps at both centers.
-    """
-    if variant == "a1":
-        return BumpPair(s, n_terms, "a1_plus"), BumpPair(s, n_terms, "a1_minus")
-    if variant == "a3":
-        sym = BumpPair(s, n_terms, "a3_symmetric")
-        return sym, sym
-    raise ParameterError(f"unknown counterexample variant {variant!r}")
+def bump_coefficients(s: float, n_terms: int) -> np.ndarray:
+    """The coefficients c_n = 2^(-s n) n^(-2), n = 1..n_terms, of the bumps."""
+    if not s < 0.0:
+        raise ParameterError(f"bump construction requires s < 0, got {s}")
+    if n_terms < 0:
+        raise ParameterError(f"n_terms must be nonnegative, got {n_terms}")
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    return 2.0 ** (-s * n) * n**-2.0
 
 
 def lower_bound_sum(s: float, n_terms: int) -> float:
@@ -184,19 +151,33 @@ def _kernel_plus(n: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return (c + w1) / np.hypot(c + w1, w2)
 
 
-def _check_a1_pair(f: BumpPair, g: BumpPair) -> None:
-    if f.variant != "a1_plus" or g.variant != "a1_minus":
-        raise ParameterError(
-            "pairing expects the (a1_plus, a1_minus) family from "
-            "build_counterexample_pair(..., variant='a1')"
-        )
-    if f.s != g.s or f.n_terms != g.n_terms:
-        raise ParameterError("bump families must share s and n_terms")
-
-
 class _TermIntegrals:
-    """Per-term integrals I_i(m) = int kernel_i(w) chi(w) C(w) dw of one
-    pairing kind, for i = 1, 2, ... at each node count m.
+    """Per-term integrals term(i, *nodes_of_m(m)) of one kind, for
+    i = 1, 2, ... at each node count m.
+
+    A term depends on neither s nor N, so a table evaluates each one once
+    and grows per node count only as far as the deepest N asked for.  A
+    table lives for one call.
+    """
+
+    def __init__(self, nodes_of_m, term):
+        self.nodes_of_m = nodes_of_m
+        self.term = term
+        self._by_m = {}  # m -> (nodes, [term 1, term 2, ...])
+
+    def __call__(self, m: int, n_terms: int):
+        """The nodes at m and the first n_terms term integrals there."""
+        if m not in self._by_m:
+            self._by_m[m] = (self.nodes_of_m(m), [])
+        nodes, done = self._by_m[m]
+        for i in range(len(done) + 1, n_terms + 1):
+            done.append(self.term(i, *nodes))
+        return nodes, done[:n_terms]
+
+
+def _a1_nodes(m: int):
+    """The nodes w and the weight chi(w) C(w) da of the a1 term integrals
+    I_i = int kernel_i(w) chi(w) C(w) dw.
 
     In coordinates translated to the bump centers the test-function weight
     couples the two integration variables through chi(w + v) only, so the
@@ -204,32 +185,22 @@ class _TermIntegrals:
     is a 2D integral.  The dyadic filters drop out exactly: the active
     levels at radius about 2^n are {n, n+1} on both factors, every such
     (k, l) pair obeys |k - l| <= 1, and the four filter products sum to 1.
-
-    I_i depends on neither s nor N, so a table evaluates each one once and
-    grows per node count only as far as the deepest N asked for.  A table
-    lives for one call.
     """
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self._by_m = {}  # m -> (w1, w2, chi C da, [I_1, I_2, ...])
-
-    def __call__(self, m: int, n_terms: int) -> np.ndarray:
-        if m not in self._by_m:
-            w1, w2, chi, da, corr = _self_correlation(m)
-            self._by_m[m] = (w1, w2, chi * corr * da, [])
-        w1, w2, weight, done = self._by_m[m]
-        for i in range(len(done) + 1, n_terms + 1):
-            kernel = _kernel_plus(i, w1, w2)
-            if self.kind == "symmetrized":
-                kernel = kernel - _kernel_plus(i, -w1, w2)
-            done.append(float(np.dot(kernel, weight)))
-        return np.array(done[:n_terms])
+    w1, w2, chi, da, corr = _self_correlation(m)
+    return w1, w2, chi * corr * da
 
 
-def _pairing_total(coef: np.ndarray, table: _TermIntegrals, m: int) -> float:
+def _single_term(i: int, w1, w2, weight) -> float:
+    return float(np.dot(_kernel_plus(i, w1, w2), weight))
+
+
+def _symmetrized_term(i: int, w1, w2, weight) -> float:
+    return float(np.dot(_kernel_plus(i, w1, w2) - _kernel_plus(i, -w1, w2), weight))
+
+
+def _pairing_total(coef: np.ndarray, nodes, terms) -> float:
     """sum_n c_n^2 I_n at one node count."""
-    return float((coef * coef * table(m, coef.size)).sum())
+    return float((coef * coef * np.array(terms)).sum())
 
 
 def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int):
@@ -240,7 +211,7 @@ def _symmetrized_pairing(coef, table: _TermIntegrals, ref: float, m: int):
     Richardson test would compare one roundoff-sized value against
     another; guard against the single-product scale instead.
     """
-    value = _pairing_total(coef, table, m)
+    value = _pairing_total(coef, *table(m, coef.size))
     if abs(value) > RICHARDSON_RTOL * abs(ref):
         raise RefinementError(abs(value) / max(abs(ref), 1e-300), RICHARDSON_RTOL)
     return value
@@ -270,6 +241,31 @@ def _richardson(evaluate):
             coarse = fine
 
 
+def _sweep(s: float, first: int, n_max: int, table: _TermIntegrals, total, lower_sum):
+    """Rows (value, lower_sum(s, N)) for N = first..n_max, each value the
+    Richardson-refined total(c, *table(m, N)), and the coefficients and
+    node count of the last N."""
+    # validates s and n_max; an overflow surfaces as a non-finite value,
+    # which _richardson reports
+    with np.errstate(over="ignore"):
+        coef = bump_coefficients(s, n_max)
+    rows, m_used = [], None
+    for n_terms in range(first, n_max + 1):
+        with np.errstate(over="ignore"):
+            coef = bump_coefficients(s, n_terms)
+        value, m_used = _richardson(lambda m: total(coef, *table(m, n_terms)))
+        # the a1 sum's 2^(-2 s n) overflows a few N before the squared
+        # coefficients do; the a3 sum's 2^((-2 s - 1) n) only after them
+        with np.errstate(over="ignore"):
+            lower = lower_sum(s, n_terms)
+        if not math.isfinite(lower):
+            raise ParameterError(
+                f"lower-bound sum {lower} at N = {n_terms}: 2^(-2 s n) overflows"
+            )
+        rows.append((value, lower))
+    return rows, coef, m_used
+
+
 def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], float]:
     """Single-product pairings and their lower-bound sums for every
     N = A1_FIRST_TERMS..n_max in one sweep, and the symmetrized pairing
@@ -282,32 +278,16 @@ def prop_a1_pairings(s: float, n_max: int) -> tuple[list[tuple[float, float]], f
     (d/dx1 Lambda^(-1) (phi_l * g_N)) (phi_k * f_N), whose kernel is odd
     under the reflection (w, v) -> (-v, -w), so the terms cancel.
 
-    Row N is (single pairing, sum_{n<=N} 2^(-2 s n) n^(-4)).  Each N runs
-    its own Richardson refinement and sums its own terms; each term
-    integral is evaluated once per node count in tables that live for
-    this call, so every row is the float an evaluation of that N alone
-    gives.  The symmetrized pairing is taken where row n_max settled.
+    Row N is (single pairing, sum_{n<=N} 2^(-2 s n) n^(-4)).  The
+    symmetrized pairing is taken where row n_max settled.
     """
-    BumpPair(s, n_max, "a1_plus")  # validates s and n_max
+    single = _TermIntegrals(_a1_nodes, _single_term)
+    rows, coef, m_used = _sweep(s, A1_FIRST_TERMS, n_max, single, _pairing_total, lower_bound_sum)
+    # the sweep has validated s and n_max, and ran no row below A1_FIRST_TERMS
     if n_max < A1_FIRST_TERMS:
         raise ParameterError(f"need at least {A1_FIRST_TERMS} terms, got {n_max}")
-    single = _TermIntegrals("single")
-    rows = []
-    for n_terms in range(A1_FIRST_TERMS, n_max + 1):
-        # an overflow surfaces as a non-finite value, which _richardson reports
-        with np.errstate(over="ignore"):
-            coef = BumpPair(s, n_terms, "a1_plus").coefficients()
-        value, m_used = _richardson(lambda m: _pairing_total(coef, single, m))
-        # 2^(-2 s n) overflows a few N before the squared coefficients do
-        with np.errstate(over="ignore"):
-            lower = lower_bound_sum(s, n_terms)
-        if not math.isfinite(lower):
-            raise ParameterError(
-                f"lower-bound sum {lower} at N = {n_terms}: 2^(-2 s n) overflows"
-            )
-        rows.append((value, lower))
-    symmetrized = _symmetrized_pairing(coef, _TermIntegrals("symmetrized"), rows[-1][0], m_used)
-    return rows, symmetrized
+    symmetrized = _TermIntegrals(_a1_nodes, _symmetrized_term)
+    return rows, _symmetrized_pairing(coef, symmetrized, rows[-1][0], m_used)
 
 
 @functools.lru_cache(maxsize=2)
@@ -338,7 +318,7 @@ def _magnitude_support(m: int):
     return out
 
 
-def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.ndarray:
+def symmetrized_magnitude_series(s: float, n_terms: int, m: int = 24) -> np.ndarray:
     """Per-n integrals of |kernel difference|, the size of what cancels.
 
     The signed symmetrized pairing vanishes; this series bounds each term
@@ -348,12 +328,12 @@ def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.nd
     both kernels read w2 and v2 through hypot alone and chi is radial, so
     the integrand is unchanged under (w2, v2) -> (-w2, -v2).
     """
-    _check_a1_pair(f, g)
+    c = bump_coefficients(s, n_terms)
     a1, a2, b1, b2, weight = _magnitude_support(m)
     b1 = -b1  # the g bump's kernel is the f bump's at mirrored w1
     diff = np.empty(weight.shape)
-    acc = np.empty(f.n_terms)
-    for i in range(1, f.n_terms + 1):
+    acc = np.empty(n_terms)
+    for i in range(1, n_terms + 1):
         np.subtract(
             _kernel_plus(i, a1, a2)[:, None], _kernel_plus(i, b1, b2)[None, :], out=diff
         )
@@ -361,13 +341,29 @@ def symmetrized_magnitude_series(f: BumpPair, g: BumpPair, m: int = 24) -> np.nd
         # numpy's own sum, not a BLAS dot, whose order follows its thread count
         np.multiply(diff, weight, out=diff)
         acc[i - 1] = diff.sum()
-    c = f.coefficients()
     return c * c * acc
 
 
-def _a3_term_integral(i: int, w1, w2, chi, da) -> float:
+def _a3_nodes(m: int):
+    """The midpoint nodes at node count m and the chi mass int chi dw: the
+    term integrals read the nodes, _a3_total the mass."""
+    w1, w2, chi, da = _bump_nodes(m)
+    return w1, w2, chi, da, float(chi.sum() * da)
+
+
+def _a3_term_integral(i: int, w1, w2, chi, da, chi_mass) -> float:
     """J_i = int chi(w) / |2^i e1 + w| dw on the midpoint nodes."""
     return float((chi / np.hypot(2.0**i + w1, w2)).sum() * da)
+
+
+def _a3_total(coef: np.ndarray, nodes, terms) -> float:
+    """sum_n 2 c_n^2 (int chi) J_n, summed in Python floats, which round
+    as numpy scalars do at a fraction of the cost."""
+    chi_mass = nodes[-1]
+    value = 0.0
+    for c, j_i in zip(coef.tolist(), terms):
+        value += 2.0 * c * c * chi_mass * j_i
+    return value
 
 
 def prop_a3_product_norms(s: float, n_max: int) -> list[tuple[float, float]]:
@@ -378,44 +374,8 @@ def prop_a3_product_norms(s: float, n_max: int) -> list[tuple[float, float]]:
     the two factors on opposite bumps, the low-pass weight is identically 1
     there, and the integral factorizes into (int chi) * int chi / |center + w|.
     Row N is (quadrature value, sum_{n<=N} 2^((-2s-1) n) n^(-4)).
-
-    Each N runs its own Richardson refinement at the RICHARDSON_* settings
-    and sums its terms in the same order, but the nodes, the chi mass and each term integral
-    J_i(m) = int chi / |2^i e1 + w| are evaluated once per node count m in
-    a table that lives for this call alone.  A row is therefore the same
-    float as a separate call for that N would return.
     """
-    BumpPair(s, n_max, "a3_symmetric")  # validates s and n_max
-    if n_max == 0:
-        return []
     if lowpass_profile(2.0 * BUMP_SUPPORT) != 1.0:
         raise ParameterError("low-pass plateau no longer covers the bump sums")
-    tables = {}  # m -> (nodes, chi mass, [J_1, J_2, ...] at m)
-
-    def term_integrals(m: int, n_terms: int):
-        if m not in tables:
-            w1, w2, chi, da = _bump_nodes(m)
-            tables[m] = ((w1, w2, chi, da), float(chi.sum() * da), [])
-        nodes, chi_mass, j = tables[m]
-        for i in range(len(j) + 1, n_terms + 1):
-            j.append(_a3_term_integral(i, *nodes))
-        return chi_mass, j
-
-    rows = []
-    for n_terms in range(1, n_max + 1):
-        # an overflow surfaces as a non-finite value, which _richardson reports
-        with np.errstate(over="ignore"):
-            coef = BumpPair(s, n_terms, "a3_symmetric").coefficients().tolist()
-
-        def total(m: int) -> float:
-            # Python floats round as numpy scalars do, at a fraction of the cost
-            chi_mass, j = term_integrals(m, n_terms)
-            value = 0.0
-            for c, j_i in zip(coef, j):
-                value += 2.0 * c * c * chi_mass * j_i
-            return value
-
-        value, _ = _richardson(total)
-        rows.append((value, a3_lower_sum(s, n_terms)))
-    return rows
-
+    table = _TermIntegrals(_a3_nodes, _a3_term_integral)
+    return _sweep(s, 1, n_max, table, _a3_total, a3_lower_sum)[0]

@@ -537,9 +537,12 @@ def lp_norm(field: SpectralField, p: float) -> float:
     p = 2 is the same sum taken by Parseval over the coefficients.  Where
     the sum of |f|^p under- or overflows (a large finite p), it is taken
     over (|f| / max |f|)^p and scaled back by max |f|.  The transform and
-    the Parseval sum read the band square of the field alone.
+    the Parseval sum (see mode_energy) read the band square of the field
+    alone.
     """
-    return lp_norms(field, (p,))[0]
+    if p == 2.0:
+        return quadrature_root(mode_energy(field).sum(), p, field.grid, parseval=True)
+    return grid_lp_norms(field.grid, field.physical(), (p,))[0]
 
 
 def quadrature_root(total, p: float, grid: Grid2, parseval: bool = False) -> float:
@@ -567,30 +570,10 @@ def quadrature_root(total, p: float, grid: Grid2, parseval: bool = False) -> flo
     return float((total * scale) ** (1.0 / p))
 
 
-def lp_norms(field: SpectralField, ps) -> list[float]:
-    """L^p norms of one field for each exponent in ps.
-
-    p = 2 is a Parseval sum over the coefficients (see mode_energy); the
-    other exponents share one inverse transform, taken only when some
-    exponent differs from 2, and read its grid values as grid_lp_norms
-    does.  Both read the band square of the field alone.  Each entry
-    equals lp_norm(field, p) bit for bit.
-    """
-    grid = field.grid
-    rest = [p for p in ps if p != 2.0]
-    found = iter(grid_lp_norms(grid, field.physical(), rest)) if rest else None
-    return [
-        quadrature_root(mode_energy(field).sum(), p, grid, parseval=True)
-        if p == 2.0
-        else next(found)
-        for p in ps
-    ]
-
-
 def grid_lp_norms(grid: Grid2, values: np.ndarray, ps) -> list[float]:
     """L^p norms of the grid values of a field on grid, for each exponent
     in ps, by the quadrature of lp_norm; p = 2 too is the sum over the
-    grid here, where lp_norms takes it by Parseval.
+    grid here, where lp_norm takes it by Parseval.
     """
     for p in ps:
         if p != math.inf and not p >= 1.0:

@@ -126,38 +126,26 @@ def contraction_norm_spec(alpha: float, s: float | None = None) -> ContractionNo
             riesz_low=False,
             data_index=BesovIndex(-0.5, p, q),
         )
+    # the sup-in-time cases differ in their regularity and data index alone
     if alpha == 1.5:
-        return ContractionNorm(
-            index=BesovIndex(-0.5, math.inf, math.inf),
-            time_exponent=math.inf,
-            riesz_low=True,
-            data_index=BesovIndex(-0.5, math.inf, 1.0),
-        )
-    if alpha > 1.0:
-        return ContractionNorm(
-            index=BesovIndex(1.0 - alpha, math.inf, math.inf),
-            time_exponent=math.inf,
-            riesz_low=True,
-            data_index=BesovIndex(1.0 - alpha, math.inf, math.inf),
-        )
-    if alpha == 1.0:
+        reg, data_reg, data_q = -0.5, -0.5, 1.0
+    elif alpha > 1.0:
+        reg, data_reg, data_q = 1.0 - alpha, 1.0 - alpha, math.inf
+    elif alpha == 1.0:
         s = 0.25 if s is None else float(s)
         if not 0.0 < s < 0.5:
             raise ParameterError(f"alpha = 1 needs 0 < s < 1/2, got {s}")
-        return ContractionNorm(
-            index=BesovIndex(-s, math.inf, math.inf),
-            time_exponent=math.inf,
-            riesz_low=True,
-            data_index=BesovIndex(0.0, math.inf, math.inf),
-        )
-    s = 0.5 * (1.0 - alpha) if s is None else float(s)
-    if not 0.0 < s < 1.0 - alpha:
-        raise ParameterError(f"alpha < 1 needs 0 < s < 1 - alpha, got {s}")
+        reg, data_reg, data_q = -s, 0.0, math.inf
+    else:
+        s = 0.5 * (1.0 - alpha) if s is None else float(s)
+        if not 0.0 < s < 1.0 - alpha:
+            raise ParameterError(f"alpha < 1 needs 0 < s < 1 - alpha, got {s}")
+        reg, data_reg, data_q = -s, 1.0 - alpha, math.inf
     return ContractionNorm(
-        index=BesovIndex(-s, math.inf, math.inf),
+        index=BesovIndex(reg, math.inf, math.inf),
         time_exponent=math.inf,
         riesz_low=True,
-        data_index=BesovIndex(1.0 - alpha, math.inf, math.inf),
+        data_index=BesovIndex(data_reg, math.inf, data_q),
     )
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from conftest import partition_residual, pure_mode, random_field, rel_err, smooth_profile
 from sqglab.counterexamples import (
     a3_lower_sum,
-    build_counterexample_pair,
     lower_bound_sum,
     prop_a1_pairings,
     prop_a3_product_norms,
@@ -204,11 +203,9 @@ def test_criterion_5_counterexample_dichotomy():
     ratio_tail = lower_bound_sum(s, 400) / lower_bound_sum(s, 399)
     assert abs(ratio_tail - 2.0) <= 0.05 * 2.0
 
-    f12, g12 = build_counterexample_pair(s, 12, "a1")
-    magnitudes = symmetrized_magnitude_series(f12, g12)
+    magnitudes = symmetrized_magnitude_series(s, 12)
     partial = np.cumsum(magnitudes)
-    f4, g4 = build_counterexample_pair(s, 4, "a1")
-    assert rel_err(symmetrized_magnitude_series(f4, g4).sum(), partial[3]) < 1e-12
+    assert rel_err(symmetrized_magnitude_series(s, 4).sum(), partial[3]) < 1e-12
     base = partial[3]
     for n in range(4, 13):
         assert 0.5 * base <= partial[n - 1] <= 2.0 * base

@@ -279,6 +279,31 @@ class TestExitCodes:
             f"be a whole number of steps dt, at least one: got T={T}, dt=0.0025\n"
         )
 
+    def test_uniqueness_twin_step_is_refused_before_the_first_march(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at n = 256 the ladder's dt keeps dt * k_max^alpha at 36.2, inside
+        # the bound of 40, and the twins' 2 dt does not
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached the ladder")
+
+        monkeypatch.setattr(sqglab.cli, "contraction_ladder", unreachable)
+        assert run_cli("uniqueness", "endpoint", "--n", "256", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "parameter error: the twin runs march to T/4 at 2*dt = 0.005: "
+            "dt * k_max^alpha = 72.3 exceeds 40; reduce dt or the resolution\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    # s < 0 is checked once, where the bump coefficients are built
+    @pytest.mark.parametrize("target", ["a1", "a3"])
+    @pytest.mark.parametrize("s", ["0", "0.5"])
+    def test_counterexample_refuses_nonnegative_s(self, tmp_path, capsys, target, s):
+        assert run_cli("counterexample", target, "--s", s, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"parameter error: bump construction requires s < 0, got {float(s)}\n"
+        )
+
     def test_duhamel_ladder_rule_names_alpha_and_depth(self, tmp_path, capsys):
         # alpha * (j_max - 4) = 2 at the default n = 256 leaves the ladder empty
         argv = ("verify-lemma", "duhamel-smoothing", "--alpha", "1", "--out", str(tmp_path))

@@ -19,10 +19,9 @@ from sqglab.counterexamples import (
     A1_FIRST_TERMS,
     BUMP_PLATEAU,
     BUMP_SUPPORT,
-    BumpPair,
     RefinementError,
     a3_lower_sum,
-    build_counterexample_pair,
+    bump_coefficients,
     bump_profile,
     lower_bound_sum,
     prop_a1_pairings,
@@ -49,29 +48,18 @@ class TestBumpProfile:
         assert np.all(np.diff(vals) < 0.0)
 
 
-class TestBumpPair:
+class TestBumpCoefficients:
     def test_coefficient_law(self):
-        pair = BumpPair(-0.5, 3, "a1_plus")
         expected = [2.0**0.5, 2.0 / 4.0, 2.0**1.5 / 9.0]
-        assert np.allclose(pair.coefficients(), expected, rtol=1e-15)
+        assert np.allclose(bump_coefficients(-0.5, 3), expected, rtol=1e-15)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            BumpPair(0.0, 3, "a1_plus")
+            bump_coefficients(0.0, 3)
         with pytest.raises(ParameterError):
-            BumpPair(0.5, 3, "a1_plus")
+            bump_coefficients(0.5, 3)
         with pytest.raises(ParameterError):
-            BumpPair(-0.5, -1, "a1_plus")
-        with pytest.raises(ParameterError):
-            BumpPair(-0.5, 3, "a2_plus")
-
-    def test_build_variants(self):
-        f, g = build_counterexample_pair(-0.5, 4, "a1")
-        assert f.variant == "a1_plus" and g.variant == "a1_minus"
-        fs, gs = build_counterexample_pair(-0.5, 4, "a3")
-        assert fs is gs and fs.variant == "a3_symmetric"
-        with pytest.raises(ParameterError):
-            build_counterexample_pair(-0.5, 4, "a2")
+            bump_coefficients(-0.5, -1)
 
 
 class TestLowerBoundSums:
@@ -111,15 +99,13 @@ class TestSinglePairing:
     def test_increments_match_summation_oracle(self):
         # the quadrature increments are c_n^2 I_n with I_n nearly constant,
         # so dividing by the oracle increments c_n^2 must flatten them
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        _, terms, _ = reference_pairing(f, g, "single")
-        flattened = terms / f.coefficients() ** 2
+        _, terms, _ = reference_pairing(-0.5, 12, "single")
+        flattened = terms / bump_coefficients(-0.5, 12) ** 2
         spread = flattened.max() / flattened.min() - 1.0
         assert spread < 1e-3
 
     def test_successive_ratios_match_oracle(self):
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        _, terms, _ = reference_pairing(f, g, "single")
+        _, terms, _ = reference_pairing(-0.5, 12, "single")
         partial = np.cumsum(terms)
         oracle = np.array([lower_bound_sum(-0.5, k) for k in range(1, 13)])
         q_ratio = partial[1:] / partial[:-1]
@@ -128,19 +114,9 @@ class TestSinglePairing:
 
     def test_increments_grow_past_the_dip(self):
         # terms c_n^2 I_n dip near n = 5 then grow geometrically
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        _, terms, _ = reference_pairing(f, g, "single")
+        _, terms, _ = reference_pairing(-0.5, 12, "single")
         assert np.all(terms > 0.0)
         assert np.all(np.diff(terms[5:]) > 0.0)
-
-    def test_pair_validation(self):
-        f, g = build_counterexample_pair(-0.5, 4, "a1")
-        with pytest.raises(ParameterError):
-            symmetrized_magnitude_series(g, f)
-        with pytest.raises(ParameterError):
-            symmetrized_magnitude_series(f, BumpPair(-0.5, 5, "a1_minus"))
-        with pytest.raises(ParameterError):
-            symmetrized_magnitude_series(f, BumpPair(-0.75, 4, "a1_minus"))
 
     def test_refinement_error_when_budget_too_tight(self):
         # evaluations that never settle exhaust the node budget
@@ -156,22 +132,22 @@ class TestSinglePairing:
 
 class TestFilterDecomposition:
     # with the filters kept explicitly only offsets in {0, 1}^2 contribute,
-    # and their sum reproduces the filterless value _TermIntegrals computes,
+    # and their sum reproduces the filterless value of the single term table,
     # because the four filter products telescope to 1 on the bump supports
     def test_offsets_sum_to_filterless(self):
-        f, g = build_counterexample_pair(-0.5, 4, "a1")
-        split = reference_filter_decomposition(f, g, 24)
+        split = reference_filter_decomposition(-0.5, 4, 24)
         assert set(split) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert all(v > 0.0 for v in split.values())
         # force the same node count for an exact comparison
-        table = counterexamples._TermIntegrals("single")
-        filterless = counterexamples._pairing_total(f.coefficients(), table, 24)
+        table = counterexamples._TermIntegrals(
+            counterexamples._a1_nodes, counterexamples._single_term
+        )
+        filterless = counterexamples._pairing_total(bump_coefficients(-0.5, 4), *table(24, 4))
         total = sum(split.values())
         assert abs(total - filterless) / filterless < 1e-12
 
     def test_mirror_offsets_agree(self):
-        f, g = build_counterexample_pair(-0.5, 3, "a1")
-        split = reference_filter_decomposition(f, g, 24)
+        split = reference_filter_decomposition(-0.5, 3, 24)
         assert abs(split[(0, 1)] - split[(1, 0)]) / split[(0, 1)] < 1e-3
 
 
@@ -195,18 +171,16 @@ class TestSymmetrizedPairing:
     def test_magnitude_series_converges(self):
         # before cancellation each symmetrized term is c_n^2 O(4^(-n)),
         # so the magnitude series converges while the single one diverges
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        mags = symmetrized_magnitude_series(f, g, m=24)
+        mags = symmetrized_magnitude_series(-0.5, 12, m=24)
         assert np.all(mags > 0.0)
         mag_sums = np.cumsum(mags)
         assert (mag_sums[-1] - mag_sums[5]) / mag_sums[5] < 1e-4
-        _, terms, _ = reference_pairing(f, g, "single")
+        _, terms, _ = reference_pairing(-0.5, 12, "single")
         single_sums = np.cumsum(terms)
         assert (single_sums[-1] - single_sums[5]) / single_sums[5] > 0.2
 
     def test_magnitude_terms_shrink_geometrically(self):
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
-        mags = symmetrized_magnitude_series(f, g, m=24)
+        mags = symmetrized_magnitude_series(-0.5, 12, m=24)
         ratios = mags[1:] / mags[:-1]
         assert np.all(ratios < 0.5)
 
@@ -226,13 +200,13 @@ def test_mirrored_kernel_is_the_plus_kernel_at_minus_w1(m):
         assert np.array_equal(got.view(np.int64), kernel_minus(i, w1, w2).view(np.int64))
 
 
-def reference_magnitude_series(f, g, m):
+def reference_magnitude_series(s, n_terms, m):
     """symmetrized_magnitude_series as a dense term-outer loop over every
     node pair, rebuilding the chi(w + v) coupling of every chunk for every
     term."""
     w1, w2, chi, da = counterexamples._bump_nodes(m)
-    out = np.empty(f.n_terms)
-    for i, c in enumerate(f.coefficients(), start=1):
+    out = np.empty(n_terms)
+    for i, c in enumerate(bump_coefficients(s, n_terms), start=1):
         ka = counterexamples._kernel_plus(i, w1, w2)
         acc = 0.0
         for start in range(0, w1.size, 256):
@@ -247,7 +221,7 @@ def reference_magnitude_series(f, g, m):
     return out
 
 
-def reference_filter_decomposition(f, g, m):
+def reference_filter_decomposition(s, n_terms, m):
     """The single pairing split by filter-level offsets (k-n, l-n), the
     filters kept explicitly and the coupling rebuilt per (offset, term)."""
     w1, w2, chi, da = counterexamples._bump_nodes(m)
@@ -255,7 +229,7 @@ def reference_filter_decomposition(f, g, m):
     for dk in (0, 1):
         for dl in (0, 1):
             total = 0.0
-            for i, c in enumerate(f.coefficients(), start=1):
+            for i, c in enumerate(bump_coefficients(s, n_terms), start=1):
                 cc = 2.0**i
                 filt_f = annulus_profile(i + dk, np.hypot(cc + w1, w2))
                 filt_g = annulus_profile(i + dl, np.hypot(cc - w1, w2))
@@ -332,9 +306,8 @@ class TestSharedCoupling:
     @pytest.mark.parametrize("s", [-0.5, -0.75])
     @pytest.mark.parametrize("m", [24, 25, 32])
     def test_magnitude_series_matches_dense_oracle(self, m, s):
-        f, g = build_counterexample_pair(s, 12, "a1")
-        got = symmetrized_magnitude_series(f, g, m=m)
-        want = reference_magnitude_series(f, g, m)
+        got = symmetrized_magnitude_series(s, 12, m=m)
+        want = reference_magnitude_series(s, 12, m)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     @pytest.mark.parametrize("m", [24, 25])
@@ -363,9 +336,8 @@ class TestSharedCoupling:
     def test_magnitude_series_couplings_built_once(self):
         # the support block of chi(w) chi(w + v) chi(v) depends on m alone; a
         # rerun reads it from the cache, bit for bit, and cannot write into it
-        f, g = build_counterexample_pair(-0.5, 12, "a1")
         counterexamples._magnitude_support.cache_clear()
-        first, second = (symmetrized_magnitude_series(f, g) for _ in range(2))
+        first, second = (symmetrized_magnitude_series(-0.5, 12) for _ in range(2))
         assert np.array_equal(first.view(np.int64), second.view(np.int64))
         assert counterexamples._magnitude_support.cache_info().misses == 1
         support = counterexamples._magnitude_support(24)
@@ -376,13 +348,13 @@ class TestSharedCoupling:
                 a[0] = 1.0
 
 
-def reference_pairing_terms(f, g, kind, m):
+def reference_pairing_terms(s, n_terms, kind, m):
     """Per-n pairing contributions at one node count, every term kernel
     rebuilt at every call."""
     w1, w2, chi, da, corr = counterexamples._self_correlation(m)
     weight = chi * corr * da
-    terms = np.empty(f.n_terms)
-    for i, c in enumerate(f.coefficients(), start=1):
+    terms = np.empty(n_terms)
+    for i, c in enumerate(bump_coefficients(s, n_terms), start=1):
         kernel = counterexamples._kernel_plus(i, w1, w2)
         if kind == "symmetrized":
             kernel = kernel - kernel_minus(i, w1, w2)
@@ -390,15 +362,15 @@ def reference_pairing_terms(f, g, kind, m):
     return terms
 
 
-def reference_pairing(f, g, kind):
+def reference_pairing(s, n_terms, kind):
     """(value, per-n terms c_n^2 I_n, node count) of one pairing kind for
     one N alone, every node count evaluating all N term integrals: the
     floats of prop_a1_pairings' row N (single) and of its symmetrized
     pairing at n_max = N."""
     single, m_used = counterexamples._richardson(
-        lambda m: float(reference_pairing_terms(f, g, "single", m).sum())
+        lambda m: float(reference_pairing_terms(s, n_terms, "single", m).sum())
     )
-    terms = reference_pairing_terms(f, g, kind, m_used)
+    terms = reference_pairing_terms(s, n_terms, kind, m_used)
     value = single if kind == "single" else float(terms.sum())
     return value, terms, m_used
 
@@ -412,11 +384,9 @@ class TestPairingSweep:
         rows, symmetrized = prop_a1_pairings(s, 40)
         assert len(rows) == 40 - A1_FIRST_TERMS + 1
         for n_terms, (value, lower) in enumerate(rows, start=A1_FIRST_TERMS):
-            f, g = build_counterexample_pair(s, n_terms, "a1")
-            assert value.hex() == reference_pairing(f, g, "single")[0].hex(), n_terms
+            assert value.hex() == reference_pairing(s, n_terms, "single")[0].hex(), n_terms
             assert lower.hex() == lower_bound_sum(s, n_terms).hex(), n_terms
-        f, g = build_counterexample_pair(s, 40, "a1")
-        assert symmetrized.hex() == reference_pairing(f, g, "symmetrized")[0].hex()
+        assert symmetrized.hex() == reference_pairing(s, 40, "symmetrized")[0].hex()
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -430,7 +400,7 @@ class TestPairingSweep:
         first_bad = None
         for n_terms in range(1, 51):
             try:
-                reference_pairing(*build_counterexample_pair(s, n_terms, "a1"), "single")
+                reference_pairing(s, n_terms, "single")
             except ParameterError as exc:
                 first_bad, message = n_terms, str(exc)
                 break
@@ -442,9 +412,8 @@ class TestPairingSweep:
             f"lower-bound sum inf at N = {first_bad - 1}: 2^(-2 s n) overflows"
         )
         # at s = -300 both overflow on the first row, and the pairing is first
-        f, g = build_counterexample_pair(-300.0, A1_FIRST_TERMS, "a1")
         with pytest.raises(ParameterError) as info:
-            reference_pairing(f, g, "single")
+            reference_pairing(-300.0, A1_FIRST_TERMS, "single")
         message = str(info.value)
         with pytest.raises(ParameterError) as info:
             prop_a1_pairings(-300.0, A1_FIRST_TERMS)
@@ -518,7 +487,7 @@ def reference_a3_value(s, n_terms):
         w1, w2, chi, da = counterexamples._bump_nodes(m)
         chi_mass = float(chi.sum() * da)
         value = 0.0
-        for i, c in enumerate(BumpPair(s, n_terms, "a3_symmetric").coefficients(), start=1):
+        for i, c in enumerate(bump_coefficients(s, n_terms), start=1):
             j_n = float((chi / np.hypot(2.0**i + w1, w2)).sum() * da)
             value += 2.0 * c * c * chi_mass * j_n
         return value

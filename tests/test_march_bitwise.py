@@ -20,7 +20,6 @@ from sqglab.spectral import (
     ParameterError,
     SpectralField,
     lp_norm,
-    lp_norms,
     shared_grid,
 )
 from sqglab.uniqueness import (
@@ -112,7 +111,6 @@ class TestLpNorms:
         ps = (1, 2.0, 4, math.inf)
         for seed in range(4):
             f = random_field(grid64, np.random.default_rng(seed), band_limited=False)
-            assert lp_norms(f, ps) == [lp_norm(f, p) for p in ps]
             # the quadrature formulas themselves, written out; p = 2 is the
             # Parseval sum over the Hermitian part of the coefficients
             w = np.abs(np.fft.ifft2(f.coef).real)
@@ -120,7 +118,7 @@ class TestLpNorms:
             c = f.coef
             h = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1))))
             energy = np.square(h.real) + np.square(h.imag)
-            assert lp_norms(f, ps) == [
+            assert [lp_norm(f, p) for p in ps] == [
                 float(w.sum() * area),
                 float(math.sqrt(area / 64**2 * energy.sum())),
                 float((np.power(w, 4).sum() * area) ** (1.0 / 4)),
@@ -133,4 +131,4 @@ class TestLpNorms:
     def test_invalid_exponent_rejected(self, grid64):
         f = random_field(grid64, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            lp_norms(f, (2.0, 0.5))
+            lp_norm(f, 0.5)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field, whole_symbol
-from sqglab.counterexamples import BumpPair, bump_profile
+from sqglab.counterexamples import bump_coefficients, bump_profile
 from sqglab.littlewood import (
     block,
     block_norms,
@@ -67,7 +67,7 @@ class TestLpNormParseval:
         # bump coefficients sit at +2^n e1 only: far from Hermitian
         grid = Grid2(256, 40.0 * math.pi)
         coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        for n, c in enumerate(BumpPair(-0.5, 2, "a1_plus").coefficients(), start=1):
+        for n, c in enumerate(bump_coefficients(-0.5, 2), start=1):
             coef += c * bump_profile(np.hypot(grid.k1 - 2.0**n, grid.k2))
         f = SpectralField(grid, coef)
         assert f.conjugate_symmetry_defect() > 0.5
