@@ -11,6 +11,14 @@ with the same configuration is byte-identical) plus a plaintext summary
 mirroring the headline numbers.  Exit status: 0 on success, 1 on a
 parameter problem, 2 when a verification predicate fails or a march
 blows up.
+
+The parameters of a run are one dict, _KEY_TYPES its only key table: the
+config file's values, then the flags over them.  main checks out and
+threads, the keys every command reads, before dispatch; each command
+refuses the keys it does not read, and each other rule is checked once,
+where its value is used: n and box by Grid2, T and dt by SolveParams,
+trials by the trial loop (or by the counterexample command), the seed by
+_seed and data by the solve march.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,51 +87,6 @@ _KEY_TYPES = {
     **dict.fromkeys(("out", "data"), str),
 }
 _ALL_KEYS = _KEY_TYPES.keys()
-
-
-@dataclass
-class RunConfig:
-    """Validated parameter set for one dispatch."""
-
-    command: str
-    target: str | None = None
-    alpha: float | None = None
-    n: int | None = None
-    box: float | None = None
-    T: float | None = None
-    dt: float | None = None
-    s: float | None = None
-    p: float | None = None
-    q: float | None = None
-    eps: float | None = None
-    s_prime: float | None = None
-    trials: int | None = None
-    seed: int | None = None
-    out: str = "."
-    threads: int = field(default_factory=lambda: min(os.cpu_count() or 1, MAX_THREADS))
-    data: str | None = None  # smooth when unset
-
-    def require_seed(self, why: str) -> int:
-        if self.seed is None:
-            raise ParameterError(f"--seed is mandatory for {why}")
-        return self.seed
-
-    def validate(self) -> None:
-        if self.n is not None and self.n < 16:
-            raise ParameterError(f"grid size must be at least 16, got {self.n}")
-        # the box is checked where every command builds its grid, by Grid2
-        for name in ("T", "dt"):
-            v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise ParameterError(f"{name} must be positive, got {v}")
-        if self.trials is not None and not 1 <= self.trials <= MAX_TRIALS:
-            raise ParameterError(f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
-        if self.seed is not None and self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ParameterError(f"threads must lie in 1..{MAX_THREADS}, got {self.threads}")
-        if self.data not in (None, "smooth", "zero", "random"):
-            raise ParameterError(f"data must be smooth|zero|random, got {self.data!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -188,32 +151,43 @@ def write_csv(path: str, reference: str, columns, rows) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
-def _emit(config: RunConfig, slug: str, columns, rows, lines, passed: bool) -> int:
-    os.makedirs(config.out, exist_ok=True)
-    csv_path = os.path.join(config.out, f"{slug}.csv")
-    txt_path = os.path.join(config.out, f"{slug}-summary.txt")
-    write_csv(csv_path, slug, columns, rows)
+def _emit(out: str, slug: str, columns, rows, lines, passed: bool) -> int:
+    csv_path = os.path.join(out, f"{slug}.csv")
+    txt_path = os.path.join(out, f"{slug}-summary.txt")
     summary = "".join(f"{key} = {_fmt_cell(value)}\n" for key, value in lines)
     summary += f"status = {'pass' if passed else 'fail'}\n"
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(f"reference: {slug}\n{summary}")
+    # main refused an out that names a file; what the file system refuses
+    # only now is a parameter error too
+    try:
+        os.makedirs(out, exist_ok=True)
+        write_csv(csv_path, slug, columns, rows)
+        with open(txt_path, "w", encoding="utf-8") as fh:
+            fh.write(f"reference: {slug}\n{summary}")
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot write to out {out!r}: {exc}") from None
     sys.stdout.write(f"wrote {csv_path}\nwrote {txt_path}\n{summary}")
     return 0 if passed else 2
 
 
-def _merged(config: RunConfig, name: str, defaults: dict, also=()) -> dict:
-    """The set keys merged over the defaults; defaults and also name every
-    key the command reads, and any other set key but out and threads is an
+def _merged(values: dict, name: str, defaults: dict, also=()) -> dict:
+    """The values merged over the defaults; defaults and also name every
+    key the command reads, and any other key but out and threads is an
     error."""
-    given = {
-        key: getattr(config, key)
-        for key in _ALL_KEYS - {"out", "threads"}
-        if getattr(config, key) is not None
-    }
+    given = {key: v for key, v in values.items() if key not in ("out", "threads")}
     unread = sorted(given.keys() - defaults.keys() - set(also))
     if unread:
         raise ParameterError(f"{name} does not read {', '.join(unread)}")
     return {**defaults, **given}
+
+
+def _seed(args: dict, why: str) -> int:
+    """The seed of a randomized run, which must be set and nonnegative."""
+    seed = args.get("seed")
+    if seed is None:
+        raise ParameterError(f"--seed is mandatory for {why}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _smooth_data(grid, amp: float = 0.05) -> SpectralField:
@@ -231,39 +205,43 @@ def _smooth_data(grid, amp: float = 0.05) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 
-def _solve_march(config: RunConfig, args: dict, grid):
-    """The march of the solve command.  It holds its own copy of the
-    datum, so neither the datum nor the bank that drew it outlives this
-    call."""
-    n = grid.n
-    if args["data"] == "zero":
-        theta0 = SpectralField(grid, np.zeros((n, n), dtype=np.complex128))
-    elif args["data"] == "random":
-        seed = config.require_seed("randomized initial data")
-        theta0 = random_besov_field(build_bank(grid), np.random.default_rng(seed)) * 0.05
-    else:
-        theta0 = _smooth_data(grid)
+def _solve_march(args: dict):
+    """The march of the solve command.  Its parameters are checked before
+    the grid or the datum is built, and it holds its own copy of the datum,
+    so neither the datum nor the bank that drew it outlives this call."""
     params = SolveParams(
-        alpha=args["alpha"], n=n, t_final=args["T"], dt=args["dt"], box_length=args["box"]
+        alpha=args["alpha"], n=args["n"], t_final=args["T"], dt=args["dt"], box_length=args["box"]
     )
+    grid = params.grid()
+    n = grid.n
+    data = args["data"]
+    if data == "zero":
+        theta0 = SpectralField(grid, np.zeros((n, n), dtype=np.complex128))
+    elif data == "random":
+        seed = _seed(args, "randomized initial data")
+        theta0 = random_besov_field(build_bank(grid), np.random.default_rng(seed)) * 0.05
+    elif data == "smooth":
+        theta0 = _smooth_data(grid)
+    else:
+        raise ParameterError(f"data must be smooth|zero|random, got {data!r}")
     return march(theta0, params)
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _cmd_solve(_target: None, values: dict) -> int:
     defaults = dict(alpha=1.5, n=128, box=2.0 * math.pi, T=0.2, dt=0.0025, data="smooth")
     # only random data reads the seed
-    args = _merged(config, "solve", defaults, ("seed",) if config.data == "random" else ())
+    also = ("seed",) if values.get("data") == "random" else ()
+    args = _merged(values, "solve", defaults, also)
     alpha, n = args["alpha"], args["n"]
-    grid = shared_grid(n, args["box"])
     rows = []
     # l4 and linf read the grid values the step's advection took; only
     # the final state, which no advection reads, is inverted here
-    for t, theta, _, values in _solve_march(config, args, grid):
-        if values is None:
-            values = theta.physical()
-        norms = grid_lp_norms(grid, values, (4, math.inf))
+    for t, theta, _, grid_values in _solve_march(args):
+        if grid_values is None:
+            grid_values = theta.physical()
+        norms = grid_lp_norms(theta.grid, grid_values, (4, math.inf))
         # not held through the next step's advections
-        del values
+        del grid_values
         rows.append((t, lp_norm(theta, 2), *norms, theta.mean()))
     columns = (
         ("time", "box time"),
@@ -279,7 +257,7 @@ def _cmd_solve(config: RunConfig) -> int:
         ("final_linf", rows[-1][3]),
         ("mean_drift", abs(rows[-1][4] - rows[0][4])),
     ]
-    return _emit(config, "solve", columns, rows, lines, True)
+    return _emit(values["out"], "solve", columns, rows, lines, True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +323,21 @@ LEMMA_IDS = tuple(_LEMMAS)
 _RANDOMIZED_LEMMAS = frozenset(LEMMA_IDS) - {"duhamel-smoothing"}
 
 
-def _cmd_verify_lemma(config: RunConfig) -> int:
-    target = config.target
-    if target not in _LEMMAS:
-        raise ParameterError(f"unknown lemma id {target!r}")
+def _cmd_verify_lemma(target: str, values: dict) -> int:
     verify, j_unit, defaults = _LEMMAS[target]
     randomized = target in _RANDOMIZED_LEMMAS
     args = _merged(
-        config, f"verify-lemma {target}", defaults, ("seed",) if randomized else ()
+        values, f"verify-lemma {target}", defaults, ("seed",) if randomized else ()
     )
-    grid = shared_grid(args.pop("n"), args.pop("box"))
     if randomized:
-        args["seed"] = config.require_seed("randomized verification")
-        args["threads"] = config.threads
+        args["seed"] = _seed(args, "randomized verification")
+        args["threads"] = values["threads"]
+    grid = shared_grid(args.pop("n"), args.pop("box"))
     # looked up by name at call time, so a wrapper installed on this
     # module sees the call
     report = globals()[verify.__name__](build_bank(grid), **args)
     columns = (("trial", "count"), ("j", j_unit), ("ratio", "dimensionless"))
-    return _emit(config, target, columns, report.rows, report.summary.items(), report.passed)
+    return _emit(values["out"], target, columns, report.rows, report.summary.items(), report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +345,18 @@ def _cmd_verify_lemma(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_counterexample(config: RunConfig) -> int:
-    target = config.target
-    if target not in _COUNTEREXAMPLE_TERMS:
-        raise ParameterError(f"unknown counterexample id {target!r}")
+def _cmd_counterexample(target: str, values: dict) -> int:
     defaults = dict(s=-0.5, trials=_COUNTEREXAMPLE_TERMS[target])
-    args = _merged(config, f"counterexample {target}", defaults)
+    args = _merged(values, f"counterexample {target}", defaults)
     s, n_max = args["s"], args["trials"]
     # a1 tabulates from A1_FIRST_TERMS terms, a3 from 1; each reads a
     # growth ratio between its last two rows
     first = A1_FIRST_TERMS if target == "a1" else 1
     if n_max < first + 1:
         raise ParameterError(f"need at least {first + 1} terms, got {n_max}")
+    # the trials budget of every command: bump_coefficients holds n_max terms
+    if n_max > MAX_TRIALS:
+        raise ParameterError(f"trials must lie in 1..{MAX_TRIALS}, got {n_max}")
     columns = (
         ("N", "number of bump terms"),
         ("pairing", "pairing value"),
@@ -432,7 +407,7 @@ def _cmd_counterexample(config: RunConfig) -> int:
             detail,
             ("oracle_ratio_spread", spread),
         ]
-    return _emit(config, f"counterexample-{target}", columns, rows, lines, passed)
+    return _emit(values["out"], f"counterexample-{target}", columns, rows, lines, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +415,16 @@ def _cmd_counterexample(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_uniqueness(config: RunConfig) -> int:
-    case = config.target
+def _cmd_uniqueness(case: str, values: dict) -> int:
     default_alpha, admits, window = _UNIQUENESS_CASES[case]
     # an unset s selects the case's own contraction norm
     defaults = dict(alpha=default_alpha, n=128, box=2.0 * math.pi, T=0.4, dt=0.0025, s=None)
-    args = _merged(config, f"uniqueness {case}", defaults)
+    args = _merged(values, f"uniqueness {case}", defaults)
     alpha, n, box, t_top, dt = (args[k] for k in ("alpha", "n", "box", "T", "dt"))
     if not admits(alpha):
         raise ParameterError(f"case {case} needs alpha in {window}, got {alpha}")
-    grid = shared_grid(n, box)
-    bank = build_bank(grid)
-    theta0 = _smooth_data(grid)
     spec = contraction_norm_spec(alpha, s=args["s"])
+    # every march's parameters are checked before the grid and the bank
     params = SolveParams(alpha=alpha, n=n, t_final=t_top, dt=dt, box_length=box)
     horizons = [t_top / 8.0, t_top / 4.0, t_top / 2.0, t_top]
     # params passed every rule at T, so at T/8 only the step rule can fail
@@ -470,6 +442,9 @@ def _cmd_uniqueness(config: RunConfig) -> int:
         twin = replace(params, t_final=horizons[1], dt=2.0 * dt)
     except ParameterError as exc:
         raise ParameterError(f"the twin runs march to T/4 at 2*dt = {2.0 * dt}: {exc}") from None
+    grid = shared_grid(n, box)
+    bank = build_bank(grid)
+    theta0 = _smooth_data(grid)
     ladder = contraction_ladder(theta0, params, bank, horizons, spec=spec, state_at=horizons[1])
     fine = ladder[1].state
     ident_max, order, amplification = twin_experiments(theta0, twin, bank, spec, fine)
@@ -503,7 +478,7 @@ def _cmd_uniqueness(config: RunConfig) -> int:
         ("temporal_order", order),
         ("delta_amplification", amplification),
     ]
-    return _emit(config, f"uniqueness-{case}", columns, rows, lines, passed)
+    return _emit(values["out"], f"uniqueness-{case}", columns, rows, lines, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +486,9 @@ def _cmd_uniqueness(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_continuity(config: RunConfig) -> int:
+def _cmd_continuity(_target: None, values: dict) -> int:
     defaults = dict(n=512, box=2.0 * math.pi, alpha=2.0, s=-0.5, p=2.0)
-    args = _merged(config, "continuity", defaults)
+    args = _merged(values, "continuity", defaults)
     alpha, s, p = args["alpha"], args["s"], args["p"]
     bank = build_bank(shared_grid(args["n"], args["box"]))
     # a norm that overflows is caught by the finiteness check below
@@ -547,7 +522,7 @@ def _cmd_continuity(config: RunConfig) -> int:
         ("unit_floor_ratio", float(unit.curve.min() / unit.curve[0])),
         ("unit_tail", unit.tail),
     ]
-    return _emit(config, "continuity", columns, rows, lines, passed)
+    return _emit(values["out"], "continuity", columns, rows, lines, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +564,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    values = load_config_file(args.config) if args.config else {}
-    for key in _ALL_KEYS:
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-    config = RunConfig(
-        command=args.command, target=getattr(args, "target", None), **values
-    )
-    config.validate()
-    return config
+def build_config(args: argparse.Namespace) -> dict:
+    """The run's values: out and threads at their defaults, the config
+    file's values over them and the flags over those."""
+    values = dict(out=".", threads=min(os.cpu_count() or 1, MAX_THREADS))
+    if args.config:
+        values.update(load_config_file(args.config))
+    values.update((key, getattr(args, key)) for key in _ALL_KEYS if getattr(args, key) is not None)
+    return values
+
+
+def _check_shared(values: dict) -> None:
+    """threads and out, the two keys every command reads.  The nearest
+    existing part of out must be a directory, so that an out naming a file,
+    or running through one, is refused before any work."""
+    threads, out = values["threads"], values["out"]
+    if not 1 <= threads <= MAX_THREADS:
+        raise ParameterError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
+    head = os.path.abspath(out)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not out or not os.path.isdir(head):
+        raise ParameterError(f"out must be a directory or a new path under one, got {out!r}")
 
 
 _DISPATCH = {
@@ -614,8 +601,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = build_config(args)
-        return _DISPATCH[config.command](config)
+        values = build_config(args)
+        _check_shared(values)
+        return _DISPATCH[args.command](getattr(args, "target", None), values)
     except ParameterError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 1

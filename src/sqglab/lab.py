@@ -519,16 +519,15 @@ def verify_bilinear(
 
 
 def lowpass_commutator_family(u1, u2, theta, bank):
-    """[filter*, u] . grad theta for the low-pass and every annulus filter."""
+    """[filter*, u] . grad theta for the low-pass and every annulus filter,
+    yielded one at a time."""
     v1, v2 = u1.physical(), u2.physical()
     advection = _advect(v1, v2, theta)
-    return [
-        SpectralField(
+    for j in range(bank.j_max + 1):
+        yield SpectralField(
             bank.grid,
             block(advection, bank, j).coef - _advect(v1, v2, block(theta, bank, j)).coef,
         )
-        for j in range(bank.j_max + 1)
-    ]
 
 
 def verify_commutator_advection(
@@ -553,15 +552,15 @@ def verify_commutator_advection(
         stream = random_besov_field(bank, rng, s=0.5)
         u1, u2 = riesz_perp_velocity(stream)
         theta = random_besov_field(bank, rng, s=0.25)
-        family = lowpass_commutator_family(u1, u2, theta, bank)
-        du = [piece for comp in (u1, u2) for piece in _grad_pair(comp)]
-        dtheta = _grad_pair(theta)
+        # each gradient and each commutator is dropped once its norm is taken
+        du = (gradient(comp, axis) for comp in (u1, u2) for axis in (0, 1))
+        dtheta = (gradient(theta, axis) for axis in (0, 1))
         rhs = _vector_besov(du, bank, 2.0 / p - eps, p, q1) * _vector_besov(
             dtheta, bank, s + eps - 1.0, p, q2
         )
         if rhs < ENERGY_FLOOR:
             return [], {}, 1
-        norms = [lp_norm(piece, p) for piece in family]
+        norms = [lp_norm(piece, p) for piece in lowpass_commutator_family(u1, u2, theta, bank)]
         samples, levels, nskip = _graded_ratio(norms, BesovIndex(s, p, q), rhs)
         levels[0] = norms[0] / rhs
         return samples, levels, nskip

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqglab.cli
+import sqglab.counterexamples
 import sqglab.lab
 import sqglab.mild
 import sqglab.uniqueness
@@ -29,7 +30,6 @@ from sqglab.cli import (
     _RANDOMIZED_LEMMAS,
     LEMMA_IDS,
     UNIQUENESS_CASES,
-    RunConfig,
     build_config,
     build_parser,
     _fmt_cell,
@@ -61,6 +61,10 @@ def run_cli_quietly(*argv):
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("parameter error: ") and err.count("\n") == 1, err
+
+
+class Reached(Exception):
+    """Raised by a stand-in to stop a run at the point it reached."""
 
 
 def read_csv(path):
@@ -187,10 +191,10 @@ class TestConfigHandling:
         args = parser.parse_args(
             ["solve", "--config", str(cfg), "--n", "128", "--out", str(tmp_path)]
         )
-        config = build_config(args)
-        assert config.alpha == 1.75  # from the file
-        assert config.n == 128  # flag wins
-        assert config.q == math.inf
+        values = build_config(args)
+        assert values["alpha"] == 1.75  # from the file
+        assert values["n"] == 128  # flag wins
+        assert values["q"] == math.inf
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -214,14 +218,44 @@ class TestConfigHandling:
         with pytest.raises(ParameterError):
             load_config_file(str(cfg))
 
-    def test_validation_ranges(self):
-        with pytest.raises(ParameterError):
-            RunConfig(command="solve", dt=-0.1).validate()
-        with pytest.raises(ParameterError):
-            RunConfig(command="solve", trials=0).validate()
-        with pytest.raises(ParameterError):
-            RunConfig(command="solve", data="garbage").validate()
-        RunConfig(command="solve").validate()
+    def test_validation_ranges(self, tmp_path, capsys, monkeypatch):
+        # each refusal comes from the one check of its rule: SolveParams,
+        # the trial loop and the solve march
+        for argv, message in (
+            (("solve", "--dt", "-0.1"), "dt must be positive, got -0.1"),
+            (("verify-lemma", "bernstein", "--seed", "1", "--trials", "0"),
+             "trials must lie in 1..10000, got 0"),
+            (("solve", "--data", "garbage"), "data must be smooth|zero|random, got 'garbage'"),
+        ):
+            assert run_cli(*argv, "--out", str(tmp_path)) == 1
+            assert capsys.readouterr().err == f"parameter error: {message}\n"
+        # the defaults pass every check and reach the march
+        def stop(theta0, params):
+            raise Reached((params.n, params.t_final, params.dt))
+
+        monkeypatch.setattr(sqglab.cli, "march", stop)
+        with pytest.raises(Reached) as reached:
+            run_cli("solve", "--out", str(tmp_path))
+        assert reached.value.args == ((128, 0.2, 0.0025),)
+
+    def test_every_key_is_read(self, monkeypatch):
+        # a key that no command reads is a dead key: out and threads are
+        # read by main, every other key by some command's _merged
+        read = {"out", "threads"}
+
+        def record(values, name, defaults, also=()):
+            read.update(defaults, also)
+            raise Reached
+
+        monkeypatch.setattr(sqglab.cli, "_merged", record)
+        commands = [("solve", "--data", "random"), ("continuity",)]
+        commands += [("verify-lemma", lemma) for lemma in LEMMA_IDS]
+        commands += [("counterexample", target) for target in ("a1", "a3")]
+        commands += [("uniqueness", case) for case in UNIQUENESS_CASES]
+        for argv in commands:
+            with pytest.raises(Reached):
+                run_cli(*argv)
+        assert read == set(_KEY_TYPES)
 
 
 class TestExitCodes:
@@ -254,6 +288,69 @@ class TestExitCodes:
         ):
             assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
             assert_one_error_line(capsys)
+
+    # one input per rule that has its one check where its value is used
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--T", "-1"), "horizon T=-1.0 must be at least one step dt=0.0025"),
+            (("uniqueness", "endpoint", "--T", "-1"),
+             "horizon T=-1.0 must be at least one step dt=0.0025"),
+            # SolveParams is built before the random datum is drawn
+            (("solve", "--data", "random", "--seed", "1", "--dt", "-1"),
+             "dt must be positive, got -1.0"),
+            (("solve", "--data", "garbage"), "data must be smooth|zero|random, got 'garbage'"),
+            (("solve", "--data", "random", "--seed", "-1"), "seed must be nonnegative, got -1"),
+            (("verify-lemma", "bernstein", "--seed", "-1"), "seed must be nonnegative, got -1"),
+            (("verify-lemma", "bernstein", "--seed", "1", "--trials", "0"),
+             "trials must lie in 1..10000, got 0"),
+            (("counterexample", "a3", "--trials", "100000"),
+             "trials must lie in 1..10000, got 100000"),
+            (("counterexample", "a1", "--n", "8"), "counterexample a1 does not read n"),
+        ],
+    )
+    def test_moved_rule_refuses_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached its work")
+
+        monkeypatch.setattr(sqglab.cli, "march", unreachable)
+        monkeypatch.setattr(sqglab.cli, "contraction_ladder", unreachable)
+        monkeypatch.setattr(sqglab.cli, "random_besov_field", unreachable)
+        monkeypatch.setattr(np.random, "SeedSequence", unreachable)
+        monkeypatch.setattr(sqglab.counterexamples, "bump_coefficients", unreachable)
+        assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["report.txt", "report.txt/sub"])
+    def test_out_through_a_file_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached its work")
+
+        monkeypatch.setattr(sqglab.counterexamples, "bump_coefficients", unreachable)
+        (tmp_path / "report.txt").write_text("kept\n", encoding="utf-8")
+        path = str(tmp_path / out)
+        assert run_cli("counterexample", "a3", "--trials", "3", "--out", path) == 1
+        assert capsys.readouterr().err == (
+            f"parameter error: out must be a directory or a new path under one, got {path!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == "kept\n"
+
+    def test_unwritable_output_is_a_parameter_error(self, tmp_path, capsys):
+        # what only the write finds: a directory where the CSV goes, and a
+        # path that the file system cannot hold
+        (tmp_path / "counterexample-a3.csv").mkdir()
+        for out in (str(tmp_path), str(tmp_path / "a\0b")):
+            assert run_cli("counterexample", "a3", "--trials", "3", "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"parameter error: cannot write to out {out!r}: ")
+            assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["counterexample-a3.csv"]
 
     def test_unknown_command_exits_one(self):
         assert run_cli("explode") == 1
@@ -1067,11 +1164,17 @@ class TestFuzz:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(argv=cli_runs())
-    def test_any_run_exits_cleanly(self, tmp_path, capsys, argv):
+    # most runs write into tmp_path; the others name a file there as out,
+    # or a path through it, and are refused whatever else they set
+    @given(argv=cli_runs(), out=st.sampled_from(("",) * 6 + ("file", "file/sub")))
+    def test_any_run_exits_cleanly(self, tmp_path, capsys, argv, out):
         # a traceback or an escaping warning fails here; exit 1 is a
         # parameter error, exit 2 a failed verdict or a blow-up
-        assert run_cli(*argv, "--out", str(tmp_path)) in (0, 1, 2)
+        (tmp_path / "file").write_bytes(b"kept")
+        code = run_cli(*argv, "--out", str(tmp_path / out))
+        assert code in (0, 1, 2)
+        if out:
+            assert code == 1 and (tmp_path / "file").read_bytes() == b"kept"
         capsys.readouterr()
 
     @settings(

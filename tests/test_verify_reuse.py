@@ -112,7 +112,7 @@ class TestCommutatorsBitwise:
             - pairwise_advect(u1, u2, block(theta, bank, j)).coef
             for j in range(bank.j_max + 1)
         ]
-        got = lowpass_commutator_family(u1, u2, theta, bank)
+        got = list(lowpass_commutator_family(u1, u2, theta, bank))
         assert len(got) == len(want)
         for piece, coef in zip(got, want):
             assert np.array_equal(piece.coef, coef)
