@@ -14,11 +14,11 @@ blows up.
 
 The parameters of a run are one dict, _KEY_TYPES its only key table: the
 config file's values, then the flags over them.  main checks out and
-threads, the keys every command reads, before dispatch; each command
-refuses the keys it does not read, and each other rule is checked once,
-where its value is used: n and box by Grid2, T and dt by SolveParams,
-trials by the trial loop (or by the counterexample command), the seed by
-_seed and data by the solve march.
+threads before dispatch, and each command refuses the keys it does not
+read.  Each rule has one check, run before the work: n and box by Grid2,
+T and dt by SolveParams, the seed by _seed, data by the solve march,
+alpha, p and q by spectral and trials and threads by lab (through
+_check_rules before verify-lemma and continuity build a grid).
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from .counterexamples import (
 )
 from .lab import (
     MAX_THREADS,
-    MAX_TRIALS,
+    _check_budget,
     duhamel_test_datum,
+    endpoint_norm_indices,
     random_besov_field,
     verify_bernstein,
     verify_bilinear,
@@ -58,7 +59,8 @@ from .lab import (
 )
 from .littlewood import build_bank
 from .mild import BlowUpError, SolveParams, march
-from .spectral import ParameterError, SpectralField, grid_lp_norms, lp_norm, shared_grid
+from .spectral import ParameterError, SpectralField, _check_alpha, _check_exponent
+from .spectral import grid_lp_norms, lp_norm, shared_grid
 from .uniqueness import (
     contraction_ladder,
     contraction_norm_spec,
@@ -180,6 +182,18 @@ def _merged(values: dict, name: str, defaults: dict, also=()) -> dict:
     return {**defaults, **given}
 
 
+def _check_rules(args: dict) -> None:
+    """The library's one check of alpha, p, q and trials, run on the values
+    a command reads before it builds a grid."""
+    if "alpha" in args:
+        _check_alpha(args["alpha"])
+    for key in ("p", "q"):
+        if args.get(key) is not None:
+            _check_exponent(args[key], key)
+    if "trials" in args:
+        _check_budget("trials", args["trials"])
+
+
 def _seed(args: dict, why: str) -> int:
     """The seed of a randomized run, which must be set and nonnegative."""
     seed = args.get("seed")
@@ -265,9 +279,10 @@ def _cmd_solve(_target: None, values: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the Duhamel verifier takes its datum: packets normalized in L^p, L^4 when p is unset
+# the Duhamel datum of acceptance criterion 9: packets at the critical (p, s), p from --p if set
 def _duhamel_smoothing(bank, alpha, p, q):
-    datum = duhamel_test_datum(bank, 4.0 if p is None else p)
+    p_star, _, s = endpoint_norm_indices(alpha)
+    datum = duhamel_test_datum(bank, p_star if p is None else p, s=s)
     return verify_duhamel_bound(alpha, datum, bank, p=p, q=q)
 
 
@@ -332,6 +347,7 @@ def _cmd_verify_lemma(target: str, values: dict) -> int:
     if randomized:
         args["seed"] = _seed(args, "randomized verification")
         args["threads"] = values["threads"]
+    _check_rules(args)
     grid = shared_grid(args.pop("n"), args.pop("box"))
     # looked up by name at call time, so a wrapper installed on this
     # module sees the call
@@ -355,8 +371,7 @@ def _cmd_counterexample(target: str, values: dict) -> int:
     if n_max < first + 1:
         raise ParameterError(f"need at least {first + 1} terms, got {n_max}")
     # the trials budget of every command: bump_coefficients holds n_max terms
-    if n_max > MAX_TRIALS:
-        raise ParameterError(f"trials must lie in 1..{MAX_TRIALS}, got {n_max}")
+    _check_budget("trials", n_max)
     columns = (
         ("N", "number of bump terms"),
         ("pairing", "pairing value"),
@@ -489,6 +504,7 @@ def _cmd_uniqueness(case: str, values: dict) -> int:
 def _cmd_continuity(_target: None, values: dict) -> int:
     defaults = dict(n=512, box=2.0 * math.pi, alpha=2.0, s=-0.5, p=2.0)
     args = _merged(values, "continuity", defaults)
+    _check_rules(args)
     alpha, s, p = args["alpha"], args["s"], args["p"]
     bank = build_bank(shared_grid(args["n"], args["box"]))
     # a norm that overflows is caught by the finiteness check below
@@ -578,9 +594,8 @@ def _check_shared(values: dict) -> None:
     """threads and out, the two keys every command reads.  The nearest
     existing part of out must be a directory, so that an out naming a file,
     or running through one, is refused before any work."""
-    threads, out = values["threads"], values["out"]
-    if not 1 <= threads <= MAX_THREADS:
-        raise ParameterError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
+    _check_budget("threads", values["threads"])
+    out = values["out"]
     head = os.path.abspath(out)
     while not os.path.lexists(head):
         head = os.path.dirname(head)

@@ -43,6 +43,9 @@ from .littlewood import (
 from .spectral import (
     ParameterError,
     SpectralField,
+    _check_alpha,
+    _check_exponent,
+    _check_same_grid,
     dealiased_coef,
     dealiased_field,
     gradient,
@@ -148,12 +151,17 @@ def random_besov_field(bank: DyadicBank, rng, s: float = 0.0) -> SpectralField:
     return SpectralField(grid, coef, top)
 
 
+def _check_budget(name: str, count: int) -> None:
+    """Refuse a count of trials or threads, as name says, outside its budget."""
+    top = {"trials": MAX_TRIALS, "threads": MAX_THREADS}[name]
+    if not 1 <= count <= top:
+        raise ParameterError(f"{name} must lie in 1..{top}, got {count}")
+
+
 def _run_trials(trials: int, seed: int, worker, threads: int = 1):
     """worker(rng) once per trial, each on its own child seed, in trial order."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ParameterError(f"trials must lie in 1..{MAX_TRIALS}, got {trials}")
-    if not 1 <= threads <= MAX_THREADS:
-        raise ParameterError(f"threads must lie in 1..{MAX_THREADS}, got {threads}")
+    _check_budget("trials", trials)
+    _check_budget("threads", threads)
     children = np.random.SeedSequence(seed).spawn(trials)
     rngs = [np.random.default_rng(c) for c in children]
 
@@ -206,12 +214,8 @@ def _graded_ratio(norms, idx: BesovIndex, rhs):
     return [(0, besov_from_norms(norms, idx) / rhs)], levels, 0
 
 
-def _besov(f, bank, s, p, q):
-    return besov_norm(f, bank, BesovIndex(s, p, q))
-
-
-def _vector_besov(fields, bank, s, p, q):
-    return max(_besov(f, bank, s, p, q) for f in fields)
+def _vector_besov(fields, bank, idx: BesovIndex):
+    return max(besov_norm(f, bank, idx) for f in fields)
 
 
 def _grad_pair(f):
@@ -247,6 +251,7 @@ def verify_bernstein(
     for that with some block kept; at other p it asks for a per-level
     spread below 3 from level 2 on.
     """
+    _check_exponent(p, "p")
     levels = _probe_levels(bank, levels)
 
     def worker(rng):
@@ -317,8 +322,8 @@ def verify_semigroup_decay(
     and the verdict asks for every fit strictly between them and no ratio
     above 1.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"alpha must be in (0, 2], got {alpha}")
+    _check_alpha(alpha)
+    _check_exponent(p, "p")
     levels = _probe_levels(bank, levels)
     taus = tuple(taus)
     c_floor = (3.0 / 8.0) ** alpha
@@ -382,8 +387,7 @@ def low_high_paraproduct(f: SpectralField, g: SpectralField, bank: DyadicBank):
     adding that zero would move no bit.
     """
     grid = bank.grid
-    if f.grid != grid:
-        raise ParameterError("field and bank live on different grids")
+    _check_same_grid(f.grid, grid)
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
     low_sym = bank.add_symbol(0, np.zeros(coef.shape))  # the symbol of S_0
     low_band = bank.bands[0]
@@ -418,16 +422,19 @@ def verify_paraproduct(
     """
     if eps <= 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    q1 = q2 = 2.0 * q
+    # the index of the typed q first, so that a refusal names it, not 2 q
+    lhs_index = BesovIndex(s - eps, p, q)
+    f_index = BesovIndex(-eps, math.inf, 2.0 * q)
+    g_index = BesovIndex(s, p, 2.0 * q)
 
     def worker(rng):
         f = random_besov_field(bank, rng, s=0.25)
         g = random_besov_field(bank, rng, s=-0.25)
         para = low_high_paraproduct(f, g, bank)
-        rhs = _besov(f, bank, -eps, math.inf, q1) * _besov(g, bank, s, p, q2)
+        rhs = besov_norm(f, bank, f_index) * besov_norm(g, bank, g_index)
         if rhs < ENERGY_FLOOR:
             return [], {}, 1
-        return _graded_ratio(block_norms(para, bank, p), BesovIndex(s - eps, p, q), rhs)
+        return _graded_ratio(block_norms(para, bank, p), lhs_index, rhs)
 
     report = _collect_trials("paraproduct", _run_trials(trials, seed, worker, threads))
     summary = {
@@ -489,24 +496,22 @@ def verify_bilinear(
     """
     if not s > -2.0 and not endpoint:
         raise ParameterError(f"graded variant needs s > -2, got {s}")
-    if not p >= 1.0:
-        raise ParameterError(f"exponent p must be >= 1, got {p}")
-    if endpoint:
-        q1 = q2 = 2.0  # the borderline variant needs 1/q1 + 1/q2 = 1
-    else:
-        q1 = q2 = 2.0 * q
-    s_lhs = -2.0 if endpoint else s
-    q_lhs = p if endpoint else q
+    # the index of the typed p and q first, so that a refusal names them
+    lhs_index = BesovIndex(-2.0, p, p) if endpoint else BesovIndex(s, p, q)
+    # q1 = q2: the borderline variant needs 1/q1 + 1/q2 = 1, the graded 1/q
+    q_split = 2.0 if endpoint else 2.0 * q
     s_g = (-1.0 - s_prime) if endpoint else (s + 1.0 - s_prime)
+    f_index = BesovIndex(s_prime, 2.0 * p, q_split)
+    g_index = BesovIndex(s_g, 2.0 * p, q_split)
 
     def worker(rng):
         f = random_besov_field(bank, rng, s=s_prime)
         g = random_besov_field(bank, rng, s=s_g)
         total = bilinear_diagonal_sum(f, g, bank)
-        rhs = _besov(f, bank, s_prime, 2.0 * p, q1) * _besov(g, bank, s_g, 2.0 * p, q2)
+        rhs = besov_norm(f, bank, f_index) * besov_norm(g, bank, g_index)
         if rhs < ENERGY_FLOOR:
             return [], {}, 1
-        return _graded_ratio(block_norms(total, bank, p), BesovIndex(s_lhs, p, q_lhs), rhs)
+        return _graded_ratio(block_norms(total, bank, p), lhs_index, rhs)
 
     report = _collect_trials("bilinear-diagonal", _run_trials(trials, seed, worker, threads))
     summary = {"s": s, "s_prime": s_prime, "sup_constant": report.sup_constant}
@@ -546,7 +551,9 @@ def verify_commutator_advection(
     """
     # fixed exponents, inside s + 2/p + 1 > 0, 0 < eps < 2/p + 1 and s + eps < 2/p + 1
     s, eps, p, q = -0.5, 0.5, 4.0, 2.0
-    q1 = q2 = 2.0 * q
+    lhs_index = BesovIndex(s, p, q)
+    du_index = BesovIndex(2.0 / p - eps, p, 2.0 * q)
+    dtheta_index = BesovIndex(s + eps - 1.0, p, 2.0 * q)
 
     def worker(rng):
         stream = random_besov_field(bank, rng, s=0.5)
@@ -555,13 +562,11 @@ def verify_commutator_advection(
         # each gradient and each commutator is dropped once its norm is taken
         du = (gradient(comp, axis) for comp in (u1, u2) for axis in (0, 1))
         dtheta = (gradient(theta, axis) for axis in (0, 1))
-        rhs = _vector_besov(du, bank, 2.0 / p - eps, p, q1) * _vector_besov(
-            dtheta, bank, s + eps - 1.0, p, q2
-        )
+        rhs = _vector_besov(du, bank, du_index) * _vector_besov(dtheta, bank, dtheta_index)
         if rhs < ENERGY_FLOOR:
             return [], {}, 1
         norms = [lp_norm(piece, p) for piece in lowpass_commutator_family(u1, u2, theta, bank)]
-        samples, levels, nskip = _graded_ratio(norms, BesovIndex(s, p, q), rhs)
+        samples, levels, nskip = _graded_ratio(norms, lhs_index, rhs)
         levels[0] = norms[0] / rhs
         return samples, levels, nskip
 
@@ -683,15 +688,16 @@ def verify_multiplier_bound(
     be uniform over levels and resolutions.  The verdict asks for some
     trial kept and a per-level spread below 3 from level 2 on.
     """
+    rhs_index = BesovIndex(s, math.inf, q)
+    lhs_index = BesovIndex(s - 1.0, math.inf, q)
 
     def worker(rng):
         f = random_besov_field(bank, rng, s=s)
-        rhs = _besov(f, bank, s, math.inf, q)
+        rhs = besov_norm(f, bank, rhs_index)
         if rhs < ENERGY_FLOOR:
             return [], {}, 1
         comps = velocity_gradient_components(f)
         norm_rows = np.array([block_norms(c, bank, math.inf) for c in comps])
-        lhs_index = BesovIndex(s - 1.0, math.inf, q)
         lhs = max(besov_from_norms(row, lhs_index) for row in norm_rows)
         weights = 2.0 ** ((s - 1.0) * np.arange(1, bank.j_max + 1))
         levels = {
@@ -795,7 +801,7 @@ def verify_duhamel_bound(
     """
     p_star, q_star, s_star = endpoint_norm_indices(alpha)
     p = p_star if p is None else p
-    q = q_star if q is None else q
+    data_index = BesovIndex(s_star, p, q_star if q is None else q)
     if horizons is None:
         t_lo = 2.0 * 2.0 ** (-alpha * (bank.j_max - 2))
         t_hi = 0.5 * 2.0 ** (-2.0 * alpha)
@@ -813,12 +819,12 @@ def verify_duhamel_bound(
     if not isinstance(theta, SpectralField):
         raise ParameterError("theta must be a spectral field (time-constant data)")
 
-    data_norm = _besov(theta, bank, s_star, p, q)
+    data_norm = besov_norm(theta, bank, data_index)
     if alpha > 1.5:
         denom_base = data_norm * data_norm
     else:
         u1, u2 = riesz_perp_velocity(theta)
-        denom_base = data_norm * _vector_besov((u1, u2), bank, s_star, p, q)
+        denom_base = data_norm * _vector_besov((u1, u2), bank, data_index)
     norms = _steady_duhamel_norms(theta, alpha, horizons, p)
     # the integrand factor grows with T per mode, so the running max
     # realizes the sup over [0, T] on the ladder

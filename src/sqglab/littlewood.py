@@ -29,6 +29,8 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    _check_exponent,
+    _check_same_grid,
     _mode_energy,
     _quadrants,
     _square,
@@ -161,11 +163,6 @@ def build_bank(grid: Grid2, j_max: int | None = None) -> DyadicBank:
     return DyadicBank(grid, j_max)
 
 
-def _check_bank_field(f: SpectralField, bank: DyadicBank) -> None:
-    if f.grid != bank.grid:
-        raise ParameterError("field and bank live on different grids")
-
-
 def block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     """Dyadic block j of f, the symbol of level j (psi at j = 0) times f,
     with the level's band (0 for an empty level).
@@ -175,7 +172,7 @@ def block(f: SpectralField, bank: DyadicBank, j: int) -> SpectralField:
     whole symbol; outside it that product is a zero too, possibly of the
     other sign.
     """
-    _check_bank_field(f, bank)
+    _check_same_grid(f.grid, bank.grid)
     if not 0 <= j <= bank.j_max:
         raise ParameterError(f"level {j} outside 0..{bank.j_max}")
     coef = np.zeros(f.coef.shape, dtype=np.complex128)
@@ -197,13 +194,6 @@ def add_block(out: np.ndarray, f: SpectralField, bank: DyadicBank, j: int, scale
             piece = f.coef[at] * sym[of]
             piece *= scale
             out[at] += piece
-
-
-def _check_exponent(value: float, name: str) -> float:
-    value = float(value)
-    if value != math.inf and not value >= 1.0:
-        raise ParameterError(f"{name} must satisfy {name} >= 1 (math.inf allowed), got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,7 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
     An empty level reads 0.0, as the transform of its zero block would,
     and costs no multiply and no transform.
     """
-    _check_bank_field(f, bank)
+    _check_same_grid(f.grid, bank.grid)
     out = np.zeros(bank.j_max + 1)
     if p == 2.0:
         top = max(band for band in bank.bands if band is not None)
@@ -273,9 +263,9 @@ def block_norms(f: SpectralField, bank: DyadicBank, p: float) -> np.ndarray:
 def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
     """Sum of origin-centered annulus kernels with prescribed L^p sizes.
 
-    amplitudes is either a callable on the level or a sequence covering
-    levels 1..j_max; each kernel is normalized to unit L^p first, so the
-    block norms realize the requested law up to adjacent-filter overlap.
+    amplitudes(j) is the size of level j = 1..j_max; each kernel is
+    normalized to unit L^p first, so the block norms realize the
+    requested law up to adjacent-filter overlap.
     A level with zero amplitude carries no packet, and neither does a
     level whose annulus holds no lattice point (coarse frequency spacing
     can leave a low annulus empty), nor one whose kernel norm lies below
@@ -285,14 +275,7 @@ def packet_profile(bank: DyadicBank, p: float, amplitudes) -> SpectralField:
     placed (0 with none).
     """
     grid = bank.grid
-    if callable(amplitudes):
-        amps = [float(amplitudes(j)) for j in bank.levels()]
-    else:
-        amps = [float(a) for a in amplitudes]
-        if len(amps) != bank.j_max:
-            raise ParameterError(
-                f"need {bank.j_max} level amplitudes, got {len(amps)}"
-            )
+    amps = [float(amplitudes(j)) for j in bank.levels()]
     coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
     placed = floored = top = 0
     for j, amp in zip(bank.levels(), amps):
@@ -336,8 +319,7 @@ def time_lr(values, times, r: float) -> float:
     """L^r norm in time by the trapezoid rule; r = math.inf takes the max."""
     values = np.asarray(values, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    if r != math.inf and not r >= 1.0:
-        raise ParameterError(f"time exponent r must satisfy r >= 1, got {r}")
+    _check_exponent(r, "r")
     if r == math.inf:
         return float(values.max())
     if times.size == 1:

@@ -47,6 +47,8 @@ from .spectral import (
     Grid2,
     ParameterError,
     SpectralField,
+    _check_alpha,
+    _check_same_grid,
     _embed,
     _inverse,
     _square,
@@ -108,11 +110,10 @@ class SolveParams:
     nonlinear: bool = True
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("T", self.t_final), ("dt", self.dt)):
+        _check_alpha(self.alpha)
+        for name, value in (("T", self.t_final), ("dt", self.dt)):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        if not 0.0 < self.alpha <= 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not self.dt > 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
         if not self.t_final >= self.dt:
@@ -232,7 +233,7 @@ def _etd2_step(
 
 def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> SpectralField:
     """Advance theta by one dt of the mild formulation."""
-    _check_params_grid(theta.grid, params)
+    _check_same_grid(theta.grid, params.grid())
     grid = theta.grid
     tab = _tableau(grid, params.alpha, params.dt, None)
     step = int(round(t / params.dt))
@@ -242,20 +243,12 @@ def duhamel_step(theta: SpectralField, params: SolveParams, t: float = 0.0) -> S
     return SpectralField(grid, _etd2_step(tab, grid, theta.coef, None, g0, params.dt, step, t))
 
 
-def _check_params_grid(grid: Grid2, params: SolveParams) -> None:
-    if grid.n != params.n or grid.box_length != params.box_length:
-        raise ParameterError(
-            f"field grid (n={grid.n}, L={grid.box_length:g}) does not match "
-            f"params (n={params.n}, L={params.box_length:g})"
-        )
-
-
 def _check_datum(theta: SpectralField, params: SolveParams) -> None:
     """Reject a datum the march would misread: off the params grid, with
     energy above the dealias cutoff, or not conjugate-symmetric (the march
     reads grid values as the real part, which would silently drop the
     anti-Hermitian part)."""
-    _check_params_grid(theta.grid, params)
+    _check_same_grid(theta.grid, params.grid())
     outside = np.abs(theta.coef[~theta.grid.dealias_keep])
     scale = float(np.abs(theta.coef).max())
     if scale > 0.0 and float(outside.max()) > 1e-13 * scale:
@@ -373,7 +366,7 @@ def duhamel_series(fields, params: SolveParams) -> list:
     sample every step of the horizon, one field per step."""
     if len(fields) != params.n_steps() + 1:
         raise ParameterError("source series does not cover every step of the horizon")
-    _check_params_grid(fields[0].grid, params)
+    _check_same_grid(fields[0].grid, params.grid())
     # the widest band of the series for every field, as duhamel_along reads it
     bands = {f.band for f in fields}
     band = None if None in bands else max(bands)
@@ -449,8 +442,7 @@ def divergence_form_check(
     if abs(k - l) > 1:
         raise ParameterError(f"divergence-form identity applies to |k-l| <= 1, got ({k}, {l})")
     grid = f.grid
-    if g.grid != grid:
-        raise ParameterError("fields live on different grids")
+    # block refuses a field off the bank's grid, so f and g share one
     fk = block(f, bank, k)
     gl = block(g, bank, l)
 

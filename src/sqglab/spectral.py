@@ -66,10 +66,22 @@ _SMALLEST_NORMAL = sys.float_info.min
 
 
 def _check_alpha(alpha: float) -> float:
+    """The dissipation order alpha as a float, refused outside (0, 2]."""
     alpha = float(alpha)
     if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"dissipation order alpha must lie in (0, 2], got {alpha}")
+        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
     return alpha
+
+
+def _check_exponent(value: float, name: str) -> None:
+    """Refuse an integrability exponent that is neither >= 1 nor math.inf."""
+    if value != math.inf and not value >= 1.0:
+        raise ParameterError(f"exponent {name} must be >= 1 or inf, got {value}")
+
+
+def _check_same_grid(a: "Grid2", b: "Grid2") -> None:
+    if a != b:
+        raise ParameterError(f"operands live on different grids: {a!r} and {b!r}")
 
 
 class Grid2:
@@ -293,13 +305,13 @@ class SpectralField:
 
     # Linear-space arithmetic; products belong to physical space.
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
+        _check_same_grid(self.grid, other.grid)
         return SpectralField(
             self.grid, self.coef + other.coef, _joint_band(self.band, other.band)
         )
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
+        _check_same_grid(self.grid, other.grid)
         return SpectralField(
             self.grid, self.coef - other.coef, _joint_band(self.band, other.band)
         )
@@ -315,10 +327,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coef, self.band)
-
-    def _check_same_grid(self, other: "SpectralField") -> None:
-        if self.grid != other.grid:
-            raise ParameterError("fields live on different grids")
 
 
 def grid_symbol(
@@ -576,8 +584,7 @@ def grid_lp_norms(grid: Grid2, values: np.ndarray, ps) -> list[float]:
     grid here, where lp_norm takes it by Parseval.
     """
     for p in ps:
-        if p != math.inf and not p >= 1.0:
-            raise ParameterError(f"exponent p must satisfy p >= 1 (or math.inf), got {p}")
+        _check_exponent(p, "p")
     w = np.abs(values)
     out = []
     for p in ps:

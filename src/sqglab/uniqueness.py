@@ -40,6 +40,8 @@ from .mild import SolveParams, duhamel_along, duhamel_series, march
 from .spectral import (
     ParameterError,
     SpectralField,
+    _check_alpha,
+    _check_exponent,
     lp_norm,
     riesz_perp_velocity,
     semigroup_apply,
@@ -84,11 +86,11 @@ def exponent_identity_gap(alpha: float) -> float:
 class ContractionNorm:
     """The norm a difference of solutions is contracted in.
 
-    index/time_exponent define the mixed norm on the difference series
-    (time integration outside the block aggregation); riesz_low adds the
-    sup-in-time grid max of the Riesz velocity of the low-pass block,
-    the extra scalar the rough-dissipation cases track.  data_index is
-    the space the solutions themselves are assumed bounded in.
+    index and time_exponent r define the mixed norm L^r_t B on the
+    difference series (time integration outside the block aggregation);
+    riesz_low adds the sup-in-time grid max of the Riesz velocity of the
+    low-pass block, the extra scalar the rough-dissipation cases track.
+    data_index is the space the solutions themselves are assumed bounded in.
     """
 
     index: BesovIndex
@@ -97,10 +99,7 @@ class ContractionNorm:
     data_index: BesovIndex
 
     def __post_init__(self):
-        if self.time_exponent != math.inf and not self.time_exponent >= 1.0:
-            raise ParameterError(
-                f"time exponent must be >= 1, got {self.time_exponent}"
-            )
+        _check_exponent(self.time_exponent, "r")
 
 
 def contraction_norm_spec(alpha: float, s: float | None = None) -> ContractionNorm:
@@ -116,8 +115,7 @@ def contraction_norm_spec(alpha: float, s: float | None = None) -> ContractionNo
                  1 < r < 1/s of the argument's auxiliary time exponent r = 2.
     alpha < 1:   regularity -s with 0 < s < 1 - alpha (default (1-alpha)/2).
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     if alpha > 1.5:
         p, q = end_point_exponent(alpha)
         return ContractionNorm(
@@ -413,13 +411,12 @@ def continuity_criterion_test(
     bank shows the dichotomy as a decay-rate gap on a fixed time ladder,
     with the tail reported alongside for the side-by-side comparison.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     times = tuple(float(t) for t in times)
     if any(t <= 0.0 for t in times) or list(times) != sorted(times, reverse=True):
         raise ParameterError("times must be positive and decreasing")
-    theta0 = packet_profile(bank, p, amplitudes)
     idx = BesovIndex(s, p, math.inf)
+    theta0 = packet_profile(bank, p, amplitudes)
     curve = np.array(
         [
             besov_norm(semigroup_apply(theta0, alpha, t) - theta0, bank, idx)

@@ -96,7 +96,7 @@ _RANDOMIZED = (
 # (golden name, verify-lemma arguments, config-file text)
 GOLDEN_CASES = [(lemma, (lemma, *_SEEDED), "") for lemma in _RANDOMIZED] + [
     ("duhamel-smoothing", ("duhamel-smoothing",), ""),
-    # exits 2: the fitted slope misses the alpha = 1.25 exponent
+    # the datum of acceptance criterion 9 at alpha = 1.25: (p, s) = (inf, -1/4)
     ("duhamel-smoothing-alpha1.25", ("duhamel-smoothing", "--alpha", "1.25"), ""),
     ("bernstein-p4", ("bernstein", *_SEEDED, "--p", "4"), ""),
     ("velocity-multiplier-q2", ("velocity-multiplier", *_SEEDED, "--q", "2"), ""),
@@ -289,7 +289,10 @@ class TestExitCodes:
             assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
             assert_one_error_line(capsys)
 
-    # one input per rule that has its one check where its value is used
+    # every rule with one check, on every command that reads its value,
+    # the inputs of the CLI's late refusals among them (n = 1024 and 2048
+    # built a grid, a bank or random fields before the check); grid
+    # agreement has no CLI input, since each command builds one grid
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -307,6 +310,55 @@ class TestExitCodes:
             (("counterexample", "a3", "--trials", "100000"),
              "trials must lie in 1..10000, got 100000"),
             (("counterexample", "a1", "--n", "8"), "counterexample a1 does not read n"),
+            # the dissipation order; the uniqueness cases refuse by their own windows
+            *(
+                (argv, "alpha must lie in (0, 2], got 3.0")
+                for argv in (
+                    ("solve", "--alpha", "3"),
+                    ("verify-lemma", "semigroup-decay", "--seed", "1", "--alpha", "3"),
+                    ("verify-lemma", "duhamel-smoothing", "--alpha", "3"),
+                    ("continuity", "--alpha", "3", "--n", "2048"),
+                )
+            ),
+            # the exponents; a split index carries 2 q, and the typed q is named
+            *(
+                (("verify-lemma", lemma, "--seed", "1", "--trials", "2", "--n", "1024",
+                  "--threads", "1", "--q", "0.4"),
+                 "exponent q must be >= 1 or inf, got 0.4")
+                for lemma in ("paraproduct", "bilinear-diagonal")
+            ),
+            *(
+                (("verify-lemma", *argv, "--n", "1024", f"--{key}", "0.5"),
+                 f"exponent {key} must be >= 1 or inf, got 0.5")
+                for argv, key in (
+                    (("bernstein", "--seed", "1"), "p"),
+                    (("semigroup-decay", "--seed", "1"), "p"),
+                    (("paraproduct", "--seed", "1"), "p"),
+                    (("bilinear-diagonal", "--seed", "1"), "p"),
+                    (("velocity-multiplier", "--seed", "1"), "q"),
+                    (("duhamel-smoothing",), "p"),
+                    (("duhamel-smoothing",), "q"),
+                )
+            ),
+            (("continuity", "--p", "0.5", "--n", "1024"),
+             "exponent p must be >= 1 or inf, got 0.5"),
+            # the trials budget, for each command that reads trials
+            *(
+                (("verify-lemma", lemma, "--seed", "1", "--trials", "0", "--n", "2048"),
+                 "trials must lie in 1..10000, got 0")
+                for lemma in sorted(_RANDOMIZED_LEMMAS)
+            ),
+            # the threads budget, which every command reads
+            *(
+                (argv + ("--threads", "0"), "threads must lie in 1..256, got 0")
+                for argv in (
+                    ("solve",),
+                    ("verify-lemma", "bernstein", "--seed", "1"),
+                    ("counterexample", "a1"),
+                    ("uniqueness", "mid"),
+                    ("continuity",),
+                )
+            ),
         ],
     )
     def test_moved_rule_refuses_before_any_work(
@@ -315,9 +367,14 @@ class TestExitCodes:
         def unreachable(*args, **kwargs):
             raise AssertionError("a refused run reached its work")
 
-        monkeypatch.setattr(sqglab.cli, "march", unreachable)
-        monkeypatch.setattr(sqglab.cli, "contraction_ladder", unreachable)
-        monkeypatch.setattr(sqglab.cli, "random_besov_field", unreachable)
+        # each stand-in where the commands look the work up: a cached
+        # shared_grid builds no Grid2, so the grid is stopped here
+        for name in ("shared_grid", "build_bank", "random_besov_field", "march",
+                     "contraction_ladder"):
+            monkeypatch.setattr(sqglab.cli, name, unreachable)
+        monkeypatch.setattr(sqglab.lab, "random_besov_field", unreachable)
+        monkeypatch.setattr(sqglab.lab, "packet_profile", unreachable)
+        monkeypatch.setattr(sqglab.uniqueness, "packet_profile", unreachable)
         monkeypatch.setattr(np.random, "SeedSequence", unreachable)
         monkeypatch.setattr(sqglab.counterexamples, "bump_coefficients", unreachable)
         assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1

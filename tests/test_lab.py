@@ -626,6 +626,33 @@ class TestThreading:
         with pytest.raises(ParameterError, match="must lie in"):
             _run_trials(trials, 0, unreachable, threads)
 
+    @pytest.mark.parametrize(
+        "verify, kwargs, message",
+        [
+            (verify_bernstein, dict(p=0.5), "exponent p must be >= 1 or inf, got 0.5"),
+            (verify_semigroup_decay, dict(alpha=3.0, p=2.0), "alpha must lie in (0, 2], got 3.0"),
+            (verify_semigroup_decay, dict(alpha=1.0, p=0.5),
+             "exponent p must be >= 1 or inf, got 0.5"),
+            # the typed q, not the 2 q of the split factors
+            (verify_paraproduct, dict(s=-0.5, eps=0.25, p=4.0, q=0.4),
+             "exponent q must be >= 1 or inf, got 0.4"),
+            (verify_bilinear, dict(s=-0.5, s_prime=-0.5, p=4.0, q=0.4),
+             "exponent q must be >= 1 or inf, got 0.4"),
+            (verify_bilinear, dict(s=-0.5, s_prime=-0.5, p=0.5),
+             "exponent p must be >= 1 or inf, got 0.5"),
+            (verify_multiplier_bound, dict(s=-0.5, q=0.5),
+             "exponent q must be >= 1 or inf, got 0.5"),
+        ],
+    )
+    def test_values_refused_before_any_trial(self, bank128h, monkeypatch, verify, kwargs, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run drew a field")
+
+        monkeypatch.setattr(sqglab.lab, "random_besov_field", unreachable)
+        with pytest.raises(ParameterError) as caught:
+            verify(bank128h, **kwargs, trials=2, seed=1)
+        assert str(caught.value) == message
+
     def test_bernstein_threaded_identical(self, bank128h):
         a = verify_bernstein(bank128h, 2.0, levels=range(2, 5), trials=6,
                              seed=21, threads=1)

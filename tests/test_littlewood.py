@@ -590,5 +590,5 @@ class TestPacketProfile:
             packet_profile(quarter_bank, 2.0, lambda j: 1.0 if j == 1 else 0.0)
 
     def test_zero_amplitudes_give_zero_field(self, quarter_bank):
-        f = packet_profile(quarter_bank, 2.0, [0.0] * quarter_bank.j_max)
+        f = packet_profile(quarter_bank, 2.0, lambda j: 0.0)
         assert not f.coef.any()

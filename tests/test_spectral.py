@@ -5,6 +5,7 @@ or independent oracles (zero-padded products for the dealias rule,
 coefficient-space Plancherel sums for the quadrature norm).
 """
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -564,6 +565,47 @@ class TestGridProducts:
             for match in unbounded.finditer(path.read_text(encoding="utf-8"))
         ]
         assert offenders == []
+
+
+def string_text(node):
+    """The string literals under node, joined, with {} for each formatted value."""
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(node.value, str) else ""
+    if isinstance(node, ast.FormattedValue):
+        return "{}"
+    return "".join(string_text(child) for child in ast.iter_child_nodes(node))
+
+
+def raise_texts(path):
+    """The message text of each raise statement in the module at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    raises = (node for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc)
+    return [string_text(node.exc) for node in raises]
+
+
+class TestOneCheckPerRule:
+    # each rule that several modules read is refused by one check, in one
+    # wording; the patterns match that wording and every wording its
+    # removed copies had, so a copy brought back fails here
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            r"\(0, 2\]",
+            r"exponent (\S+ )?must|>= 1 \(",
+            r"different grids|does not match params",
+            r"must lie in 1\.\.",
+        ],
+        ids=["alpha", "exponent", "same-grid", "trials-and-threads"],
+    )
+    def test_each_rule_is_refused_once(self, pattern):
+        package = Path(sqglab.spectral.__file__).parent
+        found = [
+            f"{path.name}: {text}"
+            for path in sorted(package.glob("*.py"))
+            for text in raise_texts(path)
+            if re.search(pattern, text)
+        ]
+        assert len(found) == 1, found
 
 
 def reference_block_norms(f, bank, p):
