@@ -46,6 +46,8 @@ from .spectral import (
     _check_alpha,
     _check_exponent,
     _check_same_grid,
+    _embed,
+    _square,
     dealiased_coef,
     dealiased_field,
     gradient,
@@ -763,18 +765,24 @@ def _steady_duhamel_norms(theta, alpha, horizons, p):
     For time-constant theta every mode integrates in closed form to the
     factor (1 - exp(-T |k|^alpha))/|k|^alpha (T at k = 0), applied to the
     velocity-scalar product, which is formed once; each entry is the max
-    over the two components.
+    over the two components.  The products are +0.0 outside the kept
+    square of n//3, their band, so the factor is formed and applied on
+    that square's layout alone (see spectral._square).
     """
     grid = theta.grid
     phys = theta.physical()
     products = [dealiased_field(grid, v * phys) for v in grid_velocity(theta)]
-    symbol = np.asarray(grid.kabs, dtype=np.float64) ** alpha
+    n, band = grid.n, grid.n // 3
+    symbol = grid.kabs_on(band) ** alpha
     out = []
     for horizon in horizons:
         with np.errstate(divide="ignore", invalid="ignore"):
             mult = -np.expm1(-horizon * symbol) / symbol
         mult[0, 0] = horizon
-        norms = [lp_norm(SpectralField(grid, c.coef * mult, c.band), p) for c in products]
+        norms = [
+            lp_norm(SpectralField(grid, _embed(_square(c.coef, band) * mult, n, band), band), p)
+            for c in products
+        ]
         out.append(max(0.0, *norms))
     return out
 

@@ -97,12 +97,11 @@ class DyadicBank:
     def __init__(self, grid: Grid2, j_max: int):
         self.grid = grid
         self.j_max = int(j_max)
-        r = grid.kabs
-        # |k| along the m1 axis for m1 = 0..n/2-1, increasing; |k| at
-        # (m1, m2) is at least its m1 entry (and its m2 entry), so a level
-        # vanishes on every row and column past its last entry below the
-        # edge (4/3) 2^j, computed as the profiles compute r / 2^j
-        axis = r[: grid.n // 2, 0]
+        # |k| = hypot(k, 0) along the m1 axis for m1 = 0..n/2-1, increasing;
+        # |k| at (m1, m2) is at least its m1 entry (and its m2 entry), so a
+        # level vanishes on every row and column past its last entry below
+        # the edge (4/3) 2^j, computed as the profiles compute r / 2^j
+        axis = np.hypot(grid.k1[: grid.n // 2, 0], 0.0)
         self.bands = []
         self._squares = []
         for j in range(self.j_max + 1):
@@ -112,7 +111,7 @@ class DyadicBank:
                 # symbol is 1 - 1 = 0 there: empty, and not sampled
                 sym = None
             else:
-                near = _square(r, bound)
+                near = grid.kabs_on(bound)
                 sym = lowpass_profile(near) if j == 0 else annulus_profile(j, near)
                 m = np.abs(np.r_[0 : bound + 1, -bound:0])
                 rows = sym.any(axis=1)

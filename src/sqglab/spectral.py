@@ -23,10 +23,10 @@ with max(|m1|, |m2|) > b is a zero.  Its inverse transforms run pass 1 on
 the band rows alone, since the transform of a zero row is zero, and its
 Parseval sums form the energy on the band square alone.  A forward
 transform truncated by the 2/3 rule runs pass 2 only on the kept columns
-|m2| <= n//3 and writes +0.0 outside the kept square: equal in value to
-``fft2(v) * dealias_keep``; zeros outside it may differ in sign.  Its field
-has band n//3.  A march keeps the band of its datum, widened to n//3 (see
-mild.march); a datum given by grid values has none.
+|m2| <= n//3: inside the kept square max(|m1|, |m2|) <= n//3 it holds the
+floats of ``fft2(v)``, and +0.0 outside it.  Its field has band n//3.  A
+march keeps the band of its datum, widened to n//3 (see mild.march); a
+datum given by grid values has none.
 
 The layout of a band b is the (2b + 1)-square copy of the square
 |m1|, |m2| <= b, in fft order along each axis (0..b, then -b..-1):
@@ -36,7 +36,9 @@ identity, so code written on layouts serves both by one path.  An
 elementwise operation on the layout gives the floats it gives on the
 square of the whole array.  A banded march holds its states, advections
 and ETD weights on its layout, and grid_symbol and dealiased_advection
-take a band to build their symbols and result there.
+take a band to build their symbols and result there.  A Grid2 holds no
+n-by-n array: Grid2.kabs_on builds |k| on the layout that reads it, from
+the 1-D wavenumbers, and the kept square is cut by slices.
 
 Conventions kept throughout the package:
 
@@ -87,6 +89,12 @@ def _check_same_grid(a: "Grid2", b: "Grid2") -> None:
 class Grid2:
     """Uniform periodic grid on [0, box_length)^2 and its frequency lattice.
 
+    A grid holds O(n) memory: the 1-D wavenumbers and sample points, and
+    read-only n-by-n broadcast views of them (index1, index2, k1, k2, x1,
+    x2).  It stores no n-by-n array; kabs_on builds |k| on the layout a
+    caller reads, and the 2/3 rule's kept square is cut by slices (see
+    band_slices).
+
     Parameters
     ----------
     n : int
@@ -116,25 +124,28 @@ class Grid2:
         if not math.isfinite(unit * n):
             raise ParameterError(f"box_length {box_length} is too small: wavenumbers overflow")
         k = unit * idx
+        # read-only views of one column or row: shared_grid and the symbol
+        # caches hand one grid to every caller
         self.k1 = np.broadcast_to(k[:, None], (n, n))
         self.k2 = np.broadcast_to(k[None, :], (n, n))
-        self.kabs = np.hypot(self.k1, self.k2)
 
         x = box_length * np.arange(n) / n
         self.x1 = np.broadcast_to(x[:, None], (n, n))
         self.x2 = np.broadcast_to(x[None, :], (n, n))
 
-        # 2/3-rule mask: keep integer indices with max(|m1|, |m2|) <= n//3.
-        # Every lattice point of radius <= unit*n/3 satisfies that bound,
-        # so the retained square contains the full radial ball used by the
-        # dyadic machinery.
-        m_cut = n // 3
-        self.dealias_keep = (np.abs(self.index1) <= m_cut) & (np.abs(self.index2) <= m_cut)
+        # the 2/3 rule keeps the square max(|m1|, |m2|) <= n//3.  Every
+        # lattice point of radius <= unit*n/3 lies in it, so the square
+        # contains the full radial ball used by the dyadic machinery.
         self.dealias_cutoff = unit * (n / 3.0)
         self.cell_area = (box_length / n) ** 2
-        # shared_grid and the symbol caches hand one grid to every caller
-        for a in (self.k1, self.k2, self.kabs, self.dealias_keep):
-            a.flags.writeable = False
+
+    def kabs_on(self, band: int | None = None) -> np.ndarray:
+        """|k| = hypot(k1, k2) on the layout of band (see _square), the
+        whole n-by-n array at None: a fresh array, the floats of the same
+        pairs on the whole lattice.  The grid holds no n-by-n array, so
+        each caller builds |k| on the layout it reads, once."""
+        k = _wavenumbers(self, band)
+        return np.hypot(k[:, None], k[None, :])
 
     def __eq__(self, other) -> bool:
         return (
@@ -159,6 +170,15 @@ def shared_grid(n: int, box_length: float = 2.0 * math.pi) -> Grid2:
 def band_slices(n: int, band: int) -> tuple[slice, slice]:
     """Slices of the indices |m| <= band along an axis of n, in fft order."""
     return slice(0, band + 1), slice(n - band, n)
+
+
+def _wavenumbers(grid: Grid2, band: int | None) -> np.ndarray:
+    """The 1-D wavenumbers along either axis on the layout of band (see
+    _square): those of |m| <= band in fft order, or all n at None."""
+    k = grid.k1[:, 0]
+    if band is None:
+        return k
+    return np.concatenate([k[s] for s in band_slices(grid.n, band)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -222,7 +242,9 @@ def _forward(w: np.ndarray, grid: Grid2 | None = None) -> np.ndarray:
     """Forward transform of the complex array w, in place.  Given the grid,
     the result is truncated by the 2/3 rule: pass 2 runs only on the kept
     columns |m2| <= n//3, and the rows and columns outside the kept square
-    are set to +0.0."""
+    are set to +0.0.  Inside the square max(|m1|, |m2|) <= n//3 the result
+    holds the floats of fft2 of w, since a column's pass-2 transform reads
+    that column alone."""
     np.fft.fft(w, axis=1, out=w)
     if grid is None:
         return np.fft.fft(w, axis=0, out=w)
@@ -352,17 +374,19 @@ def grid_symbol(
 
 @functools.lru_cache(maxsize=16)
 def _symbol(grid: Grid2, kind: str, axis: int | None, band: int | None) -> np.ndarray:
-    kabs = _square(grid.kabs, band)
-    if kind == "inverse_lambda" and axis is None:
-        with np.errstate(divide="ignore"):
-            sym = np.where(kabs > 0.0, 1.0 / np.where(kabs > 0.0, kabs, 1.0), 0.0)
-    elif kind == "gradient" and axis in (0, 1):
+    if kind == "gradient" and axis in (0, 1):
         # one row or column, viewed as the layout's square so that it can
         # be cut into quadrants like the other symbols
-        k = _square(grid.k1 if axis == 0 else grid.k2, band)
-        sym = np.broadcast_to(1j * (k[:, :1] if axis == 0 else k[:1, :]), kabs.shape)
+        k = _wavenumbers(grid, band)
+        sym = np.broadcast_to(1j * (k[:, None] if axis == 0 else k[None, :]), (k.size, k.size))
+    elif kind == "inverse_lambda" and axis is None:
+        kabs = grid.kabs_on(band)
+        with np.errstate(divide="ignore"):
+            sym = np.where(kabs > 0.0, 1.0 / np.where(kabs > 0.0, kabs, 1.0), 0.0)
     elif kind == "riesz_perp" and axis in (0, 1):
-        kperp = -_square(grid.k2, band) if axis == 0 else _square(grid.k1, band)
+        kabs = grid.kabs_on(band)
+        k = _wavenumbers(grid, band)
+        kperp = -k[None, :] if axis == 0 else k[:, None]
         safe = np.where(kabs > 0.0, kabs, 1.0)
         sym = np.where(kabs > 0.0, 1j * kperp / safe, 0.0)
     elif kind in ("inverse_lambda", "gradient", "riesz_perp"):
@@ -380,7 +404,7 @@ def _apply(field: SpectralField, symbol: np.ndarray) -> SpectralField:
 
 def fractional_laplacian(field: SpectralField, alpha: float) -> SpectralField:
     """Apply Lambda^alpha = (-Laplacian)^(alpha/2), alpha in (0, 2]."""
-    return _apply(field, field.grid.kabs ** _check_alpha(alpha))
+    return _apply(field, field.grid.kabs_on() ** _check_alpha(alpha))
 
 
 def inverse_lambda(field: SpectralField) -> SpectralField:
@@ -418,7 +442,7 @@ def semigroup_apply(field: SpectralField, alpha: float, t: float) -> SpectralFie
         raise ParameterError(f"semigroup time must be finite and nonnegative, got {t}")
     band = field.band
     # the symbol on the layout of the band, where the field can be nonzero
-    sym = np.exp(-t * _square(field.grid.kabs, band) ** alpha)
+    sym = np.exp(-t * field.grid.kabs_on(band) ** alpha)
     coef = np.empty_like(field.coef) if band is None else np.zeros_like(field.coef)
     for at, of in _quadrants(field.grid.n, band):
         np.multiply(sym[of], field.coef[at], out=coef[at])
@@ -426,15 +450,16 @@ def semigroup_apply(field: SpectralField, alpha: float, t: float) -> SpectralFie
 
 
 def dealias(field: SpectralField) -> SpectralField:
-    """Zero every coefficient with max(|m1|, |m2|) above the 2/3 cutoff.
+    """Zero every coefficient with max(|m1|, |m2|) above the 2/3 cutoff:
+    the kept square is copied as it is, and +0.0 written outside it.
 
     With both factors of a pointwise product supported inside the retained
     square, aliasing from the product lands entirely outside it, so
     truncating the product reproduces the exact truncated convolution.
     """
-    m = field.grid.n // 3
+    n, m = field.grid.n, field.grid.n // 3
     band = m if field.band is None else min(field.band, m)
-    return SpectralField(field.grid, field.coef * field.grid.dealias_keep, band)
+    return SpectralField(field.grid, _embed(_square(field.coef, m), n, m), band)
 
 
 def grid_velocity(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ def random_field(grid: Grid2, rng, band_limited=True, envelope=None) -> Spectral
     f = SpectralField.from_physical(grid, data)
     coef = f.coef.copy()
     if envelope is not None:
-        coef = coef * envelope(grid.kabs)
+        coef = coef * envelope(grid.kabs_on())
     coef[0, 0] = 0.0
     f = SpectralField(grid, coef)
     if band_limited:
@@ -34,7 +34,7 @@ def random_field(grid: Grid2, rng, band_limited=True, envelope=None) -> Spectral
 def ball_limited_field(grid: Grid2, rng, radius: float) -> SpectralField:
     """Random field with spectrum confined to the ball |k| <= radius."""
     f = random_field(grid, rng, band_limited=False)
-    coef = f.coef * (grid.kabs <= radius)
+    coef = f.coef * (grid.kabs_on() <= radius)
     return SpectralField(grid, coef)
 
 
@@ -47,7 +47,7 @@ def partition_residual(bank) -> float:
     """max |psi + sum_j phi_j - 1| over the admissible ball |k| <= (3/4) 2^J,
     summed from the bank's own symbols."""
     total = sum(whole_symbol(bank, j) for j in range(bank.j_max + 1))
-    admissible = bank.grid.kabs <= 0.75 * 2.0**bank.j_max
+    admissible = bank.grid.kabs_on() <= 0.75 * 2.0**bank.j_max
     return float(np.abs(total[admissible] - 1.0).max())
 
 

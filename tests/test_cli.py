@@ -10,6 +10,7 @@ import inspect
 import math
 import shutil
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -359,6 +360,12 @@ class TestExitCodes:
                     ("continuity",),
                 )
             ),
+            # the step bound reads the grid, which holds no n-by-n array
+            (("solve", "--data", "garbage", "--n", "2048", "--T", "0.0001", "--dt", "0.0001"),
+             "data must be smooth|zero|random, got 'garbage'"),
+            (("solve", "--data", "random", "--seed", "-1", "--n", "2048", "--T", "0.0001",
+              "--dt", "0.0001"),
+             "seed must be nonnegative, got -1"),
         ],
     )
     def test_moved_rule_refuses_before_any_work(
@@ -377,7 +384,16 @@ class TestExitCodes:
         monkeypatch.setattr(sqglab.uniqueness, "packet_profile", unreachable)
         monkeypatch.setattr(np.random, "SeedSequence", unreachable)
         monkeypatch.setattr(sqglab.counterexamples, "bump_coefficients", unreachable)
-        assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
+        # a refusal builds no n-by-n array, 32 MiB of floats at n = 2048; the
+        # cache is cleared so that the step bound builds its grid in here
+        sqglab.spectral.shared_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            assert run_cli_quietly(*argv, "--out", str(tmp_path)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert capsys.readouterr().err == f"parameter error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 

@@ -303,7 +303,7 @@ class TestEmptyLevels:
 
 def profile_symbols(bank) -> list:
     """psi, phi_1, ..., phi_J sampled on every lattice point."""
-    r = bank.grid.kabs
+    r = bank.grid.kabs_on()
     return [lowpass_profile(r)] + [annulus_profile(j, r) for j in bank.levels()]
 
 
@@ -311,7 +311,7 @@ def reference_partition_residual(bank, full) -> float:
     total = full[0].copy()
     for sym in full[1:]:
         total = total + sym
-    admissible = bank.grid.kabs <= 0.75 * 2.0**bank.j_max
+    admissible = bank.grid.kabs_on() <= 0.75 * 2.0**bank.j_max
     return float(np.abs(total[admissible] - 1.0).max())
 
 

@@ -6,8 +6,11 @@ coefficient-space Plancherel sums for the quadrature norm).
 """
 
 import ast
+import contextlib
+import functools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,9 @@ from sqglab.littlewood import (
     build_bank,
     max_feasible_level,
 )
+from sqglab.mild import SolveParams, _tableau
 from sqglab.spectral import (
+    MAX_GRID_N,
     Grid2,
     ParameterError,
     SpectralField,
@@ -46,6 +51,32 @@ from sqglab.spectral import (
 from sqglab.uniqueness import riesz_low_max
 
 RNG = np.random.default_rng(20260819)
+
+
+def _weight(name, band):
+    return getattr(_tableau(shared_grid(32), 1.5, 0.01, band), name)
+
+
+# every array that shared_grid, grid_symbol or the ETD tableau cache hands
+# out, by name, on shared_grid(32)
+_SHARED_ARRAYS = {"k1": lambda: shared_grid(32).k1, "k2": lambda: shared_grid(32).k2}
+for _band in (None, 32 // 3):
+    for _kind, _axis in (
+        ("inverse_lambda", None),
+        ("gradient", 0),
+        ("gradient", 1),
+        ("riesz_perp", 0),
+        ("riesz_perp", 1),
+    ):
+        _SHARED_ARRAYS[f"{_kind}{'' if _axis is None else _axis}-band{_band}"] = (
+            functools.partial(grid_symbol, shared_grid(32), _kind, _axis, _band)
+        )
+    for _name in ("semigroup", "phi1_dt", "phi2_dt"):
+        _SHARED_ARRAYS[f"tableau.{_name}-band{_band}"] = functools.partial(_weight, _name, _band)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def random_field(grid, rng=RNG, band_limited=True):
@@ -87,17 +118,49 @@ class TestGrid2:
         with pytest.raises(ParameterError):
             Grid2(32, box_length=L)
 
-    @pytest.mark.parametrize("name", ["k1", "k2", "kabs", "dealias_keep"])
+    @pytest.mark.parametrize("name", list(_SHARED_ARRAYS))
     def test_shared_grid_arrays_are_read_only(self, name):
-        # shared_grid hands one grid to every caller: a write would reach
-        # every later march on it
-        a = getattr(sqglab.spectral.shared_grid(32), name)
+        # shared_grid and the symbol and tableau caches hand one array to
+        # every caller: a write would reach every later march on it
+        a = _SHARED_ARRAYS[name]()
         before = a.copy()
         with pytest.raises(ValueError):
             a[1, 1] = 0
         with pytest.raises(ValueError):
             a *= 2
         assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Grid2(MAX_GRID_N),
+        lambda: SolveParams(alpha=1.5, n=MAX_GRID_N, t_final=1e-4, dt=1e-4),
+        # refused by the step bound, after its k_max is read off the grid
+        lambda: SolveParams(alpha=2.0, n=MAX_GRID_N, t_final=1e-4, dt=1e-4),
+    ], ids=["Grid2", "SolveParams", "SolveParams-refused"])
+    def test_a_grid_takes_o_of_n_memory(self, build):
+        # a stored |k| and 2/3 mask took 36 MiB at n = 2048; the cache is
+        # cleared so that SolveParams builds its grid here
+        shared_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(ParameterError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("box", [2.0 * math.pi, 0.5 * math.pi, 1e-3, 2.0 * math.pi * 2.0**-40])
+    @pytest.mark.parametrize("n", [2**e for e in range(4, 11)])
+    def test_kabs_on_reads_the_whole_lattice(self, n, box):
+        g = Grid2(n, box)
+        whole = np.hypot(g.k1, g.k2)
+        m = n // 3
+        for band in (None, m, 3):
+            assert same_bits(g.kabs_on(band), _square(whole, band))
+        # SolveParams reads k_max at the corner of the kept square
+        kept = np.maximum(np.abs(g.index1), np.abs(g.index2)) <= m
+        k_max = SolveParams(alpha=0.1, n=n, t_final=1e-4, dt=1e-4, box_length=box).k_max()
+        assert same_bits(np.float64(k_max), whole[kept].max())
 
 
 class TestSpectralField:
@@ -439,8 +502,9 @@ class TestDealias:
         out = dealias(f)
         m_cut = g.n // 3
         outside = (np.abs(g.index1) > m_cut) | (np.abs(g.index2) > m_cut)
-        assert np.abs(out.coef[outside]).max() == 0.0
-        assert np.array_equal(out.coef[~outside], f.coef[~outside])
+        # +0.0 outside the kept square, and its bits copied inside
+        assert not out.coef[outside].view(np.int64).any()
+        assert same_bits(out.coef[~outside], f.coef[~outside])
 
     def test_nyquist_mode_killed(self):
         g = Grid2(32)
@@ -663,10 +727,11 @@ class TestPrunedTransforms:
 
         values = rng.standard_normal((n, n))
         got = dealiased_coef(grid, values)
-        want = np.fft.fft2(values) * grid.dealias_keep
+        keep = np.maximum(np.abs(grid.index1), np.abs(grid.index2)) <= n // 3
+        want = np.fft.fft2(values) * keep
         assert np.array_equal(got, want)
-        keep = grid.dealias_keep
         assert np.array_equal(got[keep].view(np.int64), want[keep].view(np.int64))
+        assert not got[~keep].view(np.int64).any()
 
         bank = DyadicBank(grid, max_feasible_level(grid))
         f = SpectralField(grid, coef)

@@ -78,7 +78,7 @@ def datum(grid, seed, mean=0.0):
     """Band-limited smooth random field of unit size plus a constant."""
     rng = np.random.default_rng(seed)
     f = SpectralField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
-    coef = f.coef * np.exp(-((grid.kabs / 6.0) ** 2))
+    coef = f.coef * np.exp(-((grid.kabs_on() / 6.0) ** 2))
     coef *= grid.n**2 / np.abs(coef).sum()
     coef[0, 0] = mean * grid.n**2
     return dealias(SpectralField(grid, coef))

@@ -135,7 +135,7 @@ def one_horizon_duhamel(theta, alpha, horizon, p):
     u1, u2 = riesz_perp_velocity(theta)
     phys = theta.physical()
     out = 0.0
-    symbol = np.asarray(grid.kabs, dtype=np.float64) ** alpha
+    symbol = grid.kabs_on() ** alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = -np.expm1(-horizon * symbol) / symbol
     mult[0, 0] = horizon
